@@ -26,9 +26,8 @@ from .corpus import apply_exclusions, export_corpus, load_corpus
 from .dea import (corpus_input_ranks, dea_output_oriented, dmus_from_corpus, read_dmus,
                   scale_efficiency, write_dmus, write_results)
 from .errors import ComputationError, InputError
-from .indicators import (compute_field_means, department_scores, researcher_scores,
-                         staff_scores, university_scores, fss_s, ScoreSet,
-                         staff_unit_id, write_scores)
+from .indicators import (compute_field_means, country_staff_scores, department_scores,
+                         researcher_scores, staff_scores, university_scores, write_scores)
 from .normalize import compute_baselines, load_baselines, write_baselines
 from .rankings import (compare_rankings, rank_scores, read_rankings, standardized_scores,
                        write_comparison, write_rankings)
@@ -156,12 +155,7 @@ def _score_sets(corpus, baselines, schemes, config):
         for indicator in ("fss_u", "p_u", "fp_u"):
             sets.append(university_scores(corpus, baselines, schemes, means, indicator))
     elif config.scope == "country":
-        entries = {}
-        for sds in corpus.taxonomy.sds_codes():
-            if corpus.staff(sds_code=sds):
-                entries[staff_unit_id(None, sds)] = fss_s(corpus, baselines, schemes, sds, None)
-        sets.append(ScoreSet(level="staff", indicator="fss_s", entries=entries,
-                             window=corpus.window, metadata={"scope": "country"}))
+        sets.append(country_staff_scores(corpus, baselines, schemes))
     return sets, means
 
 
@@ -220,7 +214,6 @@ def _eligible(corpus, scores, level: str, uda: str | None):
 def cmd_rank(args) -> int:
     config, _ = _config_from_args(args)
     corpus, _, _, baselines, schemes, _ = _load_pipeline(args, config)
-    means = compute_field_means(corpus, baselines, schemes)
 
     level = args.level
     indicator = args.indicator
@@ -230,17 +223,18 @@ def cmd_rank(args) -> int:
         raise InputError("--indicator only applies to university-level rankings")
     if level == "researcher":
         scores = researcher_scores(corpus, baselines, schemes, workers=config.workers)
-        if args.standardize:
-            scores = standardized_scores(scores, means)
-    elif level == "staff":
+        means = compute_field_means(corpus, baselines, schemes, researcher_values=scores.entries)
+    else:
+        means = compute_field_means(corpus, baselines, schemes)
+    if level == "staff":
         scores = staff_scores(corpus, baselines, schemes)
-        if args.standardize:
-            scores = standardized_scores(scores, means)
     elif level == "department":
         scores = department_scores(corpus, baselines, schemes, means)
-    else:
+    elif level == "university":
         scores = university_scores(corpus, baselines, schemes, means,
                                    indicator or "fss_u", args.uda)
+    if args.standardize and level in ("researcher", "staff"):
+        scores = standardized_scores(scores, means)
 
     ranked = rank_scores(scores, exclude=_eligible(corpus, scores, level, args.uda))
     if not ranked.entries:

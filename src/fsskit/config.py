@@ -19,9 +19,6 @@ from .errors import InputError
 SCOPES = ("sds", "department", "university", "country")
 BASELINE_SOURCES = ("computed", "file")
 
-# Fields that do not affect computed values, only how/where the run executes.
-RUNTIME_ONLY_FIELDS = ("workers", "output_dir")
-
 
 @dataclass(frozen=True)
 class ExclusionThresholds:

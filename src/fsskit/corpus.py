@@ -23,6 +23,7 @@ score.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -121,6 +122,8 @@ class Corpus:
     excluded_institution_udas: frozenset[tuple[str, str]] = frozenset()
     excluded_institutions: frozenset[str] = frozenset()
     _authorships: dict[str, list[tuple[str, int]]] = field(default_factory=dict, repr=False)
+    # indicators.credit_ledger's cache; init=False, so dataclasses.replace starts it empty.
+    _ledger: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self._authorships:
@@ -216,11 +219,19 @@ def _read_rows(path: Path, required: Iterable[str]) -> list[tuple[int, dict[str,
         return rows
 
 
-def _parse_float(value: str, path: Path, line: int, column: str) -> float:
+def check_finite(value: float, path: Path, line: int, column: str) -> float:
+    """Reject the nan and infinities that float() accepts, so none reaches a score."""
+    if not math.isfinite(value):
+        raise LoadError(f"not a finite number: {value!r}", file=path, line=line, column=column)
+    return value
+
+
+def parse_float(value: str, path: Path, line: int, column: str) -> float:
     try:
-        return float(value)
-    except ValueError:
+        number = float(value)
+    except (TypeError, ValueError):
         raise LoadError(f"not a number: {value!r}", file=path, line=line, column=column) from None
+    return check_finite(number, path, line, column)
 
 
 def _parse_int(value: str, path: Path, line: int, column: str) -> int:
@@ -263,7 +274,7 @@ def load_salary_schedule(path) -> SalarySchedule:
         band = row.get("seniority_band") or None
         if (rank, band) in entries:
             raise LoadError(f"duplicate schedule entry for rank {rank!r}", file=path, line=line, column="rank")
-        salary = _parse_float(row["salary_per_year"], path, line, "salary_per_year")
+        salary = parse_float(row["salary_per_year"], path, line, "salary_per_year")
         if salary <= 0:
             raise LoadError("salary must be positive", file=path, line=line, column="salary_per_year")
         entries[(rank, band)] = salary
@@ -293,13 +304,13 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         sds = _require(row["sds"], researcher_path, line, "sds")
         if sds not in taxonomy.uda_of_sds:
             raise LoadError(f"unknown field code {sds!r}", file=researcher_path, line=line, column="sds")
-        years = _parse_float(row["years_in_window"], researcher_path, line, "years_in_window")
+        years = parse_float(row["years_in_window"], researcher_path, line, "years_in_window")
         if years <= 0:
             raise LoadError("years_in_window must be positive", file=researcher_path, line=line,
                             column="years_in_window")
         salary = None
         if row.get("salary"):
-            salary = _parse_float(row["salary"], researcher_path, line, "salary")
+            salary = parse_float(row["salary"], researcher_path, line, "salary")
             if salary <= 0:
                 raise LoadError("salary must be positive", file=researcher_path, line=line, column="salary")
         researchers[rid] = Researcher(

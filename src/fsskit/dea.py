@@ -20,15 +20,19 @@ variable-returns one.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, resolve_salary
-from .credit import fractional_contribution
+from .corpus import Corpus, check_finite
+# perfbench/tracing.py wraps fractional_contribution and normalized_impact on
+# this module; the bridge itself takes its credit from indicators.credit_ledger.
+from .credit import fractional_contribution  # noqa: F401
 from .errors import ComputationError, InputError, LoadError
-from .normalize import BaselineTable, normalized_impact
+from .indicators import credit_ledger, group_rows
+from .normalize import BaselineTable, normalized_impact  # noqa: F401
 from .simplex import LinearProgram, solve_lp
 
 MODELS = ("crs", "vrs")
@@ -173,28 +177,18 @@ def dmus_from_corpus(corpus: Corpus, baselines: BaselineTable,
     with no output at all cannot be scored and are skipped with a warning.
     """
     ranks = corpus_input_ranks(corpus)
-
+    staff = group_rows(credit_ledger(corpus, baselines, schemes), lambda r: r.institution_id)
     dmus = []
     skipped = []
-    for inst in corpus.institutions():
-        staff = corpus.staff(institution_id=inst)
-        cost_by_rank = {rank: 0.0 for rank in ranks}
-        for r in staff:
-            cost_by_rank[r.rank] += resolve_salary(r, corpus.salaries) * r.years_in_window
-        impact_total = 0.0
-        count_total = 0.0
-        for r in staff:
-            scheme = schemes[r.sds_code]
-            for pub, position in corpus.publications_of(r.id):
-                f = fractional_contribution(pub.byline, position, scheme)
-                impact_total += normalized_impact(pub, baselines) * f
-                count_total += f
+    for inst, members in staff.items():
+        impact_total = math.fsum(r.output for r in members)
+        count_total = math.fsum(r.fractional for r in members)
         if impact_total <= 0 and count_total <= 0:
             skipped.append(f"institution {inst!r} has no research output; skipped")
             continue
         dmus.append(DMU(
             id=inst,
-            inputs=tuple(cost_by_rank[rank] for rank in ranks),
+            inputs=tuple(math.fsum(r.cost for r in members if r.rank == rank) for rank in ranks),
             outputs=(impact_total, count_total),
         ))
     return dmus, skipped
@@ -225,13 +219,16 @@ def read_dmus(path) -> list[DMU]:
         dmus = []
         for row in reader:
             try:
-                dmus.append(DMU(
-                    id=row["id"],
-                    inputs=tuple(float(row[c]) for c in input_cols),
-                    outputs=tuple(float(row[c]) for c in output_cols),
-                ))
+                values = {c: float(row[c]) for c in input_cols + output_cols}
             except (TypeError, ValueError):
                 raise LoadError("malformed DMU row", file=path, line=reader.line_num) from None
+            for column, value in values.items():
+                check_finite(value, path, reader.line_num, column)
+            dmus.append(DMU(
+                id=row["id"],
+                inputs=tuple(values[c] for c in input_cols),
+                outputs=tuple(values[c] for c in output_cols),
+            ))
     return dmus
 
 

@@ -28,26 +28,28 @@ year: whole counts per head for p_u, fractional counts for fp_u.
 
 "Productive" always means a strictly positive score; national means are
 taken over productive units only. Staff means are weighted by each
-institution's labor cost in the field. Every reduction uses math.fsum over
-a sorted iteration order, so results do not depend on thread count or dict
-ordering.
+institution's labor cost in the field.
+
+Every indicator reduces credit-ledger rows: one per researcher, with
+credited output, fractional and whole counts and labor cost. Batch functions
+group the ledger, which is built once per corpus; per-unit functions build
+their members' rows with the same row function. All sums are math.fsum,
+correctly rounded in any term order, so both paths agree exactly.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
-from .corpus import Corpus, Researcher, resolve_salary
+from .corpus import Corpus, Researcher, parse_float, resolve_salary
 from .credit import WeightingScheme, fractional_contribution
 from .errors import ComputationError, InputError, LoadError, MissingFieldMeanError
 from .normalize import BaselineTable, normalized_impact
 
-LEVELS = ("researcher", "staff", "department", "university")
 SCORE_COLUMNS = ("level", "unit_id", "indicator", "value")
 
 STAFF_KEY_SEPARATOR = ":"
@@ -66,15 +68,6 @@ class ScoreSet:
 
     def unit_ids(self) -> list[str]:
         return sorted(self.entries)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "indicator": self.indicator,
-            "window": list(self.window),
-            "entries": {uid: self.entries[uid] for uid in self.unit_ids()},
-            "metadata": self.metadata,
-        }
 
 
 @dataclass(frozen=True)
@@ -107,40 +100,126 @@ def staff_unit_id(institution_id: str | None, sds_code: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Per-publication plumbing
+# Credit ledger
 # ---------------------------------------------------------------------------
 
-def _weighted_output(corpus: Corpus, baselines: BaselineTable, scheme: WeightingScheme,
-                     researcher: Researcher) -> float:
-    """sum_i impact_i * f_i over one researcher's publications."""
+class CreditRow(NamedTuple):
+    """One researcher's ledger row: what every indicator sums."""
+
+    id: str
+    sds_code: str
+    uda_code: str
+    institution_id: str
+    department_id: str | None
+    rank: str
+    output: float      # fsum of normalized impact x fractional credit
+    fractional: float  # fsum of fractional credit
+    papers: int
+    salary: float      # yearly
+    years: float
+    cost: float        # salary x years
+
+
+def _credit_row(corpus: Corpus, researcher: Researcher,
+                schemes: dict[str, WeightingScheme] | None = None,
+                baselines: BaselineTable | None = None) -> CreditRow:
+    """Walk one researcher's publications once. Without schemes the credit
+    columns stay 0, and without baselines the output column does: p_u needs
+    neither and fp_u no impact."""
+    authorships = corpus._authorships.get(researcher.id, ())
+    outputs = []
+    shares = []
+    if schemes is not None:
+        scheme = schemes[researcher.sds_code]
+        for pub_id, position in authorships:
+            pub = corpus.publications[pub_id]
+            share = fractional_contribution(pub.byline, position, scheme)
+            shares.append(share)
+            if baselines is not None:
+                outputs.append(normalized_impact(pub, baselines) * share)
+    salary = resolve_salary(researcher, corpus.salaries)
+    years = researcher.years_in_window
+    if salary <= 0 or years <= 0:
+        what = "salary" if salary <= 0 else "years_in_window"
+        raise ComputationError(f"researcher {researcher.id!r} has non-positive {what}")
+    return CreditRow(researcher.id, researcher.sds_code, corpus.uda_of(researcher),
+                     researcher.institution_id, researcher.department_id, researcher.rank,
+                     math.fsum(outputs), math.fsum(shares), len(authorships),
+                     salary, years, salary * years)
+
+
+def credit_ledger(corpus: Corpus, baselines: BaselineTable,
+                  schemes: dict[str, WeightingScheme]) -> list[CreditRow]:
+    """Every census researcher's row, in id order. Built on first use and kept
+    on the corpus while the same baseline table (by identity) and equal
+    schemes are asked for, so a command walks the bylines once."""
+    cached = corpus._ledger
+    if cached is None or cached[0] is not baselines or cached[1] != schemes:
+        rows = [_credit_row(corpus, corpus.researchers[rid], schemes, baselines)
+                for rid in sorted(corpus.researchers)]
+        cached = corpus._ledger = (baselines, dict(schemes), rows)
+    return cached[2]
+
+
+def group_rows(rows, key) -> dict:
+    """Rows by key, in key order; each group keeps ledger (id) order."""
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault(key(row), []).append(row)
+    return dict(sorted(groups.items()))
+
+
+# ---------------------------------------------------------------------------
+# Reductions over ledger rows
+# ---------------------------------------------------------------------------
+
+def _fss_r_of(row: CreditRow) -> float:
+    return row.output / row.cost
+
+
+def _rate_of(row: CreditRow) -> float:
+    return row.papers / row.years
+
+
+def _fractional_rate_of(row: CreditRow) -> float:
+    return row.fractional / row.years
+
+
+def _staff_value(rows: list[CreditRow]) -> float:
+    """fss_s of a group: credited output per unit of labor cost."""
+    return math.fsum(r.output for r in rows) / math.fsum(r.cost for r in rows)
+
+
+def _rollup(rows: list[CreditRow], means_table: str, means: FieldMeans, value_of) -> float:
+    """Head-count average of members' field-standardized values; a member
+    whose value is 0 counts in the head count only."""
     terms = []
-    for pub, position in corpus.publications_of(researcher.id):
-        impact = normalized_impact(pub, baselines)
-        if impact == 0.0:
+    for row in rows:
+        value = value_of(row)
+        if value == 0.0:
             continue
-        terms.append(impact * fractional_contribution(pub.byline, position, scheme))
+        terms.append(value / means.require(means_table, row.sds_code))
+    return math.fsum(terms) / len(rows)
+
+
+def _fss_u_value(rows: list[CreditRow], means: FieldMeans) -> float:
+    by_sds = group_rows(rows, lambda r: r.sds_code)
+    costs = {sds: math.fsum(r.cost for r in members) for sds, members in by_sds.items()}
+    total_cost = math.fsum(costs.values())
+    terms = []
+    for sds, members in by_sds.items():
+        value = _staff_value(members)
+        if value == 0.0:
+            continue
+        terms.append((value / means.require("fss_s", sds)) * (costs[sds] / total_cost))
     return math.fsum(terms)
 
 
-def _fractional_count(corpus: Corpus, scheme: WeightingScheme, researcher: Researcher) -> float:
-    terms = [
-        fractional_contribution(pub.byline, position, scheme)
-        for pub, position in corpus.publications_of(researcher.id)
-    ]
-    return math.fsum(terms)
-
-
-def _yearly_salary(corpus: Corpus, researcher: Researcher) -> float:
-    w = resolve_salary(researcher, corpus.salaries)
-    if w <= 0:
-        raise ComputationError(f"researcher {researcher.id!r} has non-positive salary")
-    return w
-
-
-def _years(researcher: Researcher) -> float:
-    if researcher.years_in_window <= 0:
-        raise ComputationError(f"researcher {researcher.id!r} has non-positive years_in_window")
-    return researcher.years_in_window
+UNIVERSITY_INDICATORS = {
+    "fss_u": _fss_u_value,
+    "p_u": lambda rows, means: _rollup(rows, "q", means, _rate_of),
+    "fp_u": lambda rows, means: _rollup(rows, "fq", means, _fractional_rate_of),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +233,7 @@ def fss_r(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, Weighting
         researcher = corpus.researchers[researcher_id]
     except KeyError:
         raise InputError(f"unknown researcher: {researcher_id!r}") from None
-    output = _weighted_output(corpus, baselines, schemes[researcher.sds_code], researcher)
-    return output / (_yearly_salary(corpus, researcher) * _years(researcher))
+    return _fss_r_of(_credit_row(corpus, researcher, schemes, baselines))
 
 
 def fss_s(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, WeightingScheme],
@@ -167,12 +245,7 @@ def fss_s(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, Weighting
     if not staff:
         where = institution_id if institution_id is not None else "the census"
         raise ComputationError(f"no staff in field {sds_code!r} at {where}")
-    scheme = schemes[sds_code]
-    cost = math.fsum(_yearly_salary(corpus, r) * _years(r) for r in staff)
-    if cost <= 0:
-        raise ComputationError(f"staff of field {sds_code!r} has non-positive labor cost")
-    output = math.fsum(_weighted_output(corpus, baselines, scheme, r) for r in staff)
-    return output / cost
+    return _staff_value([_credit_row(corpus, r, schemes, baselines) for r in staff])
 
 
 def fss_d(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, WeightingScheme],
@@ -183,13 +256,17 @@ def fss_d(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, Weighting
     staff = corpus.staff(department_id=department_id)
     if not staff:
         raise ComputationError(f"no staff in department {department_id!r}")
-    terms = []
-    for r in staff:
-        value = fss_r(corpus, baselines, schemes, r.id)
-        if value == 0.0:
-            continue
-        terms.append(value / means.require("fss_r", r.sds_code))
-    return math.fsum(terms) / len(staff)
+    rows = [_credit_row(corpus, r, schemes, baselines) for r in staff]
+    return _rollup(rows, "fss_r", means, _fss_r_of)
+
+
+def _institution_staff(corpus: Corpus, institution_id: str,
+                       uda_code: str | None) -> list[Researcher]:
+    staff = corpus.staff(institution_id=institution_id, uda_code=uda_code)
+    if not staff:
+        raise ComputationError(f"no staff at {institution_id!r}"
+                               + (f" in discipline {uda_code!r}" if uda_code else ""))
+    return staff
 
 
 def fss_u(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, WeightingScheme],
@@ -198,72 +275,24 @@ def fss_u(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, Weighting
     institution's field staff scores, each standardized by the national
     cost-weighted mean for that field. Restricting to one discipline ranks
     institutions within it."""
-    staff = corpus.staff(institution_id=institution_id, uda_code=uda_code)
-    if not staff:
-        raise ComputationError(f"no staff at {institution_id!r}"
-                               + (f" in discipline {uda_code!r}" if uda_code else ""))
-    by_sds: dict[str, list[Researcher]] = {}
-    for r in staff:
-        by_sds.setdefault(r.sds_code, []).append(r)
-
-    costs = {
-        sds: math.fsum(_yearly_salary(corpus, r) * _years(r) for r in members)
-        for sds, members in sorted(by_sds.items())
-    }
-    total_cost = math.fsum(costs[sds] for sds in sorted(costs))
-    if total_cost <= 0:
-        raise ComputationError(f"staff at {institution_id!r} has non-positive labor cost")
-
-    terms = []
-    for sds in sorted(by_sds):
-        value = fss_s(corpus, baselines, schemes, sds, institution_id)
-        if value == 0.0:
-            continue
-        terms.append((value / means.require("fss_s", sds)) * (costs[sds] / total_cost))
-    return math.fsum(terms)
-
-
-def _rate(corpus: Corpus, researcher: Researcher) -> float:
-    return len(corpus.publications_of(researcher.id)) / _years(researcher)
-
-
-def _fractional_rate(corpus: Corpus, schemes: dict[str, WeightingScheme],
-                     researcher: Researcher) -> float:
-    return _fractional_count(corpus, schemes[researcher.sds_code], researcher) / _years(researcher)
-
-
-def _rate_rollup(corpus: Corpus, staff: list[Researcher], means_table: str,
-                 means: FieldMeans, rate_of) -> float:
-    terms = []
-    for r in staff:
-        value = rate_of(r)
-        if value == 0.0:
-            continue
-        terms.append(value / means.require(means_table, r.sds_code))
-    return math.fsum(terms) / len(staff)
+    staff = _institution_staff(corpus, institution_id, uda_code)
+    return _fss_u_value([_credit_row(corpus, r, schemes, baselines) for r in staff], means)
 
 
 def p_u(corpus: Corpus, means: FieldMeans, institution_id: str,
         uda_code: str | None = None) -> float:
     """Output volume per head: average of members' field-standardized
     publication rates (whole counts per year in post)."""
-    staff = corpus.staff(institution_id=institution_id, uda_code=uda_code)
-    if not staff:
-        raise ComputationError(f"no staff at {institution_id!r}"
-                               + (f" in discipline {uda_code!r}" if uda_code else ""))
-    return _rate_rollup(corpus, staff, "q", means, lambda r: _rate(corpus, r))
+    staff = _institution_staff(corpus, institution_id, uda_code)
+    return UNIVERSITY_INDICATORS["p_u"]([_credit_row(corpus, r) for r in staff], means)
 
 
 def fp_u(corpus: Corpus, schemes: dict[str, WeightingScheme], means: FieldMeans,
          institution_id: str, uda_code: str | None = None) -> float:
     """Like p_u but on fractional publication counts, so multi-authored
     output is not double counted across institutions."""
-    staff = corpus.staff(institution_id=institution_id, uda_code=uda_code)
-    if not staff:
-        raise ComputationError(f"no staff at {institution_id!r}"
-                               + (f" in discipline {uda_code!r}" if uda_code else ""))
-    return _rate_rollup(corpus, staff, "fq", means,
-                        lambda r: _fractional_rate(corpus, schemes, r))
+    staff = _institution_staff(corpus, institution_id, uda_code)
+    return UNIVERSITY_INDICATORS["fp_u"]([_credit_row(corpus, r, schemes) for r in staff], means)
 
 
 # ---------------------------------------------------------------------------
@@ -275,51 +304,36 @@ def compute_field_means(corpus: Corpus, baselines: BaselineTable,
                         researcher_values: dict[str, float] | None = None) -> FieldMeans:
     """National standardization means per field.
 
-    ``researcher_values`` may carry precomputed individual scores to avoid
-    recomputing them; otherwise they are derived here.
+    ``researcher_values`` may carry individual scores to use instead of the
+    ledger's own.
     """
+    rows = credit_ledger(corpus, baselines, schemes)
     if researcher_values is None:
-        researcher_values = {
-            rid: fss_r(corpus, baselines, schemes, rid) for rid in sorted(corpus.researchers)
-        }
+        researcher_values = {row.id: _fss_r_of(row) for row in rows}
 
-    by_sds_r: dict[str, list[float]] = {}
-    by_sds_q: dict[str, list[float]] = {}
-    by_sds_fq: dict[str, list[float]] = {}
-    for rid in sorted(corpus.researchers):
-        r = corpus.researchers[rid]
-        value = researcher_values[rid]
-        if value > 0:
-            by_sds_r.setdefault(r.sds_code, []).append(value)
-        rate = _rate(corpus, r)
-        if rate > 0:
-            by_sds_q.setdefault(r.sds_code, []).append(rate)
-        frac = _fractional_rate(corpus, schemes, r)
-        if frac > 0:
-            by_sds_fq.setdefault(r.sds_code, []).append(frac)
+    def productive_mean(value_of) -> dict[str, float]:
+        by_sds: dict[str, list[float]] = {}
+        for row in rows:
+            value = value_of(row)
+            if value > 0:
+                by_sds.setdefault(row.sds_code, []).append(value)
+        return {sds: math.fsum(vals) / len(vals) for sds, vals in sorted(by_sds.items())}
 
     staff_values: dict[str, list[tuple[float, float]]] = {}
-    for inst in corpus.institutions():
-        for sds in sorted({r.sds_code for r in corpus.staff(institution_id=inst)}):
-            value = fss_s(corpus, baselines, schemes, sds, inst)
-            if value <= 0:
-                continue
-            staff = corpus.staff(institution_id=inst, sds_code=sds)
-            cost = math.fsum(_yearly_salary(corpus, r) * _years(r) for r in staff)
-            staff_values.setdefault(sds, []).append((value, cost))
-
-    fss_s_means = {}
-    for sds in sorted(staff_values):
-        pairs = staff_values[sds]
-        weight = math.fsum(cost for _, cost in pairs)
-        if weight > 0:
-            fss_s_means[sds] = math.fsum(v * cost for v, cost in pairs) / weight
+    for (_, sds), members in group_rows(rows, lambda r: (r.institution_id, r.sds_code)).items():
+        value = _staff_value(members)
+        if value <= 0:
+            continue
+        staff_values.setdefault(sds, []).append((value, math.fsum(r.cost for r in members)))
 
     return FieldMeans(
-        fss_r={sds: math.fsum(vals) / len(vals) for sds, vals in sorted(by_sds_r.items())},
-        fss_s=fss_s_means,
-        q={sds: math.fsum(vals) / len(vals) for sds, vals in sorted(by_sds_q.items())},
-        fq={sds: math.fsum(vals) / len(vals) for sds, vals in sorted(by_sds_fq.items())},
+        fss_r=productive_mean(lambda row: researcher_values[row.id]),
+        fss_s={
+            sds: math.fsum(v * cost for v, cost in pairs) / math.fsum(cost for _, cost in pairs)
+            for sds, pairs in sorted(staff_values.items())
+        },
+        q=productive_mean(_rate_of),
+        fq=productive_mean(_fractional_rate_of),
     )
 
 
@@ -331,47 +345,48 @@ def researcher_scores(corpus: Corpus, baselines: BaselineTable,
                       schemes: dict[str, WeightingScheme], workers: int = 1) -> ScoreSet:
     """Individual scores for every census researcher.
 
-    Researchers are independent, so the loop can fan out over threads; ids
-    are processed in sorted order and results zipped back positionally, so
-    any worker count yields the identical ScoreSet.
+    ``workers`` is validated but does not change execution: the ledger is
+    one pass on one thread.
     """
-    ids = sorted(corpus.researchers)
     if workers < 1:
         raise InputError("workers must be >= 1")
-    if workers == 1 or len(ids) < 2:
-        values = [fss_r(corpus, baselines, schemes, rid) for rid in ids]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda rid: fss_r(corpus, baselines, schemes, rid), ids))
+    rows = credit_ledger(corpus, baselines, schemes)
     return ScoreSet(
         level="researcher",
         indicator="fss_r",
-        entries=dict(zip(ids, values)),
+        entries={row.id: _fss_r_of(row) for row in rows},
         window=corpus.window,
-        metadata={"sds_of_unit": {rid: corpus.researchers[rid].sds_code for rid in ids}},
+        metadata={"sds_of_unit": {row.id: row.sds_code for row in rows}},
     )
 
 
 def staff_scores(corpus: Corpus, baselines: BaselineTable,
                  schemes: dict[str, WeightingScheme]) -> ScoreSet:
     """Field staff scores for every (institution, field) pair with staff."""
-    entries = {}
-    sds_of_unit = {}
-    for inst in corpus.institutions():
-        for sds in sorted({r.sds_code for r in corpus.staff(institution_id=inst)}):
-            uid = staff_unit_id(inst, sds)
-            entries[uid] = fss_s(corpus, baselines, schemes, sds, inst)
-            sds_of_unit[uid] = sds
+    groups = group_rows(credit_ledger(corpus, baselines, schemes),
+                    lambda r: (r.institution_id, r.sds_code))
+    entries = {staff_unit_id(inst, sds): _staff_value(members)
+               for (inst, sds), members in groups.items()}
+    sds_of_unit = {staff_unit_id(inst, sds): sds for inst, sds in groups}
     return ScoreSet(level="staff", indicator="fss_s", entries=entries,
                     window=corpus.window, metadata={"sds_of_unit": sds_of_unit})
 
 
+def country_staff_scores(corpus: Corpus, baselines: BaselineTable,
+                         schemes: dict[str, WeightingScheme]) -> ScoreSet:
+    """National staff score of every field with staff."""
+    groups = group_rows(credit_ledger(corpus, baselines, schemes), lambda r: r.sds_code)
+    entries = {staff_unit_id(None, sds): _staff_value(members)
+               for sds, members in groups.items()}
+    return ScoreSet(level="staff", indicator="fss_s", entries=entries,
+                    window=corpus.window, metadata={"scope": "country"})
+
+
 def department_scores(corpus: Corpus, baselines: BaselineTable,
                       schemes: dict[str, WeightingScheme], means: FieldMeans) -> ScoreSet:
-    entries = {
-        dept: fss_d(corpus, baselines, schemes, means, dept)
-        for dept in corpus.departments()
-    }
+    rows = [row for row in credit_ledger(corpus, baselines, schemes) if row.department_id]
+    entries = {dept: _rollup(members, "fss_r", means, _fss_r_of)
+               for dept, members in group_rows(rows, lambda r: r.department_id).items()}
     return ScoreSet(level="department", indicator="fss_d", entries=entries,
                     window=corpus.window)
 
@@ -380,23 +395,16 @@ def university_scores(corpus: Corpus, baselines: BaselineTable,
                       schemes: dict[str, WeightingScheme], means: FieldMeans,
                       indicator: str = "fss_u", uda_code: str | None = None) -> ScoreSet:
     """Institution-level scores; ``indicator`` picks fss_u, p_u or fp_u."""
-    entries = {}
-    for inst in corpus.institutions():
-        if uda_code is not None and not corpus.staff(institution_id=inst, uda_code=uda_code):
-            continue
-        if indicator == "fss_u":
-            entries[inst] = fss_u(corpus, baselines, schemes, means, inst, uda_code)
-        elif indicator == "p_u":
-            entries[inst] = p_u(corpus, means, inst, uda_code)
-        elif indicator == "fp_u":
-            entries[inst] = fp_u(corpus, schemes, means, inst, uda_code)
-        else:
-            raise InputError(f"unknown university indicator: {indicator!r}")
-    metadata = {}
+    value_of = UNIVERSITY_INDICATORS.get(indicator)
+    if value_of is None:
+        raise InputError(f"unknown university indicator: {indicator!r}")
+    rows = credit_ledger(corpus, baselines, schemes)
     if uda_code is not None:
-        metadata["uda"] = uda_code
+        rows = [row for row in rows if row.uda_code == uda_code]
+    entries = {inst: value_of(members, means)
+               for inst, members in group_rows(rows, lambda r: r.institution_id).items()}
     return ScoreSet(level="university", indicator=indicator, entries=entries,
-                    window=corpus.window, metadata=metadata)
+                    window=corpus.window, metadata={} if uda_code is None else {"uda": uda_code})
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +438,7 @@ def read_scores(path, window: tuple[int, int] = (0, 0)) -> list[ScoreSet]:
         if reader.fieldnames is None or any(c not in reader.fieldnames for c in SCORE_COLUMNS):
             raise LoadError(f"expected columns {', '.join(SCORE_COLUMNS)}", file=path, line=1)
         for row in reader:
-            try:
-                value = float(row["value"])
-            except (TypeError, ValueError):
-                raise LoadError(f"not a number: {row['value']!r}", file=path,
-                                line=reader.line_num, column="value") from None
+            value = parse_float(row["value"], path, reader.line_num, "value")
             level, uid, indicator = row["level"], row["unit_id"], row["indicator"]
             if not level or not uid or not indicator:
                 raise LoadError("level, unit_id and indicator are required",
@@ -449,11 +453,3 @@ def read_scores(path, window: tuple[int, int] = (0, 0)) -> list[ScoreSet]:
         for (level, indicator), entries in sorted(grouped.items())
     ]
 
-
-def write_scores_json(score_sets, path) -> Path:
-    if isinstance(score_sets, ScoreSet):
-        score_sets = [score_sets]
-    path = Path(path)
-    payload = [s.to_json_dict() for s in score_sets]
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path

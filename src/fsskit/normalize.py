@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Publication
+from .corpus import Publication, parse_float
 from .errors import BaselineMissingError, LoadError
 
 BASELINE_COLUMNS = ("year", "category", "c_bar", "n_cited")
@@ -107,7 +107,7 @@ def load_baselines(path) -> BaselineTable:
         for row in reader:
             try:
                 year = int(row["year"])
-                c_bar = float(row["c_bar"])
+                c_bar = parse_float(row["c_bar"], path, reader.line_num, "c_bar")
                 n_cited = int(row["n_cited"])
             except (TypeError, ValueError):
                 raise LoadError("malformed baseline row", file=path, line=reader.line_num) from None

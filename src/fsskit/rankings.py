@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .corpus import parse_float
 from .errors import ComputationError, InputError, LoadError, UnitMismatchError
 from .indicators import FieldMeans, ScoreSet
 
@@ -291,9 +292,9 @@ def read_rankings(path) -> RankedList:
             try:
                 entry = RankedEntry(
                     unit_id=row["unit_id"],
-                    score=float(row["score"]),
+                    score=parse_float(row["score"], path, reader.line_num, "score"),
                     rank=int(row["rank"]),
-                    percentile=float(row["percentile"]),
+                    percentile=parse_float(row["percentile"], path, reader.line_num, "percentile"),
                 )
             except (TypeError, ValueError):
                 raise LoadError("malformed ranking row", file=path, line=reader.line_num) from None

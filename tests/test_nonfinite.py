@@ -1,0 +1,124 @@
+"""nan and infinities parse as floats; every loader must refuse them.
+
+Each rejection is a LoadError (CLI exit code 2) that names the file, the
+line and, where the loader knows it, the column, so a bad value never flows
+silently into a score.
+"""
+
+import csv
+
+import pytest
+
+from fsskit.cli import main
+from fsskit.config import RunConfig
+from fsskit.corpus import load_corpus
+from fsskit.dea import read_dmus
+from fsskit.errors import LoadError
+from fsskit.indicators import read_scores
+from fsskit.normalize import load_baselines
+from fsskit.rankings import read_rankings
+
+from conftest import TINY_FILES
+
+NON_FINITE = ("nan", "inf", "-inf", "NaN", "Infinity")
+
+
+def assert_names(err, file, line, column):
+    message = str(err.value)
+    assert file in message
+    assert f"line {line}" in message
+    assert f"column '{column}'" in message
+    assert "finite" in message
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("file, old, new, line, column", [
+    ("researchers.csv", "r1,Ann,MAT01,assistant,,UA,UA-M,5",
+     "r1,Ann,MAT01,assistant,,UA,UA-M,{}", 2, "years_in_window"),
+    ("researchers.csv", "r3,Cyn,BIO01,full,90000,UB,UB-B,5",
+     "r3,Cyn,BIO01,full,{},UB,UB-B,5", 4, "salary"),
+    ("salaries.csv", "assistant,,40000", "assistant,,{}", 2, "salary_per_year"),
+])
+def test_load_corpus_rejects_non_finite(tmp_path, value, file, old, new, line, column):
+    for name, content in TINY_FILES.items():
+        if name == file:
+            assert old in content
+            content = content.replace(old, new.format(value))
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    with pytest.raises(LoadError) as err:
+        load_corpus(*(tmp_path / f"{name}.csv" for name in
+                      ("researchers", "publications", "bylines", "taxonomy", "salaries")),
+                    RunConfig())
+    assert_names(err, file, line, column)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_load_baselines_rejects_non_finite(tmp_path, value):
+    path = tmp_path / "baselines.csv"
+    path.write_text(f"year,category,c_bar,n_cited\n2006,alg,7.5,2\n2007,bio,{value},1\n")
+    with pytest.raises(LoadError) as err:
+        load_baselines(path)
+    assert_names(err, "baselines.csv", 3, "c_bar")
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_read_scores_rejects_non_finite(tmp_path, value):
+    path = tmp_path / "scores.csv"
+    path.write_text("level,unit_id,indicator,value\n"
+                    f"researcher,r1,fss_r,1e-05\nresearcher,r2,fss_r,{value}\n")
+    with pytest.raises(LoadError) as err:
+        read_scores(path)
+    assert_names(err, "scores.csv", 3, "value")
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("row, column", [
+    ("u2,{},2,0.0", "score"),
+    ("u2,1.0,2,{}", "percentile"),
+])
+def test_read_rankings_rejects_non_finite(tmp_path, value, row, column):
+    path = tmp_path / "rankings.csv"
+    path.write_text("unit_id,score,rank,percentile\nu1,2.0,1,50.0\n"
+                    + row.format(value) + "\n")
+    with pytest.raises(LoadError) as err:
+        read_rankings(path)
+    assert_names(err, "rankings.csv", 3, column)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("row, column", [
+    ("B,{},3.0", "input_cost"),
+    ("B,1.0,{}", "output_impact"),
+])
+def test_read_dmus_rejects_non_finite(tmp_path, value, row, column):
+    path = tmp_path / "dmus.csv"
+    path.write_text("id,input_cost,output_impact\nA,1.0,2.0\n" + row.format(value) + "\n")
+    with pytest.raises(LoadError) as err:
+        read_dmus(path)
+    assert_names(err, "dmus.csv", 3, column)
+
+
+@pytest.mark.parametrize("salary, years, column", [
+    ("nan", "inf", "years_in_window"),
+    ("nan", None, "salary"),
+])
+def test_score_exits_2_on_non_finite_researcher(tmp_path, capsys, salary, years, column):
+    data = tmp_path / "census"
+    assert main(["synth", "--seed", "1", "--researchers", "200", "--institutions", "3",
+                 "--out", str(data)]) == 0
+    path = data / "researchers.csv"
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0]
+    rows[1][header.index("salary")] = salary
+    if years is not None:
+        rows[1][header.index("years_in_window")] = years
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    capsys.readouterr()
+
+    assert main(["score", "--data", str(data), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "researchers.csv" in err
+    assert "line 2" in err
+    assert f"column '{column}'" in err
