@@ -22,12 +22,13 @@ from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, build_schemes, load_config
-from .corpus import apply_exclusions, export_corpus, load_corpus
+from .corpus import apply_exclusions, export_corpus, load_corpus, write_table
 from .dea import (corpus_input_ranks, dea_output_oriented, dmus_from_corpus, read_dmus,
                   scale_efficiency, write_dmus, write_results)
 from .errors import ComputationError, InputError
 from .indicators import (compute_field_means, country_staff_scores, department_scores,
-                         researcher_scores, staff_scores, university_scores, write_scores)
+                         researcher_scores, split_staff_unit_id, staff_scores, university_scores,
+                         write_scores)
 from .normalize import compute_baselines, load_baselines, write_baselines
 from .rankings import (compare_rankings, rank_scores, read_rankings, standardized_scores,
                        write_comparison, write_rankings)
@@ -203,7 +204,7 @@ def _eligible(corpus, scores, level: str, uda: str | None):
             exclude |= {inst for inst, u in corpus.excluded_institution_udas if u == uda}
     elif level == "staff":
         for uid in scores.unit_ids():
-            inst, _, sds = uid.rpartition(":")
+            inst, sds = split_staff_unit_id(uid)
             if inst in corpus.excluded_institutions:
                 exclude.add(uid)
             elif (inst, corpus.taxonomy.uda(sds)) in corpus.excluded_institution_udas:
@@ -245,10 +246,8 @@ def cmd_rank(args) -> int:
     bands = {b: 0 for b in range(0, 100, 10)}
     for e in ranked.entries:
         bands[min(90, int(e.percentile // 10) * 10)] += 1
-    with open(out / "percentile_distribution.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write("band_start,band_end,count\n")
-        for b in sorted(bands):
-            fh.write(f"{b},{b + 10},{bands[b]}\n")
+    write_table(out / "percentile_distribution.csv", ("band_start", "band_end", "count"),
+                ((b, b + 10, bands[b]) for b in sorted(bands)))
     print(f"ranked {len(ranked.entries)} {level} units by {scores.indicator}")
     print(f"wrote {out / 'rankings.csv'}")
     return 0
@@ -264,10 +263,8 @@ def cmd_compare(args) -> int:
     histogram: dict[int, int] = {}
     for shift in stats.shifts.values():
         histogram[shift] = histogram.get(shift, 0) + 1
-    with open(out / "shift_histogram.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write("shift,count\n")
-        for shift in sorted(histogram):
-            fh.write(f"{shift},{histogram[shift]}\n")
+    write_table(out / "shift_histogram.csv", ("shift", "count"),
+                ((shift, histogram[shift]) for shift in sorted(histogram)))
     print(f"compared {stats.n_units} units: {stats.pct_shifting:.1f}% shift, "
           f"max shift {stats.max_shift}, rank correlation {stats.spearman:.3f}")
     print(f"wrote {out / 'comparison.json'}")
@@ -302,10 +299,8 @@ def cmd_dea(args) -> int:
     write_results(all_scores, out / "dea_results.csv")
     if args.model == "both":
         se = scale_efficiency(by_model["crs"], by_model["vrs"])
-        with open(out / "scale_efficiency.csv", "w", newline="", encoding="utf-8") as fh:
-            fh.write("id,scale_efficiency\n")
-            for uid in sorted(se):
-                fh.write(f"{uid},{se[uid]!r}\n")
+        write_table(out / "scale_efficiency.csv", ("id", "scale_efficiency"),
+                    ((uid, se[uid]) for uid in sorted(se)))
     print(f"wrote {out / 'dea_results.csv'}")
     return 0
 

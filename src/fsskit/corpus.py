@@ -18,6 +18,9 @@ name, salary, department, researcher_id and seniority_band may be empty.
 A byline row with an empty researcher_id is an external (non-census) author:
 it counts toward the byline length for fractional credit but receives no
 score.
+
+read_table and write_table are the package's only CSV reader and writer;
+the baseline, score, ranking and DMU files go through them too.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterator
 
 from .credit import CONVENTIONS
 from .errors import InputError, LoadError, RankNotFoundError
@@ -201,47 +204,90 @@ def resolve_salary(researcher: Researcher, schedule: SalarySchedule) -> float:
 # Loading
 # ---------------------------------------------------------------------------
 
-def _read_rows(path: Path, required: Iterable[str]) -> list[tuple[int, dict[str, str]]]:
+def read_table(path, columns, optional=()) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """Yield (line, cells) for every data row of the CSV table at ``path``.
+
+    ``cells`` holds the named columns, ``columns`` first and then
+    ``optional``, each stripped of surrounding whitespace. Every name in
+    ``columns`` must be in the header; ``columns`` may instead be a function
+    from the header to those names. An absent optional column, and the
+    missing trailing cells of a short row, read as "". Blank lines are
+    skipped; a repeated column name and a row wider than the header are
+    errors. Every error is a LoadError that names the file and, where it
+    has one, the line.
+    """
+    path = Path(path)
     if not path.exists():
         raise LoadError("file not found", file=path)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise LoadError("missing header row", file=path)
-        missing = [c for c in required if c not in reader.fieldnames]
-        if missing:
-            raise LoadError(f"missing column(s) {', '.join(missing)}", file=path, line=1)
-        rows = []
-        for row in reader:
-            if None in row:
-                raise LoadError("row has more fields than the header", file=path, line=reader.line_num)
-            rows.append((reader.line_num, {k: (v or "").strip() for k, v in row.items() if k is not None}))
-        return rows
+        reader = csv.reader(fh)
+        try:
+            header = [name.strip() for name in next(reader, ())]
+            if not header:
+                raise LoadError("missing header row", file=path)
+            repeated = sorted({name for name in header if header.count(name) > 1})
+            if repeated:
+                raise LoadError(f"repeated column(s) {', '.join(repeated)}", file=path, line=1)
+            if callable(columns):
+                columns = columns(header)
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise LoadError(f"missing column(s) {', '.join(missing)}", file=path, line=1)
+            width = len(header)
+            header += [c for c in optional if c not in header]
+            index = [header.index(c) for c in (*columns, *optional)]
+            full = len(header)
+            blank = [""] * full
+            for row in reader:
+                n = len(row)
+                if n > width:
+                    raise LoadError("row has more fields than the header", file=path,
+                                    line=reader.line_num)
+                if n < full:
+                    if not n:
+                        continue
+                    row += blank[n:]
+                yield reader.line_num, tuple(map(str.strip, map(row.__getitem__, index)))
+        except UnicodeDecodeError:
+            raise LoadError("not UTF-8 text", file=path) from None
+        except csv.Error as exc:
+            raise LoadError(str(exc), file=path, line=reader.line_num) from None
 
 
-def check_finite(value: float, path: Path, line: int, column: str) -> float:
-    """Reject the nan and infinities that float() accepts, so none reaches a score."""
-    if not math.isfinite(value):
-        raise LoadError(f"not a finite number: {value!r}", file=path, line=line, column=column)
-    return value
+def write_table(path, header, rows) -> Path:
+    """Write one CSV table: a header row, then ``rows``.
+
+    Cells are quoted only where they need it; floats are written in
+    shortest round-trip form and None as "".
+    """
+    path = Path(path)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def parse_float(value: str, path: Path, line: int, column: str) -> float:
+    """One numeric cell; the nan and infinities float() accepts are refused,
+    so none reaches a score."""
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except ValueError:
         raise LoadError(f"not a number: {value!r}", file=path, line=line, column=column) from None
-    return check_finite(number, path, line, column)
+    if not math.isfinite(number):
+        raise LoadError(f"not a finite number: {number!r}", file=path, line=line, column=column)
+    return number
 
 
-def _parse_int(value: str, path: Path, line: int, column: str) -> int:
+def parse_int(value: str, path: Path, line: int, column: str) -> int:
     try:
         return int(value)
     except ValueError:
         raise LoadError(f"not an integer: {value!r}", file=path, line=line, column=column) from None
 
 
-def _require(value: str, path: Path, line: int, column: str) -> str:
+def require(value: str, path: Path, line: int, column: str) -> str:
     if not value:
         raise LoadError("value is required", file=path, line=line, column=column)
     return value
@@ -251,17 +297,16 @@ def load_taxonomy(path) -> FieldTaxonomy:
     path = Path(path)
     uda_of: dict[str, str] = {}
     convention_of: dict[str, str] = {}
-    for line, row in _read_rows(path, TAXONOMY_COLUMNS):
-        sds = _require(row["sds"], path, line, "sds")
+    for line, (sds, uda, convention) in read_table(path, TAXONOMY_COLUMNS):
+        require(sds, path, line, "sds")
         if sds in uda_of:
             raise LoadError(f"duplicate field code {sds!r}", file=path, line=line, column="sds")
-        convention = row["convention"]
         if convention not in CONVENTIONS:
             raise LoadError(
                 f"convention must be one of {'/'.join(CONVENTIONS)}, got {convention!r}",
                 file=path, line=line, column="convention",
             )
-        uda_of[sds] = _require(row["uda"], path, line, "uda")
+        uda_of[sds] = require(uda, path, line, "uda")
         convention_of[sds] = convention
     return FieldTaxonomy(uda_of_sds=uda_of, convention_of_sds=convention_of)
 
@@ -269,12 +314,12 @@ def load_taxonomy(path) -> FieldTaxonomy:
 def load_salary_schedule(path) -> SalarySchedule:
     path = Path(path)
     entries: dict[tuple[str, str | None], float] = {}
-    for line, row in _read_rows(path, ("rank", "salary_per_year")):
-        rank = _require(row["rank"], path, line, "rank")
-        band = row.get("seniority_band") or None
+    for line, (rank, salary, band) in read_table(path, ("rank", "salary_per_year"), ("seniority_band",)):
+        require(rank, path, line, "rank")
+        band = band or None
         if (rank, band) in entries:
             raise LoadError(f"duplicate schedule entry for rank {rank!r}", file=path, line=line, column="rank")
-        salary = parse_float(row["salary_per_year"], path, line, "salary_per_year")
+        salary = parse_float(salary, path, line, "salary_per_year")
         if salary <= 0:
             raise LoadError("salary must be positive", file=path, line=line, column="salary_per_year")
         entries[(rank, band)] = salary
@@ -296,48 +341,46 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
 
     researcher_path = Path(researcher_file)
     researchers: dict[str, Researcher] = {}
-    rows = _read_rows(researcher_path, ("id", "sds", "rank", "institution", "years_in_window"))
-    for line, row in rows:
-        rid = _require(row["id"], researcher_path, line, "id")
+    rows = read_table(researcher_path, ("id", "sds", "rank", "institution", "years_in_window"),
+                      ("name", "salary", "department"))
+    for line, (rid, sds, rank, institution, years, name, salary, department) in rows:
+        require(rid, researcher_path, line, "id")
         if rid in researchers:
             raise LoadError(f"duplicate researcher id {rid!r}", file=researcher_path, line=line, column="id")
-        sds = _require(row["sds"], researcher_path, line, "sds")
+        require(sds, researcher_path, line, "sds")
         if sds not in taxonomy.uda_of_sds:
             raise LoadError(f"unknown field code {sds!r}", file=researcher_path, line=line, column="sds")
-        years = parse_float(row["years_in_window"], researcher_path, line, "years_in_window")
+        years = parse_float(years, researcher_path, line, "years_in_window")
         if years <= 0:
             raise LoadError("years_in_window must be positive", file=researcher_path, line=line,
                             column="years_in_window")
-        salary = None
-        if row.get("salary"):
-            salary = parse_float(row["salary"], researcher_path, line, "salary")
-            if salary <= 0:
-                raise LoadError("salary must be positive", file=researcher_path, line=line, column="salary")
+        salary = parse_float(salary, researcher_path, line, "salary") if salary else None
+        if salary is not None and salary <= 0:
+            raise LoadError("salary must be positive", file=researcher_path, line=line, column="salary")
         researchers[rid] = Researcher(
             id=rid,
-            name=row.get("name", ""),
+            name=name,
             sds_code=sds,
-            rank=_require(row["rank"], researcher_path, line, "rank"),
+            rank=require(rank, researcher_path, line, "rank"),
             salary_per_year=salary,
-            institution_id=_require(row["institution"], researcher_path, line, "institution"),
-            department_id=row.get("department") or None,
+            institution_id=require(institution, researcher_path, line, "institution"),
+            department_id=department or None,
             years_in_window=years,
         )
-    report.row_counts["researchers"] = len(rows)
+    report.row_counts["researchers"] = len(researchers)
 
     publication_path = Path(publication_file)
     pub_fields: dict[str, tuple[int, int, tuple[str, ...]]] = {}
     skipped_pubs: set[str] = set()
-    rows = _read_rows(publication_path, PUBLICATION_COLUMNS)
-    for line, row in rows:
-        pid = _require(row["id"], publication_path, line, "id")
+    for line, (pid, year, citations, categories) in read_table(publication_path, PUBLICATION_COLUMNS):
+        require(pid, publication_path, line, "id")
         if pid in pub_fields or pid in skipped_pubs:
             raise LoadError(f"duplicate publication id {pid!r}", file=publication_path, line=line, column="id")
-        year = _parse_int(row["year"], publication_path, line, "year")
-        citations = _parse_int(row["citations"], publication_path, line, "citations")
+        year = parse_int(year, publication_path, line, "year")
+        citations = parse_int(citations, publication_path, line, "citations")
         if citations < 0:
             raise LoadError("citations must be >= 0", file=publication_path, line=line, column="citations")
-        categories = tuple(sorted({c.strip() for c in row["subject_categories"].split(";") if c.strip()}))
+        categories = tuple(sorted({c.strip() for c in categories.split(";") if c.strip()}))
         if not categories:
             raise LoadError("at least one subject category is required", file=publication_path,
                             line=line, column="subject_categories")
@@ -345,41 +388,41 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
             skipped_pubs.add(pid)
             continue
         pub_fields[pid] = (year, citations, categories)
-    report.row_counts["publications"] = len(rows)
+    report.row_counts["publications"] = len(pub_fields) + len(skipped_pubs)
     if skipped_pubs:
         report.add_warning(
             f"skipped {len(skipped_pubs)} publication(s) outside the {start}-{end} window"
         )
-    if not rows:
+    if not report.row_counts["publications"]:
         report.add_warning("publication file is empty; all scores will be zero")
 
     byline_path = Path(byline_file)
     bylines: dict[str, dict[int, Authorship]] = {pid: {} for pid in pub_fields}
     unresolved = 0
-    rows = _read_rows(byline_path, BYLINE_COLUMNS)
-    for line, row in rows:
-        pid = _require(row["publication_id"], byline_path, line, "publication_id")
+    n_rows = 0
+    for line, (pid, position, rid, institution) in read_table(byline_path, BYLINE_COLUMNS):
+        n_rows += 1
+        require(pid, byline_path, line, "publication_id")
         if pid not in pub_fields:
             if pid not in skipped_pubs:
                 raise LoadError(f"byline references unknown publication {pid!r}",
                                 file=byline_path, line=line, column="publication_id")
             continue
-        position = _parse_int(row["position"], byline_path, line, "position")
+        position = parse_int(position, byline_path, line, "position")
         if position < 1:
             raise LoadError("position must be >= 1", file=byline_path, line=line, column="position")
         if position in bylines[pid]:
             raise LoadError(f"duplicate position {position} for publication {pid!r}",
                             file=byline_path, line=line, column="position")
-        rid = row.get("researcher_id") or None
-        if rid is not None and rid not in researchers:
+        if rid and rid not in researchers:
             unresolved += 1
-            rid = None
+            rid = ""
         bylines[pid][position] = Authorship(
             position=position,
-            researcher_id=rid,
-            institution_id=_require(row["institution_id"], byline_path, line, "institution_id"),
+            researcher_id=rid or None,
+            institution_id=require(institution, byline_path, line, "institution_id"),
         )
-    report.row_counts["bylines"] = len(rows)
+    report.row_counts["bylines"] = n_rows
     if unresolved:
         report.add_warning(f"{unresolved} byline author(s) did not resolve to a census researcher; "
                            "treated as external")
@@ -416,53 +459,38 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
 # Canonical export (round-trip oracle and fixture generation)
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def export_corpus(corpus: Corpus, directory) -> dict[str, Path]:
     """Write the five canonical CSVs; rows sorted by primary key, floats in
     shortest round-trip form. export(load(files)) is a fixpoint."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = {}
-
-    def write(name, header, rows):
-        path = directory / name
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        paths[name] = path
-
-    write("researchers.csv", RESEARCHER_COLUMNS, [
-        (r.id, r.name, r.sds_code, r.rank, _fmt(r.salary_per_year), r.institution_id,
-         _fmt(r.department_id), _fmt(r.years_in_window))
-        for r in (corpus.researchers[rid] for rid in sorted(corpus.researchers))
-    ])
-    write("publications.csv", PUBLICATION_COLUMNS, [
-        (p.id, p.year, p.citations, ";".join(p.subject_categories))
-        for p in (corpus.publications[pid] for pid in sorted(corpus.publications))
-    ])
-    write("bylines.csv", BYLINE_COLUMNS, [
-        (pid, a.position, _fmt(a.researcher_id), a.institution_id)
-        for pid in sorted(corpus.publications)
-        for a in corpus.publications[pid].byline
-    ])
-    write("taxonomy.csv", TAXONOMY_COLUMNS, [
-        (sds, corpus.taxonomy.uda_of_sds[sds], corpus.taxonomy.convention_of_sds[sds])
-        for sds in sorted(corpus.taxonomy.uda_of_sds)
-    ])
-    write("salaries.csv", SALARY_COLUMNS, [
-        (rank, _fmt(band), _fmt(salary))
-        for (rank, band), salary in sorted(corpus.salaries.entries.items(),
-                                           key=lambda kv: (kv[0][0], kv[0][1] or ""))
-    ])
-    return paths
+    tables = {
+        "researchers.csv": (RESEARCHER_COLUMNS, (
+            (r.id, r.name, r.sds_code, r.rank, r.salary_per_year, r.institution_id,
+             r.department_id, r.years_in_window)
+            for r in (corpus.researchers[rid] for rid in sorted(corpus.researchers))
+        )),
+        "publications.csv": (PUBLICATION_COLUMNS, (
+            (p.id, p.year, p.citations, ";".join(p.subject_categories))
+            for p in (corpus.publications[pid] for pid in sorted(corpus.publications))
+        )),
+        "bylines.csv": (BYLINE_COLUMNS, (
+            (pid, a.position, a.researcher_id, a.institution_id)
+            for pid in sorted(corpus.publications)
+            for a in corpus.publications[pid].byline
+        )),
+        "taxonomy.csv": (TAXONOMY_COLUMNS, (
+            (sds, corpus.taxonomy.uda_of_sds[sds], corpus.taxonomy.convention_of_sds[sds])
+            for sds in sorted(corpus.taxonomy.uda_of_sds)
+        )),
+        "salaries.csv": (SALARY_COLUMNS, (
+            (rank, band, salary)
+            for (rank, band), salary in sorted(corpus.salaries.entries.items(),
+                                               key=lambda kv: (kv[0][0], kv[0][1] or ""))
+        )),
+    }
+    return {name: write_table(directory / name, header, rows)
+            for name, (header, rows) in tables.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,13 @@ variable-returns one.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, check_finite
+from .corpus import Corpus, parse_float, read_table, require, write_table
 # perfbench/tracing.py wraps fractional_contribution and normalized_impact on
 # this module; the bridge itself takes its credit from indicators.credit_ledger.
 from .credit import fractional_contribution  # noqa: F401
@@ -88,21 +87,16 @@ def validate_dmus(dmus) -> list[DMU]:
 
 def _envelopment_lp(dmus: list[DMU], index: int, model: str) -> LinearProgram:
     """Variables are (phi, lambda_1..lambda_n)."""
-    n = len(dmus)
-    n_in = len(dmus[0].inputs)
-    n_out = len(dmus[0].outputs)
-    target = dmus[index]
-
+    inputs = np.array([d.inputs for d in dmus], dtype=float)
+    outputs = np.array([d.outputs for d in dmus], dtype=float)
+    n, n_in = inputs.shape
+    n_out = outputs.shape[1]
     a_ub = np.zeros((n_in + n_out, 1 + n))
+    a_ub[:n_in, 1:] = inputs.T
+    a_ub[n_in:, 0] = outputs[index]
+    a_ub[n_in:, 1:] = -outputs.T
     b_ub = np.zeros(n_in + n_out)
-    for k in range(n_in):
-        for j, dmu in enumerate(dmus):
-            a_ub[k, 1 + j] = dmu.inputs[k]
-        b_ub[k] = target.inputs[k]
-    for r in range(n_out):
-        a_ub[n_in + r, 0] = target.outputs[r]
-        for j, dmu in enumerate(dmus):
-            a_ub[n_in + r, 1 + j] = -dmu.outputs[r]
+    b_ub[:n_in] = inputs[index]
 
     c = np.zeros(1 + n)
     c[0] = 1.0
@@ -201,34 +195,29 @@ def dmus_from_corpus(corpus: Corpus, baselines: BaselineTable,
 def read_dmus(path) -> list[DMU]:
     """dmus.csv: id column plus input_*/output_* columns, order preserved."""
     path = Path(path)
-    if not path.exists():
-        raise LoadError("file not found", file=path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        names = reader.fieldnames or []
-        if "id" not in names:
-            raise LoadError("missing 'id' column", file=path, line=1)
-        input_cols = [c for c in names if c.startswith("input_")]
-        output_cols = [c for c in names if c.startswith("output_")]
-        if not input_cols or not output_cols:
+    inputs: list[str] = []
+    outputs: list[str] = []
+
+    def dmu_columns(header):
+        inputs.extend(c for c in header if c.startswith("input_"))
+        outputs.extend(c for c in header if c.startswith("output_"))
+        if not inputs or not outputs:
             raise LoadError("need at least one input_* and one output_* column",
                             file=path, line=1)
-        stray = [c for c in names if c != "id" and c not in input_cols + output_cols]
+        stray = [c for c in header if c != "id" and c not in inputs + outputs]
         if stray:
             raise LoadError(f"unrecognized column(s): {', '.join(stray)}", file=path, line=1)
-        dmus = []
-        for row in reader:
-            try:
-                values = {c: float(row[c]) for c in input_cols + output_cols}
-            except (TypeError, ValueError):
-                raise LoadError("malformed DMU row", file=path, line=reader.line_num) from None
-            for column, value in values.items():
-                check_finite(value, path, reader.line_num, column)
-            dmus.append(DMU(
-                id=row["id"],
-                inputs=tuple(values[c] for c in input_cols),
-                outputs=tuple(values[c] for c in output_cols),
-            ))
+        return ["id", *inputs, *outputs]
+
+    dmus = []
+    for line, (dmu_id, *cells) in read_table(path, dmu_columns):
+        values = [parse_float(cell, path, line, column)
+                  for cell, column in zip(cells, inputs + outputs)]
+        dmus.append(DMU(
+            id=require(dmu_id, path, line, "id"),
+            inputs=tuple(values[:len(inputs)]),
+            outputs=tuple(values[len(inputs):]),
+        ))
     return dmus
 
 
@@ -240,25 +229,15 @@ def write_dmus(dmus, path, input_names=None, output_names=None) -> Path:
     output_names = output_names or [str(i + 1) for i in range(n_out)]
     if len(input_names) != n_in or len(output_names) != n_out:
         raise InputError("dimension name counts do not match the DMUs")
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + [f"input_{n}" for n in input_names]
-                        + [f"output_{n}" for n in output_names])
-        for dmu in sorted(dmus, key=lambda d: d.id):
-            writer.writerow([dmu.id] + [repr(v) for v in dmu.inputs]
-                            + [repr(v) for v in dmu.outputs])
-    return path
+    header = ["id"] + [f"input_{n}" for n in input_names] + [f"output_{n}" for n in output_names]
+    return write_table(path, header, (
+        (dmu.id, *dmu.inputs, *dmu.outputs) for dmu in sorted(dmus, key=lambda d: d.id)
+    ))
 
 
 def write_results(scores, path) -> Path:
     """dea_results.csv: id,model,phi,efficiency,peers (peers ';'-joined)."""
-    path = Path(path)
-    rows = sorted(scores, key=lambda s: (s.id, s.model))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("id", "model", "phi", "efficiency", "peers"))
-        for s in rows:
-            writer.writerow((s.id, s.model, repr(s.phi), repr(s.efficiency),
-                             ";".join(s.peers)))
-    return path
+    return write_table(path, ("id", "model", "phi", "efficiency", "peers"), (
+        (s.id, s.model, s.phi, s.efficiency, ";".join(s.peers))
+        for s in sorted(scores, key=lambda s: (s.id, s.model))
+    ))

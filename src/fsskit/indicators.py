@@ -39,13 +39,13 @@ correctly rounded in any term order, so both paths agree exactly.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Corpus, Researcher, parse_float, resolve_salary
+from .corpus import (Corpus, Researcher, parse_float, read_table, require, resolve_salary,
+                     write_table)
 from .credit import WeightingScheme, fractional_contribution
 from .errors import ComputationError, InputError, LoadError, MissingFieldMeanError
 from .normalize import BaselineTable, normalized_impact
@@ -97,6 +97,12 @@ class FieldMeans:
 def staff_unit_id(institution_id: str | None, sds_code: str) -> str:
     inst = COUNTRY_UNIT if institution_id is None else institution_id
     return f"{inst}{STAFF_KEY_SEPARATOR}{sds_code}"
+
+
+def split_staff_unit_id(unit_id: str) -> tuple[str, str]:
+    """(institution, field) of a staff unit id; the inverse of staff_unit_id."""
+    inst, _, sds = unit_id.rpartition(STAFF_KEY_SEPARATOR)
+    return inst, sds
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +406,10 @@ def university_scores(corpus: Corpus, baselines: BaselineTable,
         raise InputError(f"unknown university indicator: {indicator!r}")
     rows = credit_ledger(corpus, baselines, schemes)
     if uda_code is not None:
+        known = sorted(set(corpus.taxonomy.uda_of_sds.values()))
+        if uda_code not in known:
+            raise InputError(f"unknown discipline {uda_code!r}; the taxonomy has "
+                             f"{', '.join(known)}")
         rows = [row for row in rows if row.uda_code == uda_code]
     entries = {inst: value_of(members, means)
                for inst, members in group_rows(rows, lambda r: r.institution_id).items()}
@@ -415,41 +425,25 @@ def write_scores(score_sets, path) -> Path:
     """scores.csv: level,unit_id,indicator,value with full-precision floats."""
     if isinstance(score_sets, ScoreSet):
         score_sets = [score_sets]
-    path = Path(path)
-    rows = []
-    for scores in score_sets:
-        for uid in scores.unit_ids():
-            rows.append((scores.level, uid, scores.indicator, repr(scores.entries[uid])))
-    rows.sort(key=lambda row: (row[0], row[2], row[1]))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCORE_COLUMNS)
-        writer.writerows(rows)
-    return path
+    rows = sorted(((scores.level, uid, scores.indicator, scores.entries[uid])
+                   for scores in score_sets for uid in scores.unit_ids()),
+                  key=lambda row: (row[0], row[2], row[1]))
+    return write_table(path, SCORE_COLUMNS, rows)
 
 
 def read_scores(path, window: tuple[int, int] = (0, 0)) -> list[ScoreSet]:
     path = Path(path)
-    if not path.exists():
-        raise LoadError("file not found", file=path)
     grouped: dict[tuple[str, str], dict[str, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or any(c not in reader.fieldnames for c in SCORE_COLUMNS):
-            raise LoadError(f"expected columns {', '.join(SCORE_COLUMNS)}", file=path, line=1)
-        for row in reader:
-            value = parse_float(row["value"], path, reader.line_num, "value")
-            level, uid, indicator = row["level"], row["unit_id"], row["indicator"]
-            if not level or not uid or not indicator:
-                raise LoadError("level, unit_id and indicator are required",
-                                file=path, line=reader.line_num)
-            bucket = grouped.setdefault((level, indicator), {})
-            if uid in bucket:
-                raise LoadError(f"duplicate unit {uid!r} for {level}/{indicator}",
-                                file=path, line=reader.line_num, column="unit_id")
-            bucket[uid] = value
+    for line, (level, uid, indicator, value) in read_table(path, SCORE_COLUMNS):
+        require(level, path, line, "level")
+        require(uid, path, line, "unit_id")
+        require(indicator, path, line, "indicator")
+        bucket = grouped.setdefault((level, indicator), {})
+        if uid in bucket:
+            raise LoadError(f"duplicate unit {uid!r} for {level}/{indicator}",
+                            file=path, line=line, column="unit_id")
+        bucket[uid] = parse_float(value, path, line, "value")
     return [
         ScoreSet(level=level, indicator=indicator, entries=entries, window=window)
         for (level, indicator), entries in sorted(grouped.items())
     ]
-

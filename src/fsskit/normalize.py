@@ -12,12 +12,11 @@ independent of publication order.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Publication, parse_float
+from .corpus import Publication, parse_float, parse_int, read_table, require, write_table
 from .errors import BaselineMissingError, LoadError
 
 BASELINE_COLUMNS = ("year", "category", "c_bar", "n_cited")
@@ -85,40 +84,26 @@ def normalized_impact(publication: Publication, baselines: BaselineTable) -> flo
 
 
 def write_baselines(table: BaselineTable, path) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(BASELINE_COLUMNS)
-        for year, category in table.cohorts():
-            c_bar, n_cited = table.entries[(year, category)]
-            writer.writerow((year, category, repr(c_bar), n_cited))
-    return path
+    return write_table(path, BASELINE_COLUMNS, (
+        (year, category, *table.entries[(year, category)]) for year, category in table.cohorts()
+    ))
 
 
 def load_baselines(path) -> BaselineTable:
     path = Path(path)
-    if not path.exists():
-        raise LoadError("file not found", file=path)
     entries: dict[tuple[int, str], tuple[float, int]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or any(c not in reader.fieldnames for c in BASELINE_COLUMNS):
-            raise LoadError(f"expected columns {', '.join(BASELINE_COLUMNS)}", file=path, line=1)
-        for row in reader:
-            try:
-                year = int(row["year"])
-                c_bar = parse_float(row["c_bar"], path, reader.line_num, "c_bar")
-                n_cited = int(row["n_cited"])
-            except (TypeError, ValueError):
-                raise LoadError("malformed baseline row", file=path, line=reader.line_num) from None
-            category = (row["category"] or "").strip()
-            if not category:
-                raise LoadError("category is required", file=path, line=reader.line_num, column="category")
-            if c_bar <= 0 or n_cited < 1:
-                raise LoadError("baseline must come from at least one cited publication",
-                                file=path, line=reader.line_num)
-            if (year, category) in entries:
-                raise LoadError(f"duplicate baseline for ({year}, {category!r})",
-                                file=path, line=reader.line_num)
-            entries[(year, category)] = (c_bar, n_cited)
+    for line, (year, category, c_bar, n_cited) in read_table(path, BASELINE_COLUMNS):
+        year = parse_int(year, path, line, "year")
+        require(category, path, line, "category")
+        c_bar = parse_float(c_bar, path, line, "c_bar")
+        n_cited = parse_int(n_cited, path, line, "n_cited")
+        if c_bar <= 0:
+            raise LoadError("c_bar must be positive", file=path, line=line, column="c_bar")
+        if n_cited < 1:
+            raise LoadError("a baseline needs at least one cited publication",
+                            file=path, line=line, column="n_cited")
+        if (year, category) in entries:
+            raise LoadError(f"duplicate baseline for ({year}, {category!r})",
+                            file=path, line=line)
+        entries[(year, category)] = (c_bar, n_cited)
     return BaselineTable(entries=entries)

@@ -13,7 +13,6 @@ one list's top-quartile units fall out of the other's top quartile.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import statistics
@@ -21,7 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import parse_float
+from .corpus import parse_float, parse_int, read_table, require, write_table
 from .errors import ComputationError, InputError, LoadError, UnitMismatchError
 from .indicators import FieldMeans, ScoreSet
 
@@ -264,54 +263,36 @@ RANKING_COLUMNS = ("unit_id", "score", "rank", "percentile")
 
 def write_rankings(ranked: RankedList, path) -> Path:
     """rankings.csv in list order; a group column is prepended when set."""
-    path = Path(path)
-    header = (("group",) if ranked.group is not None else ()) + RANKING_COLUMNS
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for e in ranked.entries:
-            row = (e.unit_id, repr(e.score), e.rank, repr(e.percentile))
-            writer.writerow(((ranked.group,) if ranked.group is not None else ()) + row)
-    return path
+    if ranked.group is None:
+        header, group = RANKING_COLUMNS, ()
+    else:
+        header, group = ("group", *RANKING_COLUMNS), (ranked.group,)
+    return write_table(path, header, (
+        (*group, e.unit_id, e.score, e.rank, e.percentile) for e in ranked.entries
+    ))
 
 
 def read_rankings(path) -> RankedList:
+    """rankings.csv; an optional group column must hold one value throughout."""
     path = Path(path)
-    if not path.exists():
-        raise LoadError("file not found", file=path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        names = reader.fieldnames or []
-        if any(c not in names for c in RANKING_COLUMNS):
-            raise LoadError(f"expected columns {', '.join(RANKING_COLUMNS)}", file=path, line=1)
-        has_group = "group" in names
-        entries = []
-        group = None
-        seen = set()
-        for row in reader:
-            try:
-                entry = RankedEntry(
-                    unit_id=row["unit_id"],
-                    score=parse_float(row["score"], path, reader.line_num, "score"),
-                    rank=int(row["rank"]),
-                    percentile=parse_float(row["percentile"], path, reader.line_num, "percentile"),
-                )
-            except (TypeError, ValueError):
-                raise LoadError("malformed ranking row", file=path, line=reader.line_num) from None
-            if not entry.unit_id:
-                raise LoadError("unit_id is required", file=path, line=reader.line_num,
-                                column="unit_id")
-            if entry.unit_id in seen:
-                raise LoadError(f"duplicate unit {entry.unit_id!r}", file=path,
-                                line=reader.line_num, column="unit_id")
-            seen.add(entry.unit_id)
-            if has_group:
-                if group is not None and row["group"] != group:
-                    raise LoadError("mixed groups in one ranking file", file=path,
-                                    line=reader.line_num, column="group")
-                group = row["group"]
-            entries.append(entry)
-    return RankedList(entries=entries, group=group)
+    entries = []
+    group = None
+    seen = set()
+    for line, (uid, score, rank, percentile, row_group) in read_table(path, RANKING_COLUMNS, ("group",)):
+        require(uid, path, line, "unit_id")
+        if uid in seen:
+            raise LoadError(f"duplicate unit {uid!r}", file=path, line=line, column="unit_id")
+        seen.add(uid)
+        if group is not None and row_group != group:
+            raise LoadError("mixed groups in one ranking file", file=path, line=line, column="group")
+        entries.append(RankedEntry(
+            unit_id=uid,
+            score=parse_float(score, path, line, "score"),
+            rank=parse_int(rank, path, line, "rank"),
+            percentile=parse_float(percentile, path, line, "percentile"),
+        ))
+        group = row_group
+    return RankedList(entries=entries, group=group or None)
 
 
 def write_comparison(stats: ComparisonStats, path) -> Path:

@@ -182,6 +182,16 @@ def test_rank_everything_excluded_exit_1(tiny_dir, tmp_path, capsys):
     assert "no units left" in capsys.readouterr().err
 
 
+def test_rank_unknown_discipline_exit_2(tiny_dir, tmp_path, capsys):
+    # Not an exclusion outcome: the code is absent from the taxonomy.
+    assert main(["rank", *data_args(tiny_dir), *NO_EXCLUSIONS, "--level", "university",
+                 "--uda", "MATHS", "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "'MATHS'" in err
+    assert "BIO, MATH" in err
+    assert not (tmp_path / "out" / "rankings.csv").exists()
+
+
 def test_rank_staff_respects_field_exclusions(tiny_dir, tmp_path):
     # min_staff_uda=2 flags (UB, MATH): r5 is UB's only MATH researcher.
     out = tmp_path / "out"
@@ -260,6 +270,17 @@ def test_dea_from_prepared_table(tmp_path):
         rows = {r["id"]: r for r in csv.DictReader(fh)}
     assert float(rows["C"]["efficiency"]) == pytest.approx(0.5, abs=1e-9)
     assert not (out / "scale_efficiency.csv").exists()
+
+
+def test_dea_quotes_ids_holding_a_comma(tmp_path):
+    dmus = tmp_path / "dmus.csv"
+    dmus.write_text('id,input_x,output_y\n"U,1",2.0,4.0\n"U,2",4.0,4.0\n')
+    out = tmp_path / "out"
+    assert main(["dea", "--dmus", str(dmus), "--output-dir", str(out)]) == 0
+    for name in ("dea_results.csv", "scale_efficiency.csv"):
+        with open(out / name, newline="") as fh:
+            ids = {row["id"] for row in csv.DictReader(fh)}
+        assert ids == {"U,1", "U,2"}, name
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,9 @@ def test_read_dmus_rejects_bad_files(tmp_path):
     with pytest.raises(LoadError):
         read_dmus(path)
     path.write_text("id,input_a,output_b\nA,xyz,2.0\n")
-    with pytest.raises(LoadError, match="malformed"):
+    with pytest.raises(LoadError, match="not a number") as err:
         read_dmus(path)
+    assert "column 'input_a'" in str(err.value)
     with pytest.raises(LoadError, match="not found"):
         read_dmus(tmp_path / "absent.csv")
 
