@@ -2,41 +2,15 @@
 
 __version__ = "0.1.0"
 
-from .config import ExclusionThresholds, RunConfig, build_schemes, load_config
-from .corpus import (Authorship, Corpus, FieldTaxonomy, Publication, Researcher,
-                     SalarySchedule, apply_exclusions, export_corpus, load_corpus,
-                     resolve_salary)
-from .credit import WeightingScheme, byline_weights, fractional_contribution
-from .dea import DMU, DMUScore, dea_output_oriented, dmus_from_corpus, scale_efficiency
-from .errors import (BaselineMissingError, ComputationError, FsskitError,
-                     InfeasibleProgramError, InputError, LoadError,
-                     MissingFieldMeanError, RankNotFoundError, UnboundedProgramError,
-                     UnitMismatchError)
-from .indicators import (FieldMeans, ScoreSet, compute_field_means, department_scores,
-                         fp_u, fss_d, fss_r, fss_s, fss_u, p_u, researcher_scores,
-                         staff_scores, university_scores, write_scores)
-from .normalize import BaselineTable, compute_baselines, normalized_impact
-from .rankings import (ComparisonStats, RankedEntry, RankedList, compare_rankings,
-                       percentile_rank, quartile_size, rank_scores, spearman_rho,
-                       standardized_scores)
-from .simplex import LinearProgram, LPSolution, solve_lp
-from .synth import SynthParams, generate_synthetic_corpus
+from .config import RunConfig, build_schemes
+from .corpus import apply_exclusions, load_corpus
+from .errors import ComputationError, FsskitError, InputError, LoadError
+from .indicators import compute_field_means, fss_u, researcher_scores
+from .normalize import compute_baselines
 
 __all__ = [
     "__version__",
-    "Authorship", "BaselineMissingError", "BaselineTable", "ComparisonStats",
-    "ComputationError", "Corpus", "DMU", "DMUScore", "ExclusionThresholds",
-    "FieldMeans", "FieldTaxonomy", "FsskitError", "InfeasibleProgramError",
-    "InputError", "LinearProgram", "LoadError", "LPSolution",
-    "MissingFieldMeanError", "Publication", "RankNotFoundError", "RankedEntry",
-    "RankedList", "Researcher", "RunConfig", "SalarySchedule", "ScoreSet",
-    "SynthParams", "UnboundedProgramError", "UnitMismatchError", "WeightingScheme",
-    "apply_exclusions", "build_schemes", "byline_weights", "compare_rankings",
-    "compute_baselines", "compute_field_means", "dea_output_oriented",
-    "department_scores", "dmus_from_corpus", "export_corpus", "fp_u",
-    "fractional_contribution", "fss_d", "fss_r", "fss_s", "fss_u",
-    "generate_synthetic_corpus", "load_config", "load_corpus", "normalized_impact",
-    "p_u", "percentile_rank", "quartile_size", "rank_scores", "researcher_scores",
-    "resolve_salary", "scale_efficiency", "solve_lp", "spearman_rho",
-    "staff_scores", "standardized_scores", "university_scores", "write_scores",
+    "ComputationError", "FsskitError", "InputError", "LoadError", "RunConfig",
+    "apply_exclusions", "build_schemes", "compute_baselines", "compute_field_means",
+    "fss_u", "load_corpus", "researcher_scores",
 ]

@@ -7,9 +7,8 @@ computation fails on valid input, 2 when the input itself is bad (including
 unparsable files and bad flags).
 
 Outputs are deterministic: report files carry no timestamps or absolute
-paths, and the run configuration hash excludes runtime-only knobs such as
-the worker count, so reruns of the same analysis produce byte-identical
-files.
+paths, and the run configuration hash excludes the output directory, so
+reruns of the same analysis produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import RunConfig, build_schemes, load_config
+from .config import OVERRIDE_KEYS, RunConfig, build_schemes, load_config
 from .corpus import apply_exclusions, export_corpus, load_corpus, write_table
 from .dea import (corpus_input_ranks, dea_output_oriented, dmus_from_corpus, read_dmus,
                   scale_efficiency, write_dmus, write_results)
@@ -48,16 +47,17 @@ def _add_data_arguments(parser: argparse.ArgumentParser):
 def _add_config_arguments(parser: argparse.ArgumentParser):
     parser.add_argument("--config", metavar="JSON", help="run configuration file")
     parser.add_argument("--window", nargs=2, type=int, metavar=("START", "END"))
-    parser.add_argument("--citation-cutoff", dest="citation_cutoff", metavar="DATE")
     parser.add_argument("--scope", choices=("sds", "department", "university", "country"))
     parser.add_argument("--baseline-source", dest="baseline_source", choices=("computed", "file"))
     parser.add_argument("--baseline-file", dest="baseline_file", metavar="CSV")
     parser.add_argument("--min-years", dest="min_years", type=float)
     parser.add_argument("--min-staff-uda", dest="min_staff_uda", type=int)
     parser.add_argument("--min-staff-total", dest="min_staff_total", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--workers", type=int)
     parser.add_argument("--output-dir", dest="output_dir", metavar="DIR")
+    # Deprecated: accepted and ignored with a warning; they never changed a result.
+    parser.add_argument("--citation-cutoff", dest="citation_cutoff", help=argparse.SUPPRESS)
+    parser.add_argument("--seed", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--workers", type=int, help=argparse.SUPPRESS)
 
 
 def _data_paths(args) -> dict[str, Path]:
@@ -74,14 +74,7 @@ def _data_paths(args) -> dict[str, Path]:
 
 
 def _config_from_args(args) -> tuple[RunConfig, list[str]]:
-    overrides = {
-        key: getattr(args, key, None)
-        for key in ("citation_cutoff", "scope", "baseline_source", "baseline_file",
-                    "min_years", "min_staff_uda", "min_staff_total", "seed",
-                    "workers", "output_dir")
-    }
-    if getattr(args, "window", None):
-        overrides["window"] = tuple(args.window)
+    overrides = {key: getattr(args, key, None) for key in OVERRIDE_KEYS}
     config, defaulted = load_config(getattr(args, "config", None), overrides)
     if defaulted:
         print("defaults in effect: " + ", ".join(defaulted))
@@ -145,9 +138,8 @@ def cmd_validate(args) -> int:
 
 def _score_sets(corpus, baselines, schemes, config):
     """Researcher scores always; aggregate sets per the configured scope."""
-    sets = [researcher_scores(corpus, baselines, schemes, workers=config.workers)]
-    means = compute_field_means(corpus, baselines, schemes,
-                                researcher_values=sets[0].entries)
+    sets = [researcher_scores(corpus, baselines, schemes)]
+    means = compute_field_means(corpus, baselines, schemes)
     if config.scope == "sds":
         sets.append(staff_scores(corpus, baselines, schemes))
     elif config.scope == "department":
@@ -157,13 +149,13 @@ def _score_sets(corpus, baselines, schemes, config):
             sets.append(university_scores(corpus, baselines, schemes, means, indicator))
     elif config.scope == "country":
         sets.append(country_staff_scores(corpus, baselines, schemes))
-    return sets, means
+    return sets
 
 
 def cmd_score(args) -> int:
     config, defaulted = _config_from_args(args)
     corpus, report, exclusions, baselines, schemes, checksums = _load_pipeline(args, config)
-    sets, _ = _score_sets(corpus, baselines, schemes, config)
+    sets = _score_sets(corpus, baselines, schemes, config)
 
     out = _outdir(config)
     write_scores(sets, out / "scores.csv")
@@ -222,12 +214,10 @@ def cmd_rank(args) -> int:
         raise InputError("--uda only applies to university-level rankings")
     if level != "university" and indicator:
         raise InputError("--indicator only applies to university-level rankings")
+    means = compute_field_means(corpus, baselines, schemes)
     if level == "researcher":
-        scores = researcher_scores(corpus, baselines, schemes, workers=config.workers)
-        means = compute_field_means(corpus, baselines, schemes, researcher_values=scores.entries)
-    else:
-        means = compute_field_means(corpus, baselines, schemes)
-    if level == "staff":
+        scores = researcher_scores(corpus, baselines, schemes)
+    elif level == "staff":
         scores = staff_scores(corpus, baselines, schemes)
     elif level == "department":
         scores = department_scores(corpus, baselines, schemes, means)

@@ -1,15 +1,15 @@
-"""Run configuration: observation window, scope, thresholds, runtime knobs.
+"""Run configuration: observation window, baselines, scope, thresholds.
 
 Configuration comes from an optional JSON file plus command-line overrides.
-The config hash covers only fields that can change results; runtime-only
-knobs (worker count, output directory) are excluded so the same analysis
-always reports the same hash.
+The config hash covers only fields that can change results; the output
+directory is excluded so the same analysis always reports the same hash.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -38,14 +38,11 @@ class ExclusionThresholds:
 @dataclass(frozen=True)
 class RunConfig:
     window: tuple[int, int] = (2006, 2010)
-    citation_cutoff: str = "2011-12-31"
     baseline_source: str = "computed"
     baseline_file: str | None = None
     scope: str = "university"
     exclusions: ExclusionThresholds = field(default_factory=ExclusionThresholds)
-    seed: int = 0
     output_dir: str = "out"
-    workers: int = 1
 
     def validate(self):
         start, end = self.window
@@ -57,15 +54,12 @@ class RunConfig:
             raise InputError("baseline_source 'file' requires baseline_file")
         if self.scope not in SCOPES:
             raise InputError(f"scope must be one of {'/'.join(SCOPES)}")
-        if self.workers < 1:
-            raise InputError("workers must be >= 1")
         self.exclusions.validate()
 
     def canonical_dict(self) -> dict:
         """Result-affecting fields only, with deterministic key order."""
         return {
             "window": list(self.window),
-            "citation_cutoff": self.citation_cutoff,
             "baseline_source": self.baseline_source,
             "baseline_file": self.baseline_file,
             "scope": self.scope,
@@ -74,7 +68,6 @@ class RunConfig:
                 "min_staff_uda": self.exclusions.min_staff_uda,
                 "min_staff_total": self.exclusions.min_staff_total,
             },
-            "seed": self.seed,
         }
 
     def config_hash(self) -> str:
@@ -82,11 +75,12 @@ class RunConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-_TOP_LEVEL_KEYS = {
-    "window", "citation_cutoff", "baseline_source", "baseline_file",
-    "scope", "seed", "output_dir", "workers", "exclusions",
-}
-_EXCLUSION_KEYS = {"min_years", "min_staff_uda", "min_staff_total"}
+# Accepted and ignored for one release: no computation ever read them.
+DEPRECATED_KEYS = ("citation_cutoff", "seed", "workers")
+_TOP_LEVEL_KEYS = {f.name for f in fields(RunConfig)} | set(DEPRECATED_KEYS)
+_EXCLUSION_KEYS = {f.name for f in fields(ExclusionThresholds)}
+# Every name load_config takes as an override (the CLI's config flags).
+OVERRIDE_KEYS = tuple(sorted(_TOP_LEVEL_KEYS - {"exclusions"} | _EXCLUSION_KEYS))
 
 
 def load_config(path=None, overrides: dict | None = None) -> tuple[RunConfig, list[str]]:
@@ -124,6 +118,12 @@ def load_config(path=None, overrides: dict | None = None) -> tuple[RunConfig, li
             merged[key] = value
         else:
             raise InputError(f"unknown config override: {key}")
+
+    for key in DEPRECATED_KEYS:
+        if key in merged:
+            del merged[key]
+            warnings.warn(f"config key {key!r} is deprecated and ignored", FutureWarning,
+                          stacklevel=2)
 
     exclusion_data = merged.pop("exclusions", {})
     if not isinstance(exclusion_data, dict):

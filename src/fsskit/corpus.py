@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
 
@@ -121,7 +121,6 @@ class Corpus:
     taxonomy: FieldTaxonomy
     salaries: SalarySchedule
     window: tuple[int, int]
-    citation_cutoff: str
     excluded_institution_udas: frozenset[tuple[str, str]] = frozenset()
     excluded_institutions: frozenset[str] = frozenset()
     _authorships: dict[str, list[tuple[str, int]]] = field(default_factory=dict, repr=False)
@@ -330,7 +329,7 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
                 salary_file, config) -> tuple[Corpus, LoadReport]:
     """Load and cross-link the five census files.
 
-    ``config`` supplies the observation window and citation cutoff date.
+    Only ``config.window``, the observation window, is read from ``config``.
     Publications outside the window are skipped with a warning. Byline rows
     whose researcher_id is unknown become external authors (warning).
     """
@@ -448,7 +447,6 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         taxonomy=taxonomy,
         salaries=salaries,
         window=(start, end),
-        citation_cutoff=config.citation_cutoff,
     )
     if not publications:
         report.add_warning("corpus has no publications in the observation window")
@@ -538,14 +536,8 @@ def apply_exclusions(corpus: Corpus, min_years: float = 0.0, min_staff_uda: int 
     report.excluded_institution_udas = sorted(excluded_pairs)
     report.excluded_institutions = sorted(excluded_insts)
 
-    filtered = Corpus(
-        researchers=kept,
-        publications=corpus.publications,
-        taxonomy=corpus.taxonomy,
-        salaries=corpus.salaries,
-        window=corpus.window,
-        citation_cutoff=corpus.citation_cutoff,
-        excluded_institution_udas=excluded_pairs,
-        excluded_institutions=excluded_insts,
-    )
+    # replace() keeps the loaded authorship index and starts the ledger cache empty.
+    filtered = replace(corpus, researchers=kept,
+                       excluded_institution_udas=excluded_pairs,
+                       excluded_institutions=excluded_insts)
     return filtered, report

@@ -306,16 +306,9 @@ def fp_u(corpus: Corpus, schemes: dict[str, WeightingScheme], means: FieldMeans,
 # ---------------------------------------------------------------------------
 
 def compute_field_means(corpus: Corpus, baselines: BaselineTable,
-                        schemes: dict[str, WeightingScheme],
-                        researcher_values: dict[str, float] | None = None) -> FieldMeans:
-    """National standardization means per field.
-
-    ``researcher_values`` may carry individual scores to use instead of the
-    ledger's own.
-    """
+                        schemes: dict[str, WeightingScheme]) -> FieldMeans:
+    """National standardization means per field."""
     rows = credit_ledger(corpus, baselines, schemes)
-    if researcher_values is None:
-        researcher_values = {row.id: _fss_r_of(row) for row in rows}
 
     def productive_mean(value_of) -> dict[str, float]:
         by_sds: dict[str, list[float]] = {}
@@ -333,7 +326,7 @@ def compute_field_means(corpus: Corpus, baselines: BaselineTable,
         staff_values.setdefault(sds, []).append((value, math.fsum(r.cost for r in members)))
 
     return FieldMeans(
-        fss_r=productive_mean(lambda row: researcher_values[row.id]),
+        fss_r=productive_mean(_fss_r_of),
         fss_s={
             sds: math.fsum(v * cost for v, cost in pairs) / math.fsum(cost for _, cost in pairs)
             for sds, pairs in sorted(staff_values.items())
@@ -348,14 +341,8 @@ def compute_field_means(corpus: Corpus, baselines: BaselineTable,
 # ---------------------------------------------------------------------------
 
 def researcher_scores(corpus: Corpus, baselines: BaselineTable,
-                      schemes: dict[str, WeightingScheme], workers: int = 1) -> ScoreSet:
-    """Individual scores for every census researcher.
-
-    ``workers`` is validated but does not change execution: the ledger is
-    one pass on one thread.
-    """
-    if workers < 1:
-        raise InputError("workers must be >= 1")
+                      schemes: dict[str, WeightingScheme]) -> ScoreSet:
+    """Individual scores for every census researcher."""
     rows = credit_ledger(corpus, baselines, schemes)
     return ScoreSet(
         level="researcher",

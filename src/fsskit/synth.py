@@ -34,7 +34,6 @@ class SynthParams:
     n_sds: int = 5
     categories_per_sds: int = 2
     window: tuple[int, int] = (2006, 2010)
-    citation_cutoff: str = "2011-12-31"
     lotka_alpha: float = 1.3
     max_papers: int = 40
     fraction_inactive: float = 0.08
@@ -193,5 +192,4 @@ def generate_synthetic_corpus(seed: int, params: SynthParams | None = None) -> C
         taxonomy=taxonomy,
         salaries=schedule,
         window=params.window,
-        citation_cutoff=params.citation_cutoff,
     )

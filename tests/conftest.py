@@ -102,7 +102,6 @@ def synth(synth_corpus):
     baselines = compute_baselines(synth_corpus.publications)
     schemes = build_schemes(synth_corpus.taxonomy)
     scores = researcher_scores(synth_corpus, baselines, schemes)
-    means = compute_field_means(synth_corpus, baselines, schemes,
-                                researcher_values=scores.entries)
+    means = compute_field_means(synth_corpus, baselines, schemes)
     return SimpleNamespace(corpus=synth_corpus, baselines=baselines, schemes=schemes,
                            researcher_scores=scores, means=means)

@@ -155,8 +155,7 @@ def test_05_salary_scale_invariance(synth):
             scaled_staff = staff_scores(scaled, baselines, schemes)
             for uid, value in base_staff.entries.items():
                 assert scaled_staff.entries[uid] * k == pytest.approx(value, rel=1e-12)
-            scaled_means = compute_field_means(scaled, baselines, schemes,
-                                               researcher_values=scaled_r.entries)
+            scaled_means = compute_field_means(scaled, baselines, schemes)
             scaled_uni = university_scores(scaled, baselines, schemes, scaled_means)
             assert order(scaled_r) == order(base_r)
             assert order(scaled_staff) == order(base_staff)
@@ -241,8 +240,7 @@ def test_10_throughput(tmp_path):
         baselines = compute_baselines(corpus.publications)
         schemes = build_schemes(corpus.taxonomy)
         scores = researcher_scores(corpus, baselines, schemes)
-        means = compute_field_means(corpus, baselines, schemes,
-                                    researcher_values=scores.entries)
+        means = compute_field_means(corpus, baselines, schemes)
         sets = [scores]
         for indicator in ("fss_u", "p_u", "fp_u"):
             sets.append(university_scores(corpus, baselines, schemes, means, indicator))

@@ -4,9 +4,11 @@ import dataclasses
 
 import pytest
 
-from fsskit.config import RunConfig
+from fsskit.config import RunConfig, build_schemes
 from fsskit.corpus import apply_exclusions, export_corpus, load_corpus, resolve_salary
 from fsskit.errors import InputError, LoadError, RankNotFoundError
+from fsskit.indicators import researcher_scores
+from fsskit.normalize import compute_baselines
 
 from conftest import TINY_FILES, write_tiny_files
 
@@ -217,3 +219,13 @@ def test_exclusions_idempotent(tiny):
 def test_negative_thresholds_rejected(tiny):
     with pytest.raises(InputError):
         apply_exclusions(tiny.corpus, min_years=-1)
+
+
+def test_exclusions_keep_authorship_index(tiny):
+    corpus = tiny.corpus
+    researcher_scores(corpus, compute_baselines(corpus.publications),
+                      build_schemes(corpus.taxonomy))
+    assert corpus._ledger is not None
+    filtered, _ = apply_exclusions(corpus, min_years=3)
+    assert filtered._authorships is corpus._authorships
+    assert filtered._ledger is None

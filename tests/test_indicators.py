@@ -163,15 +163,6 @@ def test_batch_sets_cover_all_units(ready):
     assert sorted(unis.entries) == ["UA", "UB"]
 
 
-def test_worker_count_does_not_change_values(ready):
-    corpus, baselines, schemes = ready
-    one = researcher_scores(corpus, baselines, schemes, workers=1)
-    four = researcher_scores(corpus, baselines, schemes, workers=4)
-    assert one.entries == four.entries
-    with pytest.raises(InputError):
-        researcher_scores(corpus, baselines, schemes, workers=0)
-
-
 def test_unknown_researcher_rejected(ready):
     corpus, baselines, schemes = ready
     with pytest.raises(InputError):
@@ -204,7 +195,6 @@ def test_nonpositive_years_rejected_at_scoring(ready):
         taxonomy=corpus.taxonomy,
         salaries=corpus.salaries,
         window=corpus.window,
-        citation_cutoff=corpus.citation_cutoff,
     )
     with pytest.raises(ComputationError):
         fss_r(patched, baselines, schemes, "r1")
