@@ -37,6 +37,7 @@ from .simplex import LinearProgram, solve_lp
 MODELS = ("crs", "vrs")
 FRONTIER_TOL = 1e-6
 PEER_TOL = 1e-7
+CERTIFICATE_TOL = 1e-9  # relative; see _certificate
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,10 @@ def validate_dmus(dmus) -> list[DMU]:
     return dmus
 
 
-def _envelopment_lp(dmus: list[DMU], index: int, model: str) -> LinearProgram:
-    """Variables are (phi, lambda_1..lambda_n)."""
-    inputs = np.array([d.inputs for d in dmus], dtype=float)
-    outputs = np.array([d.outputs for d in dmus], dtype=float)
+def _envelopment_lp(inputs: np.ndarray, outputs: np.ndarray, index: int,
+                    model: str) -> LinearProgram:
+    """Variables are (phi, lambda_1..lambda_n); ``inputs`` and ``outputs``
+    hold one row per DMU."""
     n, n_in = inputs.shape
     n_out = outputs.shape[1]
     a_ub = np.zeros((n_in + n_out, 1 + n))
@@ -108,25 +109,91 @@ def _envelopment_lp(dmus: list[DMU], index: int, model: str) -> LinearProgram:
     return LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
 
 
+def _column_scale(values: np.ndarray) -> np.ndarray:
+    """Each column's maximum, or 1 for an all-zero column, which is left as
+    it is (validate_dmus allows one; dividing by 0 would give NaN)."""
+    scale = values.max(axis=0)
+    scale[scale == 0.0] = 1.0
+    return scale
+
+
+def _relative_excess(excess, size):
+    """excess / size, floored at 0; NaN stays NaN."""
+    return np.maximum(excess, 0.0) / np.maximum(size, np.finfo(float).tiny)
+
+
+def _certificate(inputs, outputs, input_scale, output_scale, index, model,
+                 solution) -> dict[str, float]:
+    """Worst residuals showing that ``solution``, an optimum of unit
+    ``index``'s program on the data divided by the scales, is optimal on the
+    unscaled data. Its duals give the multiplier weights: input prices u,
+    output prices v and, under VRS, the convexity dual w. Weak duality
+    bounds phi by u.x_o + w for any dual-feasible (u, v, w), so primal and
+    dual feasibility with a zero gap prove the optimum.
+
+    Each row's excess is relative to its size, the scale of its column (at
+    least its largest coefficient) times the 1-norm of the variables, plus
+    its bound. No residual then depends on the units of a column, and a row
+    with bound 0 is not judged by roundoff alone."""
+    n_in = input_scale.size
+    phi, lam, duals = solution.objective, solution.x[1:], solution.duals
+    u = np.maximum(duals[:n_in], 0.0) / input_scale
+    v = np.maximum(duals[n_in:n_in + output_scale.size], 0.0) / output_scale
+    w = duals[-1] if model == "vrs" else 0.0
+    x_o, y_o = inputs[index], outputs[index]
+    total = lam.sum()
+    primal = [_relative_excess(lam @ inputs - x_o, input_scale * total + x_o),
+              _relative_excess(phi * y_o - lam @ outputs, output_scale * (phi + total)),
+              _relative_excess(-lam, 1.0)]
+    if model == "vrs":
+        primal.append(np.array([abs(total - 1.0)]))
+    weight = u @ input_scale + v @ output_scale + abs(w)
+    dual = [_relative_excess(outputs @ v - inputs @ u - w, weight),
+            _relative_excess(np.array([1.0 - v @ y_o]), 1.0 + v @ y_o)]
+    gap = _relative_excess(abs(u @ x_o + w - phi), abs(u @ x_o) + abs(w) + phi)
+    return {"primal residual": float(np.concatenate(primal).max()),
+            "dual residual": float(np.concatenate(dual).max()),
+            "duality gap": float(gap)}
+
+
 def dea_output_oriented(dmus, model: str = "crs") -> list[DMUScore]:
-    """Score every DMU against the frontier of the whole set."""
+    """Score every DMU against the frontier of the whole set.
+
+    Each input and output column is divided by its maximum before the
+    programs are built: phi and lambda do not depend on the units of a
+    column (Charnes, Cooper & Rhodes 1978), and the simplex's absolute
+    tolerances suit data near 1. Every solution is then certified against
+    the unscaled data (primal and dual feasibility, zero duality gap)."""
     if model not in MODELS:
         raise InputError(f"model must be one of {'/'.join(MODELS)}")
     dmus = validate_dmus(dmus)
+    inputs = np.array([d.inputs for d in dmus], dtype=float)
+    outputs = np.array([d.outputs for d in dmus], dtype=float)
+    input_scale, output_scale = _column_scale(inputs), _column_scale(outputs)
+    scaled_inputs, scaled_outputs = inputs / input_scale, outputs / output_scale
+    ids = [dmu.id for dmu in dmus]
     scores = []
-    for index, dmu in enumerate(dmus):
-        solution = solve_lp(_envelopment_lp(dmus, index, model))
+    for index, dmu_id in enumerate(ids):
+        solution = solve_lp(_envelopment_lp(scaled_inputs, scaled_outputs, index, model))
+        residuals = _certificate(inputs, outputs, input_scale, output_scale, index,
+                                 model, solution)
+        failed = [f"{name} {value:.3g}" for name, value in residuals.items()
+                  if not value <= CERTIFICATE_TOL]  # a NaN fails too
+        if failed:
+            raise ComputationError(
+                f"DMU {dmu_id!r}, {model}: the simplex solution is not a "
+                f"certified optimum ({', '.join(failed)})"
+            )
         phi = solution.objective
         if phi < 1.0 - FRONTIER_TOL:
             raise ComputationError(
-                f"DMU {dmu.id!r}: expansion factor {phi} below 1; the unit "
+                f"DMU {dmu_id!r}: expansion factor {phi} below 1; the unit "
                 "itself should always be a feasible reference"
             )
         phi = max(phi, 1.0)
-        peers = tuple(sorted(
-            dmus[j].id for j in range(len(dmus)) if solution.x[1 + j] > PEER_TOL
-        ))
-        scores.append(DMUScore(id=dmu.id, model=model, phi=phi,
+        on_peers = np.flatnonzero(solution.x[1:] > PEER_TOL).tolist()
+        peers = tuple(sorted(ids[j] for j in on_peers))
+        scores.append(DMUScore(id=dmu_id, model=model, phi=phi,
                                efficiency=1.0 / phi, peers=peers))
     return sorted(scores, key=lambda s: s.id)
 

@@ -10,6 +10,7 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fsskit.cli import main
@@ -199,7 +200,8 @@ def test_08_dea_properties():
             vrs = {s.id: s for s in dea_output_oriented(dmus, "vrs")}
             for model, scores in (("crs", crs), ("vrs", vrs)):
                 for index, dmu in enumerate(dmus):
-                    lp = _envelopment_lp(dmus, index, model)
+                    lp = _envelopment_lp(np.array([d.inputs for d in dmus]),
+                                         np.array([d.outputs for d in dmus]), index, model)
                     expected, _ = reference_lp_maximum(lp.c, lp.a_ub, lp.b_ub,
                                                        lp.a_eq, lp.b_eq)
                     assert scores[dmu.id].phi == pytest.approx(

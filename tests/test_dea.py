@@ -1,17 +1,21 @@
 """Output-oriented DEA: a hand-solved fixture, randomized agreement with a
 vertex-enumeration oracle, model inequalities, and the corpus bridge."""
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
+from fsskit import dea
+from fsskit.cli import main
 from fsskit.config import RunConfig, build_schemes
 from fsskit.corpus import load_corpus
 from fsskit.dea import (DMU, corpus_input_ranks, dea_output_oriented,
                         dmus_from_corpus, read_dmus, scale_efficiency,
                         validate_dmus, write_dmus, write_results,
                         _envelopment_lp)
-from fsskit.errors import InputError, LoadError
+from fsskit.errors import ComputationError, InputError, LoadError
 from fsskit.normalize import compute_baselines
 from fsskit.simplex import solve_lp
 from conftest import write_tiny_files
@@ -106,7 +110,8 @@ def test_random_sets_match_vertex_enumeration():
         for model in ("crs", "vrs"):
             scores = {s.id: s for s in dea_output_oriented(dmus, model)}
             for index, dmu in enumerate(dmus):
-                lp = _envelopment_lp(dmus, index, model)
+                lp = _envelopment_lp(np.array([d.inputs for d in dmus]),
+                                     np.array([d.outputs for d in dmus]), index, model)
                 expected, _ = reference_lp_maximum(
                     lp.c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq)
                 assert expected is not None
@@ -134,9 +139,68 @@ def test_model_inequalities_hold():
 
 def test_envelopment_lp_self_reference_is_feasible():
     # lambda = unit vector on the target with phi = 1 satisfies every row.
-    lp = _envelopment_lp(HAND_DMUS, 2, "vrs")
+    lp = _envelopment_lp(np.array([d.inputs for d in HAND_DMUS]),
+                         np.array([d.outputs for d in HAND_DMUS]), 2, "vrs")
     solution = solve_lp(lp)
     assert solution.objective >= 1.0 - 1e-9
+
+
+def test_duplicate_units_terminate_on_the_frontier():
+    # Three frontier units, twenty copies each: every vertex is degenerate.
+    dmus = [DMU(id=f"{name}{k:02d}", inputs=(1.0, 2.0), outputs=outputs)
+            for name, outputs in (("a", (3.0, 1.0)), ("b", (1.0, 3.0)), ("c", (2.0, 2.0)))
+            for k in range(20)]
+    for model in ("crs", "vrs"):
+        assert all(s.on_frontier for s in dea_output_oriented(dmus, model)), model
+
+
+def test_all_zero_input_column_changes_nothing(tmp_path):
+    rng = random.Random(4113)
+    rows = [(f"d{i:02d}", [float(rng.randint(1, 9)) for _ in range(4)]) for i in range(25)]
+    without, with_zero = tmp_path / "without.csv", tmp_path / "with_zero.csv"
+    without.write_text("id,input_a,input_b,output_c,output_d\n" + "".join(
+        f"{uid},{a},{b},{c},{d}\n" for uid, (a, b, c, d) in rows))
+    with_zero.write_text("id,input_a,input_z,input_b,output_c,output_d\n" + "".join(
+        f"{uid},{a},0.0,{b},{c},{d}\n" for uid, (a, b, c, d) in rows))
+    for table in (without, with_zero):
+        assert main(["dea", "--dmus", str(table), "--output-dir", str(tmp_path / table.stem)]) == 0
+    for name in ("dea_results.csv", "scale_efficiency.csv"):
+        assert ((tmp_path / "with_zero" / name).read_text()
+                == (tmp_path / "without" / name).read_text()), name
+
+
+def perturbed_solver(delta):
+    """solve_lp with phi moved by delta and lambda and the duals kept."""
+    def solve(lp):
+        solution = solve_lp(lp)
+        x = solution.x.copy()
+        x[0] += delta
+        return dataclasses.replace(solution, x=x, objective=float(x[0]))
+    return solve
+
+
+@pytest.mark.parametrize("delta, failure", [
+    (1e-3, "primal residual"),   # phi beyond what lambda produces
+    (-1e-3, "duality gap"),      # feasible, but the weights prove more
+    (float("nan"), "primal residual"),
+])
+def test_certificate_rejects_a_perturbed_solution(monkeypatch, delta, failure):
+    monkeypatch.setattr(dea, "solve_lp", perturbed_solver(delta))
+    for model in ("crs", "vrs"):
+        with pytest.raises(ComputationError, match=failure) as err:
+            dea_output_oriented(HAND_DMUS, model)
+        assert model in str(err.value)
+        if failure == "duality gap":
+            assert "primal residual" not in str(err.value)
+
+
+def test_uncertified_solution_writes_no_results(monkeypatch, tmp_path):
+    table = tmp_path / "dmus.csv"
+    table.write_text("id,input_x,output_y\nA,2.0,4.0\nB,4.0,8.0\nC,4.0,4.0\n")
+    monkeypatch.setattr(dea, "solve_lp", perturbed_solver(1e-3))
+    out = tmp_path / "out"
+    assert main(["dea", "--dmus", str(table), "--output-dir", str(out)]) == 1
+    assert not (out / "dea_results.csv").exists()
 
 
 def test_dmus_round_trip(tmp_path):

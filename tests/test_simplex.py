@@ -6,7 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from fsskit.errors import InfeasibleProgramError, InputError, UnboundedProgramError
+from fsskit import simplex
+from fsskit.errors import (ComputationError, InfeasibleProgramError, InputError,
+                           UnboundedProgramError)
 from fsskit.simplex import LinearProgram, solve_lp
 from oracles import reference_lp_maximum
 
@@ -67,12 +69,49 @@ def test_redundant_equalities_are_tolerated():
 
 
 def test_degenerate_vertex_terminates():
-    # Three constraints meet at (1, 0); Bland's rule must not cycle.
+    # Three constraints meet at (1, 0); the Bland fallback must keep
+    # Dantzig pricing from cycling.
     lp = LinearProgram(c=[1.0, 0.0],
                        a_ub=[[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]],
                        b_ub=[1.0, 1.0, 1.0])
     sol = solve_lp(lp)
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
+
+
+# Beale (1955): Dantzig pricing with lowest-index ratio ties cycles here.
+BEALE = LinearProgram(c=[0.75, -150.0, 0.02, -6.0],
+                      a_ub=[[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0],
+                            [0.0, 0.0, 1.0, 0.0]],
+                      b_ub=[0.0, 0.0, 1.0])
+
+
+def test_beale_cycling_example_terminates():
+    sol = solve_lp(BEALE)
+    assert sol.objective == pytest.approx(0.05, abs=1e-12)
+    assert sol.x == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-12)
+
+
+def test_beale_cycles_without_the_bland_fallback(monkeypatch):
+    monkeypatch.setattr(simplex, "DEGENERATE_LIMIT", 10**9)
+    with pytest.raises(ComputationError, match="did not converge"):
+        solve_lp(BEALE, max_iter=1000)
+
+
+@pytest.mark.parametrize("lp, duals", [
+    # max 3x + 2y s.t. x + y <= 4, x + 3y <= 6: only the first row binds.
+    (LinearProgram(c=[3.0, 2.0], a_ub=[[1.0, 1.0], [1.0, 3.0]], b_ub=[4.0, 6.0]),
+     [3.0, 0.0]),
+    # A row flipped to make its bound nonnegative keeps its own dual's sign.
+    (LinearProgram(c=[-1.0], a_ub=[[-1.0]], b_ub=[-2.0]), [1.0]),
+    # max 2x + y s.t. x <= 0.5, x + y = 1: the equality's dual is free.
+    (LinearProgram(c=[2.0, 1.0], a_ub=[[1.0, 0.0]], b_ub=[0.5],
+                   a_eq=[[1.0, 1.0]], b_eq=[1.0]), [1.0, 1.0]),
+])
+def test_duals_certify_the_optimum(lp, duals):
+    sol = solve_lp(lp)
+    assert sol.duals == pytest.approx(duals, abs=1e-12)
+    bounds = np.concatenate([b for b in (lp.b_ub, lp.b_eq) if b is not None])
+    assert sol.duals @ bounds == pytest.approx(sol.objective, abs=1e-12)
 
 
 def test_validation_errors():
