@@ -54,10 +54,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser):
     parser.add_argument("--min-staff-uda", dest="min_staff_uda", type=int)
     parser.add_argument("--min-staff-total", dest="min_staff_total", type=int)
     parser.add_argument("--output-dir", dest="output_dir", metavar="DIR")
-    # Deprecated: accepted and ignored with a warning; they never changed a result.
-    parser.add_argument("--citation-cutoff", dest="citation_cutoff", help=argparse.SUPPRESS)
-    parser.add_argument("--seed", type=int, help=argparse.SUPPRESS)
-    parser.add_argument("--workers", type=int, help=argparse.SUPPRESS)
 
 
 def _data_paths(args) -> dict[str, Path]:
@@ -214,6 +210,8 @@ def cmd_rank(args) -> int:
         raise InputError("--uda only applies to university-level rankings")
     if level != "university" and indicator:
         raise InputError("--indicator only applies to university-level rankings")
+    if level not in ("researcher", "staff") and args.standardize:
+        raise InputError("--standardize only applies to researcher and staff rankings")
     means = compute_field_means(corpus, baselines, schemes)
     if level == "researcher":
         scores = researcher_scores(corpus, baselines, schemes)
@@ -224,7 +222,7 @@ def cmd_rank(args) -> int:
     elif level == "university":
         scores = university_scores(corpus, baselines, schemes, means,
                                    indicator or "fss_u", args.uda)
-    if args.standardize and level in ("researcher", "staff"):
+    if args.standardize:
         scores = standardized_scores(scores, means)
 
     ranked = rank_scores(scores, exclude=_eligible(corpus, scores, level, args.uda))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -75,12 +75,29 @@ class RunConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-# Accepted and ignored for one release: no computation ever read them.
-DEPRECATED_KEYS = ("citation_cutoff", "seed", "workers")
-_TOP_LEVEL_KEYS = {f.name for f in fields(RunConfig)} | set(DEPRECATED_KEYS)
+_TOP_LEVEL_KEYS = {f.name for f in fields(RunConfig)}
 _EXCLUSION_KEYS = {f.name for f in fields(ExclusionThresholds)}
 # Every name load_config takes as an override (the CLI's config flags).
 OVERRIDE_KEYS = tuple(sorted(_TOP_LEVEL_KEYS - {"exclusions"} | _EXCLUSION_KEYS))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no count
+
+
+# What each setting's JSON value must be, checked before any comparison.
+_KINDS = {
+    "window": ("a pair of years",
+               lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_int, v))),
+    "min_years": ("a finite number",
+                  lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v)),
+    "min_staff_uda": ("an integer", _is_int),
+    "min_staff_total": ("an integer", _is_int),
+    "scope": ("a string", lambda v: isinstance(v, str)),
+    "baseline_source": ("a string", lambda v: isinstance(v, str)),
+    "output_dir": ("a string", lambda v: isinstance(v, str)),
+    "baseline_file": ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
 
 
 def load_config(path=None, overrides: dict | None = None) -> tuple[RunConfig, list[str]]:
@@ -119,26 +136,19 @@ def load_config(path=None, overrides: dict | None = None) -> tuple[RunConfig, li
         else:
             raise InputError(f"unknown config override: {key}")
 
-    for key in DEPRECATED_KEYS:
-        if key in merged:
-            del merged[key]
-            warnings.warn(f"config key {key!r} is deprecated and ignored", FutureWarning,
-                          stacklevel=2)
-
     exclusion_data = merged.pop("exclusions", {})
     if not isinstance(exclusion_data, dict):
         raise InputError("config key 'exclusions' must be an object")
     unknown = set(exclusion_data) - _EXCLUSION_KEYS
     if unknown:
         raise InputError(f"unknown exclusions key(s): {', '.join(sorted(unknown))}")
+    for key, value in [*merged.items(), *exclusion_data.items()]:
+        what, is_kind = _KINDS[key]
+        if not is_kind(value):
+            raise InputError(f"config key {key!r} must be {what}")
     exclusions = ExclusionThresholds(**exclusion_data)
-
     if "window" in merged:
-        window = merged["window"]
-        if not (isinstance(window, (list, tuple)) and len(window) == 2
-                and all(isinstance(v, int) for v in window)):
-            raise InputError("config key 'window' must be a pair of years")
-        merged["window"] = (window[0], window[1])
+        merged["window"] = tuple(merged["window"])
 
     config = RunConfig(exclusions=exclusions, **merged)
     config.validate()

@@ -31,10 +31,10 @@ taken over productive units only. Staff means are weighted by each
 institution's labor cost in the field.
 
 Every indicator reduces credit-ledger rows: one per researcher, with
-credited output, fractional and whole counts and labor cost. Batch functions
-group the ledger, which is built once per corpus; per-unit functions build
-their members' rows with the same row function. All sums are math.fsum,
-correctly rounded in any term order, so both paths agree exactly.
+credited output, fractional and whole counts and labor cost. The ledger is
+built once per corpus. Batch functions group its rows; per-unit functions
+select one unit's rows and apply the same reduction, so both paths agree
+exactly.
 """
 
 from __future__ import annotations
@@ -126,23 +126,18 @@ class CreditRow(NamedTuple):
     cost: float        # salary x years
 
 
-def _credit_row(corpus: Corpus, researcher: Researcher,
-                schemes: dict[str, WeightingScheme] | None = None,
-                baselines: BaselineTable | None = None) -> CreditRow:
-    """Walk one researcher's publications once. Without schemes the credit
-    columns stay 0, and without baselines the output column does: p_u needs
-    neither and fp_u no impact."""
+def _credit_row(corpus: Corpus, researcher: Researcher, schemes: dict[str, WeightingScheme],
+                baselines: BaselineTable) -> CreditRow:
+    """Walk one researcher's publications once."""
     authorships = corpus._authorships.get(researcher.id, ())
+    scheme = schemes[researcher.sds_code]
     outputs = []
     shares = []
-    if schemes is not None:
-        scheme = schemes[researcher.sds_code]
-        for pub_id, position in authorships:
-            pub = corpus.publications[pub_id]
-            share = fractional_contribution(pub.byline, position, scheme)
-            shares.append(share)
-            if baselines is not None:
-                outputs.append(normalized_impact(pub, baselines) * share)
+    for pub_id, position in authorships:
+        pub = corpus.publications[pub_id]
+        share = fractional_contribution(pub.byline, position, scheme)
+        shares.append(share)
+        outputs.append(normalized_impact(pub, baselines) * share)
     salary = resolve_salary(researcher, corpus.salaries)
     years = researcher.years_in_window
     if salary <= 0 or years <= 0:
@@ -232,14 +227,20 @@ UNIVERSITY_INDICATORS = {
 # Unit-level indicator values
 # ---------------------------------------------------------------------------
 
+def _select(rows: list[CreditRow], **columns) -> list[CreditRow]:
+    """Rows matching every given column value (None matches any), in id order."""
+    return [row for row in rows
+            if all(value is None or getattr(row, name) == value
+                   for name, value in columns.items())]
+
+
 def fss_r(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, WeightingScheme],
           researcher_id: str) -> float:
     """Individual productivity: normalized fractional output per salary-year."""
-    try:
-        researcher = corpus.researchers[researcher_id]
-    except KeyError:
-        raise InputError(f"unknown researcher: {researcher_id!r}") from None
-    return _fss_r_of(_credit_row(corpus, researcher, schemes, baselines))
+    if researcher_id not in corpus.researchers:
+        raise InputError(f"unknown researcher: {researcher_id!r}")
+    [row] = _select(credit_ledger(corpus, baselines, schemes), id=researcher_id)
+    return _fss_r_of(row)
 
 
 def fss_s(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, WeightingScheme],
@@ -247,11 +248,12 @@ def fss_s(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, Weighting
     """Staff productivity of one field at one institution (or nationally when
     institution_id is None): normalized fractional output per unit of total
     labor cost over the window."""
-    staff = corpus.staff(institution_id=institution_id, sds_code=sds_code)
-    if not staff:
+    rows = _select(credit_ledger(corpus, baselines, schemes),
+                   sds_code=sds_code, institution_id=institution_id)
+    if not rows:
         where = institution_id if institution_id is not None else "the census"
         raise ComputationError(f"no staff in field {sds_code!r} at {where}")
-    return _staff_value([_credit_row(corpus, r, schemes, baselines) for r in staff])
+    return _staff_value(rows)
 
 
 def fss_d(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, WeightingScheme],
@@ -259,20 +261,21 @@ def fss_d(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, Weighting
     """Department productivity: average of members' field-standardized
     individual scores. Unproductive members pull the average down through
     the head count without contributing output."""
-    staff = corpus.staff(department_id=department_id)
-    if not staff:
+    rows = _select(credit_ledger(corpus, baselines, schemes), department_id=department_id)
+    if not rows:
         raise ComputationError(f"no staff in department {department_id!r}")
-    rows = [_credit_row(corpus, r, schemes, baselines) for r in staff]
     return _rollup(rows, "fss_r", means, _fss_r_of)
 
 
-def _institution_staff(corpus: Corpus, institution_id: str,
-                       uda_code: str | None) -> list[Researcher]:
-    staff = corpus.staff(institution_id=institution_id, uda_code=uda_code)
-    if not staff:
+def _university_value(indicator: str, corpus: Corpus, baselines: BaselineTable,
+                      schemes: dict[str, WeightingScheme], means: FieldMeans,
+                      institution_id: str, uda_code: str | None) -> float:
+    rows = _select(credit_ledger(corpus, baselines, schemes),
+                   institution_id=institution_id, uda_code=uda_code)
+    if not rows:
         raise ComputationError(f"no staff at {institution_id!r}"
                                + (f" in discipline {uda_code!r}" if uda_code else ""))
-    return staff
+    return UNIVERSITY_INDICATORS[indicator](rows, means)
 
 
 def fss_u(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, WeightingScheme],
@@ -281,24 +284,21 @@ def fss_u(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, Weighting
     institution's field staff scores, each standardized by the national
     cost-weighted mean for that field. Restricting to one discipline ranks
     institutions within it."""
-    staff = _institution_staff(corpus, institution_id, uda_code)
-    return _fss_u_value([_credit_row(corpus, r, schemes, baselines) for r in staff], means)
+    return _university_value("fss_u", corpus, baselines, schemes, means, institution_id, uda_code)
 
 
-def p_u(corpus: Corpus, means: FieldMeans, institution_id: str,
-        uda_code: str | None = None) -> float:
+def p_u(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, WeightingScheme],
+        means: FieldMeans, institution_id: str, uda_code: str | None = None) -> float:
     """Output volume per head: average of members' field-standardized
     publication rates (whole counts per year in post)."""
-    staff = _institution_staff(corpus, institution_id, uda_code)
-    return UNIVERSITY_INDICATORS["p_u"]([_credit_row(corpus, r) for r in staff], means)
+    return _university_value("p_u", corpus, baselines, schemes, means, institution_id, uda_code)
 
 
-def fp_u(corpus: Corpus, schemes: dict[str, WeightingScheme], means: FieldMeans,
-         institution_id: str, uda_code: str | None = None) -> float:
+def fp_u(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, WeightingScheme],
+         means: FieldMeans, institution_id: str, uda_code: str | None = None) -> float:
     """Like p_u but on fractional publication counts, so multi-authored
     output is not double counted across institutions."""
-    staff = _institution_staff(corpus, institution_id, uda_code)
-    return UNIVERSITY_INDICATORS["fp_u"]([_credit_row(corpus, r, schemes) for r in staff], means)
+    return _university_value("fp_u", corpus, baselines, schemes, means, institution_id, uda_code)
 
 
 # ---------------------------------------------------------------------------

@@ -36,17 +36,6 @@ class BaselineTable:
                 f"no citation baseline for year {year}, category {category!r}"
             ) from None
 
-    def n_cited(self, year: int, category: str) -> int:
-        try:
-            return self.entries[(year, category)][1]
-        except KeyError:
-            raise BaselineMissingError(
-                f"no citation baseline for year {year}, category {category!r}"
-            ) from None
-
-    def __contains__(self, key: tuple[int, str]) -> bool:
-        return key in self.entries
-
     def cohorts(self) -> list[tuple[int, str]]:
         return sorted(self.entries)
 

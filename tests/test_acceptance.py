@@ -6,13 +6,17 @@ loosened here.
 
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fsskit
 from fsskit.cli import main
 from fsskit.config import build_schemes
 from fsskit.corpus import Authorship, SalarySchedule, export_corpus
@@ -92,9 +96,9 @@ def test_03_indicator_oracle_equivalence(synth):
                     oracle.fss_s(sds, inst), rel=1e-9), (inst, sds)
             assert fss_u(corpus, baselines, schemes, means, inst) == pytest.approx(
                 oracle.fss_u(inst), rel=1e-9), inst
-            assert p_u(corpus, means, inst) == pytest.approx(
+            assert p_u(corpus, baselines, schemes, means, inst) == pytest.approx(
                 oracle.p_u(inst), rel=1e-9), inst
-            assert fp_u(corpus, schemes, means, inst) == pytest.approx(
+            assert fp_u(corpus, baselines, schemes, means, inst) == pytest.approx(
                 oracle.fp_u(inst), rel=1e-9), inst
 
         for sds in corpus.taxonomy.sds_codes():
@@ -217,19 +221,22 @@ def test_08_dea_properties():
 
 
 def test_09_parallel_determinism(synth, tmp_path):
-    with criterion("score with workers 1 vs 4: byte-identical artifacts"):
+    # One run in this process, one in a child process under another string
+    # hash seed: set and dict iteration order must not reach an artifact.
+    with criterion("score in-process vs child process: byte-identical artifacts"):
         data = tmp_path / "census"
         export_corpus(synth.corpus, data)
-        outs = []
-        for workers in ("1", "4"):
-            out = tmp_path / f"w{workers}"
-            code = main(["score", "--data", str(data),
-                         "--workers", workers, "--output-dir", str(out)])
-            assert code == 0
-            outs.append(out)
+        inproc, child = tmp_path / "inproc", tmp_path / "child"
+        assert main(["score", "--data", str(data), "--output-dir", str(inproc)]) == 0
+        src = str(Path(fsskit.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                   PYTHONHASHSEED="2" if os.environ.get("PYTHONHASHSEED") == "1" else "1")
+        subprocess.run([sys.executable, "-m", "fsskit.cli", "score", "--data", str(data),
+                        "--output-dir", str(child)], env=env, check=True, capture_output=True)
         for artifact in ("scores.csv", "baselines.csv", "report.json"):
-            a = (outs[0] / artifact).read_bytes()
-            b = (outs[1] / artifact).read_bytes()
+            a = (inproc / artifact).read_bytes()
+            b = (child / artifact).read_bytes()
             assert a == b, artifact
 
 

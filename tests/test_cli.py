@@ -170,8 +170,13 @@ def test_rank_flag_validation_exit_2(tiny_dir, tmp_path, capsys):
     base = ["rank", *data_args(tiny_dir), "--output-dir", str(tmp_path / "out")]
     assert main([*base, "--level", "researcher", "--uda", "MATH"]) == 2
     assert main([*base, "--level", "staff", "--indicator", "p_u"]) == 2
+    # Only researcher and staff scores have a field mean to divide by.
+    assert main([*base, "--level", "department", "--standardize"]) == 2
+    assert main([*base, "--level", "university", "--standardize"]) == 2
     err = capsys.readouterr().err
     assert "--uda" in err and "--indicator" in err
+    assert err.count("--standardize only applies") == 2
+    assert not (tmp_path / "out" / "rankings.csv").exists()
 
 
 def test_rank_everything_excluded_exit_1(tiny_dir, tmp_path, capsys):

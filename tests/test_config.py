@@ -1,51 +1,22 @@
-"""Run configuration: the hashed settings and the deprecated keys.
+"""Run configuration: the hashed settings and what load_config refuses.
 
-``citation_cutoff``, ``seed`` and ``workers`` never changed a result. They
-are still accepted, as config-file keys and as command-line flags, but are
-dropped with one FutureWarning per key and leave every artifact unchanged.
+``citation_cutoff``, ``seed`` and ``workers`` are not settings: as
+config-file keys and as command-line flags they exit 2 like any unknown key
+or flag. A setting of the wrong JSON type exits 2 and names the key.
 """
 
 import hashlib
 import json
-import warnings
 from dataclasses import fields
 
 import pytest
 
 from fsskit.cli import main
 from fsskit.config import RunConfig, load_config
+from fsskit.errors import InputError
 
-NO_EXCLUSIONS = ["--min-years", "0", "--min-staff-uda", "0", "--min-staff-total", "0"]
-DEPRECATED_FLAGS = ["--workers", "4", "--seed", "9", "--citation-cutoff", "2020-01-01"]
-ARTIFACTS = ("scores.csv", "baselines.csv", "report.json")
-
-
-def future_warnings(record):
-    return sorted(str(w.message) for w in record if issubclass(w.category, FutureWarning))
-
-
-def deprecated(*keys):
-    """The messages one warning per deprecated key gives."""
-    return sorted(f"config key {key!r} is deprecated and ignored" for key in keys)
-
-
-def score(directory, out, *extra):
-    return main(["score", "--data", str(directory), "--output-dir", str(out), *extra])
-
-
-@pytest.fixture
-def plain(tiny_dir, tmp_path):
-    """Artifacts of a score run that names no deprecated key."""
-    out = tmp_path / "plain"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", FutureWarning)
-        assert score(tiny_dir, out) == 0
-    return out
-
-
-def assert_same_artifacts(a, b):
-    for artifact in ARTIFACTS:
-        assert (a / artifact).read_bytes() == (b / artifact).read_bytes(), artifact
+REMOVED_FLAGS = [["--citation-cutoff", "2020-01-01"], ["--seed", "9"], ["--workers", "4"]]
+REMOVED_KEYS = ["citation_cutoff", "seed", "workers"]
 
 
 def test_run_config_has_six_settings():
@@ -67,47 +38,53 @@ def test_config_hash_covers_exactly_the_result_settings():
     assert config.config_hash() == hashlib.sha256(payload).hexdigest()
 
 
-def test_deprecated_flags_warn_and_change_nothing(tiny_dir, tmp_path, plain):
-    out = tmp_path / "flags"
-    with pytest.warns(FutureWarning) as record:
-        assert score(tiny_dir, out, *DEPRECATED_FLAGS) == 0
-    assert future_warnings(record) == deprecated("citation_cutoff", "seed", "workers")
-    assert_same_artifacts(plain, out)
-
-
-def test_deprecated_config_keys_warn_and_change_nothing(tiny_dir, tmp_path, plain):
-    config = tmp_path / "config.json"
-    config.write_text('{"seed": 3, "workers": 2}')
-    out = tmp_path / "file"
-    with pytest.warns(FutureWarning) as record:
-        assert score(tiny_dir, out, "--config", str(config)) == 0
-    assert future_warnings(record) == deprecated("seed", "workers")
-    assert_same_artifacts(plain, out)
-
-
-def test_key_in_file_and_flag_warns_once(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text('{"workers": 2}')
-    with pytest.warns(FutureWarning) as record:
-        load_config(config, {"workers": 3})
-    assert future_warnings(record) == deprecated("workers")
-
-
-def test_deprecated_override_is_not_range_checked():
-    with pytest.warns(FutureWarning) as record:
-        config, defaulted = load_config(overrides={"workers": 0})
-    assert future_warnings(record) == deprecated("workers")
-    assert config == RunConfig()
-    assert defaulted == sorted(f.name for f in fields(RunConfig))
-
-
+@pytest.mark.parametrize("flag", REMOVED_FLAGS)
 @pytest.mark.parametrize("command", [
     ["validate"],
+    ["score"],
     ["rank", "--level", "researcher"],
     ["dea", "--model", "crs"],
 ])
-def test_every_corpus_command_accepts_the_deprecated_flags(tiny_dir, tmp_path, command):
-    with pytest.warns(FutureWarning) as record:
-        assert main([*command, "--data", str(tiny_dir), "--output-dir", str(tmp_path / "out"),
-                     *NO_EXCLUSIONS, *DEPRECATED_FLAGS]) == 0
-    assert future_warnings(record) == deprecated("citation_cutoff", "seed", "workers")
+def test_removed_flags_exit_2(tiny_dir, tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--data", str(tiny_dir), "--output-dir", str(out), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_config_keys_exit_2(tiny_dir, tmp_path, capsys, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: 2}))
+    out = tmp_path / "out"
+    assert main(["score", "--data", str(tiny_dir), "--output-dir", str(out),
+                 "--config", str(config)]) == 2
+    assert f"unknown config key(s): {key}" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(InputError, match=f"unknown config override: {key}"):
+        load_config(overrides={key: 3})
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"window": [true, 2010]}', "'window'"),
+    ('{"window": [2006.0, 2010]}', "'window'"),
+    ('{"window": ["2006", "2010"]}', "'window'"),
+    ('{"exclusions": {"min_years": "3"}}', "'min_years'"),
+    ('{"exclusions": {"min_years": true}}', "'min_years'"),
+    ('{"exclusions": {"min_years": NaN}}', "'min_years'"),
+    ('{"exclusions": {"min_staff_uda": "10"}}', "'min_staff_uda'"),
+    ('{"exclusions": {"min_staff_total": 2.5}}', "'min_staff_total'"),
+    ('{"scope": 1}', "'scope'"),
+    ('{"baseline_source": null}', "'baseline_source'"),
+    ('{"baseline_file": 3}', "'baseline_file'"),
+    ('{"output_dir": ["out"]}', "'output_dir'"),
+])
+def test_value_of_wrong_type_exits_2(tiny_dir, tmp_path, monkeypatch, capsys, text, key):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["score", "--data", str(tiny_dir), "--config", str(config)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -141,8 +141,9 @@ def test_rate_indicators_match_hand_derivation(ready):
     corpus, baselines, schemes = ready
     means = compute_field_means(corpus, baselines, schemes)
     for inst in ("UA", "UB"):
-        assert p_u(corpus, means, inst) == pytest.approx(float(P_U[inst]), rel=1e-12)
-        assert fp_u(corpus, schemes, means, inst) == pytest.approx(
+        assert p_u(corpus, baselines, schemes, means, inst) == pytest.approx(
+            float(P_U[inst]), rel=1e-12)
+        assert fp_u(corpus, baselines, schemes, means, inst) == pytest.approx(
             float(FP_U[inst]), rel=1e-12)
 
 

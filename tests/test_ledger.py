@@ -1,9 +1,9 @@
 """The credit ledger behind every batch indicator.
 
-Batch functions reduce one ledger per corpus; the per-unit functions build
-their members' rows on their own. Both sum the same terms with math.fsum,
-so every batch value must equal the per-unit value exactly, and both must
-match the naive recomputation in oracles.py at the acceptance tolerance.
+Batch functions group one ledger per corpus; the per-unit functions select
+one unit's rows from the same ledger and apply the same reduction, so every
+batch value must equal the per-unit value exactly, and both must match the
+naive recomputation in oracles.py at the acceptance tolerance.
 """
 
 import dataclasses
@@ -12,6 +12,7 @@ import pytest
 
 from fsskit import indicators
 from fsskit.config import build_schemes
+from fsskit.corpus import Corpus
 from fsskit.indicators import (compute_field_means, country_staff_scores, credit_ledger,
                                department_scores, fp_u, fss_d, fss_r, fss_s, fss_u, p_u,
                                researcher_scores, staff_scores, staff_unit_id,
@@ -80,9 +81,9 @@ def test_university_batch_matches_per_unit_and_oracle(synth, oracle, uda):
     per_unit = {
         "fss_u": (lambda inst: fss_u(corpus, baselines, schemes, means, inst, uda),
                   lambda inst: oracle.fss_u(inst, uda)),
-        "p_u": (lambda inst: p_u(corpus, means, inst, uda),
+        "p_u": (lambda inst: p_u(corpus, baselines, schemes, means, inst, uda),
                 lambda inst: oracle.p_u(inst, uda)),
-        "fp_u": (lambda inst: fp_u(corpus, schemes, means, inst, uda),
+        "fp_u": (lambda inst: fp_u(corpus, baselines, schemes, means, inst, uda),
                  lambda inst: oracle.fp_u(inst, uda)),
     }
     expected_units = sorted({r.institution_id for r in corpus.researchers.values()
@@ -132,6 +133,35 @@ def test_ledger_built_once_per_corpus(tiny, monkeypatch):
     rows = credit_ledger(corpus, other, schemes)
     assert len(calls) == 2 * census_rows
     assert rows == credit_ledger(corpus, baselines, schemes)
+
+
+def test_per_unit_functions_reuse_the_ledger(tiny, monkeypatch):
+    corpus = tiny.corpus
+    baselines = compute_baselines(corpus.publications)
+    schemes = build_schemes(corpus.taxonomy)
+    means = compute_field_means(corpus, baselines, schemes)  # builds the ledger
+    calls = []
+
+    def counted(name, real):
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for name in ("normalized_impact", "fractional_contribution"):
+        monkeypatch.setattr(indicators, name, counted(name, getattr(indicators, name)))
+    monkeypatch.setattr(Corpus, "staff", counted("staff", Corpus.staff))
+
+    researchers = corpus.researchers.values()
+    for rid in corpus.researchers:
+        fss_r(corpus, baselines, schemes, rid)
+    for inst, sds in {(r.institution_id, r.sds_code) for r in researchers}:
+        fss_s(corpus, baselines, schemes, sds, inst)
+        fss_s(corpus, baselines, schemes, sds, None)
+    for dept in corpus.departments():
+        fss_d(corpus, baselines, schemes, means, dept)
+    for inst, uda in {(r.institution_id, corpus.uda_of(r)) for r in researchers}:
+        for indicator in (fss_u, p_u, fp_u):
+            indicator(corpus, baselines, schemes, means, inst)
+            indicator(corpus, baselines, schemes, means, inst, uda)
+    assert calls == []
 
 
 def test_replaced_corpus_starts_without_ledger(tiny):
