@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .config import RunConfig, build_schemes
+from .config import RunConfig
 from .corpus import apply_exclusions, load_corpus
 from .errors import ComputationError, FsskitError, InputError, LoadError
 from .indicators import compute_field_means, fss_u, researcher_scores
@@ -11,6 +11,6 @@ from .normalize import compute_baselines
 __all__ = [
     "__version__",
     "ComputationError", "FsskitError", "InputError", "LoadError", "RunConfig",
-    "apply_exclusions", "build_schemes", "compute_baselines", "compute_field_means",
-    "fss_u", "load_corpus", "researcher_scores",
+    "apply_exclusions", "compute_baselines", "compute_field_means", "fss_u", "load_corpus",
+    "researcher_scores",
 ]

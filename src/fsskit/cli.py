@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import OVERRIDE_KEYS, RunConfig, build_schemes, load_config
+from .config import OVERRIDE_KEYS, RunConfig, load_config
 from .corpus import apply_exclusions, export_corpus, load_corpus, write_table
 from .dea import (corpus_input_ranks, dea_output_oriented, dmus_from_corpus, read_dmus,
                   scale_efficiency, write_dmus, write_results)
@@ -101,9 +101,8 @@ def _load_pipeline(args, config: RunConfig):
         baselines = load_baselines(config.baseline_file)
     else:
         baselines = compute_baselines(corpus.publications)
-    schemes = build_schemes(corpus.taxonomy)
     checksums = {paths[name].name: _sha256(paths[name]) for name in sorted(paths)}
-    return corpus, report, exclusions, baselines, schemes, checksums
+    return corpus, report, exclusions, baselines, checksums
 
 
 def _outdir(config: RunConfig) -> Path:
@@ -132,26 +131,26 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _score_sets(corpus, baselines, schemes, config):
+def _score_sets(corpus, baselines, config):
     """Researcher scores always; aggregate sets per the configured scope."""
-    sets = [researcher_scores(corpus, baselines, schemes)]
-    means = compute_field_means(corpus, baselines, schemes)
+    sets = [researcher_scores(corpus, baselines)]
+    means = compute_field_means(corpus, baselines)
     if config.scope == "sds":
-        sets.append(staff_scores(corpus, baselines, schemes))
+        sets.append(staff_scores(corpus, baselines))
     elif config.scope == "department":
-        sets.append(department_scores(corpus, baselines, schemes, means))
+        sets.append(department_scores(corpus, baselines, means))
     elif config.scope == "university":
         for indicator in ("fss_u", "p_u", "fp_u"):
-            sets.append(university_scores(corpus, baselines, schemes, means, indicator))
+            sets.append(university_scores(corpus, baselines, means, indicator))
     elif config.scope == "country":
-        sets.append(country_staff_scores(corpus, baselines, schemes))
+        sets.append(country_staff_scores(corpus, baselines))
     return sets
 
 
 def cmd_score(args) -> int:
     config, defaulted = _config_from_args(args)
-    corpus, report, exclusions, baselines, schemes, checksums = _load_pipeline(args, config)
-    sets = _score_sets(corpus, baselines, schemes, config)
+    corpus, report, exclusions, baselines, checksums = _load_pipeline(args, config)
+    sets = _score_sets(corpus, baselines, config)
 
     out = _outdir(config)
     write_scores(sets, out / "scores.csv")
@@ -201,9 +200,6 @@ def _eligible(corpus, scores, level: str, uda: str | None):
 
 
 def cmd_rank(args) -> int:
-    config, _ = _config_from_args(args)
-    corpus, _, _, baselines, schemes, _ = _load_pipeline(args, config)
-
     level = args.level
     indicator = args.indicator
     if level != "university" and args.uda:
@@ -212,16 +208,17 @@ def cmd_rank(args) -> int:
         raise InputError("--indicator only applies to university-level rankings")
     if level not in ("researcher", "staff") and args.standardize:
         raise InputError("--standardize only applies to researcher and staff rankings")
-    means = compute_field_means(corpus, baselines, schemes)
+    config, _ = _config_from_args(args)
+    corpus, _, _, baselines, _ = _load_pipeline(args, config)
+    means = compute_field_means(corpus, baselines)
     if level == "researcher":
-        scores = researcher_scores(corpus, baselines, schemes)
+        scores = researcher_scores(corpus, baselines)
     elif level == "staff":
-        scores = staff_scores(corpus, baselines, schemes)
+        scores = staff_scores(corpus, baselines)
     elif level == "department":
-        scores = department_scores(corpus, baselines, schemes, means)
+        scores = department_scores(corpus, baselines, means)
     elif level == "university":
-        scores = university_scores(corpus, baselines, schemes, means,
-                                   indicator or "fss_u", args.uda)
+        scores = university_scores(corpus, baselines, means, indicator or "fss_u", args.uda)
     if args.standardize:
         scores = standardized_scores(scores, means)
 
@@ -265,8 +262,8 @@ def cmd_dea(args) -> int:
         out = Path(args.output_dir or ".")
     else:
         config, _ = _config_from_args(args)
-        corpus, _, _, baselines, schemes, _ = _load_pipeline(args, config)
-        dmus, skipped = dmus_from_corpus(corpus, baselines, schemes)
+        corpus, _, _, baselines, _ = _load_pipeline(args, config)
+        dmus, skipped = dmus_from_corpus(corpus, baselines)
         for warning in skipped:
             print(f"warning: {warning}")
         out = _outdir(config)

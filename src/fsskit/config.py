@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .credit import CONVENTIONS, WeightingScheme
 from .errors import InputError
 
 SCOPES = ("sds", "department", "university", "country")
@@ -161,13 +160,3 @@ def load_config(path=None, overrides: dict | None = None) -> tuple[RunConfig, li
         defaulted.append("exclusions")
     return config, sorted(defaulted)
 
-
-def build_schemes(taxonomy) -> dict[str, WeightingScheme]:
-    """One co-authorship weighting scheme per field, keyed by field code."""
-    schemes = {}
-    for sds in taxonomy.sds_codes():
-        convention = taxonomy.convention(sds)
-        if convention not in CONVENTIONS:
-            raise InputError(f"field {sds!r} has unknown convention {convention!r}")
-        schemes[sds] = WeightingScheme(kind=convention)
-    return schemes

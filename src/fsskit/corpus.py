@@ -177,9 +177,6 @@ class LoadReport:
     row_counts: dict[str, int] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
-    def add_warning(self, message: str):
-        self.warnings.append(message)
-
 
 @dataclass
 class ExclusionReport:
@@ -389,11 +386,11 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         pub_fields[pid] = (year, citations, categories)
     report.row_counts["publications"] = len(pub_fields) + len(skipped_pubs)
     if skipped_pubs:
-        report.add_warning(
+        report.warnings.append(
             f"skipped {len(skipped_pubs)} publication(s) outside the {start}-{end} window"
         )
     if not report.row_counts["publications"]:
-        report.add_warning("publication file is empty; all scores will be zero")
+        report.warnings.append("publication file is empty; all scores will be zero")
 
     byline_path = Path(byline_file)
     bylines: dict[str, dict[int, Authorship]] = {pid: {} for pid in pub_fields}
@@ -423,8 +420,8 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         )
     report.row_counts["bylines"] = n_rows
     if unresolved:
-        report.add_warning(f"{unresolved} byline author(s) did not resolve to a census researcher; "
-                           "treated as external")
+        report.warnings.append(f"{unresolved} byline author(s) did not resolve to a census "
+                               "researcher; treated as external")
 
     publications: dict[str, Publication] = {}
     for pid in sorted(pub_fields):
@@ -449,7 +446,7 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         window=(start, end),
     )
     if not publications:
-        report.add_warning("corpus has no publications in the observation window")
+        report.warnings.append("corpus has no publications in the observation window")
     return corpus, report
 
 

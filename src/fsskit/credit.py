@@ -13,13 +13,11 @@ Two conventions are supported, selected per field through the taxonomy:
 Short bylines where the named roles overlap (n <= 4 extramural, n <= 2
 intramural) accumulate role weights per position and renormalize the vector
 to sum to one, which keeps the completeness invariant for every n >= 1.
-All weights are configurable per field; the defaults above follow standard
-life-sciences practice.
+The weights follow standard life-sciences practice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 ALPHABETICAL = "alphabetical"
@@ -27,77 +25,46 @@ POSITION_WEIGHTED = "position_weighted"
 CONVENTIONS = (ALPHABETICAL, POSITION_WEIGHTED)
 
 
-@dataclass(frozen=True)
-class WeightingScheme:
-    """Byline-credit convention plus its position weights."""
-
-    kind: str = ALPHABETICAL
-    intramural_first: float = 0.40
-    intramural_last: float = 0.40
-    extramural_first: float = 0.30
-    extramural_last: float = 0.30
-    extramural_second: float = 0.15
-    extramural_second_last: float = 0.15
-
-    def __post_init__(self):
-        if self.kind not in CONVENTIONS:
-            raise ValueError(f"unknown weighting scheme kind: {self.kind!r}")
-        weights = (
-            self.intramural_first,
-            self.intramural_last,
-            self.extramural_first,
-            self.extramural_last,
-            self.extramural_second,
-            self.extramural_second_last,
-        )
-        for w in weights:
-            if not 0.0 <= w <= 1.0:
-                raise ValueError(f"position weight out of [0, 1]: {w}")
-        if self.intramural_first + self.intramural_last > 1.0 + 1e-12:
-            raise ValueError("intramural first+last weights exceed 1")
-        extramural_total = (
-            self.extramural_first
-            + self.extramural_last
-            + self.extramural_second
-            + self.extramural_second_last
-        )
-        if extramural_total > 1.0 + 1e-12:
-            raise ValueError("extramural role weights exceed 1")
+# Position weights of the life-sciences convention.
+INTRAMURAL_FIRST = 0.40
+INTRAMURAL_LAST = 0.40
+EXTRAMURAL_FIRST = 0.30
+EXTRAMURAL_LAST = 0.30
+EXTRAMURAL_SECOND = 0.15
+EXTRAMURAL_SECOND_LAST = 0.15
 
 
-def byline_weights(byline: Sequence, scheme: WeightingScheme) -> list[float]:
+def byline_weights(byline: Sequence, convention: str) -> list[float]:
     """Credit vector for a whole byline, one weight per position, summing to 1.
 
     ``byline`` is an ordered sequence of authorship records; only
     ``institution_id`` of the first and last entries is consulted (it decides
     the intramural/extramural branch for position-weighted fields).
     """
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown co-authorship convention: {convention!r}")
     n = len(byline)
     if n == 0:
         raise ValueError("byline is empty")
     if n == 1:
         return [1.0]
-    if scheme.kind == ALPHABETICAL:
+    if convention == ALPHABETICAL:
         return [1.0 / n] * n
 
     weights = [0.0] * n
     if byline[0].institution_id == byline[-1].institution_id:
-        weights[0] += scheme.intramural_first
-        weights[n - 1] += scheme.intramural_last
+        weights[0] += INTRAMURAL_FIRST
+        weights[n - 1] += INTRAMURAL_LAST
         assigned = {0, n - 1}
-        remainder = 1.0 - scheme.intramural_first - scheme.intramural_last
+        remainder = 1.0 - INTRAMURAL_FIRST - INTRAMURAL_LAST
     else:
-        weights[0] += scheme.extramural_first
-        weights[n - 1] += scheme.extramural_last
-        weights[1] += scheme.extramural_second
-        weights[n - 2] += scheme.extramural_second_last
+        weights[0] += EXTRAMURAL_FIRST
+        weights[n - 1] += EXTRAMURAL_LAST
+        weights[1] += EXTRAMURAL_SECOND
+        weights[n - 2] += EXTRAMURAL_SECOND_LAST
         assigned = {0, 1, n - 2, n - 1}
-        remainder = 1.0 - (
-            scheme.extramural_first
-            + scheme.extramural_last
-            + scheme.extramural_second
-            + scheme.extramural_second_last
-        )
+        remainder = 1.0 - (EXTRAMURAL_FIRST + EXTRAMURAL_LAST
+                           + EXTRAMURAL_SECOND + EXTRAMURAL_SECOND_LAST)
 
     rest = [i for i in range(n) if i not in assigned]
     if rest:
@@ -111,9 +78,9 @@ def byline_weights(byline: Sequence, scheme: WeightingScheme) -> list[float]:
     return weights
 
 
-def fractional_contribution(byline: Sequence, author_position: int, scheme: WeightingScheme) -> float:
+def fractional_contribution(byline: Sequence, author_position: int, convention: str) -> float:
     """Credit share of the author at ``author_position`` (1-based) in ``byline``."""
     n = len(byline)
     if not 1 <= author_position <= n:
         raise ValueError(f"author position {author_position} out of range 1..{n}")
-    return byline_weights(byline, scheme)[author_position - 1]
+    return byline_weights(byline, convention)[author_position - 1]

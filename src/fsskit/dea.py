@@ -228,8 +228,7 @@ def corpus_input_ranks(corpus: Corpus) -> list[str]:
     return ranks + extra
 
 
-def dmus_from_corpus(corpus: Corpus, baselines: BaselineTable,
-                     schemes: dict) -> tuple[list[DMU], list[str]]:
+def dmus_from_corpus(corpus: Corpus, baselines: BaselineTable) -> tuple[list[DMU], list[str]]:
     """One DMU per institution.
 
     Inputs are labor cost split by rank (salary times years in post, summed
@@ -238,7 +237,7 @@ def dmus_from_corpus(corpus: Corpus, baselines: BaselineTable,
     with no output at all cannot be scored and are skipped with a warning.
     """
     ranks = corpus_input_ranks(corpus)
-    staff = group_rows(credit_ledger(corpus, baselines, schemes), lambda r: r.institution_id)
+    staff = group_rows(credit_ledger(corpus, baselines), lambda r: r.institution_id)
     dmus = []
     skipped = []
     for inst, members in staff.items():

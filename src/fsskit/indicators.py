@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 from .corpus import (Corpus, Researcher, parse_float, read_table, require, resolve_salary,
                      write_table)
-from .credit import WeightingScheme, fractional_contribution
+from .credit import fractional_contribution
 from .errors import ComputationError, InputError, LoadError, MissingFieldMeanError
 from .normalize import BaselineTable, normalized_impact
 
@@ -126,16 +126,16 @@ class CreditRow(NamedTuple):
     cost: float        # salary x years
 
 
-def _credit_row(corpus: Corpus, researcher: Researcher, schemes: dict[str, WeightingScheme],
-                baselines: BaselineTable) -> CreditRow:
-    """Walk one researcher's publications once."""
+def _credit_row(corpus: Corpus, researcher: Researcher, baselines: BaselineTable) -> CreditRow:
+    """Walk one researcher's publications once, crediting each byline under
+    the convention the taxonomy gives the researcher's field."""
     authorships = corpus._authorships.get(researcher.id, ())
-    scheme = schemes[researcher.sds_code]
+    convention = corpus.taxonomy.convention(researcher.sds_code)
     outputs = []
     shares = []
     for pub_id, position in authorships:
         pub = corpus.publications[pub_id]
-        share = fractional_contribution(pub.byline, position, scheme)
+        share = fractional_contribution(pub.byline, position, convention)
         shares.append(share)
         outputs.append(normalized_impact(pub, baselines) * share)
     salary = resolve_salary(researcher, corpus.salaries)
@@ -149,17 +149,16 @@ def _credit_row(corpus: Corpus, researcher: Researcher, schemes: dict[str, Weigh
                      salary, years, salary * years)
 
 
-def credit_ledger(corpus: Corpus, baselines: BaselineTable,
-                  schemes: dict[str, WeightingScheme]) -> list[CreditRow]:
+def credit_ledger(corpus: Corpus, baselines: BaselineTable) -> list[CreditRow]:
     """Every census researcher's row, in id order. Built on first use and kept
-    on the corpus while the same baseline table (by identity) and equal
-    schemes are asked for, so a command walks the bylines once."""
+    on the corpus while the same baseline table (by identity) is asked for,
+    so a command walks the bylines once."""
     cached = corpus._ledger
-    if cached is None or cached[0] is not baselines or cached[1] != schemes:
-        rows = [_credit_row(corpus, corpus.researchers[rid], schemes, baselines)
+    if cached is None or cached[0] is not baselines:
+        rows = [_credit_row(corpus, corpus.researchers[rid], baselines)
                 for rid in sorted(corpus.researchers)]
-        cached = corpus._ledger = (baselines, dict(schemes), rows)
-    return cached[2]
+        cached = corpus._ledger = (baselines, rows)
+    return cached[1]
 
 
 def group_rows(rows, key) -> dict:
@@ -234,21 +233,20 @@ def _select(rows: list[CreditRow], **columns) -> list[CreditRow]:
                    for name, value in columns.items())]
 
 
-def fss_r(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, WeightingScheme],
-          researcher_id: str) -> float:
+def fss_r(corpus: Corpus, baselines: BaselineTable, researcher_id: str) -> float:
     """Individual productivity: normalized fractional output per salary-year."""
     if researcher_id not in corpus.researchers:
         raise InputError(f"unknown researcher: {researcher_id!r}")
-    [row] = _select(credit_ledger(corpus, baselines, schemes), id=researcher_id)
+    [row] = _select(credit_ledger(corpus, baselines), id=researcher_id)
     return _fss_r_of(row)
 
 
-def fss_s(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, WeightingScheme],
-          sds_code: str, institution_id: str | None = None) -> float:
+def fss_s(corpus: Corpus, baselines: BaselineTable, sds_code: str,
+          institution_id: str | None = None) -> float:
     """Staff productivity of one field at one institution (or nationally when
     institution_id is None): normalized fractional output per unit of total
     labor cost over the window."""
-    rows = _select(credit_ledger(corpus, baselines, schemes),
+    rows = _select(credit_ledger(corpus, baselines),
                    sds_code=sds_code, institution_id=institution_id)
     if not rows:
         where = institution_id if institution_id is not None else "the census"
@@ -256,21 +254,20 @@ def fss_s(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, Weighting
     return _staff_value(rows)
 
 
-def fss_d(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, WeightingScheme],
-          means: FieldMeans, department_id: str) -> float:
+def fss_d(corpus: Corpus, baselines: BaselineTable, means: FieldMeans,
+          department_id: str) -> float:
     """Department productivity: average of members' field-standardized
     individual scores. Unproductive members pull the average down through
     the head count without contributing output."""
-    rows = _select(credit_ledger(corpus, baselines, schemes), department_id=department_id)
+    rows = _select(credit_ledger(corpus, baselines), department_id=department_id)
     if not rows:
         raise ComputationError(f"no staff in department {department_id!r}")
     return _rollup(rows, "fss_r", means, _fss_r_of)
 
 
 def _university_value(indicator: str, corpus: Corpus, baselines: BaselineTable,
-                      schemes: dict[str, WeightingScheme], means: FieldMeans,
-                      institution_id: str, uda_code: str | None) -> float:
-    rows = _select(credit_ledger(corpus, baselines, schemes),
+                      means: FieldMeans, institution_id: str, uda_code: str | None) -> float:
+    rows = _select(credit_ledger(corpus, baselines),
                    institution_id=institution_id, uda_code=uda_code)
     if not rows:
         raise ComputationError(f"no staff at {institution_id!r}"
@@ -278,37 +275,36 @@ def _university_value(indicator: str, corpus: Corpus, baselines: BaselineTable,
     return UNIVERSITY_INDICATORS[indicator](rows, means)
 
 
-def fss_u(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, WeightingScheme],
-          means: FieldMeans, institution_id: str, uda_code: str | None = None) -> float:
+def fss_u(corpus: Corpus, baselines: BaselineTable, means: FieldMeans, institution_id: str,
+          uda_code: str | None = None) -> float:
     """Institution productivity: cost-share weighted average of the
     institution's field staff scores, each standardized by the national
     cost-weighted mean for that field. Restricting to one discipline ranks
     institutions within it."""
-    return _university_value("fss_u", corpus, baselines, schemes, means, institution_id, uda_code)
+    return _university_value("fss_u", corpus, baselines, means, institution_id, uda_code)
 
 
-def p_u(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, WeightingScheme],
-        means: FieldMeans, institution_id: str, uda_code: str | None = None) -> float:
+def p_u(corpus: Corpus, baselines: BaselineTable, means: FieldMeans, institution_id: str,
+        uda_code: str | None = None) -> float:
     """Output volume per head: average of members' field-standardized
     publication rates (whole counts per year in post)."""
-    return _university_value("p_u", corpus, baselines, schemes, means, institution_id, uda_code)
+    return _university_value("p_u", corpus, baselines, means, institution_id, uda_code)
 
 
-def fp_u(corpus: Corpus, baselines: BaselineTable, schemes: dict[str, WeightingScheme],
-         means: FieldMeans, institution_id: str, uda_code: str | None = None) -> float:
+def fp_u(corpus: Corpus, baselines: BaselineTable, means: FieldMeans, institution_id: str,
+         uda_code: str | None = None) -> float:
     """Like p_u but on fractional publication counts, so multi-authored
     output is not double counted across institutions."""
-    return _university_value("fp_u", corpus, baselines, schemes, means, institution_id, uda_code)
+    return _university_value("fp_u", corpus, baselines, means, institution_id, uda_code)
 
 
 # ---------------------------------------------------------------------------
 # National means
 # ---------------------------------------------------------------------------
 
-def compute_field_means(corpus: Corpus, baselines: BaselineTable,
-                        schemes: dict[str, WeightingScheme]) -> FieldMeans:
+def compute_field_means(corpus: Corpus, baselines: BaselineTable) -> FieldMeans:
     """National standardization means per field."""
-    rows = credit_ledger(corpus, baselines, schemes)
+    rows = credit_ledger(corpus, baselines)
 
     def productive_mean(value_of) -> dict[str, float]:
         by_sds: dict[str, list[float]] = {}
@@ -340,10 +336,9 @@ def compute_field_means(corpus: Corpus, baselines: BaselineTable,
 # Batch evaluation
 # ---------------------------------------------------------------------------
 
-def researcher_scores(corpus: Corpus, baselines: BaselineTable,
-                      schemes: dict[str, WeightingScheme]) -> ScoreSet:
+def researcher_scores(corpus: Corpus, baselines: BaselineTable) -> ScoreSet:
     """Individual scores for every census researcher."""
-    rows = credit_ledger(corpus, baselines, schemes)
+    rows = credit_ledger(corpus, baselines)
     return ScoreSet(
         level="researcher",
         indicator="fss_r",
@@ -353,11 +348,9 @@ def researcher_scores(corpus: Corpus, baselines: BaselineTable,
     )
 
 
-def staff_scores(corpus: Corpus, baselines: BaselineTable,
-                 schemes: dict[str, WeightingScheme]) -> ScoreSet:
+def staff_scores(corpus: Corpus, baselines: BaselineTable) -> ScoreSet:
     """Field staff scores for every (institution, field) pair with staff."""
-    groups = group_rows(credit_ledger(corpus, baselines, schemes),
-                    lambda r: (r.institution_id, r.sds_code))
+    groups = group_rows(credit_ledger(corpus, baselines), lambda r: (r.institution_id, r.sds_code))
     entries = {staff_unit_id(inst, sds): _staff_value(members)
                for (inst, sds), members in groups.items()}
     sds_of_unit = {staff_unit_id(inst, sds): sds for inst, sds in groups}
@@ -365,33 +358,30 @@ def staff_scores(corpus: Corpus, baselines: BaselineTable,
                     window=corpus.window, metadata={"sds_of_unit": sds_of_unit})
 
 
-def country_staff_scores(corpus: Corpus, baselines: BaselineTable,
-                         schemes: dict[str, WeightingScheme]) -> ScoreSet:
+def country_staff_scores(corpus: Corpus, baselines: BaselineTable) -> ScoreSet:
     """National staff score of every field with staff."""
-    groups = group_rows(credit_ledger(corpus, baselines, schemes), lambda r: r.sds_code)
+    groups = group_rows(credit_ledger(corpus, baselines), lambda r: r.sds_code)
     entries = {staff_unit_id(None, sds): _staff_value(members)
                for sds, members in groups.items()}
     return ScoreSet(level="staff", indicator="fss_s", entries=entries,
                     window=corpus.window, metadata={"scope": "country"})
 
 
-def department_scores(corpus: Corpus, baselines: BaselineTable,
-                      schemes: dict[str, WeightingScheme], means: FieldMeans) -> ScoreSet:
-    rows = [row for row in credit_ledger(corpus, baselines, schemes) if row.department_id]
+def department_scores(corpus: Corpus, baselines: BaselineTable, means: FieldMeans) -> ScoreSet:
+    rows = [row for row in credit_ledger(corpus, baselines) if row.department_id]
     entries = {dept: _rollup(members, "fss_r", means, _fss_r_of)
                for dept, members in group_rows(rows, lambda r: r.department_id).items()}
     return ScoreSet(level="department", indicator="fss_d", entries=entries,
                     window=corpus.window)
 
 
-def university_scores(corpus: Corpus, baselines: BaselineTable,
-                      schemes: dict[str, WeightingScheme], means: FieldMeans,
+def university_scores(corpus: Corpus, baselines: BaselineTable, means: FieldMeans,
                       indicator: str = "fss_u", uda_code: str | None = None) -> ScoreSet:
     """Institution-level scores; ``indicator`` picks fss_u, p_u or fp_u."""
     value_of = UNIVERSITY_INDICATORS.get(indicator)
     if value_of is None:
         raise InputError(f"unknown university indicator: {indicator!r}")
-    rows = credit_ledger(corpus, baselines, schemes)
+    rows = credit_ledger(corpus, baselines)
     if uda_code is not None:
         known = sorted(set(corpus.taxonomy.uda_of_sds.values()))
         if uda_code not in known:

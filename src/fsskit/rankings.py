@@ -119,15 +119,11 @@ def rank_scores(scores: ScoreSet, exclude=frozenset()) -> RankedList:
                       group=scores.metadata.get("uda"))
 
 
-_MEANS_TABLE_OF = {"fss_r": "fss_r", "fss_s": "fss_s"}
-
-
 def standardized_scores(scores: ScoreSet, means: FieldMeans) -> ScoreSet:
     """Divide each unit's raw score by its field's national mean, making
     units from fields with different citation and cost regimes rankable in
     one list. Requires the score set to carry each unit's field."""
-    table = _MEANS_TABLE_OF.get(scores.indicator)
-    if table is None:
+    if scores.indicator not in ("fss_r", "fss_s"):
         raise InputError(f"no field standardization defined for indicator {scores.indicator!r}")
     sds_of_unit = scores.metadata.get("sds_of_unit")
     if not sds_of_unit:
@@ -138,7 +134,7 @@ def standardized_scores(scores: ScoreSet, means: FieldMeans) -> ScoreSet:
         if value == 0.0:
             entries[uid] = 0.0
         else:
-            entries[uid] = value / means.require(table, sds_of_unit[uid])
+            entries[uid] = value / means.require(scores.indicator, sds_of_unit[uid])
     return ScoreSet(
         level=scores.level,
         indicator=f"{scores.indicator}_std",

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fsskit.config import RunConfig, build_schemes
+from fsskit.config import RunConfig
 from fsskit.corpus import load_corpus
 from fsskit.indicators import compute_field_means, researcher_scores
 from fsskit.normalize import compute_baselines
@@ -100,8 +100,7 @@ def synth_corpus():
 @pytest.fixture(scope="session")
 def synth(synth_corpus):
     baselines = compute_baselines(synth_corpus.publications)
-    schemes = build_schemes(synth_corpus.taxonomy)
-    scores = researcher_scores(synth_corpus, baselines, schemes)
-    means = compute_field_means(synth_corpus, baselines, schemes)
-    return SimpleNamespace(corpus=synth_corpus, baselines=baselines, schemes=schemes,
+    scores = researcher_scores(synth_corpus, baselines)
+    means = compute_field_means(synth_corpus, baselines)
+    return SimpleNamespace(corpus=synth_corpus, baselines=baselines,
                            researcher_scores=scores, means=means)

@@ -18,9 +18,8 @@ import pytest
 
 import fsskit
 from fsskit.cli import main
-from fsskit.config import build_schemes
 from fsskit.corpus import Authorship, SalarySchedule, export_corpus
-from fsskit.credit import ALPHABETICAL, POSITION_WEIGHTED, WeightingScheme, byline_weights
+from fsskit.credit import ALPHABETICAL, POSITION_WEIGHTED, byline_weights
 from fsskit.dea import DMU, _envelopment_lp, dea_output_oriented, scale_efficiency
 from fsskit.indicators import (compute_field_means, fss_d, fss_r, fss_s, fss_u,
                                fp_u, p_u, researcher_scores, staff_scores,
@@ -60,13 +59,10 @@ def test_02_byline_credit_fixtures():
             return tuple(Authorship(position=i + 1, institution_id=inst)
                          for i, inst in enumerate(institutions))
 
-        weighted = WeightingScheme(kind=POSITION_WEIGHTED)
-        alpha = WeightingScheme(kind=ALPHABETICAL)
-
-        five = byline_weights(byline(["U1", "U2", "U3", "U4", "U1"]), weighted)
+        five = byline_weights(byline(["U1", "U2", "U3", "U4", "U1"]), POSITION_WEIGHTED)
         assert five == pytest.approx([0.40, 0.20 / 3, 0.20 / 3, 0.20 / 3, 0.40],
                                      abs=1e-12)
-        six = byline_weights(byline(["U1", "U2", "U3", "U4", "U5", "U6"]), weighted)
+        six = byline_weights(byline(["U1", "U2", "U3", "U4", "U5", "U6"]), POSITION_WEIGHTED)
         assert six == pytest.approx([0.30, 0.15, 0.05, 0.05, 0.15, 0.30], abs=1e-12)
 
         rng = random.Random(20260819)
@@ -74,39 +70,39 @@ def test_02_byline_credit_fixtures():
         for _ in range(10000):
             n = rng.randint(1, 12)
             institutions = [rng.choice(pool) for _ in range(n)]
-            scheme = weighted if rng.random() < 0.5 else alpha
-            weights = byline_weights(byline(institutions), scheme)
+            convention = POSITION_WEIGHTED if rng.random() < 0.5 else ALPHABETICAL
+            weights = byline_weights(byline(institutions), convention)
             assert abs(sum(weights) - 1.0) <= 1e-12
 
 
 def test_03_indicator_oracle_equivalence(synth):
     with criterion("independent naive recomputation of all six indicators (1e-9)"):
         corpus = synth.corpus
-        baselines, schemes, means = synth.baselines, synth.schemes, synth.means
+        baselines, means = synth.baselines, synth.means
         oracle = ReferenceScores(corpus)
 
         for rid in corpus.researchers:
-            assert fss_r(corpus, baselines, schemes, rid) == pytest.approx(
+            assert fss_r(corpus, baselines, rid) == pytest.approx(
                 oracle.fss_r(rid), rel=1e-9), rid
 
         for inst in corpus.institutions():
             fields = sorted({r.sds_code for r in corpus.staff(institution_id=inst)})
             for sds in fields:
-                assert fss_s(corpus, baselines, schemes, sds, inst) == pytest.approx(
+                assert fss_s(corpus, baselines, sds, inst) == pytest.approx(
                     oracle.fss_s(sds, inst), rel=1e-9), (inst, sds)
-            assert fss_u(corpus, baselines, schemes, means, inst) == pytest.approx(
+            assert fss_u(corpus, baselines, means, inst) == pytest.approx(
                 oracle.fss_u(inst), rel=1e-9), inst
-            assert p_u(corpus, baselines, schemes, means, inst) == pytest.approx(
+            assert p_u(corpus, baselines, means, inst) == pytest.approx(
                 oracle.p_u(inst), rel=1e-9), inst
-            assert fp_u(corpus, baselines, schemes, means, inst) == pytest.approx(
+            assert fp_u(corpus, baselines, means, inst) == pytest.approx(
                 oracle.fp_u(inst), rel=1e-9), inst
 
         for sds in corpus.taxonomy.sds_codes():
-            assert fss_s(corpus, baselines, schemes, sds, None) == pytest.approx(
+            assert fss_s(corpus, baselines, sds, None) == pytest.approx(
                 oracle.fss_s(sds, None), rel=1e-9), sds
 
         for dept in corpus.departments():
-            assert fss_d(corpus, baselines, schemes, means, dept) == pytest.approx(
+            assert fss_d(corpus, baselines, means, dept) == pytest.approx(
                 oracle.fss_d(dept), rel=1e-9), dept
 
 
@@ -144,24 +140,24 @@ def scale_salaries(corpus, k: float):
 
 def test_05_salary_scale_invariance(synth):
     with criterion("salary scaling by k in {0.5, 3}: orders fixed, FSS x 1/k"):
-        corpus, baselines, schemes = synth.corpus, synth.baselines, synth.schemes
+        corpus, baselines = synth.corpus, synth.baselines
         base_r = synth.researcher_scores
-        base_staff = staff_scores(corpus, baselines, schemes)
-        base_uni = university_scores(corpus, baselines, schemes, synth.means)
+        base_staff = staff_scores(corpus, baselines)
+        base_uni = university_scores(corpus, baselines, synth.means)
 
         def order(scores):
             return [e.unit_id for e in rank_scores(scores).entries]
 
         for k in (0.5, 3.0):
             scaled = scale_salaries(corpus, k)
-            scaled_r = researcher_scores(scaled, baselines, schemes)
+            scaled_r = researcher_scores(scaled, baselines)
             for rid, value in base_r.entries.items():
                 assert scaled_r.entries[rid] * k == pytest.approx(value, rel=1e-12), rid
-            scaled_staff = staff_scores(scaled, baselines, schemes)
+            scaled_staff = staff_scores(scaled, baselines)
             for uid, value in base_staff.entries.items():
                 assert scaled_staff.entries[uid] * k == pytest.approx(value, rel=1e-12)
-            scaled_means = compute_field_means(scaled, baselines, schemes)
-            scaled_uni = university_scores(scaled, baselines, schemes, scaled_means)
+            scaled_means = compute_field_means(scaled, baselines)
+            scaled_uni = university_scores(scaled, baselines, scaled_means)
             assert order(scaled_r) == order(base_r)
             assert order(scaled_staff) == order(base_staff)
             assert order(scaled_uni) == order(base_uni)
@@ -247,12 +243,11 @@ def test_10_throughput(tmp_path):
     with criterion(f"score {len(corpus.publications)} publications in < 30s"):
         t0 = time.perf_counter()
         baselines = compute_baselines(corpus.publications)
-        schemes = build_schemes(corpus.taxonomy)
-        scores = researcher_scores(corpus, baselines, schemes)
-        means = compute_field_means(corpus, baselines, schemes)
+        scores = researcher_scores(corpus, baselines)
+        means = compute_field_means(corpus, baselines)
         sets = [scores]
         for indicator in ("fss_u", "p_u", "fp_u"):
-            sets.append(university_scores(corpus, baselines, schemes, means, indicator))
+            sets.append(university_scores(corpus, baselines, means, indicator))
         write_scores(sets, tmp_path / "scores.csv")
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"scoring took {elapsed:.1f}s"

@@ -179,6 +179,16 @@ def test_rank_flag_validation_exit_2(tiny_dir, tmp_path, capsys):
     assert not (tmp_path / "out" / "rankings.csv").exists()
 
 
+def test_rank_flag_misuse_is_refused_before_loading(tmp_path, capsys):
+    # The flag error wins over the missing census: nothing is read first.
+    assert main(["rank", "--data", str(tmp_path / "missing"), "--level", "department",
+                 "--standardize", "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "--standardize only applies" in err
+    assert "not found" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_rank_everything_excluded_exit_1(tiny_dir, tmp_path, capsys):
     # Default staff floors (10 per field, 30 total) flag both tiny
     # institutions, leaving nothing to rank.

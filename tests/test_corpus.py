@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from fsskit.config import RunConfig, build_schemes
+from fsskit.config import RunConfig
 from fsskit.corpus import apply_exclusions, export_corpus, load_corpus, resolve_salary
 from fsskit.errors import InputError, LoadError, RankNotFoundError
 from fsskit.indicators import researcher_scores
@@ -223,8 +223,7 @@ def test_negative_thresholds_rejected(tiny):
 
 def test_exclusions_keep_authorship_index(tiny):
     corpus = tiny.corpus
-    researcher_scores(corpus, compute_baselines(corpus.publications),
-                      build_schemes(corpus.taxonomy))
+    researcher_scores(corpus, compute_baselines(corpus.publications))
     assert corpus._ledger is not None
     filtered, _ = apply_exclusions(corpus, min_years=3)
     assert filtered._authorships is corpus._authorships

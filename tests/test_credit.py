@@ -1,17 +1,19 @@
 """Fractional authorship credit: named fixtures and random properties."""
 
+import dataclasses
 import random
 
 import pytest
 
-from fsskit.corpus import Authorship
-from fsskit.credit import (ALPHABETICAL, POSITION_WEIGHTED, WeightingScheme,
-                           byline_weights, fractional_contribution)
+from fsskit.corpus import Authorship, FieldTaxonomy
+from fsskit.credit import ALPHABETICAL, POSITION_WEIGHTED, byline_weights, fractional_contribution
+from fsskit.indicators import researcher_scores
+from fsskit.normalize import compute_baselines
 
 from oracles import reference_byline_weights
 
-PW = WeightingScheme(kind=POSITION_WEIGHTED)
-ALPHA = WeightingScheme(kind=ALPHABETICAL)
+PW = POSITION_WEIGHTED
+ALPHA = ALPHABETICAL
 
 
 def byline(*institutions):
@@ -68,11 +70,11 @@ def test_weights_sum_to_one_and_match_reference():
     for _ in range(2000):
         n = rng.randint(1, 12)
         institutions = [rng.choice(pool) for _ in range(n)]
-        scheme = rng.choice((PW, ALPHA))
-        weights = byline_weights(byline(*institutions), scheme)
+        convention = rng.choice((PW, ALPHA))
+        weights = byline_weights(byline(*institutions), convention)
         assert sum(weights) == pytest.approx(1.0, abs=1e-12)
         assert all(w >= 0 for w in weights)
-        expected = reference_byline_weights(institutions, scheme.kind)
+        expected = reference_byline_weights(institutions, convention)
         assert weights == pytest.approx(expected, abs=1e-12)
 
 
@@ -96,10 +98,21 @@ def test_empty_byline_rejected():
         byline_weights((), PW)
 
 
-def test_scheme_validation():
-    with pytest.raises(ValueError):
-        WeightingScheme(kind="nonsense")
-    with pytest.raises(ValueError):
-        WeightingScheme(kind=POSITION_WEIGHTED, intramural_first=0.7, intramural_last=0.7)
-    with pytest.raises(ValueError):
-        WeightingScheme(kind=POSITION_WEIGHTED, extramural_first=-0.1)
+def test_unknown_convention_is_refused(tiny):
+    for institutions in (("U",), ("U", "V"), ("U", "A", "B", "C", "V")):
+        bl = byline(*institutions)
+        with pytest.raises(ValueError, match="nonsense"):
+            byline_weights(bl, "nonsense")
+        for position in range(1, len(bl) + 1):
+            with pytest.raises(ValueError, match="nonsense"):
+                fractional_contribution(bl, position, "nonsense")
+
+    # A taxonomy built in code skips the loader's check; scoring must still
+    # refuse the field rather than credit it under some other convention.
+    corpus = tiny.corpus
+    taxonomy = FieldTaxonomy(uda_of_sds=corpus.taxonomy.uda_of_sds,
+                             convention_of_sds={**corpus.taxonomy.convention_of_sds,
+                                                "BIO01": "life_sciences"})
+    broken = dataclasses.replace(corpus, taxonomy=taxonomy)
+    with pytest.raises(ValueError, match="life_sciences"):
+        researcher_scores(broken, compute_baselines(corpus.publications))

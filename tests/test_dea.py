@@ -9,7 +9,7 @@ import pytest
 
 from fsskit import dea
 from fsskit.cli import main
-from fsskit.config import RunConfig, build_schemes
+from fsskit.config import RunConfig
 from fsskit.corpus import load_corpus
 from fsskit.dea import (DMU, corpus_input_ranks, dea_output_oriented,
                         dmus_from_corpus, read_dmus, scale_efficiency,
@@ -238,9 +238,8 @@ def test_write_results_format(tmp_path):
 
 def test_dmus_from_tiny_corpus(tiny):
     baselines = compute_baselines(tiny.corpus.publications)
-    schemes = build_schemes(tiny.corpus.taxonomy)
     assert corpus_input_ranks(tiny.corpus) == ["assistant", "full"]
-    dmus, skipped = dmus_from_corpus(tiny.corpus, baselines, schemes)
+    dmus, skipped = dmus_from_corpus(tiny.corpus, baselines)
     assert skipped == []
     by_id = {d.id: d for d in dmus}
     # UA: assistant cost 40000*5, full cost 70000*4;
@@ -263,7 +262,6 @@ def test_dmus_from_corpus_skips_outputless_institution(tmp_path):
         directory / "taxonomy.csv", directory / "salaries.csv", RunConfig(),
     )
     baselines = compute_baselines(corpus.publications)
-    schemes = build_schemes(corpus.taxonomy)
-    dmus, skipped = dmus_from_corpus(corpus, baselines, schemes)
+    dmus, skipped = dmus_from_corpus(corpus, baselines)
     assert {d.id for d in dmus} == {"UA", "UB"}
     assert len(skipped) == 1 and "UC" in skipped[0]

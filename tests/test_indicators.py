@@ -24,7 +24,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from fsskit.config import build_schemes
 from fsskit.corpus import Corpus
 from fsskit.errors import ComputationError, InputError, MissingFieldMeanError
 from fsskit.indicators import (FieldMeans, compute_field_means, department_scores,
@@ -73,35 +72,34 @@ FP_U = {"UA": F(21, 16), "UB": F(19, 24)}
 @pytest.fixture
 def ready(tiny):
     baselines = compute_baselines(tiny.corpus.publications)
-    schemes = build_schemes(tiny.corpus.taxonomy)
-    return tiny.corpus, baselines, schemes
+    return tiny.corpus, baselines
 
 
 def test_fss_r_matches_hand_derivation(ready):
-    corpus, baselines, schemes = ready
+    corpus, baselines = ready
     for rid, expected in FSS_R.items():
-        assert fss_r(corpus, baselines, schemes, rid) == pytest.approx(
+        assert fss_r(corpus, baselines, rid) == pytest.approx(
             float(expected), rel=1e-12), rid
 
 
 def test_fss_s_matches_hand_derivation(ready):
-    corpus, baselines, schemes = ready
+    corpus, baselines = ready
     for (inst, sds), expected in FSS_S.items():
-        assert fss_s(corpus, baselines, schemes, sds, inst) == pytest.approx(
+        assert fss_s(corpus, baselines, sds, inst) == pytest.approx(
             float(expected), rel=1e-12), (inst, sds)
 
 
 def test_country_staff_score_is_cost_weighted_mean(ready):
     # National output over national cost equals the cost-weighted mean of
     # the university staff scores when every university is productive.
-    corpus, baselines, schemes = ready
-    assert fss_s(corpus, baselines, schemes, "MAT01", None) == pytest.approx(
+    corpus, baselines = ready
+    assert fss_s(corpus, baselines, "MAT01", None) == pytest.approx(
         float(MEAN_S_MAT), rel=1e-12)
 
 
 def test_field_means(ready):
-    corpus, baselines, schemes = ready
-    means = compute_field_means(corpus, baselines, schemes)
+    corpus, baselines = ready
+    means = compute_field_means(corpus, baselines)
     assert means.fss_r["MAT01"] == pytest.approx(float(MEAN_R_MAT), rel=1e-12)
     assert means.fss_r["BIO01"] == pytest.approx(float(MEAN_R_BIO), rel=1e-12)
     assert means.fss_s["MAT01"] == pytest.approx(float(MEAN_S_MAT), rel=1e-12)
@@ -113,82 +111,82 @@ def test_field_means(ready):
 
 
 def test_fss_d_matches_hand_derivation(ready):
-    corpus, baselines, schemes = ready
-    means = compute_field_means(corpus, baselines, schemes)
+    corpus, baselines = ready
+    means = compute_field_means(corpus, baselines)
     for dept, expected in FSS_D.items():
-        assert fss_d(corpus, baselines, schemes, means, dept) == pytest.approx(
+        assert fss_d(corpus, baselines, means, dept) == pytest.approx(
             float(expected), rel=1e-12), dept
 
 
 def test_fss_u_matches_hand_derivation(ready):
-    corpus, baselines, schemes = ready
-    means = compute_field_means(corpus, baselines, schemes)
+    corpus, baselines = ready
+    means = compute_field_means(corpus, baselines)
     for inst, expected in FSS_U.items():
-        assert fss_u(corpus, baselines, schemes, means, inst) == pytest.approx(
+        assert fss_u(corpus, baselines, means, inst) == pytest.approx(
             float(expected), rel=1e-12), inst
 
 
 def test_fss_u_restricted_to_one_discipline(ready):
-    corpus, baselines, schemes = ready
-    means = compute_field_means(corpus, baselines, schemes)
+    corpus, baselines = ready
+    means = compute_field_means(corpus, baselines)
     # Within MATH only, UB's single field takes the whole cost share.
     expected = FSS_S[("UB", "MAT01")] / MEAN_S_MAT
-    assert fss_u(corpus, baselines, schemes, means, "UB", "MATH") == pytest.approx(
+    assert fss_u(corpus, baselines, means, "UB", "MATH") == pytest.approx(
         float(expected), rel=1e-12)
 
 
 def test_rate_indicators_match_hand_derivation(ready):
-    corpus, baselines, schemes = ready
-    means = compute_field_means(corpus, baselines, schemes)
+    corpus, baselines = ready
+    means = compute_field_means(corpus, baselines)
     for inst in ("UA", "UB"):
-        assert p_u(corpus, baselines, schemes, means, inst) == pytest.approx(
+        assert p_u(corpus, baselines, means, inst) == pytest.approx(
             float(P_U[inst]), rel=1e-12)
-        assert fp_u(corpus, baselines, schemes, means, inst) == pytest.approx(
+        assert fp_u(corpus, baselines, means, inst) == pytest.approx(
             float(FP_U[inst]), rel=1e-12)
 
 
 def test_batch_sets_cover_all_units(ready):
-    corpus, baselines, schemes = ready
-    means = compute_field_means(corpus, baselines, schemes)
-    individual = researcher_scores(corpus, baselines, schemes)
+    corpus, baselines = ready
+    means = compute_field_means(corpus, baselines)
+    individual = researcher_scores(corpus, baselines)
     assert sorted(individual.entries) == ["r1", "r2", "r3", "r4", "r5"]
     assert individual.metadata["sds_of_unit"]["r3"] == "BIO01"
-    staff = staff_scores(corpus, baselines, schemes)
+    staff = staff_scores(corpus, baselines)
     assert sorted(staff.entries) == [
         staff_unit_id("UA", "MAT01"), staff_unit_id("UB", "BIO01"),
         staff_unit_id("UB", "MAT01"),
     ]
-    depts = department_scores(corpus, baselines, schemes, means)
+    depts = department_scores(corpus, baselines, means)
     assert sorted(depts.entries) == ["UA-M", "UB-B", "UB-M"]
-    unis = university_scores(corpus, baselines, schemes, means)
+    unis = university_scores(corpus, baselines, means)
     assert sorted(unis.entries) == ["UA", "UB"]
 
 
 def test_unknown_researcher_rejected(ready):
-    corpus, baselines, schemes = ready
+    corpus, baselines = ready
     with pytest.raises(InputError):
-        fss_r(corpus, baselines, schemes, "nobody")
+        fss_r(corpus, baselines, "nobody")
 
 
 def test_empty_staff_rejected(ready):
-    corpus, baselines, schemes = ready
+    corpus, baselines = ready
     with pytest.raises(ComputationError):
-        fss_s(corpus, baselines, schemes, "MAT01", "UX")
+        fss_s(corpus, baselines, "MAT01", "UX")
     with pytest.raises(ComputationError):
-        fss_d(corpus, baselines, schemes,
+        fss_d(corpus, baselines,
               FieldMeans(fss_r={}, fss_s={}, q={}, fq={}), "no-dept")
 
 
 def test_missing_field_mean_is_named(ready):
-    corpus, baselines, schemes = ready
+    corpus, baselines = ready
     empty = FieldMeans(fss_r={}, fss_s={}, q={}, fq={})
     with pytest.raises(MissingFieldMeanError) as err:
-        fss_d(corpus, baselines, schemes, empty, "UA-M")
+        fss_d(corpus, baselines, empty, "UA-M")
     assert "MAT01" in str(err.value)
 
 
 def test_nonpositive_years_rejected_at_scoring(ready):
-    corpus, baselines, schemes = ready
+    corpus, baselines = ready
     broken = dataclasses.replace(corpus.researchers["r1"], years_in_window=0.0)
     patched = Corpus(
         researchers={**corpus.researchers, "r1": broken},
@@ -198,13 +196,13 @@ def test_nonpositive_years_rejected_at_scoring(ready):
         window=corpus.window,
     )
     with pytest.raises(ComputationError):
-        fss_r(patched, baselines, schemes, "r1")
+        fss_r(patched, baselines, "r1")
 
 
 def test_scores_round_trip(ready, tmp_path):
-    corpus, baselines, schemes = ready
-    individual = researcher_scores(corpus, baselines, schemes)
-    staff = staff_scores(corpus, baselines, schemes)
+    corpus, baselines = ready
+    individual = researcher_scores(corpus, baselines)
+    staff = staff_scores(corpus, baselines)
     path = write_scores([individual, staff], tmp_path / "scores.csv")
     loaded = read_scores(path, window=corpus.window)
     by_key = {(s.level, s.indicator): s for s in loaded}

@@ -11,7 +11,6 @@ import dataclasses
 import pytest
 
 from fsskit import indicators
-from fsskit.config import build_schemes
 from fsskit.corpus import Corpus
 from fsskit.indicators import (compute_field_means, country_staff_scores, credit_ledger,
                                department_scores, fp_u, fss_d, fss_r, fss_s, fss_u, p_u,
@@ -37,59 +36,59 @@ def check(batch, per_unit, reference):
 
 
 def test_researcher_batch_matches_per_unit_and_oracle(synth, oracle):
-    corpus, baselines, schemes = synth.corpus, synth.baselines, synth.schemes
-    batch = researcher_scores(corpus, baselines, schemes)
+    corpus, baselines = synth.corpus, synth.baselines
+    batch = researcher_scores(corpus, baselines)
     assert sorted(batch.entries) == sorted(corpus.researchers)
-    check(batch, lambda rid: fss_r(corpus, baselines, schemes, rid), oracle.fss_r)
+    check(batch, lambda rid: fss_r(corpus, baselines, rid), oracle.fss_r)
 
 
 def test_staff_batch_matches_per_unit_and_oracle(synth, oracle):
-    corpus, baselines, schemes = synth.corpus, synth.baselines, synth.schemes
-    batch = staff_scores(corpus, baselines, schemes)
+    corpus, baselines = synth.corpus, synth.baselines
+    batch = staff_scores(corpus, baselines)
     units = {}
     for uid in batch.entries:
         inst, _, sds = uid.rpartition(":")
         units[uid] = (sds, inst)
     assert len(units) == len({(r.institution_id, r.sds_code)
                               for r in corpus.researchers.values()})
-    check(batch, lambda uid: fss_s(corpus, baselines, schemes, *units[uid]),
+    check(batch, lambda uid: fss_s(corpus, baselines, *units[uid]),
           lambda uid: oracle.fss_s(*units[uid]))
 
 
 def test_country_batch_matches_per_unit_and_oracle(synth, oracle):
-    corpus, baselines, schemes = synth.corpus, synth.baselines, synth.schemes
-    batch = country_staff_scores(corpus, baselines, schemes)
+    corpus, baselines = synth.corpus, synth.baselines
+    batch = country_staff_scores(corpus, baselines)
     sds_of = {staff_unit_id(None, sds): sds for sds in corpus.taxonomy.sds_codes()}
     assert set(batch.entries) == set(sds_of)
     assert batch.metadata == {"scope": "country"}
-    check(batch, lambda uid: fss_s(corpus, baselines, schemes, sds_of[uid], None),
+    check(batch, lambda uid: fss_s(corpus, baselines, sds_of[uid], None),
           lambda uid: oracle.fss_s(sds_of[uid], None))
 
 
 def test_department_batch_matches_per_unit_and_oracle(synth, oracle):
-    corpus, baselines, schemes, means = synth.corpus, synth.baselines, synth.schemes, synth.means
-    batch = department_scores(corpus, baselines, schemes, means)
+    corpus, baselines, means = synth.corpus, synth.baselines, synth.means
+    batch = department_scores(corpus, baselines, means)
     assert sorted(batch.entries) == corpus.departments()
-    check(batch, lambda dept: fss_d(corpus, baselines, schemes, means, dept), oracle.fss_d)
+    check(batch, lambda dept: fss_d(corpus, baselines, means, dept), oracle.fss_d)
 
 
 @pytest.mark.parametrize("uda", [None, "first"])
 def test_university_batch_matches_per_unit_and_oracle(synth, oracle, uda):
-    corpus, baselines, schemes, means = synth.corpus, synth.baselines, synth.schemes, synth.means
+    corpus, baselines, means = synth.corpus, synth.baselines, synth.means
     if uda == "first":
         uda = sorted(set(corpus.taxonomy.uda_of_sds.values()))[0]
     per_unit = {
-        "fss_u": (lambda inst: fss_u(corpus, baselines, schemes, means, inst, uda),
+        "fss_u": (lambda inst: fss_u(corpus, baselines, means, inst, uda),
                   lambda inst: oracle.fss_u(inst, uda)),
-        "p_u": (lambda inst: p_u(corpus, baselines, schemes, means, inst, uda),
+        "p_u": (lambda inst: p_u(corpus, baselines, means, inst, uda),
                 lambda inst: oracle.p_u(inst, uda)),
-        "fp_u": (lambda inst: fp_u(corpus, baselines, schemes, means, inst, uda),
+        "fp_u": (lambda inst: fp_u(corpus, baselines, means, inst, uda),
                  lambda inst: oracle.fp_u(inst, uda)),
     }
     expected_units = sorted({r.institution_id for r in corpus.researchers.values()
                              if uda is None or corpus.uda_of(r) == uda})
     for indicator, (unit_value, reference) in per_unit.items():
-        batch = university_scores(corpus, baselines, schemes, means, indicator, uda)
+        batch = university_scores(corpus, baselines, means, indicator, uda)
         assert sorted(batch.entries) == expected_units
         check(batch, unit_value, reference)
 
@@ -108,38 +107,35 @@ def test_field_means_match_oracle(synth, oracle):
 def test_ledger_built_once_per_corpus(tiny, monkeypatch):
     corpus = tiny.corpus
     baselines = compute_baselines(corpus.publications)
-    schemes = build_schemes(corpus.taxonomy)
     calls = []
     real = indicators.normalized_impact
     monkeypatch.setattr(indicators, "normalized_impact",
                         lambda pub, table: calls.append(pub.id) or real(pub, table))
 
-    means = compute_field_means(corpus, baselines, schemes)
-    researcher_scores(corpus, baselines, schemes)
-    staff_scores(corpus, baselines, schemes)
-    country_staff_scores(corpus, baselines, schemes)
-    department_scores(corpus, baselines, schemes, means)
+    means = compute_field_means(corpus, baselines)
+    researcher_scores(corpus, baselines)
+    staff_scores(corpus, baselines)
+    country_staff_scores(corpus, baselines)
+    department_scores(corpus, baselines, means)
     for indicator in ("fss_u", "p_u", "fp_u"):
-        university_scores(corpus, baselines, schemes, means, indicator)
+        university_scores(corpus, baselines, means, indicator)
     # One impact evaluation per census byline row, whatever the number of levels.
     census_rows = sum(1 for pub in corpus.publications.values() for a in pub.byline
                       if a.researcher_id in corpus.researchers)
     assert len(calls) == census_rows
 
-    # An equal scheme set reuses the ledger; another baseline table rebuilds it.
-    assert credit_ledger(corpus, baselines, dict(schemes)) is credit_ledger(
-        corpus, baselines, schemes)
+    # The same baseline table reuses the ledger; another one rebuilds it.
+    assert credit_ledger(corpus, baselines) is credit_ledger(corpus, baselines)
     other = compute_baselines(corpus.publications)
-    rows = credit_ledger(corpus, other, schemes)
+    rows = credit_ledger(corpus, other)
     assert len(calls) == 2 * census_rows
-    assert rows == credit_ledger(corpus, baselines, schemes)
+    assert rows == credit_ledger(corpus, baselines)
 
 
 def test_per_unit_functions_reuse_the_ledger(tiny, monkeypatch):
     corpus = tiny.corpus
     baselines = compute_baselines(corpus.publications)
-    schemes = build_schemes(corpus.taxonomy)
-    means = compute_field_means(corpus, baselines, schemes)  # builds the ledger
+    means = compute_field_means(corpus, baselines)  # builds the ledger
     calls = []
 
     def counted(name, real):
@@ -151,27 +147,26 @@ def test_per_unit_functions_reuse_the_ledger(tiny, monkeypatch):
 
     researchers = corpus.researchers.values()
     for rid in corpus.researchers:
-        fss_r(corpus, baselines, schemes, rid)
+        fss_r(corpus, baselines, rid)
     for inst, sds in {(r.institution_id, r.sds_code) for r in researchers}:
-        fss_s(corpus, baselines, schemes, sds, inst)
-        fss_s(corpus, baselines, schemes, sds, None)
+        fss_s(corpus, baselines, sds, inst)
+        fss_s(corpus, baselines, sds, None)
     for dept in corpus.departments():
-        fss_d(corpus, baselines, schemes, means, dept)
+        fss_d(corpus, baselines, means, dept)
     for inst, uda in {(r.institution_id, corpus.uda_of(r)) for r in researchers}:
         for indicator in (fss_u, p_u, fp_u):
-            indicator(corpus, baselines, schemes, means, inst)
-            indicator(corpus, baselines, schemes, means, inst, uda)
+            indicator(corpus, baselines, means, inst)
+            indicator(corpus, baselines, means, inst, uda)
     assert calls == []
 
 
 def test_replaced_corpus_starts_without_ledger(tiny):
     corpus = tiny.corpus
     baselines = compute_baselines(corpus.publications)
-    schemes = build_schemes(corpus.taxonomy)
-    before = researcher_scores(corpus, baselines, schemes)
+    before = researcher_scores(corpus, baselines)
     r1 = dataclasses.replace(corpus.researchers["r1"],
                              salary_per_year=2 * 40000.0)
     scaled = dataclasses.replace(corpus, researchers={**corpus.researchers, "r1": r1})
-    after = researcher_scores(scaled, baselines, schemes)
+    after = researcher_scores(scaled, baselines)
     assert after.entries["r1"] * 2 == pytest.approx(before.entries["r1"], rel=1e-12)
     assert after.entries["r2"] == before.entries["r2"]

@@ -81,7 +81,7 @@ def test_batch_sets_ignore_researcher_order(synth):
     assert list(shuffled.researchers) != sorted(shuffled.researchers)
 
     def batch_sets(corpus):
-        args = (corpus, synth.baselines, synth.schemes)
+        args = (corpus, synth.baselines)
         means = compute_field_means(*args)
         sets = [researcher_scores(*args), staff_scores(*args), country_staff_scores(*args),
                 department_scores(*args, means)]
