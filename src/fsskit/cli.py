@@ -25,9 +25,9 @@ from .corpus import apply_exclusions, export_corpus, load_corpus, write_table
 from .dea import (corpus_input_ranks, dea_output_oriented, dmus_from_corpus, read_dmus,
                   scale_efficiency, write_dmus, write_results)
 from .errors import ComputationError, InputError
-from .indicators import (compute_field_means, country_staff_scores, department_scores,
-                         researcher_scores, split_staff_unit_id, staff_scores, university_scores,
-                         write_scores)
+from .indicators import (compute_field_means, country_staff_scores, credit_ledger,
+                         department_scores, researcher_scores, staff_scores, staff_unit_id,
+                         university_scores, write_scores)
 from .normalize import compute_baselines, load_baselines, write_baselines
 from .rankings import (compare_rankings, rank_scores, read_rankings, standardized_scores,
                        write_comparison, write_rankings)
@@ -86,7 +86,8 @@ def _sha256(path: Path) -> str:
 
 
 def _load_pipeline(args, config: RunConfig):
-    """Load, filter, and prepare everything scoring needs."""
+    """Load, filter, and prepare everything scoring needs, the credit ledger
+    included."""
     paths = _data_paths(args)
     corpus, report = load_corpus(paths["researchers"], paths["publications"],
                                  paths["bylines"], paths["taxonomy"],
@@ -102,7 +103,8 @@ def _load_pipeline(args, config: RunConfig):
     else:
         baselines = compute_baselines(corpus.publications)
     checksums = {paths[name].name: _sha256(paths[name]) for name in sorted(paths)}
-    return corpus, report, exclusions, baselines, checksums
+    ledger = credit_ledger(corpus, baselines)
+    return corpus, report, exclusions, baselines, ledger, checksums
 
 
 def _outdir(config: RunConfig) -> Path:
@@ -131,26 +133,26 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _score_sets(corpus, baselines, config):
+def _score_sets(ledger, config):
     """Researcher scores always; aggregate sets per the configured scope."""
-    sets = [researcher_scores(corpus, baselines)]
-    means = compute_field_means(corpus, baselines)
+    sets = [researcher_scores(ledger)]
+    means = compute_field_means(ledger)
     if config.scope == "sds":
-        sets.append(staff_scores(corpus, baselines))
+        sets.append(staff_scores(ledger))
     elif config.scope == "department":
-        sets.append(department_scores(corpus, baselines, means))
+        sets.append(department_scores(ledger, means))
     elif config.scope == "university":
         for indicator in ("fss_u", "p_u", "fp_u"):
-            sets.append(university_scores(corpus, baselines, means, indicator))
+            sets.append(university_scores(ledger, means, indicator))
     elif config.scope == "country":
-        sets.append(country_staff_scores(corpus, baselines))
+        sets.append(country_staff_scores(ledger))
     return sets
 
 
 def cmd_score(args) -> int:
     config, defaulted = _config_from_args(args)
-    corpus, report, exclusions, baselines, checksums = _load_pipeline(args, config)
-    sets = _score_sets(corpus, baselines, config)
+    _, report, exclusions, baselines, ledger, checksums = _load_pipeline(args, config)
+    sets = _score_sets(ledger, config)
 
     out = _outdir(config)
     write_scores(sets, out / "scores.csv")
@@ -182,7 +184,7 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _eligible(corpus, scores, level: str, uda: str | None):
+def _eligible(corpus, ledger, level: str, uda: str | None):
     """Units too small to rank fairly, per the configured staff thresholds."""
     exclude = set()
     if level == "university":
@@ -190,12 +192,9 @@ def _eligible(corpus, scores, level: str, uda: str | None):
         if uda is not None:
             exclude |= {inst for inst, u in corpus.excluded_institution_udas if u == uda}
     elif level == "staff":
-        for uid in scores.unit_ids():
-            inst, sds = split_staff_unit_id(uid)
-            if inst in corpus.excluded_institutions:
-                exclude.add(uid)
-            elif (inst, corpus.taxonomy.uda(sds)) in corpus.excluded_institution_udas:
-                exclude.add(uid)
+        exclude |= {staff_unit_id(r.institution_id, r.sds_code) for r in ledger
+                    if r.institution_id in corpus.excluded_institutions
+                    or (r.institution_id, r.uda_code) in corpus.excluded_institution_udas}
     return exclude
 
 
@@ -209,20 +208,25 @@ def cmd_rank(args) -> int:
     if level not in ("researcher", "staff") and args.standardize:
         raise InputError("--standardize only applies to researcher and staff rankings")
     config, _ = _config_from_args(args)
-    corpus, _, _, baselines, _ = _load_pipeline(args, config)
-    means = compute_field_means(corpus, baselines)
+    corpus, _, _, _, ledger, _ = _load_pipeline(args, config)
+    if args.uda is not None:
+        known = sorted(set(corpus.taxonomy.uda_of_sds.values()))
+        if args.uda not in known:
+            raise InputError(f"unknown discipline {args.uda!r}; the taxonomy has "
+                             f"{', '.join(known)}")
+    means = compute_field_means(ledger)
     if level == "researcher":
-        scores = researcher_scores(corpus, baselines)
+        scores = researcher_scores(ledger)
     elif level == "staff":
-        scores = staff_scores(corpus, baselines)
+        scores = staff_scores(ledger)
     elif level == "department":
-        scores = department_scores(corpus, baselines, means)
+        scores = department_scores(ledger, means)
     elif level == "university":
-        scores = university_scores(corpus, baselines, means, indicator or "fss_u", args.uda)
+        scores = university_scores(ledger, means, indicator or "fss_u", args.uda)
     if args.standardize:
         scores = standardized_scores(scores, means)
 
-    ranked = rank_scores(scores, exclude=_eligible(corpus, scores, level, args.uda))
+    ranked = rank_scores(scores, exclude=_eligible(corpus, ledger, level, args.uda))
     if not ranked.entries:
         raise ComputationError("no units left to rank after exclusions")
 
@@ -262,8 +266,8 @@ def cmd_dea(args) -> int:
         out = Path(args.output_dir or ".")
     else:
         config, _ = _config_from_args(args)
-        corpus, _, _, baselines, _ = _load_pipeline(args, config)
-        dmus, skipped = dmus_from_corpus(corpus, baselines)
+        corpus, _, _, _, ledger, _ = _load_pipeline(args, config)
+        dmus, skipped = dmus_from_corpus(corpus, ledger)
         for warning in skipped:
             print(f"warning: {warning}")
         out = _outdir(config)

@@ -51,6 +51,9 @@ class RunConfig:
             raise InputError(f"baseline_source must be one of {'/'.join(BASELINE_SOURCES)}")
         if self.baseline_source == "file" and not self.baseline_file:
             raise InputError("baseline_source 'file' requires baseline_file")
+        if self.baseline_source == "computed" and self.baseline_file:
+            raise InputError("baseline_file is set but baseline_source is 'computed'; "
+                             "set baseline_source to 'file' or drop baseline_file")
         if self.scope not in SCOPES:
             raise InputError(f"scope must be one of {'/'.join(SCOPES)}")
         self.exclusions.validate()

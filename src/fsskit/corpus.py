@@ -3,8 +3,8 @@
 A Corpus ties together researchers (each classified in exactly one field),
 their publications with ordered bylines, the field taxonomy (field code ->
 discipline code plus the field's co-authorship convention), and the national
-salary schedule. It is immutable after load; every downstream module only
-reads it.
+salary schedule. It is frozen: it holds only what was loaded (and the
+exclusion flags), and every downstream module only reads it.
 
 File formats (UTF-8, comma-delimited, header row, '.' decimal):
 
@@ -114,7 +114,7 @@ class SalarySchedule:
         return sorted({rank for rank, _ in self.entries})
 
 
-@dataclass
+@dataclass(frozen=True)
 class Corpus:
     researchers: dict[str, Researcher]
     publications: dict[str, Publication]
@@ -123,27 +123,16 @@ class Corpus:
     window: tuple[int, int]
     excluded_institution_udas: frozenset[tuple[str, str]] = frozenset()
     excluded_institutions: frozenset[str] = frozenset()
-    _authorships: dict[str, list[tuple[str, int]]] = field(default_factory=dict, repr=False)
-    # indicators.credit_ledger's cache; init=False, so dataclasses.replace starts it empty.
-    _ledger: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self._authorships:
-            index: dict[str, list[tuple[str, int]]] = {}
-            for pub_id in sorted(self.publications):
-                for entry in self.publications[pub_id].byline:
-                    if entry.researcher_id is not None:
-                        index.setdefault(entry.researcher_id, []).append((pub_id, entry.position))
-            self._authorships = index
 
     def publications_of(self, researcher_id: str) -> list[tuple[Publication, int]]:
-        """(publication, byline position) pairs for one census researcher."""
+        """(publication, byline position) pairs for one census researcher,
+        in publication id order."""
         if researcher_id not in self.researchers:
             return []
-        return [
-            (self.publications[pub_id], pos)
-            for pub_id, pos in self._authorships.get(researcher_id, [])
-        ]
+        return [(self.publications[pid], entry.position)
+                for pid in sorted(self.publications)
+                for entry in self.publications[pid].byline
+                if entry.researcher_id == researcher_id]
 
     def staff(self, institution_id: str | None = None, sds_code: str | None = None,
               uda_code: str | None = None, department_id: str | None = None) -> list[Researcher]:
@@ -328,7 +317,8 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
 
     Only ``config.window``, the observation window, is read from ``config``.
     Publications outside the window are skipped with a warning. Byline rows
-    whose researcher_id is unknown become external authors (warning).
+    whose researcher_id is unknown become external authors (warning); a
+    census researcher listed twice on one byline is an error.
     """
     report = LoadReport()
     taxonomy = load_taxonomy(taxonomy_file)
@@ -413,6 +403,9 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         if rid and rid not in researchers:
             unresolved += 1
             rid = ""
+        elif rid and any(a.researcher_id == rid for a in bylines[pid].values()):
+            raise LoadError(f"researcher {rid!r} appears twice in the byline of {pid!r}",
+                            file=byline_path, line=line, column="researcher_id")
         bylines[pid][position] = Authorship(
             position=position,
             researcher_id=rid or None,
@@ -533,7 +526,6 @@ def apply_exclusions(corpus: Corpus, min_years: float = 0.0, min_staff_uda: int 
     report.excluded_institution_udas = sorted(excluded_pairs)
     report.excluded_institutions = sorted(excluded_insts)
 
-    # replace() keeps the loaded authorship index and starts the ledger cache empty.
     filtered = replace(corpus, researchers=kept,
                        excluded_institution_udas=excluded_pairs,
                        excluded_institutions=excluded_insts)

@@ -27,11 +27,11 @@ import numpy as np
 
 from .corpus import Corpus, parse_float, read_table, require, write_table
 # perfbench/tracing.py wraps fractional_contribution and normalized_impact on
-# this module; the bridge itself takes its credit from indicators.credit_ledger.
+# this module; the bridge itself takes its credit from the ledger it is given.
 from .credit import fractional_contribution  # noqa: F401
 from .errors import ComputationError, InputError, LoadError
-from .indicators import credit_ledger, group_rows
-from .normalize import BaselineTable, normalized_impact  # noqa: F401
+from .indicators import CreditRow, group_rows
+from .normalize import normalized_impact  # noqa: F401
 from .simplex import LinearProgram, solve_lp
 
 MODELS = ("crs", "vrs")
@@ -228,7 +228,7 @@ def corpus_input_ranks(corpus: Corpus) -> list[str]:
     return ranks + extra
 
 
-def dmus_from_corpus(corpus: Corpus, baselines: BaselineTable) -> tuple[list[DMU], list[str]]:
+def dmus_from_corpus(corpus: Corpus, ledger: list[CreditRow]) -> tuple[list[DMU], list[str]]:
     """One DMU per institution.
 
     Inputs are labor cost split by rank (salary times years in post, summed
@@ -237,7 +237,7 @@ def dmus_from_corpus(corpus: Corpus, baselines: BaselineTable) -> tuple[list[DMU
     with no output at all cannot be scored and are skipped with a warning.
     """
     ranks = corpus_input_ranks(corpus)
-    staff = group_rows(credit_ledger(corpus, baselines), lambda r: r.institution_id)
+    staff = group_rows(ledger, lambda r: r.institution_id)
     dmus = []
     skipped = []
     for inst, members in staff.items():

@@ -31,10 +31,10 @@ taken over productive units only. Staff means are weighted by each
 institution's labor cost in the field.
 
 Every indicator reduces credit-ledger rows: one per researcher, with
-credited output, fractional and whole counts and labor cost. The ledger is
-built once per corpus. Batch functions group its rows; per-unit functions
-select one unit's rows and apply the same reduction, so both paths agree
-exactly.
+credited output, fractional and whole counts and labor cost. The caller
+builds the ledger once, with credit_ledger, and passes it to every
+indicator. Batch functions group its rows; per-unit functions select one
+unit's rows and apply the same reduction, so both paths agree exactly.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import (Corpus, Researcher, parse_float, read_table, require, resolve_salary,
-                     write_table)
+from .corpus import Corpus, parse_float, read_table, require, resolve_salary, write_table
 from .credit import fractional_contribution
 from .errors import ComputationError, InputError, LoadError, MissingFieldMeanError
 from .normalize import BaselineTable, normalized_impact
@@ -63,7 +62,6 @@ class ScoreSet:
     level: str
     indicator: str
     entries: dict[str, float]
-    window: tuple[int, int]
     metadata: dict = field(default_factory=dict)
 
     def unit_ids(self) -> list[str]:
@@ -99,12 +97,6 @@ def staff_unit_id(institution_id: str | None, sds_code: str) -> str:
     return f"{inst}{STAFF_KEY_SEPARATOR}{sds_code}"
 
 
-def split_staff_unit_id(unit_id: str) -> tuple[str, str]:
-    """(institution, field) of a staff unit id; the inverse of staff_unit_id."""
-    inst, _, sds = unit_id.rpartition(STAFF_KEY_SEPARATOR)
-    return inst, sds
-
-
 # ---------------------------------------------------------------------------
 # Credit ledger
 # ---------------------------------------------------------------------------
@@ -126,39 +118,38 @@ class CreditRow(NamedTuple):
     cost: float        # salary x years
 
 
-def _credit_row(corpus: Corpus, researcher: Researcher, baselines: BaselineTable) -> CreditRow:
-    """Walk one researcher's publications once, crediting each byline under
-    the convention the taxonomy gives the researcher's field."""
-    authorships = corpus._authorships.get(researcher.id, ())
-    convention = corpus.taxonomy.convention(researcher.sds_code)
-    outputs = []
-    shares = []
-    for pub_id, position in authorships:
-        pub = corpus.publications[pub_id]
-        share = fractional_contribution(pub.byline, position, convention)
-        shares.append(share)
-        outputs.append(normalized_impact(pub, baselines) * share)
-    salary = resolve_salary(researcher, corpus.salaries)
-    years = researcher.years_in_window
-    if salary <= 0 or years <= 0:
-        what = "salary" if salary <= 0 else "years_in_window"
-        raise ComputationError(f"researcher {researcher.id!r} has non-positive {what}")
-    return CreditRow(researcher.id, researcher.sds_code, corpus.uda_of(researcher),
-                     researcher.institution_id, researcher.department_id, researcher.rank,
-                     math.fsum(outputs), math.fsum(shares), len(authorships),
-                     salary, years, salary * years)
-
-
 def credit_ledger(corpus: Corpus, baselines: BaselineTable) -> list[CreditRow]:
-    """Every census researcher's row, in id order. Built on first use and kept
-    on the corpus while the same baseline table (by identity) is asked for,
-    so a command walks the bylines once."""
-    cached = corpus._ledger
-    if cached is None or cached[0] is not baselines:
-        rows = [_credit_row(corpus, corpus.researchers[rid], baselines)
-                for rid in sorted(corpus.researchers)]
-        cached = corpus._ledger = (baselines, rows)
-    return cached[1]
+    """Every census researcher's row, in id order, from one walk over the
+    publications: each publication with a census author is normalized once,
+    and each census byline entry is credited under the convention the
+    taxonomy gives its author's field."""
+    researchers = corpus.researchers
+    convention = {rid: corpus.taxonomy.convention(r.sds_code) for rid, r in researchers.items()}
+    outputs: dict[str, list[float]] = {rid: [] for rid in researchers}
+    shares: dict[str, list[float]] = {rid: [] for rid in researchers}
+    for pub in corpus.publications.values():
+        census = [entry for entry in pub.byline if entry.researcher_id in researchers]
+        if not census:
+            continue
+        impact = normalized_impact(pub, baselines)
+        for entry in census:
+            rid = entry.researcher_id
+            share = fractional_contribution(pub.byline, entry.position, convention[rid])
+            shares[rid].append(share)
+            outputs[rid].append(impact * share)
+    rows = []
+    for rid in sorted(researchers):
+        researcher = researchers[rid]
+        salary = resolve_salary(researcher, corpus.salaries)
+        years = researcher.years_in_window
+        if salary <= 0 or years <= 0:
+            what = "salary" if salary <= 0 else "years_in_window"
+            raise ComputationError(f"researcher {rid!r} has non-positive {what}")
+        rows.append(CreditRow(rid, researcher.sds_code, corpus.uda_of(researcher),
+                              researcher.institution_id, researcher.department_id,
+                              researcher.rank, math.fsum(outputs[rid]), math.fsum(shares[rid]),
+                              len(shares[rid]), salary, years, salary * years))
+    return rows
 
 
 def group_rows(rows, key) -> dict:
@@ -233,89 +224,84 @@ def _select(rows: list[CreditRow], **columns) -> list[CreditRow]:
                    for name, value in columns.items())]
 
 
-def fss_r(corpus: Corpus, baselines: BaselineTable, researcher_id: str) -> float:
+def fss_r(ledger: list[CreditRow], researcher_id: str) -> float:
     """Individual productivity: normalized fractional output per salary-year."""
-    if researcher_id not in corpus.researchers:
+    rows = _select(ledger, id=researcher_id)
+    if not rows:
         raise InputError(f"unknown researcher: {researcher_id!r}")
-    [row] = _select(credit_ledger(corpus, baselines), id=researcher_id)
-    return _fss_r_of(row)
+    return _fss_r_of(rows[0])
 
 
-def fss_s(corpus: Corpus, baselines: BaselineTable, sds_code: str,
-          institution_id: str | None = None) -> float:
+def fss_s(ledger: list[CreditRow], sds_code: str, institution_id: str | None = None) -> float:
     """Staff productivity of one field at one institution (or nationally when
     institution_id is None): normalized fractional output per unit of total
     labor cost over the window."""
-    rows = _select(credit_ledger(corpus, baselines),
-                   sds_code=sds_code, institution_id=institution_id)
+    rows = _select(ledger, sds_code=sds_code, institution_id=institution_id)
     if not rows:
         where = institution_id if institution_id is not None else "the census"
         raise ComputationError(f"no staff in field {sds_code!r} at {where}")
     return _staff_value(rows)
 
 
-def fss_d(corpus: Corpus, baselines: BaselineTable, means: FieldMeans,
-          department_id: str) -> float:
+def fss_d(ledger: list[CreditRow], means: FieldMeans, department_id: str) -> float:
     """Department productivity: average of members' field-standardized
     individual scores. Unproductive members pull the average down through
     the head count without contributing output."""
-    rows = _select(credit_ledger(corpus, baselines), department_id=department_id)
+    rows = _select(ledger, department_id=department_id)
     if not rows:
         raise ComputationError(f"no staff in department {department_id!r}")
     return _rollup(rows, "fss_r", means, _fss_r_of)
 
 
-def _university_value(indicator: str, corpus: Corpus, baselines: BaselineTable,
-                      means: FieldMeans, institution_id: str, uda_code: str | None) -> float:
-    rows = _select(credit_ledger(corpus, baselines),
-                   institution_id=institution_id, uda_code=uda_code)
+def _university_value(indicator: str, ledger: list[CreditRow], means: FieldMeans,
+                      institution_id: str, uda_code: str | None) -> float:
+    rows = _select(ledger, institution_id=institution_id, uda_code=uda_code)
     if not rows:
         raise ComputationError(f"no staff at {institution_id!r}"
                                + (f" in discipline {uda_code!r}" if uda_code else ""))
     return UNIVERSITY_INDICATORS[indicator](rows, means)
 
 
-def fss_u(corpus: Corpus, baselines: BaselineTable, means: FieldMeans, institution_id: str,
+def fss_u(ledger: list[CreditRow], means: FieldMeans, institution_id: str,
           uda_code: str | None = None) -> float:
     """Institution productivity: cost-share weighted average of the
     institution's field staff scores, each standardized by the national
     cost-weighted mean for that field. Restricting to one discipline ranks
     institutions within it."""
-    return _university_value("fss_u", corpus, baselines, means, institution_id, uda_code)
+    return _university_value("fss_u", ledger, means, institution_id, uda_code)
 
 
-def p_u(corpus: Corpus, baselines: BaselineTable, means: FieldMeans, institution_id: str,
+def p_u(ledger: list[CreditRow], means: FieldMeans, institution_id: str,
         uda_code: str | None = None) -> float:
     """Output volume per head: average of members' field-standardized
     publication rates (whole counts per year in post)."""
-    return _university_value("p_u", corpus, baselines, means, institution_id, uda_code)
+    return _university_value("p_u", ledger, means, institution_id, uda_code)
 
 
-def fp_u(corpus: Corpus, baselines: BaselineTable, means: FieldMeans, institution_id: str,
+def fp_u(ledger: list[CreditRow], means: FieldMeans, institution_id: str,
          uda_code: str | None = None) -> float:
     """Like p_u but on fractional publication counts, so multi-authored
     output is not double counted across institutions."""
-    return _university_value("fp_u", corpus, baselines, means, institution_id, uda_code)
+    return _university_value("fp_u", ledger, means, institution_id, uda_code)
 
 
 # ---------------------------------------------------------------------------
 # National means
 # ---------------------------------------------------------------------------
 
-def compute_field_means(corpus: Corpus, baselines: BaselineTable) -> FieldMeans:
+def compute_field_means(ledger: list[CreditRow]) -> FieldMeans:
     """National standardization means per field."""
-    rows = credit_ledger(corpus, baselines)
 
     def productive_mean(value_of) -> dict[str, float]:
         by_sds: dict[str, list[float]] = {}
-        for row in rows:
+        for row in ledger:
             value = value_of(row)
             if value > 0:
                 by_sds.setdefault(row.sds_code, []).append(value)
         return {sds: math.fsum(vals) / len(vals) for sds, vals in sorted(by_sds.items())}
 
     staff_values: dict[str, list[tuple[float, float]]] = {}
-    for (_, sds), members in group_rows(rows, lambda r: (r.institution_id, r.sds_code)).items():
+    for (_, sds), members in group_rows(ledger, lambda r: (r.institution_id, r.sds_code)).items():
         value = _staff_value(members)
         if value <= 0:
             continue
@@ -336,62 +322,53 @@ def compute_field_means(corpus: Corpus, baselines: BaselineTable) -> FieldMeans:
 # Batch evaluation
 # ---------------------------------------------------------------------------
 
-def researcher_scores(corpus: Corpus, baselines: BaselineTable) -> ScoreSet:
+def researcher_scores(ledger: list[CreditRow]) -> ScoreSet:
     """Individual scores for every census researcher."""
-    rows = credit_ledger(corpus, baselines)
     return ScoreSet(
         level="researcher",
         indicator="fss_r",
-        entries={row.id: _fss_r_of(row) for row in rows},
-        window=corpus.window,
-        metadata={"sds_of_unit": {row.id: row.sds_code for row in rows}},
+        entries={row.id: _fss_r_of(row) for row in ledger},
+        metadata={"sds_of_unit": {row.id: row.sds_code for row in ledger}},
     )
 
 
-def staff_scores(corpus: Corpus, baselines: BaselineTable) -> ScoreSet:
+def staff_scores(ledger: list[CreditRow]) -> ScoreSet:
     """Field staff scores for every (institution, field) pair with staff."""
-    groups = group_rows(credit_ledger(corpus, baselines), lambda r: (r.institution_id, r.sds_code))
+    groups = group_rows(ledger, lambda r: (r.institution_id, r.sds_code))
     entries = {staff_unit_id(inst, sds): _staff_value(members)
                for (inst, sds), members in groups.items()}
     sds_of_unit = {staff_unit_id(inst, sds): sds for inst, sds in groups}
     return ScoreSet(level="staff", indicator="fss_s", entries=entries,
-                    window=corpus.window, metadata={"sds_of_unit": sds_of_unit})
+                    metadata={"sds_of_unit": sds_of_unit})
 
 
-def country_staff_scores(corpus: Corpus, baselines: BaselineTable) -> ScoreSet:
+def country_staff_scores(ledger: list[CreditRow]) -> ScoreSet:
     """National staff score of every field with staff."""
-    groups = group_rows(credit_ledger(corpus, baselines), lambda r: r.sds_code)
+    groups = group_rows(ledger, lambda r: r.sds_code)
     entries = {staff_unit_id(None, sds): _staff_value(members)
                for sds, members in groups.items()}
     return ScoreSet(level="staff", indicator="fss_s", entries=entries,
-                    window=corpus.window, metadata={"scope": "country"})
+                    metadata={"scope": "country"})
 
 
-def department_scores(corpus: Corpus, baselines: BaselineTable, means: FieldMeans) -> ScoreSet:
-    rows = [row for row in credit_ledger(corpus, baselines) if row.department_id]
+def department_scores(ledger: list[CreditRow], means: FieldMeans) -> ScoreSet:
+    rows = [row for row in ledger if row.department_id]
     entries = {dept: _rollup(members, "fss_r", means, _fss_r_of)
                for dept, members in group_rows(rows, lambda r: r.department_id).items()}
-    return ScoreSet(level="department", indicator="fss_d", entries=entries,
-                    window=corpus.window)
+    return ScoreSet(level="department", indicator="fss_d", entries=entries)
 
 
-def university_scores(corpus: Corpus, baselines: BaselineTable, means: FieldMeans,
-                      indicator: str = "fss_u", uda_code: str | None = None) -> ScoreSet:
+def university_scores(ledger: list[CreditRow], means: FieldMeans, indicator: str = "fss_u",
+                      uda_code: str | None = None) -> ScoreSet:
     """Institution-level scores; ``indicator`` picks fss_u, p_u or fp_u."""
     value_of = UNIVERSITY_INDICATORS.get(indicator)
     if value_of is None:
         raise InputError(f"unknown university indicator: {indicator!r}")
-    rows = credit_ledger(corpus, baselines)
-    if uda_code is not None:
-        known = sorted(set(corpus.taxonomy.uda_of_sds.values()))
-        if uda_code not in known:
-            raise InputError(f"unknown discipline {uda_code!r}; the taxonomy has "
-                             f"{', '.join(known)}")
-        rows = [row for row in rows if row.uda_code == uda_code]
+    rows = _select(ledger, uda_code=uda_code)
     entries = {inst: value_of(members, means)
                for inst, members in group_rows(rows, lambda r: r.institution_id).items()}
     return ScoreSet(level="university", indicator=indicator, entries=entries,
-                    window=corpus.window, metadata={} if uda_code is None else {"uda": uda_code})
+                    metadata={} if uda_code is None else {"uda": uda_code})
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +385,7 @@ def write_scores(score_sets, path) -> Path:
     return write_table(path, SCORE_COLUMNS, rows)
 
 
-def read_scores(path, window: tuple[int, int] = (0, 0)) -> list[ScoreSet]:
+def read_scores(path) -> list[ScoreSet]:
     path = Path(path)
     grouped: dict[tuple[str, str], dict[str, float]] = {}
     for line, (level, uid, indicator, value) in read_table(path, SCORE_COLUMNS):
@@ -421,6 +398,6 @@ def read_scores(path, window: tuple[int, int] = (0, 0)) -> list[ScoreSet]:
                             file=path, line=line, column="unit_id")
         bucket[uid] = parse_float(value, path, line, "value")
     return [
-        ScoreSet(level=level, indicator=indicator, entries=entries, window=window)
+        ScoreSet(level=level, indicator=indicator, entries=entries)
         for (level, indicator), entries in sorted(grouped.items())
     ]

@@ -139,7 +139,6 @@ def standardized_scores(scores: ScoreSet, means: FieldMeans) -> ScoreSet:
         level=scores.level,
         indicator=f"{scores.indicator}_std",
         entries=entries,
-        window=scores.window,
         metadata=dict(scores.metadata),
     )
 

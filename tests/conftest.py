@@ -8,7 +8,7 @@ import pytest
 
 from fsskit.config import RunConfig
 from fsskit.corpus import load_corpus
-from fsskit.indicators import compute_field_means, researcher_scores
+from fsskit.indicators import compute_field_means, credit_ledger, researcher_scores
 from fsskit.normalize import compute_baselines
 from fsskit.synth import generate_synthetic_corpus
 
@@ -100,7 +100,8 @@ def synth_corpus():
 @pytest.fixture(scope="session")
 def synth(synth_corpus):
     baselines = compute_baselines(synth_corpus.publications)
-    scores = researcher_scores(synth_corpus, baselines)
-    means = compute_field_means(synth_corpus, baselines)
-    return SimpleNamespace(corpus=synth_corpus, baselines=baselines,
+    ledger = credit_ledger(synth_corpus, baselines)
+    scores = researcher_scores(ledger)
+    means = compute_field_means(ledger)
+    return SimpleNamespace(corpus=synth_corpus, baselines=baselines, ledger=ledger,
                            researcher_scores=scores, means=means)

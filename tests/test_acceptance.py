@@ -21,7 +21,7 @@ from fsskit.cli import main
 from fsskit.corpus import Authorship, SalarySchedule, export_corpus
 from fsskit.credit import ALPHABETICAL, POSITION_WEIGHTED, byline_weights
 from fsskit.dea import DMU, _envelopment_lp, dea_output_oriented, scale_efficiency
-from fsskit.indicators import (compute_field_means, fss_d, fss_r, fss_s, fss_u,
+from fsskit.indicators import (compute_field_means, credit_ledger, fss_d, fss_r, fss_s, fss_u,
                                fp_u, p_u, researcher_scores, staff_scores,
                                university_scores, write_scores)
 from fsskit.normalize import compute_baselines, normalized_impact
@@ -78,31 +78,31 @@ def test_02_byline_credit_fixtures():
 def test_03_indicator_oracle_equivalence(synth):
     with criterion("independent naive recomputation of all six indicators (1e-9)"):
         corpus = synth.corpus
-        baselines, means = synth.baselines, synth.means
+        ledger, means = synth.ledger, synth.means
         oracle = ReferenceScores(corpus)
 
         for rid in corpus.researchers:
-            assert fss_r(corpus, baselines, rid) == pytest.approx(
+            assert fss_r(ledger, rid) == pytest.approx(
                 oracle.fss_r(rid), rel=1e-9), rid
 
         for inst in corpus.institutions():
             fields = sorted({r.sds_code for r in corpus.staff(institution_id=inst)})
             for sds in fields:
-                assert fss_s(corpus, baselines, sds, inst) == pytest.approx(
+                assert fss_s(ledger, sds, inst) == pytest.approx(
                     oracle.fss_s(sds, inst), rel=1e-9), (inst, sds)
-            assert fss_u(corpus, baselines, means, inst) == pytest.approx(
+            assert fss_u(ledger, means, inst) == pytest.approx(
                 oracle.fss_u(inst), rel=1e-9), inst
-            assert p_u(corpus, baselines, means, inst) == pytest.approx(
+            assert p_u(ledger, means, inst) == pytest.approx(
                 oracle.p_u(inst), rel=1e-9), inst
-            assert fp_u(corpus, baselines, means, inst) == pytest.approx(
+            assert fp_u(ledger, means, inst) == pytest.approx(
                 oracle.fp_u(inst), rel=1e-9), inst
 
         for sds in corpus.taxonomy.sds_codes():
-            assert fss_s(corpus, baselines, sds, None) == pytest.approx(
+            assert fss_s(ledger, sds, None) == pytest.approx(
                 oracle.fss_s(sds, None), rel=1e-9), sds
 
         for dept in corpus.departments():
-            assert fss_d(corpus, baselines, means, dept) == pytest.approx(
+            assert fss_d(ledger, means, dept) == pytest.approx(
                 oracle.fss_d(dept), rel=1e-9), dept
 
 
@@ -142,22 +142,23 @@ def test_05_salary_scale_invariance(synth):
     with criterion("salary scaling by k in {0.5, 3}: orders fixed, FSS x 1/k"):
         corpus, baselines = synth.corpus, synth.baselines
         base_r = synth.researcher_scores
-        base_staff = staff_scores(corpus, baselines)
-        base_uni = university_scores(corpus, baselines, synth.means)
+        base_staff = staff_scores(synth.ledger)
+        base_uni = university_scores(synth.ledger, synth.means)
 
         def order(scores):
             return [e.unit_id for e in rank_scores(scores).entries]
 
         for k in (0.5, 3.0):
             scaled = scale_salaries(corpus, k)
-            scaled_r = researcher_scores(scaled, baselines)
+            scaled_ledger = credit_ledger(scaled, baselines)
+            scaled_r = researcher_scores(scaled_ledger)
             for rid, value in base_r.entries.items():
                 assert scaled_r.entries[rid] * k == pytest.approx(value, rel=1e-12), rid
-            scaled_staff = staff_scores(scaled, baselines)
+            scaled_staff = staff_scores(scaled_ledger)
             for uid, value in base_staff.entries.items():
                 assert scaled_staff.entries[uid] * k == pytest.approx(value, rel=1e-12)
-            scaled_means = compute_field_means(scaled, baselines)
-            scaled_uni = university_scores(scaled, baselines, scaled_means)
+            scaled_means = compute_field_means(scaled_ledger)
+            scaled_uni = university_scores(scaled_ledger, scaled_means)
             assert order(scaled_r) == order(base_r)
             assert order(scaled_staff) == order(base_staff)
             assert order(scaled_uni) == order(base_uni)
@@ -243,11 +244,12 @@ def test_10_throughput(tmp_path):
     with criterion(f"score {len(corpus.publications)} publications in < 30s"):
         t0 = time.perf_counter()
         baselines = compute_baselines(corpus.publications)
-        scores = researcher_scores(corpus, baselines)
-        means = compute_field_means(corpus, baselines)
+        ledger = credit_ledger(corpus, baselines)
+        scores = researcher_scores(ledger)
+        means = compute_field_means(ledger)
         sets = [scores]
         for indicator in ("fss_u", "p_u", "fp_u"):
-            sets.append(university_scores(corpus, baselines, means, indicator))
+            sets.append(university_scores(ledger, means, indicator))
         write_scores(sets, tmp_path / "scores.csv")
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"scoring took {elapsed:.1f}s"

@@ -217,6 +217,20 @@ def test_rank_staff_respects_field_exclusions(tiny_dir, tmp_path):
     assert ranked.unit_ids() == {"UA:MAT01", "UB:BIO01"}
 
 
+def test_rank_staff_with_separator_in_field_code(tiny_dir, tmp_path):
+    # A field code may hold the ':' that joins institution and field in a
+    # staff unit id; (UB, MATH) is still flagged and left out.
+    for name in ("researchers.csv", "taxonomy.csv"):
+        path = tiny_dir / name
+        path.write_text(path.read_text().replace("MAT01", "MAT:01"))
+    out = tmp_path / "out"
+    assert main(["rank", *data_args(tiny_dir), "--min-years", "0",
+                 "--min-staff-uda", "2", "--min-staff-total", "0",
+                 "--level", "staff", "--output-dir", str(out)]) == 0
+    ranked = read_rankings(out / "rankings.csv")
+    assert ranked.unit_ids() == {"UA:MAT:01", "UB:BIO01"}
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------

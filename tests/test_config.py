@@ -88,3 +88,20 @@ def test_value_of_wrong_type_exits_2(tiny_dir, tmp_path, monkeypatch, capsys, te
     assert main(["score", "--data", str(tiny_dir), "--config", str(config)]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_baseline_file_with_computed_source_exits_2(tiny_dir, tmp_path, capsys, source):
+    # The computed baselines would be used and the named file ignored.
+    out = tmp_path / "out"
+    argv = ["score", "--data", str(tiny_dir), "--output-dir", str(out)]
+    if source == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"baseline_file": "baselines.csv"}))
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--baseline-file", str(tmp_path / "baselines.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "baseline_file" in err and "baseline_source" in err
+    assert not out.exists()

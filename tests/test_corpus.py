@@ -7,8 +7,6 @@ import pytest
 from fsskit.config import RunConfig
 from fsskit.corpus import apply_exclusions, export_corpus, load_corpus, resolve_salary
 from fsskit.errors import InputError, LoadError, RankNotFoundError
-from fsskit.indicators import researcher_scores
-from fsskit.normalize import compute_baselines
 
 from conftest import TINY_FILES, write_tiny_files
 
@@ -141,6 +139,26 @@ def test_duplicate_byline_position_rejected(tmp_path):
         load_patched(tmp_path, **{"bylines.csv": bad})
 
 
+def test_census_researcher_twice_on_one_byline_rejected(tmp_path):
+    bad = TINY_FILES["bylines.csv"].replace("p2,3,r2,UA", "p2,3,r1,UA")
+    with pytest.raises(LoadError) as err:
+        load_patched(tmp_path, **{"bylines.csv": bad})
+    message = str(err.value)
+    assert "'r1' appears twice in the byline of 'p2'" in message
+    assert "bylines.csv" in message
+    assert "line 5" in message
+    assert "researcher_id" in message
+
+
+def test_external_authors_may_repeat_on_one_byline(tmp_path):
+    # p5 then lists the unresolved id "ghost" twice, and p4 two external authors.
+    repeated = (TINY_FILES["bylines.csv"].replace("p5,1,,XY", "p5,1,ghost,XY")
+                .replace("p4,1,r3,UB", "p4,1,,XX"))
+    corpus, _ = load_patched(tmp_path, **{"bylines.csv": repeated})
+    assert [a.researcher_id for a in corpus.publications["p5"].byline] == [None, "r3", None]
+    assert [a.researcher_id for a in corpus.publications["p4"].byline] == [None, None, "r4"]
+
+
 def test_byline_for_unknown_publication_rejected(tmp_path):
     bad = TINY_FILES["bylines.csv"] + "p99,1,r1,UA\n"
     with pytest.raises(LoadError) as err:
@@ -221,10 +239,6 @@ def test_negative_thresholds_rejected(tiny):
         apply_exclusions(tiny.corpus, min_years=-1)
 
 
-def test_exclusions_keep_authorship_index(tiny):
-    corpus = tiny.corpus
-    researcher_scores(corpus, compute_baselines(corpus.publications))
-    assert corpus._ledger is not None
-    filtered, _ = apply_exclusions(corpus, min_years=3)
-    assert filtered._authorships is corpus._authorships
-    assert filtered._ledger is None
+def test_corpus_is_frozen(tiny):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tiny.corpus.researchers = {}

@@ -7,7 +7,7 @@ import pytest
 
 from fsskit.corpus import Authorship, FieldTaxonomy
 from fsskit.credit import ALPHABETICAL, POSITION_WEIGHTED, byline_weights, fractional_contribution
-from fsskit.indicators import researcher_scores
+from fsskit.indicators import credit_ledger
 from fsskit.normalize import compute_baselines
 
 from oracles import reference_byline_weights
@@ -115,4 +115,4 @@ def test_unknown_convention_is_refused(tiny):
                                                 "BIO01": "life_sciences"})
     broken = dataclasses.replace(corpus, taxonomy=taxonomy)
     with pytest.raises(ValueError, match="life_sciences"):
-        researcher_scores(broken, compute_baselines(corpus.publications))
+        credit_ledger(broken, compute_baselines(corpus.publications))

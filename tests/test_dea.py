@@ -16,6 +16,7 @@ from fsskit.dea import (DMU, corpus_input_ranks, dea_output_oriented,
                         validate_dmus, write_dmus, write_results,
                         _envelopment_lp)
 from fsskit.errors import ComputationError, InputError, LoadError
+from fsskit.indicators import credit_ledger
 from fsskit.normalize import compute_baselines
 from fsskit.simplex import solve_lp
 from conftest import write_tiny_files
@@ -239,7 +240,7 @@ def test_write_results_format(tmp_path):
 def test_dmus_from_tiny_corpus(tiny):
     baselines = compute_baselines(tiny.corpus.publications)
     assert corpus_input_ranks(tiny.corpus) == ["assistant", "full"]
-    dmus, skipped = dmus_from_corpus(tiny.corpus, baselines)
+    dmus, skipped = dmus_from_corpus(tiny.corpus, credit_ledger(tiny.corpus, baselines))
     assert skipped == []
     by_id = {d.id: d for d in dmus}
     # UA: assistant cost 40000*5, full cost 70000*4;
@@ -262,6 +263,6 @@ def test_dmus_from_corpus_skips_outputless_institution(tmp_path):
         directory / "taxonomy.csv", directory / "salaries.csv", RunConfig(),
     )
     baselines = compute_baselines(corpus.publications)
-    dmus, skipped = dmus_from_corpus(corpus, baselines)
+    dmus, skipped = dmus_from_corpus(corpus, credit_ledger(corpus, baselines))
     assert {d.id for d in dmus} == {"UA", "UB"}
     assert len(skipped) == 1 and "UC" in skipped[0]

@@ -26,7 +26,7 @@ import pytest
 
 from fsskit.corpus import Corpus
 from fsskit.errors import ComputationError, InputError, MissingFieldMeanError
-from fsskit.indicators import (FieldMeans, compute_field_means, department_scores,
+from fsskit.indicators import (FieldMeans, compute_field_means, credit_ledger, department_scores,
                                fp_u, fss_d, fss_r, fss_s, fss_u, p_u,
                                researcher_scores, read_scores, staff_scores,
                                staff_unit_id, university_scores, write_scores)
@@ -70,36 +70,31 @@ FP_U = {"UA": F(21, 16), "UB": F(19, 24)}
 
 
 @pytest.fixture
-def ready(tiny):
-    baselines = compute_baselines(tiny.corpus.publications)
-    return tiny.corpus, baselines
+def ledger(tiny):
+    return credit_ledger(tiny.corpus, compute_baselines(tiny.corpus.publications))
 
 
-def test_fss_r_matches_hand_derivation(ready):
-    corpus, baselines = ready
+def test_fss_r_matches_hand_derivation(ledger):
     for rid, expected in FSS_R.items():
-        assert fss_r(corpus, baselines, rid) == pytest.approx(
+        assert fss_r(ledger, rid) == pytest.approx(
             float(expected), rel=1e-12), rid
 
 
-def test_fss_s_matches_hand_derivation(ready):
-    corpus, baselines = ready
+def test_fss_s_matches_hand_derivation(ledger):
     for (inst, sds), expected in FSS_S.items():
-        assert fss_s(corpus, baselines, sds, inst) == pytest.approx(
+        assert fss_s(ledger, sds, inst) == pytest.approx(
             float(expected), rel=1e-12), (inst, sds)
 
 
-def test_country_staff_score_is_cost_weighted_mean(ready):
+def test_country_staff_score_is_cost_weighted_mean(ledger):
     # National output over national cost equals the cost-weighted mean of
     # the university staff scores when every university is productive.
-    corpus, baselines = ready
-    assert fss_s(corpus, baselines, "MAT01", None) == pytest.approx(
+    assert fss_s(ledger, "MAT01", None) == pytest.approx(
         float(MEAN_S_MAT), rel=1e-12)
 
 
-def test_field_means(ready):
-    corpus, baselines = ready
-    means = compute_field_means(corpus, baselines)
+def test_field_means(ledger):
+    means = compute_field_means(ledger)
     assert means.fss_r["MAT01"] == pytest.approx(float(MEAN_R_MAT), rel=1e-12)
     assert means.fss_r["BIO01"] == pytest.approx(float(MEAN_R_BIO), rel=1e-12)
     assert means.fss_s["MAT01"] == pytest.approx(float(MEAN_S_MAT), rel=1e-12)
@@ -110,83 +105,74 @@ def test_field_means(ready):
     assert means.fq["BIO01"] == pytest.approx(13 / 75, rel=1e-12)
 
 
-def test_fss_d_matches_hand_derivation(ready):
-    corpus, baselines = ready
-    means = compute_field_means(corpus, baselines)
+def test_fss_d_matches_hand_derivation(ledger):
+    means = compute_field_means(ledger)
     for dept, expected in FSS_D.items():
-        assert fss_d(corpus, baselines, means, dept) == pytest.approx(
+        assert fss_d(ledger, means, dept) == pytest.approx(
             float(expected), rel=1e-12), dept
 
 
-def test_fss_u_matches_hand_derivation(ready):
-    corpus, baselines = ready
-    means = compute_field_means(corpus, baselines)
+def test_fss_u_matches_hand_derivation(ledger):
+    means = compute_field_means(ledger)
     for inst, expected in FSS_U.items():
-        assert fss_u(corpus, baselines, means, inst) == pytest.approx(
+        assert fss_u(ledger, means, inst) == pytest.approx(
             float(expected), rel=1e-12), inst
 
 
-def test_fss_u_restricted_to_one_discipline(ready):
-    corpus, baselines = ready
-    means = compute_field_means(corpus, baselines)
+def test_fss_u_restricted_to_one_discipline(ledger):
+    means = compute_field_means(ledger)
     # Within MATH only, UB's single field takes the whole cost share.
     expected = FSS_S[("UB", "MAT01")] / MEAN_S_MAT
-    assert fss_u(corpus, baselines, means, "UB", "MATH") == pytest.approx(
+    assert fss_u(ledger, means, "UB", "MATH") == pytest.approx(
         float(expected), rel=1e-12)
 
 
-def test_rate_indicators_match_hand_derivation(ready):
-    corpus, baselines = ready
-    means = compute_field_means(corpus, baselines)
+def test_rate_indicators_match_hand_derivation(ledger):
+    means = compute_field_means(ledger)
     for inst in ("UA", "UB"):
-        assert p_u(corpus, baselines, means, inst) == pytest.approx(
+        assert p_u(ledger, means, inst) == pytest.approx(
             float(P_U[inst]), rel=1e-12)
-        assert fp_u(corpus, baselines, means, inst) == pytest.approx(
+        assert fp_u(ledger, means, inst) == pytest.approx(
             float(FP_U[inst]), rel=1e-12)
 
 
-def test_batch_sets_cover_all_units(ready):
-    corpus, baselines = ready
-    means = compute_field_means(corpus, baselines)
-    individual = researcher_scores(corpus, baselines)
+def test_batch_sets_cover_all_units(ledger):
+    means = compute_field_means(ledger)
+    individual = researcher_scores(ledger)
     assert sorted(individual.entries) == ["r1", "r2", "r3", "r4", "r5"]
     assert individual.metadata["sds_of_unit"]["r3"] == "BIO01"
-    staff = staff_scores(corpus, baselines)
+    staff = staff_scores(ledger)
     assert sorted(staff.entries) == [
         staff_unit_id("UA", "MAT01"), staff_unit_id("UB", "BIO01"),
         staff_unit_id("UB", "MAT01"),
     ]
-    depts = department_scores(corpus, baselines, means)
+    depts = department_scores(ledger, means)
     assert sorted(depts.entries) == ["UA-M", "UB-B", "UB-M"]
-    unis = university_scores(corpus, baselines, means)
+    unis = university_scores(ledger, means)
     assert sorted(unis.entries) == ["UA", "UB"]
 
 
-def test_unknown_researcher_rejected(ready):
-    corpus, baselines = ready
+def test_unknown_researcher_rejected(ledger):
     with pytest.raises(InputError):
-        fss_r(corpus, baselines, "nobody")
+        fss_r(ledger, "nobody")
 
 
-def test_empty_staff_rejected(ready):
-    corpus, baselines = ready
+def test_empty_staff_rejected(ledger):
     with pytest.raises(ComputationError):
-        fss_s(corpus, baselines, "MAT01", "UX")
+        fss_s(ledger, "MAT01", "UX")
     with pytest.raises(ComputationError):
-        fss_d(corpus, baselines,
-              FieldMeans(fss_r={}, fss_s={}, q={}, fq={}), "no-dept")
+        fss_d(ledger, FieldMeans(fss_r={}, fss_s={}, q={}, fq={}), "no-dept")
 
 
-def test_missing_field_mean_is_named(ready):
-    corpus, baselines = ready
+def test_missing_field_mean_is_named(ledger):
     empty = FieldMeans(fss_r={}, fss_s={}, q={}, fq={})
     with pytest.raises(MissingFieldMeanError) as err:
-        fss_d(corpus, baselines, empty, "UA-M")
+        fss_d(ledger, empty, "UA-M")
     assert "MAT01" in str(err.value)
 
 
-def test_nonpositive_years_rejected_at_scoring(ready):
-    corpus, baselines = ready
+def test_nonpositive_years_rejected_at_scoring(tiny):
+    corpus = tiny.corpus
     broken = dataclasses.replace(corpus.researchers["r1"], years_in_window=0.0)
     patched = Corpus(
         researchers={**corpus.researchers, "r1": broken},
@@ -196,15 +182,14 @@ def test_nonpositive_years_rejected_at_scoring(ready):
         window=corpus.window,
     )
     with pytest.raises(ComputationError):
-        fss_r(patched, baselines, "r1")
+        credit_ledger(patched, compute_baselines(corpus.publications))
 
 
-def test_scores_round_trip(ready, tmp_path):
-    corpus, baselines = ready
-    individual = researcher_scores(corpus, baselines)
-    staff = staff_scores(corpus, baselines)
+def test_scores_round_trip(ledger, tmp_path):
+    individual = researcher_scores(ledger)
+    staff = staff_scores(ledger)
     path = write_scores([individual, staff], tmp_path / "scores.csv")
-    loaded = read_scores(path, window=corpus.window)
+    loaded = read_scores(path)
     by_key = {(s.level, s.indicator): s for s in loaded}
     assert by_key[("researcher", "fss_r")].entries == individual.entries
     assert by_key[("staff", "fss_s")].entries == staff.entries

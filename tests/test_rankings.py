@@ -14,12 +14,9 @@ from fsskit.rankings import (RankedEntry, RankedList, aggregate_percentiles,
                              write_comparison, write_rankings)
 from oracles import reference_spearman_distinct
 
-WINDOW = (2006, 2010)
-
-
 def score_set(entries, level="university", indicator="fss_u", metadata=None):
     return ScoreSet(level=level, indicator=indicator, entries=entries,
-                    window=WINDOW, metadata=metadata or {})
+                    metadata=metadata or {})
 
 
 def ranked(scores_desc):

@@ -16,8 +16,9 @@ import pytest
 
 from fsskit.cli import main
 from fsskit.corpus import export_corpus
-from fsskit.indicators import (compute_field_means, country_staff_scores, department_scores,
-                               researcher_scores, staff_scores, university_scores)
+from fsskit.indicators import (compute_field_means, country_staff_scores, credit_ledger,
+                               department_scores, researcher_scores, staff_scores,
+                               university_scores)
 
 SHUFFLED = ("researchers.csv", "publications.csv", "bylines.csv")
 
@@ -81,11 +82,11 @@ def test_batch_sets_ignore_researcher_order(synth):
     assert list(shuffled.researchers) != sorted(shuffled.researchers)
 
     def batch_sets(corpus):
-        args = (corpus, synth.baselines)
-        means = compute_field_means(*args)
-        sets = [researcher_scores(*args), staff_scores(*args), country_staff_scores(*args),
-                department_scores(*args, means)]
-        sets += [university_scores(*args, means, indicator)
+        ledger = credit_ledger(corpus, synth.baselines)
+        means = compute_field_means(ledger)
+        sets = [researcher_scores(ledger), staff_scores(ledger), country_staff_scores(ledger),
+                department_scores(ledger, means)]
+        sets += [university_scores(ledger, means, indicator)
                  for indicator in ("fss_u", "p_u", "fp_u")]
         return means, [(s.entries, s.metadata) for s in sets]
 

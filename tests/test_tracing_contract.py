@@ -1,0 +1,33 @@
+"""The benchmark's tracer finds every package name it wraps.
+
+perfbench/tracing.py times the package from outside by replacing public
+functions by name. A rename in the package would otherwise break only a
+traced benchmark run, so this checks each wrapped name and that a traced
+`score` run fills the load, impact and credit counters.
+"""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+import tracing  # noqa: E402
+
+from fsskit.cli import main  # noqa: E402
+
+
+def test_every_wrapped_name_exists():
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _ in tracing.WRAPPED if not hasattr(owner, attr)]
+    assert missing == []
+
+
+def test_traced_score_run_fills_the_counters(tiny_dir, tmp_path):
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert main(["score", "--data", str(tiny_dir), "--output-dir", str(tmp_path / "out")]) == 0
+    metrics = tracer.metrics()
+    for name in ("corpus.load_s", "normalize.impact_calls", "credit.weights_calls"):
+        assert metrics[name] > 0, name
