@@ -4,7 +4,9 @@ A Corpus ties together researchers (each classified in exactly one field),
 their publications with ordered bylines, the field taxonomy (field code ->
 discipline code plus the field's co-authorship convention), and the national
 salary schedule. It is frozen: it holds only what was loaded (and the
-exclusion flags), and every downstream module only reads it.
+exclusion flags), and every downstream module only reads it. load_corpus
+reads each file in one pass and builds each record once; Authorship and
+Publication are NamedTuples, as there is one Authorship per byline row.
 
 File formats (UTF-8, comma-delimited, header row, '.' decimal):
 
@@ -29,7 +31,7 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .credit import CONVENTIONS
 from .errors import InputError, LoadError, RankNotFoundError
@@ -53,15 +55,13 @@ class Researcher:
     department_id: str | None = None
 
 
-@dataclass(frozen=True)
-class Authorship:
+class Authorship(NamedTuple):
     position: int
     institution_id: str
     researcher_id: str | None = None  # None for external (non-census) authors
 
 
-@dataclass(frozen=True)
-class Publication:
+class Publication(NamedTuple):
     id: str
     year: int
     citations: int
@@ -87,9 +87,6 @@ class FieldTaxonomy:
             return self.convention_of_sds[sds_code]
         except KeyError:
             raise InputError(f"unknown field code: {sds_code!r}") from None
-
-    def sds_codes(self) -> list[str]:
-        return sorted(self.uda_of_sds)
 
 
 @dataclass(frozen=True)
@@ -153,9 +150,6 @@ class Corpus:
 
     def institutions(self) -> list[str]:
         return sorted({r.institution_id for r in self.researchers.values()})
-
-    def departments(self) -> list[str]:
-        return sorted({r.department_id for r in self.researchers.values() if r.department_id})
 
     def uda_of(self, researcher: Researcher) -> str:
         return self.taxonomy.uda(researcher.sds_code)
@@ -327,6 +321,7 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
 
     researcher_path = Path(researcher_file)
     researchers: dict[str, Researcher] = {}
+    ranks = set(salaries.ranks())
     rows = read_table(researcher_path, ("id", "sds", "rank", "institution", "years_in_window"),
                       ("name", "salary", "department"))
     for line, (rid, sds, rank, institution, years, name, salary, department) in rows:
@@ -343,11 +338,15 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         salary = parse_float(salary, researcher_path, line, "salary") if salary else None
         if salary is not None and salary <= 0:
             raise LoadError("salary must be positive", file=researcher_path, line=line, column="salary")
+        require(rank, researcher_path, line, "rank")
+        if salary is None and rank not in ranks:
+            raise LoadError(f"rank {rank!r} not present in the salary schedule",
+                            file=researcher_path, line=line, column="rank")
         researchers[rid] = Researcher(
             id=rid,
             name=name,
             sds_code=sds,
-            rank=require(rank, researcher_path, line, "rank"),
+            rank=rank,
             salary_per_year=salary,
             institution_id=require(institution, researcher_path, line, "institution"),
             department_id=department or None,
@@ -356,11 +355,12 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
     report.row_counts["researchers"] = len(researchers)
 
     publication_path = Path(publication_file)
-    pub_fields: dict[str, tuple[int, int, tuple[str, ...]]] = {}
-    skipped_pubs: set[str] = set()
+    # pid -> (year, citations, categories, {position: Authorship}), or None
+    # for a publication outside the window.
+    kept: dict[str, tuple[int, int, tuple[str, ...], dict[int, Authorship]] | None] = {}
     for line, (pid, year, citations, categories) in read_table(publication_path, PUBLICATION_COLUMNS):
         require(pid, publication_path, line, "id")
-        if pid in pub_fields or pid in skipped_pubs:
+        if pid in kept:
             raise LoadError(f"duplicate publication id {pid!r}", file=publication_path, line=line, column="id")
         year = parse_int(year, publication_path, line, "year")
         citations = parse_int(citations, publication_path, line, "citations")
@@ -370,66 +370,60 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         if not categories:
             raise LoadError("at least one subject category is required", file=publication_path,
                             line=line, column="subject_categories")
-        if not start <= year <= end:
-            skipped_pubs.add(pid)
-            continue
-        pub_fields[pid] = (year, citations, categories)
-    report.row_counts["publications"] = len(pub_fields) + len(skipped_pubs)
-    if skipped_pubs:
-        report.warnings.append(
-            f"skipped {len(skipped_pubs)} publication(s) outside the {start}-{end} window"
-        )
-    if not report.row_counts["publications"]:
+        kept[pid] = (year, citations, categories, {}) if start <= year <= end else None
+    report.row_counts["publications"] = len(kept)
+    skipped = sum(pub is None for pub in kept.values())
+    if skipped:
+        report.warnings.append(f"skipped {skipped} publication(s) outside the {start}-{end} window")
+    if not kept:
         report.warnings.append("publication file is empty; all scores will be zero")
 
     byline_path = Path(byline_file)
-    bylines: dict[str, dict[int, Authorship]] = {pid: {} for pid in pub_fields}
     unresolved = 0
     n_rows = 0
     for line, (pid, position, rid, institution) in read_table(byline_path, BYLINE_COLUMNS):
         n_rows += 1
         require(pid, byline_path, line, "publication_id")
-        if pid not in pub_fields:
-            if pid not in skipped_pubs:
-                raise LoadError(f"byline references unknown publication {pid!r}",
-                                file=byline_path, line=line, column="publication_id")
+        if pid not in kept:
+            raise LoadError(f"byline references unknown publication {pid!r}",
+                            file=byline_path, line=line, column="publication_id")
+        pub = kept[pid]
+        if pub is None:
             continue
+        entries = pub[3]
         position = parse_int(position, byline_path, line, "position")
         if position < 1:
             raise LoadError("position must be >= 1", file=byline_path, line=line, column="position")
-        if position in bylines[pid]:
+        if position in entries:
             raise LoadError(f"duplicate position {position} for publication {pid!r}",
                             file=byline_path, line=line, column="position")
         if rid and rid not in researchers:
             unresolved += 1
             rid = ""
-        elif rid and any(a.researcher_id == rid for a in bylines[pid].values()):
+        elif rid and any(a.researcher_id == rid for a in entries.values()):
             raise LoadError(f"researcher {rid!r} appears twice in the byline of {pid!r}",
                             file=byline_path, line=line, column="researcher_id")
-        bylines[pid][position] = Authorship(
-            position=position,
-            researcher_id=rid or None,
-            institution_id=require(institution, byline_path, line, "institution_id"),
-        )
+        entries[position] = Authorship(position=position, researcher_id=rid or None,
+                                       institution_id=require(institution, byline_path, line, "institution_id"))
     report.row_counts["bylines"] = n_rows
     if unresolved:
         report.warnings.append(f"{unresolved} byline author(s) did not resolve to a census "
                                "researcher; treated as external")
 
     publications: dict[str, Publication] = {}
-    for pid in sorted(pub_fields):
-        year, citations, categories = pub_fields[pid]
-        entries = bylines[pid]
-        if not entries:
+    for pid in sorted(kept):
+        if kept[pid] is None:
+            continue
+        year, citations, categories, entries = kept[pid]
+        n = len(entries)
+        if not n:
             raise LoadError(f"publication {pid!r} has no byline", file=byline_path)
-        positions = sorted(entries)
-        if positions != list(range(1, len(positions) + 1)):
+        # Positions are unique and >= 1, so they are 1..n exactly when the largest is n.
+        if max(entries) != n:
             raise LoadError(f"byline positions for publication {pid!r} are not 1..n without gaps",
                             file=byline_path, column="position")
-        publications[pid] = Publication(
-            id=pid, year=year, citations=citations, subject_categories=categories,
-            byline=tuple(entries[p] for p in positions),
-        )
+        publications[pid] = Publication(id=pid, year=year, citations=citations, subject_categories=categories,
+                                        byline=tuple(entries[p] for p in range(1, n + 1)))
 
     corpus = Corpus(
         researchers=researchers,

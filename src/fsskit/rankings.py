@@ -16,8 +16,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .corpus import parse_float, parse_int, read_table, require, write_table
@@ -68,33 +67,12 @@ class ComparisonStats:
     top_quartile_exit_pct: float
     shifts: dict[str, int] = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_units": self.n_units,
-            "pct_shifting": self.pct_shifting,
-            "avg_shift": self.avg_shift,
-            "median_shift": self.median_shift,
-            "max_shift": self.max_shift,
-            "spearman": self.spearman,
-            "top_quartile_exit_pct": self.top_quartile_exit_pct,
-            "shifts": {uid: self.shifts[uid] for uid in sorted(self.shifts)},
-        }
-
 
 def quartile_size(n: int) -> int:
     """ceil(n/4): the top quartile absorbs the remainder."""
     if n < 0:
         raise InputError("n must be >= 0")
     return -(-n // 4)
-
-
-def percentile_rank(scores, value: float) -> float:
-    """Share of scores strictly below ``value``, scaled to 0..100."""
-    scores = list(scores)
-    if not scores:
-        raise InputError("percentile rank of an empty list is undefined")
-    below = sum(1 for s in scores if s < value)
-    return 100.0 * below / len(scores)
 
 
 def rank_scores(scores: ScoreSet, exclude=frozenset()) -> RankedList:
@@ -231,24 +209,6 @@ def compare_rankings(a: RankedList, b: RankedList) -> ComparisonStats:
     )
 
 
-def aggregate_percentiles(values) -> float:
-    """Mean of percentile ranks, e.g. one researcher over several windows.
-
-    Percentile rank is an ordinal scale, so averaging it is improper in the
-    measurement-theory sense (Thompson 1993); the result is still widely
-    used as a summary. A warning makes the caveat visible at call sites.
-    """
-    values = list(values)
-    if not values:
-        raise InputError("cannot aggregate an empty set of percentiles")
-    warnings.warn(
-        "averaging percentile ranks treats an ordinal scale as if it were "
-        "cardinal (Thompson 1993); interpret aggregated values with care",
-        stacklevel=2,
-    )
-    return math.fsum(values) / len(values)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -292,6 +252,6 @@ def read_rankings(path) -> RankedList:
 
 def write_comparison(stats: ComparisonStats, path) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(stats.to_json_dict(), indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(asdict(stats), indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path

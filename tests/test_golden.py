@@ -1,0 +1,67 @@
+"""Byte-level golden digests of every artifact one small census produces.
+
+A fixed synthetic census goes through `score` at every scope, `rank` at
+every level (staff standardized, universities by fss_u and by fp_u) and
+`compare` of the two university rankings. The sha256 of each of the 29
+files written must equal the digest recorded here, so a refactor that
+changes any byte of any artifact fails this test.
+"""
+
+import hashlib
+
+from fsskit.cli import main
+
+RUNS = [
+    ["synth", "--seed", "5", "--researchers", "300", "--institutions", "4", "--out", "census"],
+    *(["score", "--data", "census", "--scope", scope, "--output-dir", f"score_{scope}"]
+      for scope in ("sds", "department", "university", "country")),
+    *(["rank", "--data", "census", *flags, "--output-dir", f"rank_{name}"]
+      for name, flags in (("researcher", ["--level", "researcher"]),
+                          ("staff_std", ["--level", "staff", "--standardize"]),
+                          ("department", ["--level", "department"]),
+                          ("fss_u", ["--level", "university", "--indicator", "fss_u"]),
+                          ("fp_u", ["--level", "university", "--indicator", "fp_u"]))),
+    ["compare", "--a", "rank_fss_u/rankings.csv", "--b", "rank_fp_u/rankings.csv",
+     "--out", "compare"],
+]
+
+GOLDEN = {
+    "census/bylines.csv": "928e1fdb724544ba5a3218f3bf4415fb989e39ec25f55bbee71a5af3f1a9e1f9",
+    "census/publications.csv": "cfc0d3e1f810d0179c334df0c7fdac62bac945ba7d51d1b5dc7a16a501f9c679",
+    "census/researchers.csv": "d160d3446359bc994647a8c87d14ad924f5727db535521260bae0f0cb2bef435",
+    "census/salaries.csv": "60faa5ba6bc2ece64a37a7aa36df575b04e6ad65e2828e4518afe84d1aaba0cf",
+    "census/taxonomy.csv": "9a200b173c0c497af3da955168ea0931bb4331761094281536b037f5a01d3342",
+    "compare/comparison.json": "0a624af70c4218653488aeabdbb0ba5455f86e3b21a2ac2d5ec6f68fde209cf8",
+    "compare/shift_histogram.csv": "7d44f3bdf251c88e7f56b5effb7e3bcf3ceeb808c42195a46a458e4c73014f0c",
+    "rank_department/percentile_distribution.csv": "563a3e1bd56fb9f3bf9dee1d658254cbb5fbf5a5c4ac9011ce8f726b4a28b075",
+    "rank_department/rankings.csv": "8e7eb8cf2c03d8741632527eb495cf6962712504cdd96d25ce6ce95817263b42",
+    "rank_fp_u/percentile_distribution.csv": "f65f35a0997a1f65e9f008305d329f1a999ea16e8b7a58ee2d17cf3fca9ebf66",
+    "rank_fp_u/rankings.csv": "a58ccb196e61f42cd210dbf107e0e4a7a00f19b27d19ae7bfe0f7afd71b7d7b6",
+    "rank_fss_u/percentile_distribution.csv": "f65f35a0997a1f65e9f008305d329f1a999ea16e8b7a58ee2d17cf3fca9ebf66",
+    "rank_fss_u/rankings.csv": "de58e4f05b0c153f9200799dce587e1771daa8a2470d728c3b52fbe08c8f1a48",
+    "rank_researcher/percentile_distribution.csv": "9a4b3e9070e00d58aef0645f72149805346dc570323cd6506740a85e55014ebe",
+    "rank_researcher/rankings.csv": "d4ef32c82604db476913446a95b2bb0f24b3f497d6d42547e3999cbaba324c6b",
+    "rank_staff_std/percentile_distribution.csv": "563a3e1bd56fb9f3bf9dee1d658254cbb5fbf5a5c4ac9011ce8f726b4a28b075",
+    "rank_staff_std/rankings.csv": "2a0f2450424f28cb306b20e62c8e1a8cb2d5ee257d9ca5188def24dfcd2443ef",
+    "score_country/baselines.csv": "994d2b14d2ee7b1150053fc5233a611e9d7eaed538fdc78a9abb1510fb15e9f1",
+    "score_country/report.json": "5a5db397404ae2024d3c7eb7326527061715753102419c6bda8e17758d87e56a",
+    "score_country/scores.csv": "f721da3e1856f4b35e3e39666be53aad632d07bbb327c7fff7ce6a03662f2e91",
+    "score_department/baselines.csv": "994d2b14d2ee7b1150053fc5233a611e9d7eaed538fdc78a9abb1510fb15e9f1",
+    "score_department/report.json": "b92dba93aec95b23adc9c40ee16054eba3fb7e9ee7a5adc9609b64624d4b82b5",
+    "score_department/scores.csv": "d94a268b289a4ca9b16310a4731e14830b64865818236736e8c07cc21e0b2758",
+    "score_sds/baselines.csv": "994d2b14d2ee7b1150053fc5233a611e9d7eaed538fdc78a9abb1510fb15e9f1",
+    "score_sds/report.json": "7bc7ee49749b2d403f1aae32c9c4ea590c040979a13635701a18d0dd4db920a0",
+    "score_sds/scores.csv": "4fe4b91b316243d63aea56916ae9a89df665c18119cdbff0f0641a5bbc9af7c7",
+    "score_university/baselines.csv": "994d2b14d2ee7b1150053fc5233a611e9d7eaed538fdc78a9abb1510fb15e9f1",
+    "score_university/report.json": "bb0920e4cffe27e6ea5676f17f2a33949847fd873d76a94772d3f63f8188f5aa",
+    "score_university/scores.csv": "d1b4d4fb1880dfec8eff93dcfac703870d74ac48c7f58badbf87b8943f06835b",
+}
+
+
+def test_artifacts_match_recorded_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in RUNS:
+        assert main(argv) == 0, argv
+    written = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.rglob("*")) if path.is_file()}
+    assert written == GOLDEN

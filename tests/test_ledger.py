@@ -59,7 +59,7 @@ def test_staff_batch_matches_per_unit_and_oracle(synth, oracle):
 def test_country_batch_matches_per_unit_and_oracle(synth, oracle):
     corpus, ledger = synth.corpus, synth.ledger
     batch = country_staff_scores(ledger)
-    sds_of = {staff_unit_id(None, sds): sds for sds in corpus.taxonomy.sds_codes()}
+    sds_of = {staff_unit_id(None, sds): sds for sds in corpus.taxonomy.uda_of_sds}
     assert set(batch.entries) == set(sds_of)
     assert batch.metadata == {"scope": "country"}
     check(batch, lambda uid: fss_s(ledger, sds_of[uid], None),
@@ -67,9 +67,9 @@ def test_country_batch_matches_per_unit_and_oracle(synth, oracle):
 
 
 def test_department_batch_matches_per_unit_and_oracle(synth, oracle):
-    corpus, ledger, means = synth.corpus, synth.ledger, synth.means
+    ledger, means = synth.ledger, synth.means
     batch = department_scores(ledger, means)
-    assert sorted(batch.entries) == corpus.departments()
+    assert sorted(batch.entries) == sorted({r.department_id for r in ledger if r.department_id})
     check(batch, lambda dept: fss_d(ledger, means, dept), oracle.fss_d)
 
 
@@ -152,7 +152,7 @@ def test_per_unit_functions_reuse_the_ledger(tiny, monkeypatch):
     for inst, sds in {(r.institution_id, r.sds_code) for r in researchers}:
         fss_s(ledger, sds, inst)
         fss_s(ledger, sds, None)
-    for dept in corpus.departments():
+    for dept in {r.department_id for r in ledger if r.department_id}:
         fss_d(ledger, means, dept)
     for inst, uda in {(r.institution_id, corpus.uda_of(r)) for r in researchers}:
         for indicator in (fss_u, p_u, fp_u):

@@ -7,8 +7,7 @@ import pytest
 
 from fsskit.errors import ComputationError, InputError, LoadError, UnitMismatchError
 from fsskit.indicators import FieldMeans, ScoreSet
-from fsskit.rankings import (RankedEntry, RankedList, aggregate_percentiles,
-                             average_ranks, compare_rankings, percentile_rank,
+from fsskit.rankings import (RankedEntry, RankedList, average_ranks, compare_rankings,
                              quartile_size, rank_scores, read_rankings,
                              spearman_rho, standardized_scores,
                              write_comparison, write_rankings)
@@ -32,25 +31,26 @@ def ranked(scores_desc):
 # Percentile rank and quartiles
 # ---------------------------------------------------------------------------
 
+def percentile_of(scores, value):
+    """The percentile rank_scores gives the unit scoring ``value``."""
+    rl = rank_scores(score_set({f"u{i}": s for i, s in enumerate(scores)}))
+    return next(e.percentile for e in rl.entries if e.score == value)
+
+
 def test_percentile_anchor_third_of_ten():
     scores = list(range(10, 0, -1))  # 10..1, third best is 8
-    assert percentile_rank(scores, 8) == 70.0
+    assert percentile_of(scores, 8) == 70.0
 
 
 def test_percentile_anchor_third_of_hundred():
     scores = list(range(100, 0, -1))
-    assert percentile_rank(scores, 98) == 97.0
+    assert percentile_of(scores, 98) == 97.0
 
 
 def test_percentile_bottom_and_top():
     scores = [5.0, 3.0, 1.0]
-    assert percentile_rank(scores, 1.0) == 0.0
-    assert percentile_rank(scores, 5.0) == pytest.approx(200 / 3)
-
-
-def test_percentile_of_empty_rejected():
-    with pytest.raises(InputError):
-        percentile_rank([], 1.0)
+    assert percentile_of(scores, 1.0) == 0.0
+    assert percentile_of(scores, 5.0) == pytest.approx(200 / 3)
 
 
 def test_quartile_sizes():
@@ -212,13 +212,6 @@ def test_compare_rankings_too_small():
     one = ranked([("u1", 1.0)])
     with pytest.raises(ComputationError):
         compare_rankings(one, one)
-
-
-def test_aggregate_percentiles_warns():
-    with pytest.warns(UserWarning, match="Thompson"):
-        assert aggregate_percentiles([70.0, 90.0]) == 80.0
-    with pytest.raises(InputError):
-        aggregate_percentiles([])
 
 
 # ---------------------------------------------------------------------------
