@@ -184,18 +184,16 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _eligible(corpus, ledger, level: str, uda: str | None):
+def _eligible(exclusions, ledger, level: str, uda: str | None):
     """Units too small to rank fairly, per the configured staff thresholds."""
-    exclude = set()
+    institutions = set(exclusions.excluded_institutions)
+    pairs = set(exclusions.excluded_institution_udas)
     if level == "university":
-        exclude |= set(corpus.excluded_institutions)
-        if uda is not None:
-            exclude |= {inst for inst, u in corpus.excluded_institution_udas if u == uda}
-    elif level == "staff":
-        exclude |= {staff_unit_id(r.institution_id, r.sds_code) for r in ledger
-                    if r.institution_id in corpus.excluded_institutions
-                    or (r.institution_id, r.uda_code) in corpus.excluded_institution_udas}
-    return exclude
+        return institutions | {inst for inst, u in pairs if u == uda}
+    if level == "staff":
+        return {staff_unit_id(r.institution_id, r.sds_code) for r in ledger
+                if r.institution_id in institutions or (r.institution_id, r.uda_code) in pairs}
+    return set()
 
 
 def cmd_rank(args) -> int:
@@ -208,7 +206,7 @@ def cmd_rank(args) -> int:
     if level not in ("researcher", "staff") and args.standardize:
         raise InputError("--standardize only applies to researcher and staff rankings")
     config, _ = _config_from_args(args)
-    corpus, _, _, _, ledger, _ = _load_pipeline(args, config)
+    corpus, _, exclusions, _, ledger, _ = _load_pipeline(args, config)
     if args.uda is not None:
         known = sorted(set(corpus.taxonomy.uda_of_sds.values()))
         if args.uda not in known:
@@ -226,7 +224,7 @@ def cmd_rank(args) -> int:
     if args.standardize:
         scores = standardized_scores(scores, means)
 
-    ranked = rank_scores(scores, exclude=_eligible(corpus, ledger, level, args.uda))
+    ranked = rank_scores(scores, exclude=_eligible(exclusions, ledger, level, args.uda))
     if not ranked.entries:
         raise ComputationError("no units left to rank after exclusions")
 
@@ -262,6 +260,11 @@ def cmd_compare(args) -> int:
 
 def cmd_dea(args) -> int:
     if args.dmus:
+        census_flags = ("data", *DATA_FILES, "config",
+                        *(key for key in OVERRIDE_KEYS if key != "output_dir"))
+        for name in census_flags:
+            if getattr(args, name) is not None:
+                raise InputError(f"--{name.replace('_', '-')} does not apply with --dmus")
         dmus = read_dmus(args.dmus)
         out = Path(args.output_dir or ".")
     else:

@@ -3,10 +3,10 @@
 A Corpus ties together researchers (each classified in exactly one field),
 their publications with ordered bylines, the field taxonomy (field code ->
 discipline code plus the field's co-authorship convention), and the national
-salary schedule. It is frozen: it holds only what was loaded (and the
-exclusion flags), and every downstream module only reads it. load_corpus
-reads each file in one pass and builds each record once; Authorship and
-Publication are NamedTuples, as there is one Authorship per byline row.
+salary schedule. It is frozen: it holds only what was loaded, and every
+downstream module only reads it. load_corpus reads each file in one pass
+and builds each record once; Authorship and Publication are NamedTuples,
+as there is one Authorship per byline row.
 
 File formats (UTF-8, comma-delimited, header row, '.' decimal):
 
@@ -118,8 +118,6 @@ class Corpus:
     taxonomy: FieldTaxonomy
     salaries: SalarySchedule
     window: tuple[int, int]
-    excluded_institution_udas: frozenset[tuple[str, str]] = frozenset()
-    excluded_institutions: frozenset[str] = frozenset()
 
     def publications_of(self, researcher_id: str) -> list[tuple[Publication, int]]:
         """(publication, byline position) pairs for one census researcher,
@@ -485,10 +483,11 @@ def apply_exclusions(corpus: Corpus, min_years: float = 0.0, min_staff_uda: int 
 
     Researchers below ``min_years`` of work in the window leave the corpus
     entirely (their byline entries then behave like external authors).
-    Institution groups below the staff thresholds stay in the corpus but are
-    flagged ineligible: (institution, UDA) pairs under ``min_staff_uda`` for
-    discipline-level rankings, institutions under ``min_staff_total`` for
-    whole-institution rankings. Idempotent for fixed thresholds.
+    Institution groups below the staff thresholds stay in the corpus; the
+    report lists them as ineligible for ranking: (institution, UDA) pairs
+    under ``min_staff_uda`` for discipline-level rankings, institutions under
+    ``min_staff_total`` for whole-institution rankings. Idempotent for fixed
+    thresholds.
     """
     if min_years < 0 or min_staff_uda < 0 or min_staff_total < 0:
         raise InputError("exclusion thresholds must be >= 0")
@@ -511,16 +510,8 @@ def apply_exclusions(corpus: Corpus, min_years: float = 0.0, min_staff_uda: int 
         staff_by_inst_uda[(r.institution_id, uda)] = staff_by_inst_uda.get((r.institution_id, uda), 0) + 1
         staff_by_inst[r.institution_id] = staff_by_inst.get(r.institution_id, 0) + 1
 
-    excluded_pairs = frozenset(
-        key for key, count in staff_by_inst_uda.items() if count < min_staff_uda
-    )
-    excluded_insts = frozenset(
-        inst for inst, count in staff_by_inst.items() if count < min_staff_total
-    )
-    report.excluded_institution_udas = sorted(excluded_pairs)
-    report.excluded_institutions = sorted(excluded_insts)
-
-    filtered = replace(corpus, researchers=kept,
-                       excluded_institution_udas=excluded_pairs,
-                       excluded_institutions=excluded_insts)
-    return filtered, report
+    report.excluded_institution_udas = sorted(
+        key for key, count in staff_by_inst_uda.items() if count < min_staff_uda)
+    report.excluded_institutions = sorted(
+        inst for inst, count in staff_by_inst.items() if count < min_staff_total)
+    return replace(corpus, researchers=kept), report

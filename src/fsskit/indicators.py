@@ -33,8 +33,10 @@ institution's labor cost in the field.
 Every indicator reduces credit-ledger rows: one per researcher, with
 credited output, fractional and whole counts and labor cost. The caller
 builds the ledger once, with credit_ledger, and passes it to every
-indicator. Batch functions group its rows; per-unit functions select one
-unit's rows and apply the same reduction, so both paths agree exactly.
+indicator. Each score-set function groups the rows into its level's units
+and reduces each group; a single unit's value is its entry in that set.
+FieldMeans.standardize is the one place a value is divided by its field's
+mean.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Corpus, parse_float, read_table, require, resolve_salary, write_table
+from .corpus import Corpus, resolve_salary, write_table
 from .credit import fractional_contribution
-from .errors import ComputationError, InputError, LoadError, MissingFieldMeanError
+from .errors import ComputationError, InputError, MissingFieldMeanError
 from .normalize import BaselineTable, normalized_impact
 
 SCORE_COLUMNS = ("level", "unit_id", "indicator", "value")
@@ -82,14 +84,19 @@ class FieldMeans:
     q: dict[str, float]
     fq: dict[str, float]
 
-    def require(self, table_name: str, sds_code: str) -> float:
+    def standardize(self, table_name: str, sds_code: str, value: float) -> float:
+        """``value`` over field ``sds_code``'s national mean in ``table_name``.
+        A value of 0 stays 0 and needs no mean, so a field without a
+        productive unit standardizes its members to 0."""
+        if value == 0.0:
+            return 0.0
         table = getattr(self, table_name)
         if sds_code not in table:
             raise MissingFieldMeanError(
                 f"no national {table_name} mean for field {sds_code!r} "
                 "(no productive unit in that field)"
             )
-        return table[sds_code]
+        return value / table[sds_code]
 
 
 def staff_unit_id(institution_id: str | None, sds_code: str) -> str:
@@ -184,26 +191,17 @@ def _staff_value(rows: list[CreditRow]) -> float:
 def _rollup(rows: list[CreditRow], means_table: str, means: FieldMeans, value_of) -> float:
     """Head-count average of members' field-standardized values; a member
     whose value is 0 counts in the head count only."""
-    terms = []
-    for row in rows:
-        value = value_of(row)
-        if value == 0.0:
-            continue
-        terms.append(value / means.require(means_table, row.sds_code))
-    return math.fsum(terms) / len(rows)
+    return math.fsum(means.standardize(means_table, row.sds_code, value_of(row))
+                     for row in rows) / len(rows)
 
 
 def _fss_u_value(rows: list[CreditRow], means: FieldMeans) -> float:
     by_sds = group_rows(rows, lambda r: r.sds_code)
     costs = {sds: math.fsum(r.cost for r in members) for sds, members in by_sds.items()}
     total_cost = math.fsum(costs.values())
-    terms = []
-    for sds, members in by_sds.items():
-        value = _staff_value(members)
-        if value == 0.0:
-            continue
-        terms.append((value / means.require("fss_s", sds)) * (costs[sds] / total_cost))
-    return math.fsum(terms)
+    return math.fsum(means.standardize("fss_s", sds, _staff_value(members))
+                     * (costs[sds] / total_cost)
+                     for sds, members in by_sds.items())
 
 
 UNIVERSITY_INDICATORS = {
@@ -211,78 +209,6 @@ UNIVERSITY_INDICATORS = {
     "p_u": lambda rows, means: _rollup(rows, "q", means, _rate_of),
     "fp_u": lambda rows, means: _rollup(rows, "fq", means, _fractional_rate_of),
 }
-
-
-# ---------------------------------------------------------------------------
-# Unit-level indicator values
-# ---------------------------------------------------------------------------
-
-def _select(rows: list[CreditRow], **columns) -> list[CreditRow]:
-    """Rows matching every given column value (None matches any), in id order."""
-    return [row for row in rows
-            if all(value is None or getattr(row, name) == value
-                   for name, value in columns.items())]
-
-
-def fss_r(ledger: list[CreditRow], researcher_id: str) -> float:
-    """Individual productivity: normalized fractional output per salary-year."""
-    rows = _select(ledger, id=researcher_id)
-    if not rows:
-        raise InputError(f"unknown researcher: {researcher_id!r}")
-    return _fss_r_of(rows[0])
-
-
-def fss_s(ledger: list[CreditRow], sds_code: str, institution_id: str | None = None) -> float:
-    """Staff productivity of one field at one institution (or nationally when
-    institution_id is None): normalized fractional output per unit of total
-    labor cost over the window."""
-    rows = _select(ledger, sds_code=sds_code, institution_id=institution_id)
-    if not rows:
-        where = institution_id if institution_id is not None else "the census"
-        raise ComputationError(f"no staff in field {sds_code!r} at {where}")
-    return _staff_value(rows)
-
-
-def fss_d(ledger: list[CreditRow], means: FieldMeans, department_id: str) -> float:
-    """Department productivity: average of members' field-standardized
-    individual scores. Unproductive members pull the average down through
-    the head count without contributing output."""
-    rows = _select(ledger, department_id=department_id)
-    if not rows:
-        raise ComputationError(f"no staff in department {department_id!r}")
-    return _rollup(rows, "fss_r", means, _fss_r_of)
-
-
-def _university_value(indicator: str, ledger: list[CreditRow], means: FieldMeans,
-                      institution_id: str, uda_code: str | None) -> float:
-    rows = _select(ledger, institution_id=institution_id, uda_code=uda_code)
-    if not rows:
-        raise ComputationError(f"no staff at {institution_id!r}"
-                               + (f" in discipline {uda_code!r}" if uda_code else ""))
-    return UNIVERSITY_INDICATORS[indicator](rows, means)
-
-
-def fss_u(ledger: list[CreditRow], means: FieldMeans, institution_id: str,
-          uda_code: str | None = None) -> float:
-    """Institution productivity: cost-share weighted average of the
-    institution's field staff scores, each standardized by the national
-    cost-weighted mean for that field. Restricting to one discipline ranks
-    institutions within it."""
-    return _university_value("fss_u", ledger, means, institution_id, uda_code)
-
-
-def p_u(ledger: list[CreditRow], means: FieldMeans, institution_id: str,
-        uda_code: str | None = None) -> float:
-    """Output volume per head: average of members' field-standardized
-    publication rates (whole counts per year in post)."""
-    return _university_value("p_u", ledger, means, institution_id, uda_code)
-
-
-def fp_u(ledger: list[CreditRow], means: FieldMeans, institution_id: str,
-         uda_code: str | None = None) -> float:
-    """Like p_u but on fractional publication counts, so multi-authored
-    output is not double counted across institutions."""
-    return _university_value("fp_u", ledger, means, institution_id, uda_code)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +278,8 @@ def country_staff_scores(ledger: list[CreditRow]) -> ScoreSet:
 
 
 def department_scores(ledger: list[CreditRow], means: FieldMeans) -> ScoreSet:
+    """Each department's head-count average of its members' field-standardized
+    individual scores; unproductive members count in the head count only."""
     rows = [row for row in ledger if row.department_id]
     entries = {dept: _rollup(members, "fss_r", means, _fss_r_of)
                for dept, members in group_rows(rows, lambda r: r.department_id).items()}
@@ -364,7 +292,7 @@ def university_scores(ledger: list[CreditRow], means: FieldMeans, indicator: str
     value_of = UNIVERSITY_INDICATORS.get(indicator)
     if value_of is None:
         raise InputError(f"unknown university indicator: {indicator!r}")
-    rows = _select(ledger, uda_code=uda_code)
+    rows = [row for row in ledger if uda_code is None or row.uda_code == uda_code]
     entries = {inst: value_of(members, means)
                for inst, members in group_rows(rows, lambda r: r.institution_id).items()}
     return ScoreSet(level="university", indicator=indicator, entries=entries,
@@ -383,21 +311,3 @@ def write_scores(score_sets, path) -> Path:
                    for scores in score_sets for uid in scores.unit_ids()),
                   key=lambda row: (row[0], row[2], row[1]))
     return write_table(path, SCORE_COLUMNS, rows)
-
-
-def read_scores(path) -> list[ScoreSet]:
-    path = Path(path)
-    grouped: dict[tuple[str, str], dict[str, float]] = {}
-    for line, (level, uid, indicator, value) in read_table(path, SCORE_COLUMNS):
-        require(level, path, line, "level")
-        require(uid, path, line, "unit_id")
-        require(indicator, path, line, "indicator")
-        bucket = grouped.setdefault((level, indicator), {})
-        if uid in bucket:
-            raise LoadError(f"duplicate unit {uid!r} for {level}/{indicator}",
-                            file=path, line=line, column="unit_id")
-        bucket[uid] = parse_float(value, path, line, "value")
-    return [
-        ScoreSet(level=level, indicator=indicator, entries=entries)
-        for (level, indicator), entries in sorted(grouped.items())
-    ]

@@ -106,17 +106,11 @@ def standardized_scores(scores: ScoreSet, means: FieldMeans) -> ScoreSet:
     sds_of_unit = scores.metadata.get("sds_of_unit")
     if not sds_of_unit:
         raise InputError("score set does not record the field of each unit")
-    entries = {}
-    for uid in scores.unit_ids():
-        value = scores.entries[uid]
-        if value == 0.0:
-            entries[uid] = 0.0
-        else:
-            entries[uid] = value / means.require(scores.indicator, sds_of_unit[uid])
     return ScoreSet(
         level=scores.level,
         indicator=f"{scores.indicator}_std",
-        entries=entries,
+        entries={uid: means.standardize(scores.indicator, sds_of_unit[uid], scores.entries[uid])
+                 for uid in scores.unit_ids()},
         metadata=dict(scores.metadata),
     )
 

@@ -21,9 +21,9 @@ from fsskit.cli import main
 from fsskit.corpus import Authorship, SalarySchedule, export_corpus
 from fsskit.credit import ALPHABETICAL, POSITION_WEIGHTED, byline_weights
 from fsskit.dea import DMU, _envelopment_lp, dea_output_oriented, scale_efficiency
-from fsskit.indicators import (ScoreSet, compute_field_means, credit_ledger, fss_d, fss_r,
-                               fss_s, fss_u, fp_u, p_u, researcher_scores, staff_scores,
-                               university_scores, write_scores)
+from fsskit.indicators import (ScoreSet, compute_field_means, country_staff_scores,
+                               credit_ledger, department_scores, researcher_scores,
+                               staff_scores, staff_unit_id, university_scores, write_scores)
 from fsskit.normalize import compute_baselines, normalized_impact
 from fsskit.rankings import quartile_size, rank_scores, spearman_rho
 from fsskit.synth import SynthParams, generate_synthetic_corpus
@@ -87,28 +87,44 @@ def test_03_indicator_oracle_equivalence(synth):
         ledger, means = synth.ledger, synth.means
         oracle = ReferenceScores(corpus)
 
+        fss_r = researcher_scores(ledger).entries
+        assert sorted(fss_r) == sorted(corpus.researchers)
         for rid in corpus.researchers:
-            assert fss_r(ledger, rid) == pytest.approx(
+            assert fss_r[rid] == pytest.approx(
                 oracle.fss_r(rid), rel=1e-9), rid
 
+        fss_s = staff_scores(ledger).entries
+        fss_u = university_scores(ledger, means, "fss_u").entries
+        p_u = university_scores(ledger, means, "p_u").entries
+        fp_u = university_scores(ledger, means, "fp_u").entries
+        assert sorted(fss_u) == sorted(p_u) == sorted(fp_u) == corpus.institutions()
+        staff_units = {staff_unit_id(r.institution_id, r.sds_code)
+                       for r in corpus.researchers.values()}
+        assert set(fss_s) == staff_units
         for inst in corpus.institutions():
-            fields = sorted({r.sds_code for r in corpus.staff(institution_id=inst)})
+            fields = sorted({r.sds_code for r in corpus.researchers.values()
+                             if r.institution_id == inst})
             for sds in fields:
-                assert fss_s(ledger, sds, inst) == pytest.approx(
+                assert fss_s[staff_unit_id(inst, sds)] == pytest.approx(
                     oracle.fss_s(sds, inst), rel=1e-9), (inst, sds)
-            assert fss_u(ledger, means, inst) == pytest.approx(
+            assert fss_u[inst] == pytest.approx(
                 oracle.fss_u(inst), rel=1e-9), inst
-            assert p_u(ledger, means, inst) == pytest.approx(
+            assert p_u[inst] == pytest.approx(
                 oracle.p_u(inst), rel=1e-9), inst
-            assert fp_u(ledger, means, inst) == pytest.approx(
+            assert fp_u[inst] == pytest.approx(
                 oracle.fp_u(inst), rel=1e-9), inst
 
+        country = country_staff_scores(ledger).entries
+        assert set(country) == {staff_unit_id(None, sds) for sds in corpus.taxonomy.uda_of_sds}
         for sds in sorted(corpus.taxonomy.uda_of_sds):
-            assert fss_s(ledger, sds, None) == pytest.approx(
+            assert country[staff_unit_id(None, sds)] == pytest.approx(
                 oracle.fss_s(sds, None), rel=1e-9), sds
 
-        for dept in sorted({r.department_id for r in ledger if r.department_id}):
-            assert fss_d(ledger, means, dept) == pytest.approx(
+        fss_d = department_scores(ledger, means).entries
+        departments = sorted({r.department_id for r in ledger if r.department_id})
+        assert sorted(fss_d) == departments
+        for dept in departments:
+            assert fss_d[dept] == pytest.approx(
                 oracle.fss_d(dept), rel=1e-9), dept
 
 

@@ -301,6 +301,38 @@ def test_dea_from_prepared_table(tmp_path):
     assert not (out / "scale_efficiency.csv").exists()
 
 
+DMUS_REFUSED = {
+    "--data": ["--data", "census"],
+    "--researchers": ["--researchers", "researchers.csv"],
+    "--publications": ["--publications", "publications.csv"],
+    "--bylines": ["--bylines", "bylines.csv"],
+    "--taxonomy": ["--taxonomy", "taxonomy.csv"],
+    "--salaries": ["--salaries", "salaries.csv"],
+    "--config": ["--config", "c.json"],
+    "--window": ["--window", "2010", "2001"],
+    "--scope": ["--scope", "sds"],
+    "--baseline-source": ["--baseline-source", "computed"],
+    "--baseline-file": ["--baseline-file", "baselines.csv"],
+    "--min-years": ["--min-years", "-5"],
+    "--min-staff-uda": ["--min-staff-uda", "0"],
+    "--min-staff-total": ["--min-staff-total", "0"],
+}
+
+
+@pytest.mark.parametrize("flag", DMUS_REFUSED)
+def test_dea_dmus_refuses_census_and_config_flags(tmp_path, monkeypatch, capsys, flag):
+    # A prepared table takes only --model and --output-dir. Every other
+    # flag is refused by name before anything is read or written.
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"output_dir": str(tmp_path / "configured")}))
+    assert main(["dea", "--dmus", "missing.csv", *DMUS_REFUSED[flag]]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} does not apply with --dmus" in err
+    assert "not found" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 def test_dea_quotes_ids_holding_a_comma(tmp_path):
     dmus = tmp_path / "dmus.csv"
     dmus.write_text('id,input_x,output_y\n"U,1",2.0,4.0\n"U,2",4.0,4.0\n')

@@ -230,26 +230,25 @@ def test_exclusions_drop_short_tenure(tiny):
 def test_exclusions_flag_small_units(tiny):
     filtered, report = apply_exclusions(tiny.corpus, min_staff_uda=2, min_staff_total=3)
     # UB has 3 staff but only 1 in MATH; UA has 2 total.
-    assert ("UB", "MATH") in filtered.excluded_institution_udas
-    assert ("UA", "MATH") not in filtered.excluded_institution_udas
-    assert filtered.excluded_institutions == frozenset({"UA"})
+    assert ("UB", "MATH") in report.excluded_institution_udas
+    assert ("UA", "MATH") not in report.excluded_institution_udas
     assert report.excluded_institutions == ["UA"]
-    # Flags gate rankings only: all researchers are still present.
+    # The report gates rankings only: all researchers are still present.
     assert sorted(filtered.researchers) == sorted(tiny.corpus.researchers)
 
 
 def test_staff_counted_after_tenure_filter(tiny):
     # r4 is dropped by min_years first, leaving UB-BIO with one researcher.
-    filtered, _ = apply_exclusions(tiny.corpus, min_years=3, min_staff_uda=2)
-    assert ("UB", "BIO") in filtered.excluded_institution_udas
+    _, report = apply_exclusions(tiny.corpus, min_years=3, min_staff_uda=2)
+    assert ("UB", "BIO") in report.excluded_institution_udas
 
 
 def test_exclusions_idempotent(tiny):
-    once, _ = apply_exclusions(tiny.corpus, min_years=3, min_staff_uda=2, min_staff_total=3)
+    once, first = apply_exclusions(tiny.corpus, min_years=3, min_staff_uda=2, min_staff_total=3)
     twice, report = apply_exclusions(once, min_years=3, min_staff_uda=2, min_staff_total=3)
     assert sorted(twice.researchers) == sorted(once.researchers)
-    assert twice.excluded_institution_udas == once.excluded_institution_udas
-    assert twice.excluded_institutions == once.excluded_institutions
+    assert report.excluded_institution_udas == first.excluded_institution_udas
+    assert report.excluded_institutions == first.excluded_institutions
     assert report.excluded_researchers == []
 
 

@@ -25,12 +25,12 @@ from fractions import Fraction as F
 import pytest
 
 from fsskit.corpus import Corpus
-from fsskit.errors import ComputationError, InputError, MissingFieldMeanError
-from fsskit.indicators import (FieldMeans, compute_field_means, credit_ledger, department_scores,
-                               fp_u, fss_d, fss_r, fss_s, fss_u, p_u,
-                               researcher_scores, read_scores, staff_scores,
-                               staff_unit_id, university_scores, write_scores)
+from fsskit.errors import ComputationError, MissingFieldMeanError
+from fsskit.indicators import (FieldMeans, compute_field_means, country_staff_scores,
+                               credit_ledger, department_scores, researcher_scores,
+                               staff_scores, staff_unit_id, university_scores)
 from fsskit.normalize import compute_baselines
+from fsskit.rankings import standardized_scores
 
 # fss_r = output / (salary * years)
 FSS_R = {
@@ -75,21 +75,22 @@ def ledger(tiny):
 
 
 def test_fss_r_matches_hand_derivation(ledger):
+    entries = researcher_scores(ledger).entries
     for rid, expected in FSS_R.items():
-        assert fss_r(ledger, rid) == pytest.approx(
-            float(expected), rel=1e-12), rid
+        assert entries[rid] == pytest.approx(float(expected), rel=1e-12), rid
 
 
 def test_fss_s_matches_hand_derivation(ledger):
+    entries = staff_scores(ledger).entries
     for (inst, sds), expected in FSS_S.items():
-        assert fss_s(ledger, sds, inst) == pytest.approx(
+        assert entries[staff_unit_id(inst, sds)] == pytest.approx(
             float(expected), rel=1e-12), (inst, sds)
 
 
 def test_country_staff_score_is_cost_weighted_mean(ledger):
     # National output over national cost equals the cost-weighted mean of
     # the university staff scores when every university is productive.
-    assert fss_s(ledger, "MAT01", None) == pytest.approx(
+    assert country_staff_scores(ledger).entries[staff_unit_id(None, "MAT01")] == pytest.approx(
         float(MEAN_S_MAT), rel=1e-12)
 
 
@@ -106,34 +107,32 @@ def test_field_means(ledger):
 
 
 def test_fss_d_matches_hand_derivation(ledger):
-    means = compute_field_means(ledger)
+    entries = department_scores(ledger, compute_field_means(ledger)).entries
     for dept, expected in FSS_D.items():
-        assert fss_d(ledger, means, dept) == pytest.approx(
-            float(expected), rel=1e-12), dept
+        assert entries[dept] == pytest.approx(float(expected), rel=1e-12), dept
 
 
 def test_fss_u_matches_hand_derivation(ledger):
-    means = compute_field_means(ledger)
+    entries = university_scores(ledger, compute_field_means(ledger)).entries
     for inst, expected in FSS_U.items():
-        assert fss_u(ledger, means, inst) == pytest.approx(
-            float(expected), rel=1e-12), inst
+        assert entries[inst] == pytest.approx(float(expected), rel=1e-12), inst
 
 
 def test_fss_u_restricted_to_one_discipline(ledger):
     means = compute_field_means(ledger)
     # Within MATH only, UB's single field takes the whole cost share.
     expected = FSS_S[("UB", "MAT01")] / MEAN_S_MAT
-    assert fss_u(ledger, means, "UB", "MATH") == pytest.approx(
+    assert university_scores(ledger, means, "fss_u", "MATH").entries["UB"] == pytest.approx(
         float(expected), rel=1e-12)
 
 
 def test_rate_indicators_match_hand_derivation(ledger):
     means = compute_field_means(ledger)
+    p_u = university_scores(ledger, means, "p_u").entries
+    fp_u = university_scores(ledger, means, "fp_u").entries
     for inst in ("UA", "UB"):
-        assert p_u(ledger, means, inst) == pytest.approx(
-            float(P_U[inst]), rel=1e-12)
-        assert fp_u(ledger, means, inst) == pytest.approx(
-            float(FP_U[inst]), rel=1e-12)
+        assert p_u[inst] == pytest.approx(float(P_U[inst]), rel=1e-12)
+        assert fp_u[inst] == pytest.approx(float(FP_U[inst]), rel=1e-12)
 
 
 def test_batch_sets_cover_all_units(ledger):
@@ -152,23 +151,75 @@ def test_batch_sets_cover_all_units(ledger):
     assert sorted(unis.entries) == ["UA", "UB"]
 
 
-def test_unknown_researcher_rejected(ledger):
-    with pytest.raises(InputError):
-        fss_r(ledger, "nobody")
-
-
-def test_empty_staff_rejected(ledger):
-    with pytest.raises(ComputationError):
-        fss_s(ledger, "MAT01", "UX")
-    with pytest.raises(ComputationError):
-        fss_d(ledger, FieldMeans(fss_r={}, fss_s={}, q={}, fq={}), "no-dept")
-
-
 def test_missing_field_mean_is_named(ledger):
     empty = FieldMeans(fss_r={}, fss_s={}, q={}, fq={})
     with pytest.raises(MissingFieldMeanError) as err:
-        fss_d(ledger, empty, "UA-M")
+        department_scores(ledger, empty)
     assert "MAT01" in str(err.value)
+
+
+@pytest.fixture
+def idle_field(tiny):
+    """The tiny census plus field IDL01 (discipline MATH), whose one member,
+    z1 at UA in department UA-M, has no publication: no productive unit, so
+    no national mean, in that field."""
+    corpus = tiny.corpus
+    taxonomy = dataclasses.replace(
+        corpus.taxonomy,
+        uda_of_sds={**corpus.taxonomy.uda_of_sds, "IDL01": "MATH"},
+        convention_of_sds={**corpus.taxonomy.convention_of_sds, "IDL01": "alphabetical"})
+    z1 = dataclasses.replace(corpus.researchers["r1"], id="z1", name="Zed", sds_code="IDL01")
+    idle = dataclasses.replace(corpus, taxonomy=taxonomy,
+                               researchers={**corpus.researchers, "z1": z1})
+    return credit_ledger(idle, compute_baselines(idle.publications))
+
+
+def test_unproductive_field_has_no_mean(ledger, idle_field):
+    means = compute_field_means(idle_field)
+    assert "IDL01" not in means.fss_r and "IDL01" not in means.fss_s
+    assert means == compute_field_means(ledger)
+
+
+# z1 adds a zero term to UA and UA-M, one head to each, and 200000 to UA's cost.
+def test_unproductive_field_adds_zero_to_department(idle_field):
+    depts = department_scores(idle_field, compute_field_means(idle_field)).entries
+    assert depts["UA-M"] == pytest.approx(float(FSS_D["UA-M"] * F(2, 3)), rel=1e-12)
+    assert depts["UB-M"] == pytest.approx(float(FSS_D["UB-M"]), rel=1e-12)
+
+
+@pytest.mark.parametrize("indicator, expected", [
+    ("fss_u", FSS_U["UA"] * F(480, 680)),
+    ("p_u", P_U["UA"] * F(2, 3)),
+    ("fp_u", FP_U["UA"] * F(2, 3)),
+])
+def test_unproductive_field_adds_zero_to_university(idle_field, indicator, expected):
+    means = compute_field_means(idle_field)
+    scores = university_scores(idle_field, means, indicator).entries
+    assert scores["UA"] == pytest.approx(float(expected), rel=1e-12)
+    restricted = university_scores(idle_field, means, indicator, "MATH").entries
+    assert restricted["UA"] == scores["UA"]
+
+
+def test_unproductive_field_standardizes_to_zero(idle_field):
+    means = compute_field_means(idle_field)
+    researchers = standardized_scores(researcher_scores(idle_field), means)
+    assert researchers.entries["z1"] == 0.0
+    assert researchers.entries["r1"] == pytest.approx(float(FSS_R["r1"] / MEAN_R_MAT), rel=1e-12)
+    staff = standardized_scores(staff_scores(idle_field), means)
+    assert staff.entries[staff_unit_id("UA", "IDL01")] == 0.0
+
+
+def test_nonzero_value_without_field_mean_is_named(idle_field):
+    means = compute_field_means(idle_field)
+    assert means.standardize("fss_r", "IDL01", 0.0) == 0.0
+    with pytest.raises(MissingFieldMeanError) as err:
+        means.standardize("fss_r", "IDL01", 1e-6)
+    assert "IDL01" in str(err.value)
+    scores = researcher_scores(idle_field)
+    scores.entries["z1"] = 1e-6
+    with pytest.raises(MissingFieldMeanError) as err:
+        standardized_scores(scores, means)
+    assert "IDL01" in str(err.value)
 
 
 def test_nonpositive_years_rejected_at_scoring(tiny):
@@ -183,13 +234,3 @@ def test_nonpositive_years_rejected_at_scoring(tiny):
     )
     with pytest.raises(ComputationError):
         credit_ledger(patched, compute_baselines(corpus.publications))
-
-
-def test_scores_round_trip(ledger, tmp_path):
-    individual = researcher_scores(ledger)
-    staff = staff_scores(ledger)
-    path = write_scores([individual, staff], tmp_path / "scores.csv")
-    loaded = read_scores(path)
-    by_key = {(s.level, s.indicator): s for s in loaded}
-    assert by_key[("researcher", "fss_r")].entries == individual.entries
-    assert by_key[("staff", "fss_s")].entries == staff.entries

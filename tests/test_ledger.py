@@ -1,9 +1,8 @@
-"""The credit ledger behind every batch indicator.
+"""The credit ledger behind every indicator.
 
-Batch functions group the ledger the caller built once; the per-unit
-functions select one unit's rows from the same ledger and apply the same
-reduction, so every batch value must equal the per-unit value exactly, and
-both must match the naive recomputation in oracles.py at the acceptance
+Each score-set function groups the ledger the caller built once into its
+level's units, so every unit a level should have must appear, and every
+value must match the naive recomputation in oracles.py at the acceptance
 tolerance.
 """
 
@@ -12,11 +11,9 @@ import dataclasses
 import pytest
 
 from fsskit import indicators
-from fsskit.corpus import Corpus
 from fsskit.indicators import (compute_field_means, country_staff_scores, credit_ledger,
-                               department_scores, fp_u, fss_d, fss_r, fss_s, fss_u, p_u,
-                               researcher_scores, staff_scores, staff_unit_id,
-                               university_scores)
+                               department_scores, researcher_scores, staff_scores,
+                               staff_unit_id, university_scores)
 from fsskit.normalize import compute_baselines
 
 from oracles import ReferenceScores
@@ -29,21 +26,20 @@ def oracle(synth):
     return ReferenceScores(synth.corpus)
 
 
-def check(batch, per_unit, reference):
-    """Batch entries equal the per-unit values exactly and the oracle at REL."""
-    assert batch.entries == {uid: per_unit(uid) for uid in batch.entries}
+def check(batch, reference):
+    """Batch entries match the oracle at REL."""
     for uid, value in batch.entries.items():
         assert value == pytest.approx(reference(uid), rel=REL), uid
 
 
-def test_researcher_batch_matches_per_unit_and_oracle(synth, oracle):
+def test_researcher_batch_matches_oracle(synth, oracle):
     corpus, ledger = synth.corpus, synth.ledger
     batch = researcher_scores(ledger)
     assert sorted(batch.entries) == sorted(corpus.researchers)
-    check(batch, lambda rid: fss_r(ledger, rid), oracle.fss_r)
+    check(batch, oracle.fss_r)
 
 
-def test_staff_batch_matches_per_unit_and_oracle(synth, oracle):
+def test_staff_batch_matches_oracle(synth, oracle):
     corpus, ledger = synth.corpus, synth.ledger
     batch = staff_scores(ledger)
     units = {}
@@ -52,46 +48,37 @@ def test_staff_batch_matches_per_unit_and_oracle(synth, oracle):
         units[uid] = (sds, inst)
     assert len(units) == len({(r.institution_id, r.sds_code)
                               for r in corpus.researchers.values()})
-    check(batch, lambda uid: fss_s(ledger, *units[uid]),
-          lambda uid: oracle.fss_s(*units[uid]))
+    check(batch, lambda uid: oracle.fss_s(*units[uid]))
 
 
-def test_country_batch_matches_per_unit_and_oracle(synth, oracle):
+def test_country_batch_matches_oracle(synth, oracle):
     corpus, ledger = synth.corpus, synth.ledger
     batch = country_staff_scores(ledger)
     sds_of = {staff_unit_id(None, sds): sds for sds in corpus.taxonomy.uda_of_sds}
     assert set(batch.entries) == set(sds_of)
     assert batch.metadata == {"scope": "country"}
-    check(batch, lambda uid: fss_s(ledger, sds_of[uid], None),
-          lambda uid: oracle.fss_s(sds_of[uid], None))
+    check(batch, lambda uid: oracle.fss_s(sds_of[uid], None))
 
 
-def test_department_batch_matches_per_unit_and_oracle(synth, oracle):
+def test_department_batch_matches_oracle(synth, oracle):
     ledger, means = synth.ledger, synth.means
     batch = department_scores(ledger, means)
     assert sorted(batch.entries) == sorted({r.department_id for r in ledger if r.department_id})
-    check(batch, lambda dept: fss_d(ledger, means, dept), oracle.fss_d)
+    check(batch, oracle.fss_d)
 
 
 @pytest.mark.parametrize("uda", [None, "first"])
-def test_university_batch_matches_per_unit_and_oracle(synth, oracle, uda):
+def test_university_batch_matches_oracle(synth, oracle, uda):
     corpus, ledger, means = synth.corpus, synth.ledger, synth.means
     if uda == "first":
         uda = sorted(set(corpus.taxonomy.uda_of_sds.values()))[0]
-    per_unit = {
-        "fss_u": (lambda inst: fss_u(ledger, means, inst, uda),
-                  lambda inst: oracle.fss_u(inst, uda)),
-        "p_u": (lambda inst: p_u(ledger, means, inst, uda),
-                lambda inst: oracle.p_u(inst, uda)),
-        "fp_u": (lambda inst: fp_u(ledger, means, inst, uda),
-                 lambda inst: oracle.fp_u(inst, uda)),
-    }
+    references = {"fss_u": oracle.fss_u, "p_u": oracle.p_u, "fp_u": oracle.fp_u}
     expected_units = sorted({r.institution_id for r in corpus.researchers.values()
                              if uda is None or corpus.uda_of(r) == uda})
-    for indicator, (unit_value, reference) in per_unit.items():
+    for indicator, reference in references.items():
         batch = university_scores(ledger, means, indicator, uda)
         assert sorted(batch.entries) == expected_units
-        check(batch, unit_value, reference)
+        check(batch, lambda inst: reference(inst, uda))
 
 
 def test_field_means_match_oracle(synth, oracle):
@@ -131,34 +118,6 @@ def test_ledger_normalizes_each_publication_once(tiny, monkeypatch):
 
     # The ledger is a plain value: building it again gives equal rows.
     assert credit_ledger(corpus, compute_baselines(corpus.publications)) == ledger
-
-
-def test_per_unit_functions_reuse_the_ledger(tiny, monkeypatch):
-    corpus = tiny.corpus
-    ledger = credit_ledger(corpus, compute_baselines(corpus.publications))
-    means = compute_field_means(ledger)
-    calls = []
-
-    def counted(name, real):
-        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
-
-    for name in ("normalized_impact", "fractional_contribution"):
-        monkeypatch.setattr(indicators, name, counted(name, getattr(indicators, name)))
-    monkeypatch.setattr(Corpus, "staff", counted("staff", Corpus.staff))
-
-    researchers = corpus.researchers.values()
-    for rid in corpus.researchers:
-        fss_r(ledger, rid)
-    for inst, sds in {(r.institution_id, r.sds_code) for r in researchers}:
-        fss_s(ledger, sds, inst)
-        fss_s(ledger, sds, None)
-    for dept in {r.department_id for r in ledger if r.department_id}:
-        fss_d(ledger, means, dept)
-    for inst, uda in {(r.institution_id, corpus.uda_of(r)) for r in researchers}:
-        for indicator in (fss_u, p_u, fp_u):
-            indicator(ledger, means, inst)
-            indicator(ledger, means, inst, uda)
-    assert calls == []
 
 
 def test_replaced_corpus_starts_without_ledger(tiny):

@@ -14,7 +14,6 @@ from fsskit.config import RunConfig
 from fsskit.corpus import load_corpus
 from fsskit.dea import read_dmus
 from fsskit.errors import LoadError
-from fsskit.indicators import read_scores
 from fsskit.normalize import load_baselines
 from fsskit.rankings import read_rankings
 
@@ -59,16 +58,6 @@ def test_load_baselines_rejects_non_finite(tmp_path, value):
     with pytest.raises(LoadError) as err:
         load_baselines(path)
     assert_names(err, "baselines.csv", 3, "c_bar")
-
-
-@pytest.mark.parametrize("value", NON_FINITE)
-def test_read_scores_rejects_non_finite(tmp_path, value):
-    path = tmp_path / "scores.csv"
-    path.write_text("level,unit_id,indicator,value\n"
-                    f"researcher,r1,fss_r,1e-05\nresearcher,r2,fss_r,{value}\n")
-    with pytest.raises(LoadError) as err:
-        read_scores(path)
-    assert_names(err, "scores.csv", 3, "value")
 
 
 @pytest.mark.parametrize("value", NON_FINITE)

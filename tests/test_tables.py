@@ -18,7 +18,6 @@ from fsskit.corpus import (load_corpus, load_salary_schedule, load_taxonomy, rea
                            write_table)
 from fsskit.dea import read_dmus
 from fsskit.errors import LoadError
-from fsskit.indicators import read_scores
 from fsskit.normalize import load_baselines
 from fsskit.rankings import read_rankings
 
@@ -53,10 +52,6 @@ READERS = {
     "load_baselines": (load_baselines, "baselines.csv",
                        "year,category,c_bar,n_cited\n2006,alg,7.5,2\n2007,bio,4.0,1\n",
                        "c_bar", "n_cited", "category"),
-    "read_scores": (read_scores, "scores.csv",
-                    "level,unit_id,indicator,value\n"
-                    "researcher,r1,fss_r,1e-05\nresearcher,r2,fss_r,2e-05\n",
-                    "indicator", "value", "unit_id"),
     "read_rankings": (read_rankings, "rankings.csv",
                       "unit_id,score,rank,percentile\nu1,2.0,1,50.0\nu2,1.0,2,0.0\n",
                       "rank", "rank", "unit_id"),
