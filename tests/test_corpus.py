@@ -192,6 +192,80 @@ def test_publication_without_categories_rejected(tmp_path):
     assert "category" in str(err.value)
 
 
+def replace_row(name, old, new):
+    content = TINY_FILES[name]
+    assert old in content
+    return {name: content.replace(old, new)}
+
+
+# id -> (patched file, file the error names, line, column, full message).
+# Publications: header on line 1, p1..p7 on lines 2..8. Bylines: header on
+# line 1, then 14 rows on lines 2..15.
+LOAD_ERRORS = {
+    "publication-duplicate-id": (
+        {"publications.csv": TINY_FILES["publications.csv"] + "p1,2006,1,alg\n"},
+        "publications.csv", 9, "id", "duplicate publication id 'p1'"),
+    "publication-year-not-integer": (
+        replace_row("publications.csv", "p3,2006,0,alg", "p3,20x6,0,alg"),
+        "publications.csv", 4, "year", "not an integer: '20x6'"),
+    "publication-citations-not-integer": (
+        replace_row("publications.csv", "p3,2006,0,alg", "p3,2006,lots,alg"),
+        "publications.csv", 4, "citations", "not an integer: 'lots'"),
+    "publication-citations-negative": (
+        replace_row("publications.csv", "p3,2006,0,alg", "p3,2006,-1,alg"),
+        "publications.csv", 4, "citations", "citations must be >= 0"),
+    "publication-no-category": (
+        replace_row("publications.csv", "p5,2007,4,bio", "p5,2007,4, ; "),
+        "publications.csv", 6, "subject_categories", "at least one subject category is required"),
+    "byline-empty-publication-id": (
+        replace_row("bylines.csv", "p3,1,r2,UA", ",1,r2,UA"),
+        "bylines.csv", 6, "publication_id", "value is required"),
+    "byline-unknown-publication": (
+        replace_row("bylines.csv", "p3,1,r2,UA", "p99,1,r2,UA"),
+        "bylines.csv", 6, "publication_id", "byline references unknown publication 'p99'"),
+    "byline-position-not-integer": (
+        replace_row("bylines.csv", "p2,2,,XX", "p2,two,,XX"),
+        "bylines.csv", 4, "position", "not an integer: 'two'"),
+    "byline-position-zero": (
+        replace_row("bylines.csv", "p3,1,r2,UA", "p3,0,r2,UA"),
+        "bylines.csv", 6, "position", "position must be >= 1"),
+    "byline-duplicate-position": (
+        replace_row("bylines.csv", "p2,3,r2,UA", "p2,1,r2,UA"),
+        "bylines.csv", 5, "position", "duplicate position 1 for publication 'p2'"),
+    "byline-census-researcher-twice": (
+        replace_row("bylines.csv", "p2,3,r2,UA", "p2,3,r1,UA"),
+        "bylines.csv", 5, "researcher_id", "researcher 'r1' appears twice in the byline of 'p2'"),
+    "byline-empty-institution": (
+        replace_row("bylines.csv", "p3,1,r2,UA", "p3,1,r2,"),
+        "bylines.csv", 6, "institution_id", "value is required"),
+    "byline-missing": (
+        replace_row("bylines.csv", "p3,1,r2,UA\n", ""),
+        "bylines.csv", None, None, "publication 'p3' has no byline"),
+    "byline-gap": (
+        replace_row("bylines.csv", "p2,2,,XX", "p2,4,,XX"),
+        "bylines.csv", None, "position", "byline positions for publication 'p2' are not 1..n without gaps"),
+    # Two faults on one row: the publication is checked before the position.
+    "byline-unknown-publication-and-bad-position": (
+        replace_row("bylines.csv", "p3,1,r2,UA", "p99,x,r2,UA"),
+        "bylines.csv", 6, "publication_id", "byline references unknown publication 'p99'"),
+}
+
+
+@pytest.mark.parametrize("case", LOAD_ERRORS)
+def test_load_error_names_file_line_column_and_message(tmp_path, case):
+    patched, name, line, column, message = LOAD_ERRORS[case]
+    with pytest.raises(LoadError) as err:
+        load_patched(tmp_path, **patched)
+    error = err.value
+    assert (error.file.name, error.line, error.column) == (name, line, column)
+    where = [str(error.file)]
+    if line is not None:
+        where.append(f"line {line}")
+    if column is not None:
+        where.append(f"column '{column}'")
+    assert str(error) == f"{', '.join(where)}: {message}"
+
+
 def test_nonpositive_years_rejected(tmp_path):
     bad = TINY_FILES["researchers.csv"].replace("r4,Dan,BIO01,assistant,,UB,UB-B,2",
                                                 "r4,Dan,BIO01,assistant,,UB,UB-B,0")
