@@ -364,7 +364,10 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         citations = parse_int(citations, publication_path, line, "citations")
         if citations < 0:
             raise LoadError("citations must be >= 0", file=publication_path, line=line, column="citations")
-        categories = tuple(sorted({c.strip() for c in categories.split(";") if c.strip()}))
+        if ";" in categories:
+            categories = tuple(sorted({c.strip() for c in categories.split(";") if c.strip()}))
+        else:  # the cell is already stripped
+            categories = (categories,) if categories else ()
         if not categories:
             raise LoadError("at least one subject category is required", file=publication_path,
                             line=line, column="subject_categories")
@@ -379,30 +382,41 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
     byline_path = Path(byline_file)
     unresolved = 0
     n_rows = 0
+    lookup = kept.get
     for line, (pid, position, rid, institution) in read_table(byline_path, BYLINE_COLUMNS):
         n_rows += 1
-        require(pid, byline_path, line, "publication_id")
-        if pid not in kept:
+        pub = lookup(pid, False)
+        if pub is False:
+            require(pid, byline_path, line, "publication_id")  # "" is never a key
             raise LoadError(f"byline references unknown publication {pid!r}",
                             file=byline_path, line=line, column="publication_id")
-        pub = kept[pid]
-        if pub is None:
-            continue
-        entries = pub[3]
-        position = parse_int(position, byline_path, line, "position")
+        try:
+            position = int(position)
+        except ValueError:
+            raise LoadError(f"not an integer: {position!r}", file=byline_path, line=line,
+                            column="position") from None
         if position < 1:
             raise LoadError("position must be >= 1", file=byline_path, line=line, column="position")
+        if pub is None:  # outside the window: only the row's own cells are checked
+            if not institution:
+                require(institution, byline_path, line, "institution_id")
+            continue
+        entries = pub[3]
         if position in entries:
             raise LoadError(f"duplicate position {position} for publication {pid!r}",
                             file=byline_path, line=line, column="position")
-        if rid and rid not in researchers:
-            unresolved += 1
-            rid = ""
-        elif rid and any(a.researcher_id == rid for a in entries.values()):
-            raise LoadError(f"researcher {rid!r} appears twice in the byline of {pid!r}",
-                            file=byline_path, line=line, column="researcher_id")
-        entries[position] = Authorship(position=position, researcher_id=rid or None,
-                                       institution_id=require(institution, byline_path, line, "institution_id"))
+        if rid in researchers:
+            for entry in entries.values():
+                if entry.researcher_id == rid:
+                    raise LoadError(f"researcher {rid!r} appears twice in the byline of {pid!r}",
+                                    file=byline_path, line=line, column="researcher_id")
+        else:
+            if rid:
+                unresolved += 1
+            rid = None
+        if not institution:
+            require(institution, byline_path, line, "institution_id")
+        entries[position] = Authorship(position, institution, rid)
     report.row_counts["bylines"] = n_rows
     if unresolved:
         report.warnings.append(f"{unresolved} byline author(s) did not resolve to a census "
@@ -410,9 +424,10 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
 
     publications: dict[str, Publication] = {}
     for pid in sorted(kept):
-        if kept[pid] is None:
+        pub = kept[pid]
+        if pub is None:
             continue
-        year, citations, categories, entries = kept[pid]
+        year, citations, categories, entries = pub
         n = len(entries)
         if not n:
             raise LoadError(f"publication {pid!r} has no byline", file=byline_path)
@@ -420,8 +435,8 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         if max(entries) != n:
             raise LoadError(f"byline positions for publication {pid!r} are not 1..n without gaps",
                             file=byline_path, column="position")
-        publications[pid] = Publication(id=pid, year=year, citations=citations, subject_categories=categories,
-                                        byline=tuple(entries[p] for p in range(1, n + 1)))
+        publications[pid] = Publication(pid, year, citations, categories,
+                                        tuple(map(entries.__getitem__, range(1, n + 1))))
 
     corpus = Corpus(
         researchers=researchers,

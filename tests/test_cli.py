@@ -6,11 +6,14 @@ emptying the rankings, so most flows zero them out explicitly.
 """
 
 import csv
+import gc
 import json
 
 import pytest
 
+from fsskit import cli
 from fsskit.cli import main
+from fsskit.errors import ComputationError, InputError
 from fsskit.rankings import read_rankings
 
 NO_EXCLUSIONS = ["--min-years", "0", "--min-staff-uda", "0", "--min-staff-total", "0"]
@@ -333,6 +336,35 @@ def test_dea_dmus_refuses_census_and_config_flags(tmp_path, monkeypatch, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
+# A config flag a command would not read is refused by name, before
+# anything is loaded or written, rather than ignored.
+UNREAD_FLAGS = {
+    "--scope": ["--scope", "sds"],
+    "--baseline-source": ["--baseline-source", "computed"],
+    "--baseline-file": ["--baseline-file", "baselines.csv"],
+    "--min-years": ["--min-years", "0"],
+    "--min-staff-uda": ["--min-staff-uda", "0"],
+    "--min-staff-total": ["--min-staff-total", "99"],
+    "--output-dir": ["--output-dir", "zz"],
+}
+UNREAD = {
+    **{f"validate{flag}": (["validate"], flag) for flag in UNREAD_FLAGS},
+    "rank--scope": (["rank", "--level", "researcher", "--output-dir", "out"], "--scope"),
+    "dea--scope": (["dea", "--output-dir", "out"], "--scope"),
+}
+
+
+@pytest.mark.parametrize("case", UNREAD)
+def test_unread_config_flags_are_refused(tiny_dir, tmp_path, monkeypatch, capsys, case):
+    command, flag = UNREAD[case]
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, *data_args(tiny_dir), *UNREAD_FLAGS[flag]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} does not apply to {command[0]}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny"]
+
+
 def test_dea_quotes_ids_holding_a_comma(tmp_path):
     dmus = tmp_path / "dmus.csv"
     dmus.write_text('id,input_x,output_y\n"U,1",2.0,4.0\n"U,2",4.0,4.0\n')
@@ -384,3 +416,44 @@ def test_no_command_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# The cyclic garbage collector
+# ---------------------------------------------------------------------------
+
+OUTCOMES = {
+    "exit-0": (lambda: 0, 0),
+    "exit-1": (ComputationError("no number"), 1),
+    "exit-2": (InputError("bad file"), 2),
+    "unexpected": (RuntimeError("bug"), RuntimeError),
+}
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("outcome", OUTCOMES)
+def test_command_runs_without_cyclic_gc_and_main_restores_it(monkeypatch, capsys, outcome,
+                                                               caller_enabled):
+    result, expected = OUTCOMES[outcome]
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        if isinstance(result, Exception):
+            raise result
+        return result()
+
+    monkeypatch.setattr(cli, "cmd_validate", command)
+    was_enabled = gc.isenabled()
+    (gc.enable if caller_enabled else gc.disable)()
+    try:
+        if expected is RuntimeError:
+            with pytest.raises(RuntimeError):
+                main(["validate"])
+        else:
+            assert main(["validate"]) == expected
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False]
+    assert after is caller_enabled

@@ -266,6 +266,36 @@ def test_load_error_names_file_line_column_and_message(tmp_path, case):
     assert str(error) == f"{', '.join(where)}: {message}"
 
 
+# p6 (2003) is outside the default 2006-2010 window; its byline row is line 13.
+OUT_OF_WINDOW_ROWS = {
+    "position-not-integer": ("p6,abc,r1,", "position", "not an integer: 'abc'"),
+    "position-zero": ("p6,0,r1,UA", "position", "position must be >= 1"),
+    "empty-institution": ("p6,1,r1,", "institution_id", "value is required"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_WINDOW_ROWS)
+@pytest.mark.parametrize("window", [(2006, 2010), (2000, 2020)])
+def test_byline_row_cells_checked_whatever_the_window(tmp_path, case, window):
+    row, column, message = OUT_OF_WINDOW_ROWS[case]
+    directory = tmp_path / "patched"
+    directory.mkdir()
+    for name, content in {**TINY_FILES, **replace_row("bylines.csv", "p6,1,r1,UA", row)}.items():
+        (directory / name).write_text(content, encoding="utf-8")
+    with pytest.raises(LoadError) as err:
+        load_from(directory, RunConfig(window=window))
+    assert (err.value.file.name, err.value.line, err.value.column) == ("bylines.csv", 13, column)
+    assert str(err.value).endswith(f": {message}")
+
+
+def test_publication_level_byline_checks_skip_out_of_window_publications(tmp_path):
+    # p6 is outside the window: a gap, a repeated position and a repeated
+    # census researcher in its byline are not checked.
+    extra = "p6,3,r1,UA\np6,3,r2,UA\n"
+    corpus, _ = load_patched(tmp_path, **{"bylines.csv": TINY_FILES["bylines.csv"] + extra})
+    assert "p6" not in corpus.publications
+
+
 def test_nonpositive_years_rejected(tmp_path):
     bad = TINY_FILES["researchers.csv"].replace("r4,Dan,BIO01,assistant,,UB,UB-B,2",
                                                 "r4,Dan,BIO01,assistant,,UB,UB-B,0")
