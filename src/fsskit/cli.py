@@ -14,7 +14,7 @@ A command runs with Python's cyclic garbage collector switched off, and
 main restores the caller's setting when the command ends. A census command
 allocates some 100k container objects (records, tuples, dicts) and builds
 no reference cycles worth collecting, so the collector's repeated passes
-over them were pure cost; reference counting still frees everything else.
+over them would be pure cost; reference counting still frees the rest.
 Validate, rank and corpus-mode dea refuse, by name, the config flags they
 would not read, rather than ignore them.
 """

@@ -6,7 +6,11 @@ discipline code plus the field's co-authorship convention), and the national
 salary schedule. It is frozen: it holds only what was loaded, and every
 downstream module only reads it. load_corpus reads each file in one pass
 and builds each record once; Authorship and Publication are NamedTuples,
-as there is one Authorship per byline row.
+as there is one Authorship per byline row. Each byline row goes straight
+into its publication's position map; a row costs one dict lookup for its
+publication and only the checks its cells call for. Publications outside
+the observation window are dropped, but every byline row, theirs included,
+must name a known publication, a position >= 1 and an institution.
 
 File formats (UTF-8, comma-delimited, header row, '.' decimal):
 
@@ -309,8 +313,13 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
 
     Only ``config.window``, the observation window, is read from ``config``.
     Publications outside the window are skipped with a warning. Byline rows
-    whose researcher_id is unknown become external authors (warning); a
-    census researcher listed twice on one byline is an error.
+    whose researcher_id is unknown become external authors (warning).
+
+    Each file is read in one pass. Every byline row's own cells are checked
+    whatever the window: a known publication_id, an integer position >= 1
+    and a non-empty institution_id. The checks on a whole byline apply only
+    to publications in the window: no repeated position, positions 1..n
+    without gaps, at least one row, and no census researcher listed twice.
     """
     report = LoadReport()
     taxonomy = load_taxonomy(taxonomy_file)

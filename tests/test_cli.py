@@ -422,11 +422,13 @@ def test_no_command_is_a_usage_error():
 # The cyclic garbage collector
 # ---------------------------------------------------------------------------
 
+# outcome -> (error the command raises, or None; main's exit code, or None
+# when the error propagates)
 OUTCOMES = {
-    "exit-0": (lambda: 0, 0),
-    "exit-1": (ComputationError("no number"), 1),
-    "exit-2": (InputError("bad file"), 2),
-    "unexpected": (RuntimeError("bug"), RuntimeError),
+    "exit-0": (None, 0),
+    "exit-1": (ComputationError, 1),
+    "exit-2": (InputError, 2),
+    "unexpected": (RuntimeError, None),
 }
 
 
@@ -434,21 +436,21 @@ OUTCOMES = {
 @pytest.mark.parametrize("outcome", OUTCOMES)
 def test_command_runs_without_cyclic_gc_and_main_restores_it(monkeypatch, capsys, outcome,
                                                                caller_enabled):
-    result, expected = OUTCOMES[outcome]
+    error, expected = OUTCOMES[outcome]
     seen = []
 
     def command(args):
         seen.append(gc.isenabled())
-        if isinstance(result, Exception):
-            raise result
-        return result()
+        if error is not None:
+            raise error("from the command")
+        return 0
 
     monkeypatch.setattr(cli, "cmd_validate", command)
     was_enabled = gc.isenabled()
     (gc.enable if caller_enabled else gc.disable)()
     try:
-        if expected is RuntimeError:
-            with pytest.raises(RuntimeError):
+        if expected is None:
+            with pytest.raises(error):
                 main(["validate"])
         else:
             assert main(["validate"]) == expected
