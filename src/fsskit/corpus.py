@@ -373,10 +373,7 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         citations = parse_int(citations, publication_path, line, "citations")
         if citations < 0:
             raise LoadError("citations must be >= 0", file=publication_path, line=line, column="citations")
-        if ";" in categories:
-            categories = tuple(sorted({c.strip() for c in categories.split(";") if c.strip()}))
-        else:  # the cell is already stripped
-            categories = (categories,) if categories else ()
+        categories = tuple(sorted({c.strip() for c in categories.split(";") if c.strip()}))
         if not categories:
             raise LoadError("at least one subject category is required", file=publication_path,
                             line=line, column="subject_categories")
@@ -391,24 +388,18 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
     byline_path = Path(byline_file)
     unresolved = 0
     n_rows = 0
-    lookup = kept.get
     for line, (pid, position, rid, institution) in read_table(byline_path, BYLINE_COLUMNS):
         n_rows += 1
-        pub = lookup(pid, False)
+        pub = kept.get(pid, False)
         if pub is False:
             require(pid, byline_path, line, "publication_id")  # "" is never a key
             raise LoadError(f"byline references unknown publication {pid!r}",
                             file=byline_path, line=line, column="publication_id")
-        try:
-            position = int(position)
-        except ValueError:
-            raise LoadError(f"not an integer: {position!r}", file=byline_path, line=line,
-                            column="position") from None
+        position = parse_int(position, byline_path, line, "position")
         if position < 1:
             raise LoadError("position must be >= 1", file=byline_path, line=line, column="position")
         if pub is None:  # outside the window: only the row's own cells are checked
-            if not institution:
-                require(institution, byline_path, line, "institution_id")
+            require(institution, byline_path, line, "institution_id")
             continue
         entries = pub[3]
         if position in entries:
@@ -423,8 +414,7 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
             if rid:
                 unresolved += 1
             rid = None
-        if not institution:
-            require(institution, byline_path, line, "institution_id")
+        require(institution, byline_path, line, "institution_id")
         entries[position] = Authorship(position, institution, rid)
     report.row_counts["bylines"] = n_rows
     if unresolved:
