@@ -15,8 +15,9 @@ main restores the caller's setting when the command ends. A census command
 allocates some 100k container objects (records, tuples, dicts) and builds
 no reference cycles worth collecting, so the collector's repeated passes
 over them would be pure cost; reference counting still frees the rest.
-Validate, rank and corpus-mode dea refuse, by name, the config flags they
-would not read, rather than ignore them.
+Each census command's parser offers only the config flags that the command
+reads (``READS``), so argparse refuses any other one with exit 2 before a
+file is read; ``dea --dmus`` refuses the census and config flags by name.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import OVERRIDE_KEYS, RunConfig, load_config
+from .config import BASELINE_SOURCES, OVERRIDE_KEYS, SCOPES, RunConfig, load_config
 from .corpus import apply_exclusions, export_corpus, load_corpus, write_table
 from .dea import (corpus_input_ranks, dea_output_oriented, dmus_from_corpus, read_dmus,
                   scale_efficiency, write_dmus, write_results)
@@ -44,6 +45,27 @@ from .synth import SynthParams, generate_synthetic_corpus
 
 DATA_FILES = ("researchers", "publications", "bylines", "taxonomy", "salaries")
 
+# The settings each census command reads. Rank ranks the level that --level
+# names, whatever the scope; dea builds one DMU per institution and uses no
+# staff floor.
+READS = {
+    "validate": ("window",),
+    "score": OVERRIDE_KEYS,
+    "rank": tuple(key for key in OVERRIDE_KEYS if key != "scope"),
+    "dea": tuple(key for key in OVERRIDE_KEYS
+                 if key not in ("scope", "min_staff_uda", "min_staff_total")),
+}
+CONFIG_FLAGS = {
+    "window": {"nargs": 2, "type": int, "metavar": ("START", "END")},
+    "scope": {"choices": SCOPES},
+    "baseline_source": {"choices": BASELINE_SOURCES},
+    "baseline_file": {"metavar": "CSV"},
+    "min_years": {"type": float},
+    "min_staff_uda": {"type": int},
+    "min_staff_total": {"type": int},
+    "output_dir": {"metavar": "DIR"},
+}
+
 
 def _add_data_arguments(parser: argparse.ArgumentParser):
     parser.add_argument("--data", metavar="DIR",
@@ -53,21 +75,15 @@ def _add_data_arguments(parser: argparse.ArgumentParser):
         parser.add_argument(f"--{name}", metavar="CSV", help=f"path to the {name} file")
 
 
-def _add_config_arguments(parser: argparse.ArgumentParser):
+def _add_config_arguments(parser: argparse.ArgumentParser, command: str):
     parser.add_argument("--config", metavar="JSON", help="run configuration file")
-    parser.add_argument("--window", nargs=2, type=int, metavar=("START", "END"))
-    parser.add_argument("--scope", choices=("sds", "department", "university", "country"))
-    parser.add_argument("--baseline-source", dest="baseline_source", choices=("computed", "file"))
-    parser.add_argument("--baseline-file", dest="baseline_file", metavar="CSV")
-    parser.add_argument("--min-years", dest="min_years", type=float)
-    parser.add_argument("--min-staff-uda", dest="min_staff_uda", type=int)
-    parser.add_argument("--min-staff-total", dest="min_staff_total", type=int)
-    parser.add_argument("--output-dir", dest="output_dir", metavar="DIR")
+    for key, flag in CONFIG_FLAGS.items():
+        if key in READS[command]:
+            parser.add_argument("--" + key.replace("_", "-"), dest=key, **flag)
 
 
 def _refuse(args, names, where: str):
-    """Refuse, by name, the first flag among ``names`` that was given; a
-    command refuses the flags it would not read."""
+    """Refuse, by name, the first flag among ``names`` that was given."""
     for name in names:
         if getattr(args, name) is not None:
             raise InputError(f"--{name.replace('_', '-')} does not apply {where}")
@@ -87,8 +103,11 @@ def _data_paths(args) -> dict[str, Path]:
 
 
 def _config_from_args(args) -> tuple[RunConfig, list[str]]:
-    overrides = {key: getattr(args, key, None) for key in OVERRIDE_KEYS}
-    config, defaulted = load_config(getattr(args, "config", None), overrides)
+    """The run config, and the settings the command reads that were left at
+    their defaults, which are printed."""
+    reads = READS[args.command]
+    config, defaulted = load_config(args.config, {key: getattr(args, key) for key in reads})
+    defaulted = [key for key in defaulted if key in reads]
     if defaulted:
         print("defaults in effect: " + ", ".join(defaulted))
     return config, defaulted
@@ -135,8 +154,6 @@ def _outdir(config: RunConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    # Loading reads only the window.
-    _refuse(args, (key for key in OVERRIDE_KEYS if key != "window"), "to validate")
     config, _ = _config_from_args(args)
     paths = _data_paths(args)
     corpus, report = load_corpus(paths["researchers"], paths["publications"],
@@ -216,7 +233,6 @@ def _eligible(exclusions, ledger, level: str, uda: str | None):
 
 
 def cmd_rank(args) -> int:
-    _refuse(args, ("scope",), "to rank")  # --level chooses what is ranked
     level = args.level
     indicator = args.indicator
     if level != "university" and args.uda:
@@ -281,11 +297,10 @@ def cmd_compare(args) -> int:
 def cmd_dea(args) -> int:
     if args.dmus:
         _refuse(args, ("data", *DATA_FILES, "config",
-                       *(key for key in OVERRIDE_KEYS if key != "output_dir")), "with --dmus")
+                       *(key for key in READS["dea"] if key != "output_dir")), "with --dmus")
         dmus = read_dmus(args.dmus)
         out = Path(args.output_dir or ".")
     else:
-        _refuse(args, ("scope",), "to dea")
         config, _ = _config_from_args(args)
         corpus, _, _, _, ledger, _ = _load_pipeline(args, config)
         dmus, skipped = dmus_from_corpus(corpus, ledger)
@@ -348,17 +363,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check input files and report row counts")
     _add_data_arguments(p)
-    _add_config_arguments(p)
+    _add_config_arguments(p, "validate")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("score", help="compute productivity scores")
     _add_data_arguments(p)
-    _add_config_arguments(p)
+    _add_config_arguments(p, "score")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("rank", help="rank units of one level")
     _add_data_arguments(p)
-    _add_config_arguments(p)
+    _add_config_arguments(p, "rank")
     p.add_argument("--level", required=True,
                    choices=("researcher", "staff", "department", "university"))
     p.add_argument("--indicator", choices=("fss_u", "p_u", "fp_u"),
@@ -376,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dea", help="output-oriented efficiency frontier")
     _add_data_arguments(p)
-    _add_config_arguments(p)
+    _add_config_arguments(p, "dea")
     p.add_argument("--dmus", metavar="CSV",
                    help="score a prepared DMU table instead of corpus files")
     p.add_argument("--model", choices=("crs", "vrs", "both"), default="both")

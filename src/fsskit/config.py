@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import InputError
@@ -59,18 +59,11 @@ class RunConfig:
         self.exclusions.validate()
 
     def canonical_dict(self) -> dict:
-        """Result-affecting fields only, with deterministic key order."""
-        return {
-            "window": list(self.window),
-            "baseline_source": self.baseline_source,
-            "baseline_file": self.baseline_file,
-            "scope": self.scope,
-            "exclusions": {
-                "min_years": self.exclusions.min_years,
-                "min_staff_uda": self.exclusions.min_staff_uda,
-                "min_staff_total": self.exclusions.min_staff_total,
-            },
-        }
+        """Result-affecting fields only: every field but ``output_dir``."""
+        data = asdict(self)
+        del data["output_dir"]
+        data["window"] = list(self.window)
+        return data
 
     def config_hash(self) -> str:
         payload = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
@@ -79,7 +72,8 @@ class RunConfig:
 
 _TOP_LEVEL_KEYS = {f.name for f in fields(RunConfig)}
 _EXCLUSION_KEYS = {f.name for f in fields(ExclusionThresholds)}
-# Every name load_config takes as an override (the CLI's config flags).
+# Every setting, one name each: the file's keys with the exclusions object
+# flattened, which are also the names load_config takes as overrides.
 OVERRIDE_KEYS = tuple(sorted(_TOP_LEVEL_KEYS - {"exclusions"} | _EXCLUSION_KEYS))
 
 
@@ -106,8 +100,8 @@ def load_config(path=None, overrides: dict | None = None) -> tuple[RunConfig, li
     """Build a RunConfig from a JSON file and explicit overrides.
 
     Overrides (CLI flags) win over the file; the file wins over defaults.
-    Returns the config plus the names of fields left at their defaults, so
-    callers can surface silently-defaulted values.
+    Returns the config plus the names of the settings (``OVERRIDE_KEYS``)
+    left at their defaults, so callers can surface silently-defaulted values.
     """
     data: dict = {}
     if path is not None:
@@ -124,42 +118,28 @@ def load_config(path=None, overrides: dict | None = None) -> tuple[RunConfig, li
         if unknown:
             raise InputError(f"unknown config key(s): {', '.join(sorted(unknown))}")
 
-    merged = dict(data)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key in _EXCLUSION_KEYS:
-            merged.setdefault("exclusions", {})
-            if not isinstance(merged["exclusions"], dict):
-                raise InputError("config key 'exclusions' must be an object")
-            merged["exclusions"] = dict(merged["exclusions"], **{key: value})
-        elif key in _TOP_LEVEL_KEYS:
-            merged[key] = value
-        else:
-            raise InputError(f"unknown config override: {key}")
-
-    exclusion_data = merged.pop("exclusions", {})
-    if not isinstance(exclusion_data, dict):
+    exclusions = data.pop("exclusions", {})
+    if not isinstance(exclusions, dict):
         raise InputError("config key 'exclusions' must be an object")
-    unknown = set(exclusion_data) - _EXCLUSION_KEYS
+    unknown = set(exclusions) - _EXCLUSION_KEYS
     if unknown:
         raise InputError(f"unknown exclusions key(s): {', '.join(sorted(unknown))}")
-    for key, value in [*merged.items(), *exclusion_data.items()]:
+    settings = {**data, **exclusions}
+    for key, value in (overrides or {}).items():
+        if key not in OVERRIDE_KEYS:
+            raise InputError(f"unknown config override: {key}")
+        if value is not None:
+            settings[key] = value
+    for key, value in settings.items():
         what, is_kind = _KINDS[key]
         if not is_kind(value):
             raise InputError(f"config key {key!r} must be {what}")
-    exclusions = ExclusionThresholds(**exclusion_data)
-    if "window" in merged:
-        merged["window"] = tuple(merged["window"])
+    defaulted = sorted(set(OVERRIDE_KEYS) - set(settings))
 
-    config = RunConfig(exclusions=exclusions, **merged)
+    if "window" in settings:
+        settings["window"] = tuple(settings["window"])
+    thresholds = ExclusionThresholds(**{key: settings.pop(key) for key in _EXCLUSION_KEYS
+                                        if key in settings})
+    config = RunConfig(exclusions=thresholds, **settings)
     config.validate()
-
-    defaulted = [
-        f.name for f in fields(RunConfig)
-        if f.name != "exclusions" and f.name not in merged
-    ]
-    if not exclusion_data:
-        defaulted.append("exclusions")
-    return config, sorted(defaulted)
-
+    return config, defaulted

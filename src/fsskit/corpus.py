@@ -165,9 +165,6 @@ class LoadReport:
 
 @dataclass
 class ExclusionReport:
-    min_years: float
-    min_staff_uda: int
-    min_staff_total: int
     excluded_researchers: list[tuple[str, str]] = field(default_factory=list)
     excluded_institution_udas: list[tuple[str, str]] = field(default_factory=list)
     excluded_institutions: list[str] = field(default_factory=list)
@@ -506,8 +503,7 @@ def apply_exclusions(corpus: Corpus, min_years: float = 0.0, min_staff_uda: int 
     if min_years < 0 or min_staff_uda < 0 or min_staff_total < 0:
         raise InputError("exclusion thresholds must be >= 0")
 
-    report = ExclusionReport(min_years=min_years, min_staff_uda=min_staff_uda,
-                             min_staff_total=min_staff_total)
+    report = ExclusionReport()
 
     kept: dict[str, Researcher] = {}
     for rid in sorted(corpus.researchers):

@@ -287,13 +287,9 @@ def read_dmus(path) -> list[DMU]:
     return dmus
 
 
-def write_dmus(dmus, path, input_names=None, output_names=None) -> Path:
+def write_dmus(dmus, path, input_names, output_names) -> Path:
     dmus = validate_dmus(dmus)
-    n_in = len(dmus[0].inputs)
-    n_out = len(dmus[0].outputs)
-    input_names = input_names or [str(i + 1) for i in range(n_in)]
-    output_names = output_names or [str(i + 1) for i in range(n_out)]
-    if len(input_names) != n_in or len(output_names) != n_out:
+    if len(input_names) != len(dmus[0].inputs) or len(output_names) != len(dmus[0].outputs):
         raise InputError("dimension name counts do not match the DMUs")
     header = ["id"] + [f"input_{n}" for n in input_names] + [f"output_{n}" for n in output_names]
     return write_table(path, header, (

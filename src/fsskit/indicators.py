@@ -305,8 +305,6 @@ def university_scores(ledger: list[CreditRow], means: FieldMeans, indicator: str
 
 def write_scores(score_sets, path) -> Path:
     """scores.csv: level,unit_id,indicator,value with full-precision floats."""
-    if isinstance(score_sets, ScoreSet):
-        score_sets = [score_sets]
     rows = sorted(((scores.level, uid, scores.indicator, scores.entries[uid])
                    for scores in score_sets for uid in scores.unit_ids()),
                   key=lambda row: (row[0], row[2], row[1]))

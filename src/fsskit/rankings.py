@@ -35,8 +35,6 @@ class RankedEntry:
 @dataclass
 class RankedList:
     entries: list[RankedEntry]  # score descending, unit_id ascending within ties
-    level: str = ""
-    indicator: str = ""
     group: str | None = None  # e.g. a discipline code when ranking within one
 
     def __len__(self) -> int:
@@ -93,8 +91,7 @@ def rank_scores(scores: ScoreSet, exclude=frozenset()) -> RankedList:
             uid, value = items[k]
             entries.append(RankedEntry(unit_id=uid, score=value, rank=i + 1, percentile=pct))
         i = j + 1
-    return RankedList(entries=entries, level=scores.level, indicator=scores.indicator,
-                      group=scores.metadata.get("uda"))
+    return RankedList(entries=entries, group=scores.metadata.get("uda"))
 
 
 def standardized_scores(scores: ScoreSet, means: FieldMeans) -> ScoreSet:

@@ -276,7 +276,7 @@ def test_compare_mismatched_units_exit_2(tmp_path, capsys):
 
 def test_dea_from_corpus(tiny_dir, tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["dea", *data_args(tiny_dir), *NO_EXCLUSIONS,
+    assert main(["dea", *data_args(tiny_dir), "--min-years", "0",
                  "--output-dir", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "crs:" in stdout and "vrs:" in stdout
@@ -322,22 +322,35 @@ DMUS_REFUSED = {
 }
 
 
+# Config flags that the dea parser does not offer at all, in either mode.
+DEA_UNOFFERED = ("--scope", "--min-staff-uda", "--min-staff-total")
+
+
 @pytest.mark.parametrize("flag", DMUS_REFUSED)
 def test_dea_dmus_refuses_census_and_config_flags(tmp_path, monkeypatch, capsys, flag):
     # A prepared table takes only --model and --output-dir. Every other
-    # flag is refused by name before anything is read or written.
+    # flag is refused before anything is read or written: by argparse if
+    # dea offers no such flag, else by name.
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"output_dir": str(tmp_path / "configured")}))
-    assert main(["dea", "--dmus", "missing.csv", *DMUS_REFUSED[flag]]) == 2
+    argv = ["dea", "--dmus", "missing.csv", *DMUS_REFUSED[flag]]
+    if flag in DEA_UNOFFERED:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        expected = f"unrecognized arguments: {' '.join(DMUS_REFUSED[flag])}"
+    else:
+        assert main(argv) == 2
+        expected = f"{flag} does not apply with --dmus"
     err = capsys.readouterr().err
-    assert f"{flag} does not apply with --dmus" in err
+    assert expected in err
     assert "not found" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
-# A config flag a command would not read is refused by name, before
-# anything is loaded or written, rather than ignored.
+# A command's parser offers only the config flags the command reads, so
+# argparse refuses any other before anything is loaded or written.
 UNREAD_FLAGS = {
     "--scope": ["--scope", "sds"],
     "--baseline-source": ["--baseline-source", "computed"],
@@ -350,7 +363,7 @@ UNREAD_FLAGS = {
 UNREAD = {
     **{f"validate{flag}": (["validate"], flag) for flag in UNREAD_FLAGS},
     "rank--scope": (["rank", "--level", "researcher", "--output-dir", "out"], "--scope"),
-    "dea--scope": (["dea", "--output-dir", "out"], "--scope"),
+    **{f"dea{flag}": (["dea", "--output-dir", "out"], flag) for flag in DEA_UNOFFERED},
 }
 
 
@@ -358,11 +371,40 @@ UNREAD = {
 def test_unread_config_flags_are_refused(tiny_dir, tmp_path, monkeypatch, capsys, case):
     command, flag = UNREAD[case]
     monkeypatch.chdir(tmp_path)
-    assert main([*command, *data_args(tiny_dir), *UNREAD_FLAGS[flag]]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *data_args(tiny_dir), *UNREAD_FLAGS[flag]])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {flag} does not apply to {command[0]}\n"
+    assert f"unrecognized arguments: {' '.join(UNREAD_FLAGS[flag])}" in captured.err
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny"]
+
+
+# The defaults line names, one by one, the settings a command reads and was
+# not given; never one that the command does not read.
+DEFAULTS_LINES = {
+    "validate": (["validate"], "window"),
+    "rank": (["rank", "--level", "researcher", *NO_EXCLUSIONS, "--output-dir", "out"],
+             "baseline_file, baseline_source, window"),
+    "dea": (["dea", "--min-years", "0", "--output-dir", "out"],
+            "baseline_file, baseline_source, window"),
+    "score": (["score", "--min-years", "0", "--output-dir", "out"],
+              "baseline_file, baseline_source, min_staff_total, min_staff_uda, scope, window"),
+}
+
+
+@pytest.mark.parametrize("case", DEFAULTS_LINES)
+def test_defaults_line_lists_only_settings_the_command_reads(tiny_dir, tmp_path, monkeypatch,
+                                                             capsys, case):
+    command, expected = DEFAULTS_LINES[case]
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, *data_args(tiny_dir)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("defaults in effect: ")]
+    assert lines == [f"defaults in effect: {expected}"]
+    if case == "score":
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["defaults_in_effect"] == expected.split(", ")
 
 
 def test_dea_quotes_ids_holding_a_comma(tmp_path):

@@ -47,8 +47,9 @@ def test_config_hash_covers_exactly_the_result_settings():
 ])
 def test_removed_flags_exit_2(tiny_dir, tmp_path, capsys, command, flag):
     out = tmp_path / "out"
+    output = [] if command == ["validate"] else ["--output-dir", str(out)]  # validate writes none
     with pytest.raises(SystemExit) as exc:
-        main([*command, "--data", str(tiny_dir), "--output-dir", str(out), *flag])
+        main([*command, "--data", str(tiny_dir), *output, *flag])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not out.exists()

@@ -44,16 +44,16 @@ GOLDEN = {
     "rank_staff_std/percentile_distribution.csv": "563a3e1bd56fb9f3bf9dee1d658254cbb5fbf5a5c4ac9011ce8f726b4a28b075",
     "rank_staff_std/rankings.csv": "2a0f2450424f28cb306b20e62c8e1a8cb2d5ee257d9ca5188def24dfcd2443ef",
     "score_country/baselines.csv": "994d2b14d2ee7b1150053fc5233a611e9d7eaed538fdc78a9abb1510fb15e9f1",
-    "score_country/report.json": "5a5db397404ae2024d3c7eb7326527061715753102419c6bda8e17758d87e56a",
+    "score_country/report.json": "7ebffded7a9693fa71f2ba1aebb1caa1e8f4325a886a80abd2e3f724e9fbb926",
     "score_country/scores.csv": "f721da3e1856f4b35e3e39666be53aad632d07bbb327c7fff7ce6a03662f2e91",
     "score_department/baselines.csv": "994d2b14d2ee7b1150053fc5233a611e9d7eaed538fdc78a9abb1510fb15e9f1",
-    "score_department/report.json": "b92dba93aec95b23adc9c40ee16054eba3fb7e9ee7a5adc9609b64624d4b82b5",
+    "score_department/report.json": "0ab6fddd0850458b386903ef2c2e238bcd9b76b0bad40c22434118735f60f73b",
     "score_department/scores.csv": "d94a268b289a4ca9b16310a4731e14830b64865818236736e8c07cc21e0b2758",
     "score_sds/baselines.csv": "994d2b14d2ee7b1150053fc5233a611e9d7eaed538fdc78a9abb1510fb15e9f1",
-    "score_sds/report.json": "7bc7ee49749b2d403f1aae32c9c4ea590c040979a13635701a18d0dd4db920a0",
+    "score_sds/report.json": "df5211bd5152a8f23baf4fc59ebe83b2f2a04568f2d4861da2adb264ea63eaa6",
     "score_sds/scores.csv": "4fe4b91b316243d63aea56916ae9a89df665c18119cdbff0f0641a5bbc9af7c7",
     "score_university/baselines.csv": "994d2b14d2ee7b1150053fc5233a611e9d7eaed538fdc78a9abb1510fb15e9f1",
-    "score_university/report.json": "bb0920e4cffe27e6ea5676f17f2a33949847fd873d76a94772d3f63f8188f5aa",
+    "score_university/report.json": "6acdc9ccb5df57debb5fcba324caae684661e14841433146b80a78ac09fab4a0",
     "score_university/scores.csv": "d1b4d4fb1880dfec8eff93dcfac703870d74ac48c7f58badbf87b8943f06835b",
 }
 
