@@ -4,7 +4,9 @@ Subcommands cover the batch workflow end to end: validate input files,
 score units, rank them, compare two rankings, run the efficiency frontier,
 and generate synthetic test data. Exit codes: 0 on success, 1 when a
 computation fails on valid input, 2 when the input itself is bad (including
-unparsable files and bad flags).
+unparsable or unreadable files, an output directory that cannot be made, and
+bad flags), 141 (128 + SIGPIPE) when stdout is closed before the command
+has printed everything, as by ``fsskit validate ... | head -1``.
 
 Outputs are deterministic: report files carry no timestamps or absolute
 paths, and the run configuration hash excludes the output directory, so
@@ -26,6 +28,7 @@ import argparse
 import gc
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -143,9 +146,13 @@ def _load_pipeline(args, config: RunConfig):
     return corpus, report, exclusions, baselines, ledger, checksums
 
 
-def _outdir(config: RunConfig) -> Path:
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _outdir(path) -> Path:
+    """The output directory at ``path``, made if it does not exist."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot make output directory {out}: {exc.strerror}") from None
     return out
 
 
@@ -190,7 +197,7 @@ def cmd_score(args) -> int:
     _, report, exclusions, baselines, ledger, checksums = _load_pipeline(args, config)
     sets = _score_sets(ledger, config)
 
-    out = _outdir(config)
+    out = _outdir(config.output_dir)
     write_scores(sets, out / "scores.csv")
     if config.baseline_source == "computed":
         write_baselines(baselines, out / "baselines.csv")
@@ -264,7 +271,7 @@ def cmd_rank(args) -> int:
     if not ranked.entries:
         raise ComputationError("no units left to rank after exclusions")
 
-    out = _outdir(config)
+    out = _outdir(config.output_dir)
     write_rankings(ranked, out / "rankings.csv")
     bands = {b: 0 for b in range(0, 100, 10)}
     for e in ranked.entries:
@@ -280,8 +287,7 @@ def cmd_compare(args) -> int:
     ranked_a = read_rankings(args.a)
     ranked_b = read_rankings(args.b)
     stats = compare_rankings(ranked_a, ranked_b)
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _outdir(args.out or ".")
     write_comparison(stats, out / "comparison.json")
     histogram: dict[int, int] = {}
     for shift in stats.shifts.values():
@@ -299,18 +305,17 @@ def cmd_dea(args) -> int:
         _refuse(args, ("data", *DATA_FILES, "config",
                        *(key for key in READS["dea"] if key != "output_dir")), "with --dmus")
         dmus = read_dmus(args.dmus)
-        out = Path(args.output_dir or ".")
+        out = _outdir(args.output_dir or ".")
     else:
         config, _ = _config_from_args(args)
         corpus, _, _, _, ledger, _ = _load_pipeline(args, config)
         dmus, skipped = dmus_from_corpus(corpus, ledger)
         for warning in skipped:
             print(f"warning: {warning}")
-        out = _outdir(config)
+        out = _outdir(config.output_dir)
         write_dmus(dmus, out / "dmus.csv",
                    input_names=[f"cost_{r}" for r in corpus_input_ranks(corpus)],
                    output_names=["impact", "count"])
-    out.mkdir(parents=True, exist_ok=True)
 
     models = ("crs", "vrs") if args.model == "both" else (args.model,)
     all_scores = []
@@ -417,7 +422,15 @@ def main(argv=None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Whatever is still buffered would fail again at exit (status 120).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

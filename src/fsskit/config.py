@@ -106,10 +106,14 @@ def load_config(path=None, overrides: dict | None = None) -> tuple[RunConfig, li
     data: dict = {}
     if path is not None:
         path = Path(path)
-        if not path.exists():
-            raise InputError(f"config file not found: {path}")
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            raise InputError(f"config file not found: {path}") from None
+        except OSError as exc:
+            raise InputError(f"config file {path} cannot be read: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise InputError(f"config file {path} is not UTF-8 text") from None
         except json.JSONDecodeError as exc:
             raise InputError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(data, dict):

@@ -195,9 +195,13 @@ def read_table(path, columns, optional=()) -> Iterator[tuple[int, tuple[str, ...
     has one, the line.
     """
     path = Path(path)
-    if not path.exists():
-        raise LoadError("file not found", file=path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except FileNotFoundError:
+        raise LoadError("file not found", file=path) from None
+    except OSError as exc:
+        raise LoadError(f"cannot be read: {exc.strerror}", file=path) from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = [name.strip() for name in next(reader, ())]

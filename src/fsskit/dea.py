@@ -15,6 +15,12 @@ Technical efficiency is 1/phi, so frontier units score 1. Scale efficiency
 is the ratio of constant-returns to variable-returns efficiency; it can
 never exceed 1 because the constant-returns technology contains the
 variable-returns one.
+
+numpy is imported inside the functions that compute on arrays
+(``_envelopment_lp``, ``_certificate`` and ``dea_output_oriented``), not at
+the top. The CLI imports this module for every command, and only ``dea``
+solves programs; the census commands would otherwise pay numpy's import
+time, about as much CPU as their own computation on a small census.
 """
 
 from __future__ import annotations
@@ -22,8 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .corpus import Corpus, parse_float, read_table, require, write_table
 # perfbench/tracing.py wraps fractional_contribution and normalized_impact on
@@ -33,6 +38,9 @@ from .errors import ComputationError, InputError, LoadError
 from .indicators import CreditRow, group_rows
 from .normalize import normalized_impact  # noqa: F401
 from .simplex import LinearProgram, solve_lp
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MODELS = ("crs", "vrs")
 FRONTIER_TOL = 1e-6
@@ -90,6 +98,8 @@ def _envelopment_lp(inputs: np.ndarray, outputs: np.ndarray, index: int,
                     model: str) -> LinearProgram:
     """Variables are (phi, lambda_1..lambda_n); ``inputs`` and ``outputs``
     hold one row per DMU."""
+    import numpy as np
+
     n, n_in = inputs.shape
     n_out = outputs.shape[1]
     a_ub = np.zeros((n_in + n_out, 1 + n))
@@ -117,11 +127,6 @@ def _column_scale(values: np.ndarray) -> np.ndarray:
     return scale
 
 
-def _relative_excess(excess, size):
-    """excess / size, floored at 0; NaN stays NaN."""
-    return np.maximum(excess, 0.0) / np.maximum(size, np.finfo(float).tiny)
-
-
 def _certificate(inputs, outputs, input_scale, output_scale, index, model,
                  solution) -> dict[str, float]:
     """Worst residuals showing that ``solution``, an optimum of unit
@@ -135,6 +140,14 @@ def _certificate(inputs, outputs, input_scale, output_scale, index, model,
     least its largest coefficient) times the 1-norm of the variables, plus
     its bound. No residual then depends on the units of a column, and a row
     with bound 0 is not judged by roundoff alone."""
+    import numpy as np
+
+    tiny = np.finfo(float).tiny
+
+    def relative_excess(excess, size):
+        """excess / size, floored at 0; NaN stays NaN."""
+        return np.maximum(excess, 0.0) / np.maximum(size, tiny)
+
     n_in = input_scale.size
     phi, lam, duals = solution.objective, solution.x[1:], solution.duals
     u = np.maximum(duals[:n_in], 0.0) / input_scale
@@ -142,15 +155,15 @@ def _certificate(inputs, outputs, input_scale, output_scale, index, model,
     w = duals[-1] if model == "vrs" else 0.0
     x_o, y_o = inputs[index], outputs[index]
     total = lam.sum()
-    primal = [_relative_excess(lam @ inputs - x_o, input_scale * total + x_o),
-              _relative_excess(phi * y_o - lam @ outputs, output_scale * (phi + total)),
-              _relative_excess(-lam, 1.0)]
+    primal = [relative_excess(lam @ inputs - x_o, input_scale * total + x_o),
+              relative_excess(phi * y_o - lam @ outputs, output_scale * (phi + total)),
+              relative_excess(-lam, 1.0)]
     if model == "vrs":
         primal.append(np.array([abs(total - 1.0)]))
     weight = u @ input_scale + v @ output_scale + abs(w)
-    dual = [_relative_excess(outputs @ v - inputs @ u - w, weight),
-            _relative_excess(np.array([1.0 - v @ y_o]), 1.0 + v @ y_o)]
-    gap = _relative_excess(abs(u @ x_o + w - phi), abs(u @ x_o) + abs(w) + phi)
+    dual = [relative_excess(outputs @ v - inputs @ u - w, weight),
+            relative_excess(np.array([1.0 - v @ y_o]), 1.0 + v @ y_o)]
+    gap = relative_excess(abs(u @ x_o + w - phi), abs(u @ x_o) + abs(w) + phi)
     return {"primal residual": float(np.concatenate(primal).max()),
             "dual residual": float(np.concatenate(dual).max()),
             "duality gap": float(gap)}
@@ -164,6 +177,8 @@ def dea_output_oriented(dmus, model: str = "crs") -> list[DMUScore]:
     column (Charnes, Cooper & Rhodes 1978), and the simplex's absolute
     tolerances suit data near 1. Every solution is then certified against
     the unscaled data (primal and dual feasibility, zero duality gap)."""
+    import numpy as np
+
     if model not in MODELS:
         raise InputError(f"model must be one of {'/'.join(MODELS)}")
     dmus = validate_dmus(dmus)

@@ -13,16 +13,24 @@ Bland's rule (lowest eligible index enters), which cannot cycle. On ratio
 ties the lowest-index basic variable leaves, so the pivot sequence is a pure
 function of the input. The final tableau also gives the row duals, which
 callers can use to certify an optimum.
+
+numpy is imported inside the two functions that build arrays (``validated``
+and ``solve_lp``), not at the top: the census commands import this module
+through ``dea`` but never solve a program, and importing numpy would cost
+each of them about as much CPU as its own computation on a small census.
+The pivot loop works on the tableau's own methods and imports nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ComputationError, InfeasibleProgramError, InputError, UnboundedProgramError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
@@ -40,6 +48,8 @@ class LinearProgram:
     b_eq: np.ndarray | None = None
 
     def validated(self) -> "LinearProgram":
+        import numpy as np
+
         c = np.asarray(self.c, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise InputError("objective must be a non-empty vector")
@@ -114,6 +124,8 @@ def _run(tableau: np.ndarray, basis: list[int], n_cols: int, max_iter: int) -> i
 
 
 def solve_lp(lp: LinearProgram, max_iter: int = 100_000) -> LPSolution:
+    import numpy as np
+
     lp = lp.validated()
     n = lp.c.size
     n_ub = 0 if lp.a_ub is None else lp.a_ub.shape[0]

@@ -8,9 +8,14 @@ emptying the rankings, so most flows zero them out explicitly.
 import csv
 import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fsskit
 from fsskit import cli
 from fsskit.cli import main
 from fsskit.errors import ComputationError, InputError
@@ -45,6 +50,11 @@ def test_validate_missing_files_exit_2(tmp_path, capsys):
 def test_missing_data_flag_exit_2(capsys):
     assert main(["validate"]) == 2
     assert "researchers" in capsys.readouterr().err
+
+
+def test_validate_directory_as_input_file_exit_2(tiny_dir, capsys):
+    assert main(["validate", *data_args(tiny_dir), "--bylines", str(tiny_dir)]) == 2
+    assert f"error: {tiny_dir}: cannot be read" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +429,31 @@ def test_dea_quotes_ids_holding_a_comma(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Output directories
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["score", "rank", "compare", "dea-corpus", "dea-dmus"])
+def test_output_path_that_is_a_file_exit_2(tiny_dir, tmp_path, capsys, command):
+    ranking = tmp_path / "rankings.csv"
+    ranking.write_text("unit_id,score,rank,percentile\nu1,2.0,1,50.0\nu2,1.0,2,0.0\n")
+    dmus = tmp_path / "dmus.csv"
+    dmus.write_text("id,input_x,output_y\nA,2.0,4.0\nB,4.0,8.0\n")
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    argv = {
+        "score": ["score", *data_args(tiny_dir), "--output-dir"],
+        "rank": ["rank", *data_args(tiny_dir), *NO_EXCLUSIONS, "--level", "university",
+                 "--output-dir"],
+        "compare": ["compare", "--a", str(ranking), "--b", str(ranking), "--out"],
+        "dea-corpus": ["dea", *data_args(tiny_dir), "--min-years", "0", "--output-dir"],
+        "dea-dmus": ["dea", "--dmus", str(dmus), "--output-dir"],
+    }[command]
+    assert main([*argv, str(out)]) == 2
+    assert f"error: cannot make output directory {out}" in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+
+
+# ---------------------------------------------------------------------------
 # synth and the full pipeline
 # ---------------------------------------------------------------------------
 
@@ -501,3 +536,74 @@ def test_command_runs_without_cyclic_gc_and_main_restores_it(monkeypatch, capsys
         (gc.enable if was_enabled else gc.disable)()
     assert seen == [False]
     assert after is caller_enabled
+
+
+# ---------------------------------------------------------------------------
+# Child processes: what a command imports, and a closed stdout
+# ---------------------------------------------------------------------------
+
+def child_env():
+    src = str(Path(fsskit.__file__).resolve().parents[1])
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+# Runs each argv through main in one process and prints, as its last line,
+# whether numpy had been imported after each command.
+IMPORT_PROBE = """
+import json, sys
+from fsskit.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    seen.append([argv[0], "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_only_dea_imports_numpy(tiny_dir, tmp_path):
+    # numpy serves the simplex alone; importing it would cost each census
+    # command about as much CPU as its own work on a small census.
+    out = tmp_path / "out"
+    dmus = tmp_path / "dmus.csv"
+    dmus.write_text("id,input_x,output_y\nA,2.0,4.0\nB,4.0,8.0\nC,4.0,4.0\n")
+    rank = ["rank", *data_args(tiny_dir), *NO_EXCLUSIONS, "--level", "university"]
+    argvs = [
+        ["validate", *data_args(tiny_dir)],
+        ["score", *data_args(tiny_dir), "--output-dir", str(out / "score")],
+        [*rank, "--output-dir", str(out / "a")],
+        [*rank, "--indicator", "fp_u", "--output-dir", str(out / "b")],
+        ["compare", "--a", str(out / "a" / "rankings.csv"),
+         "--b", str(out / "b" / "rankings.csv"), "--out", str(out / "c")],
+        ["synth", "--seed", "1", "--researchers", "30", "--out", str(out / "synth")],
+        ["dea", "--dmus", str(dmus), "--output-dir", str(out / "dea")],
+    ]
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert [command for command, _ in seen] == [argv[0] for argv in argvs]
+    assert [command for command, imported in seen if imported] == ["dea"]
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["validate", "score"])
+def test_closed_stdout_exits_141_without_a_traceback(tiny_dir, tmp_path, command, buffering):
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails, whenever that happens.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    argv = [command, *data_args(tiny_dir)]
+    if command == "score":
+        argv += ["--output-dir", str(tmp_path / "out")]
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fsskit.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

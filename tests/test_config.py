@@ -7,6 +7,7 @@ or flag. A setting of the wrong JSON type exits 2 and names the key.
 
 import hashlib
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -105,4 +106,28 @@ def test_baseline_file_with_computed_source_exits_2(tiny_dir, tmp_path, capsys, 
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "baseline_file" in err and "baseline_source" in err
+    assert not out.exists()
+
+
+UNREADABLE = {
+    "missing": "config file not found: {path}",
+    "directory": "config file {path} cannot be read",
+    "not-utf8": "config file {path} is not UTF-8 text",
+}
+
+
+@pytest.mark.parametrize("kind", UNREADABLE)
+def test_unreadable_config_file_exits_2(tiny_dir, tmp_path, capsys, kind):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b'{"scope": "d\xe9partement"}')
+    message = UNREADABLE[kind].format(path=path)
+    with pytest.raises(InputError, match=re.escape(message)):
+        load_config(path)
+    out = tmp_path / "out"
+    assert main(["score", "--data", str(tiny_dir), "--output-dir", str(out),
+                 "--config", str(path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()

@@ -97,6 +97,12 @@ def test_missing_file_is_named(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", ALL)
+def test_directory_in_place_of_a_file_is_named(tmp_path, name):
+    (tmp_path / READERS[name][1]).mkdir()
+    assert f"{READERS[name][1]}: cannot be read" in load_error(tmp_path, name, None)
+
+
+@pytest.mark.parametrize("name", ALL)
 def test_empty_file_rejected(tmp_path, name):
     assert "missing header row" in load_error(tmp_path, name, "")
 
