@@ -5,9 +5,14 @@ every level (staff standardized, universities by fss_u and by fp_u) and
 `compare` of the two university rankings. The sha256 of each of the 29
 files written must equal the digest recorded here, so a refactor that
 changes any byte of any artifact fails this test.
+
+The DEA artifacts are pinned the same way: `dea --dmus --model both` on a
+seeded 120-unit table in euros, written by the test, and corpus-mode `dea`
+on the same census.
 """
 
 import hashlib
+import random
 
 from fsskit.cli import main
 
@@ -65,3 +70,39 @@ def test_artifacts_match_recorded_digests(tmp_path, monkeypatch, capsys):
     written = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(tmp_path.rglob("*")) if path.is_file()}
     assert written == GOLDEN
+
+
+def euro_dmu_table(path, n=120, seed=16):
+    """n units shaped like the corpus bridge's: three labour costs in euros
+    (about 1e5 to 1e7) and two outputs near 1e0 to 1e2."""
+    rng = random.Random(seed)
+    lines = ["id,input_cost_assistant,input_cost_associate,input_cost_full,"
+             "output_impact,output_count"]
+    for i in range(n):
+        heads = rng.lognormvariate(3.0, 0.8)
+        costs = [heads * rng.uniform(0.1, 1.0) * scale for scale in (175e3, 250e3, 350e3)]
+        impact = 0.014 * (sum(costs) / 1e3) ** 0.95 * rng.uniform(0.4, 1.0)
+        count = 1.5 * heads ** 0.9 * rng.uniform(0.5, 1.0)
+        lines.append(",".join([f"D{i:03d}", *map(repr, costs), repr(impact), repr(count)]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+DEA_GOLDEN = {
+    "dea_census/dea_results.csv": "a5a15fa78500a8f757215aa08c5d4f0ed83047bedad8abc9241722bd468dbc8d",
+    "dea_census/dmus.csv": "c8c2fbf579bc7b74de3a34971c024acba3bbfd3e82cb18129605307fe390b0ba",
+    "dea_census/scale_efficiency.csv": "d512ff55edcb477366efc075fb6322307f92f7794532e252d650e3d648274504",
+    "dea_euro/dea_results.csv": "aad6193c36512a1541c33b6486ff891b1d54420c91057c5cc62baa9f1caba74a",
+    "dea_euro/scale_efficiency.csv": "3d66fab2e52698d483ce9d101773c4ceea4a54947d43d02837336ce30d937071",
+}
+
+
+def test_dea_artifacts_match_recorded_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    euro_dmu_table(tmp_path / "euro.csv")
+    for argv in (["dea", "--dmus", "euro.csv", "--model", "both", "--output-dir", "dea_euro"],
+                 RUNS[0],
+                 ["dea", "--data", "census", "--output-dir", "dea_census"]):
+        assert main(argv) == 0, argv
+    written = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.glob("dea_*/*"))}
+    assert written == DEA_GOLDEN
