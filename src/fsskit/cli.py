@@ -418,10 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            sys.stdout.flush()  # --help and --version print, then exit here
+            raise
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
         return code

@@ -16,11 +16,14 @@ is the ratio of constant-returns to variable-returns efficiency; it can
 never exceed 1 because the constant-returns technology contains the
 variable-returns one.
 
-numpy is imported inside the functions that compute on arrays
-(``_envelopment_lp``, ``_certificate`` and ``dea_output_oriented``), not at
-the top. The CLI imports this module for every command, and only ``dea``
-solves programs; the census commands would otherwise pay numpy's import
-time, about as much CPU as their own computation on a small census.
+The programs of one table differ only in the unit's outputs (phi's column)
+and inputs (the bounds). So the table's program is validated and laid out
+as a starting tableau once, each unit writes its own entries into it, and
+the solutions are certified CERTIFY_BLOCK units at a time.
+
+numpy is imported inside the functions that compute on arrays, not at the
+top: the CLI imports this module for every command, and only ``dea`` solves
+programs.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ MODELS = ("crs", "vrs")
 FRONTIER_TOL = 1e-6
 PEER_TOL = 1e-7
 CERTIFICATE_TOL = 1e-9  # relative; see _certificate
+RESIDUALS = ("primal residual", "dual residual", "duality gap")
+CERTIFY_BLOCK = 64  # units certified at once; the certificate's arrays are this many by n
 
 
 @dataclass(frozen=True)
@@ -106,67 +111,60 @@ def _envelopment_lp(inputs: np.ndarray, outputs: np.ndarray, index: int,
     a_ub[:n_in, 1:] = inputs.T
     a_ub[n_in:, 0] = outputs[index]
     a_ub[n_in:, 1:] = -outputs.T
-    b_ub = np.zeros(n_in + n_out)
-    b_ub[:n_in] = inputs[index]
+    b_ub = np.concatenate([inputs[index], np.zeros(n_out)])
 
     c = np.zeros(1 + n)
     c[0] = 1.0
     a_eq = b_eq = None
     if model == "vrs":
-        a_eq = np.zeros((1, 1 + n))
-        a_eq[0, 1:] = 1.0
-        b_eq = np.ones(1)
+        a_eq, b_eq = np.concatenate([[0.0], np.ones(n)])[None, :], np.ones(1)
     return LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
 
 
-def _column_scale(values: np.ndarray) -> np.ndarray:
-    """Each column's maximum, or 1 for an all-zero column, which is left as
-    it is (validate_dmus allows one; dividing by 0 would give NaN)."""
-    scale = values.max(axis=0)
-    scale[scale == 0.0] = 1.0
-    return scale
-
-
-def _certificate(inputs, outputs, input_scale, output_scale, index, model,
-                 solution) -> dict[str, float]:
-    """Worst residuals showing that ``solution``, an optimum of unit
-    ``index``'s program on the data divided by the scales, is optimal on the
-    unscaled data. Its duals give the multiplier weights: input prices u,
-    output prices v and, under VRS, the convexity dual w. Weak duality
-    bounds phi by u.x_o + w for any dual-feasible (u, v, w), so primal and
-    dual feasibility with a zero gap prove the optimum.
+def _certificate(inputs, outputs, input_scale, output_scale, rows: slice, model,
+                 solutions) -> np.ndarray:
+    """One row per solution: the worst primal residual, dual residual and
+    duality gap (RESIDUALS) showing that ``solutions``, the optima of units
+    ``rows`` on the data divided by the scales, are optimal on the unscaled
+    data. The duals give the multiplier weights: input prices u, output
+    prices v and, under VRS, the convexity dual w. Weak duality bounds phi
+    by u.x_o + w for any dual-feasible (u, v, w), so primal and dual
+    feasibility with a zero gap prove the optimum.
 
     Each row's excess is relative to its size, the scale of its column (at
     least its largest coefficient) times the 1-norm of the variables, plus
     its bound. No residual then depends on the units of a column, and a row
-    with bound 0 is not judged by roundoff alone."""
+    with bound 0 is not judged by roundoff alone. A size that overflows
+    gives an inf residual and a NaN stays NaN, so neither passes."""
     import numpy as np
 
-    tiny = np.finfo(float).tiny
+    def worst_excess(excess, size):
+        """Each row's largest excess / size, floored at 0."""
+        ratio = np.maximum(excess, 0.0) / np.maximum(size, np.finfo(float).tiny)
+        return np.where(np.isfinite(size), ratio, np.inf).max(axis=1)
 
-    def relative_excess(excess, size):
-        """excess / size, floored at 0; NaN stays NaN."""
-        return np.maximum(excess, 0.0) / np.maximum(size, tiny)
-
-    n_in = input_scale.size
-    phi, lam, duals = solution.objective, solution.x[1:], solution.duals
-    u = np.maximum(duals[:n_in], 0.0) / input_scale
-    v = np.maximum(duals[n_in:n_in + output_scale.size], 0.0) / output_scale
-    w = duals[-1] if model == "vrs" else 0.0
-    x_o, y_o = inputs[index], outputs[index]
-    total = lam.sum()
-    primal = [relative_excess(lam @ inputs - x_o, input_scale * total + x_o),
-              relative_excess(phi * y_o - lam @ outputs, output_scale * (phi + total)),
-              relative_excess(-lam, 1.0)]
-    if model == "vrs":
-        primal.append(np.array([abs(total - 1.0)]))
-    weight = u @ input_scale + v @ output_scale + abs(w)
-    dual = [relative_excess(outputs @ v - inputs @ u - w, weight),
-            relative_excess(np.array([1.0 - v @ y_o]), 1.0 + v @ y_o)]
-    gap = relative_excess(abs(u @ x_o + w - phi), abs(u @ x_o) + abs(w) + phi)
-    return {"primal residual": float(np.concatenate(primal).max()),
-            "dual residual": float(np.concatenate(dual).max()),
-            "duality gap": float(gap)}
+    n_in, n_out = input_scale.size, output_scale.size
+    phi = np.array([solution.objective for solution in solutions])
+    lam = np.array([solution.x[1:] for solution in solutions])
+    duals = np.array([solution.duals for solution in solutions])
+    u = np.maximum(duals[:, :n_in], 0.0) / input_scale
+    v = np.maximum(duals[:, n_in:n_in + n_out], 0.0) / output_scale
+    w = duals[:, -1] if model == "vrs" else np.zeros(len(solutions))
+    x_o, y_o = inputs[rows], outputs[rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = lam.sum(axis=1)
+        primal = [worst_excess(lam @ inputs - x_o, input_scale * total[:, None] + x_o),
+                  worst_excess(phi[:, None] * y_o - lam @ outputs,
+                               output_scale * (phi + total)[:, None]),
+                  worst_excess(-lam, 1.0)]
+        if model == "vrs":
+            primal.append(abs(total - 1.0))
+        weight = u @ input_scale + v @ output_scale + abs(w)
+        v_y, u_x = (v * y_o).sum(axis=1), (u * x_o).sum(axis=1)
+        dual = [worst_excess(v @ outputs.T - u @ inputs.T - w[:, None], weight[:, None]),
+                worst_excess((1.0 - v_y)[:, None], (1.0 + v_y)[:, None])]
+        gap = worst_excess(abs(u_x + w - phi)[:, None], (abs(u_x) + abs(w) + phi)[:, None])
+    return np.column_stack([np.max(primal, axis=0), np.max(dual, axis=0), gap])
 
 
 def dea_output_oriented(dmus, model: str = "crs") -> list[DMUScore]:
@@ -184,32 +182,39 @@ def dea_output_oriented(dmus, model: str = "crs") -> list[DMUScore]:
     dmus = validate_dmus(dmus)
     inputs = np.array([d.inputs for d in dmus], dtype=float)
     outputs = np.array([d.outputs for d in dmus], dtype=float)
-    input_scale, output_scale = _column_scale(inputs), _column_scale(outputs)
+    # Each column's maximum; an all-zero column (validate_dmus allows one) is
+    # left as it is, since dividing it by 0 would give NaN.
+    input_scale, output_scale = (np.where(a.max(axis=0) == 0.0, 1.0, a.max(axis=0))
+                                 for a in (inputs, outputs))
     scaled_inputs, scaled_outputs = inputs / input_scale, outputs / output_scale
+    n_in, n_out = input_scale.size, output_scale.size
+    start = _envelopment_lp(scaled_inputs, scaled_outputs, 0, model).tableau()
     ids = [dmu.id for dmu in dmus]
     scores = []
-    for index, dmu_id in enumerate(ids):
-        solution = solve_lp(_envelopment_lp(scaled_inputs, scaled_outputs, index, model))
-        residuals = _certificate(inputs, outputs, input_scale, output_scale, index,
-                                 model, solution)
-        failed = [f"{name} {value:.3g}" for name, value in residuals.items()
-                  if not value <= CERTIFICATE_TOL]  # a NaN fails too
-        if failed:
-            raise ComputationError(
-                f"DMU {dmu_id!r}, {model}: the simplex solution is not a "
-                f"certified optimum ({', '.join(failed)})"
-            )
-        phi = solution.objective
-        if phi < 1.0 - FRONTIER_TOL:
-            raise ComputationError(
-                f"DMU {dmu_id!r}: expansion factor {phi} below 1; the unit "
-                "itself should always be a feasible reference"
-            )
-        phi = max(phi, 1.0)
-        on_peers = np.flatnonzero(solution.x[1:] > PEER_TOL).tolist()
-        peers = tuple(sorted(ids[j] for j in on_peers))
-        scores.append(DMUScore(id=dmu_id, model=model, phi=phi,
-                               efficiency=1.0 / phi, peers=peers))
+    for first in range(0, len(ids), CERTIFY_BLOCK):
+        rows = slice(first, min(first + CERTIFY_BLOCK, len(ids)))
+        solutions = []
+        for index in range(rows.start, rows.stop):
+            start.table[n_in:n_in + n_out, 0] = scaled_outputs[index]
+            start.table[:n_in, -1] = scaled_inputs[index]
+            solutions.append(solve_lp(start))
+        residuals = _certificate(inputs, outputs, input_scale, output_scale, rows, model,
+                                 solutions)
+        for dmu_id, solution, unit_residuals in zip(ids[rows], solutions, residuals.tolist()):
+            failed = [f"{name} {value:.3g}" for name, value in zip(RESIDUALS, unit_residuals)
+                      if not value <= CERTIFICATE_TOL]  # a NaN fails too
+            if failed:
+                raise ComputationError(f"DMU {dmu_id!r}, {model}: the simplex solution is not "
+                                       f"a certified optimum ({', '.join(failed)})")
+            phi = solution.objective
+            if phi < 1.0 - FRONTIER_TOL:
+                raise ComputationError(f"DMU {dmu_id!r}: expansion factor {phi} below 1; the "
+                                       "unit itself should always be a feasible reference")
+            phi = max(phi, 1.0)
+            on_peers = np.flatnonzero(solution.x[1:] > PEER_TOL).tolist()
+            peers = tuple(sorted(ids[j] for j in on_peers))
+            scores.append(DMUScore(id=dmu_id, model=model, phi=phi,
+                                   efficiency=1.0 / phi, peers=peers))
     return sorted(scores, key=lambda s: s.id)
 
 

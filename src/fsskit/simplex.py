@@ -1,11 +1,13 @@
-"""Dense two-phase simplex for small linear programs.
+"""Dense two-phase simplex for DEA's envelopment programs.
 
-Solves  maximize c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
-
-A <= row whose bound is nonnegative starts with its slack in the basis; every
-other row (a flipped <= row or an equality) gets an artificial variable, and
-phase 1 minimizes their sum to find a basic feasible point. Phase 2 optimizes
-the real objective from there. Without artificials, phase 1 is skipped.
+Solves  maximize c.x  subject to  A_ub x <= b_ub,  a_eq.x = b_eq,  x >= 0,
+with nonnegative bounds and at most one equality row, as in an envelopment
+program: the bounds are a unit's inputs and the equality is the convexity
+row under variable returns. Every <= row starts on its slack. The equality
+row starts on an artificial, which phase 1 drives to zero before phase 2
+optimizes c.x. ``LinearProgram.tableau`` validates a program and lays out
+its starting tableau once; ``solve_lp`` pivots on a copy, so programs that
+differ only in entries of the <= rows can share one ``Tableau``.
 
 Pricing is Dantzig's rule (the most negative reduced cost enters). After
 DEGENERATE_LIMIT consecutive degenerate pivots, the rest of that phase uses
@@ -14,11 +16,9 @@ ties the lowest-index basic variable leaves, so the pivot sequence is a pure
 function of the input. The final tableau also gives the row duals, which
 callers can use to certify an optimum.
 
-numpy is imported inside the two functions that build arrays (``validated``
-and ``solve_lp``), not at the top: the census commands import this module
-through ``dea`` but never solve a program, and importing numpy would cost
-each of them about as much CPU as its own computation on a small census.
-The pivot loop works on the tableau's own methods and imports nothing.
+numpy is imported inside the functions that build arrays, not at the top:
+the census commands import this module through ``dea`` but never solve a
+program. The pivot loop works on the tableau's own methods.
 """
 
 from __future__ import annotations
@@ -38,6 +38,18 @@ DEGENERATE_LIMIT = 8  # consecutive degenerate pivots before Bland's rule takes 
 
 
 @dataclass(frozen=True)
+class Tableau:
+    """Rows: the <= rows, the equality, the objective (phase 1's, minus the
+    equality). Columns: x, the slacks, the artificial (the starting basis),
+    the bounds. Between solves a caller may overwrite the <= rows' entries
+    and (nonnegative) bounds, but not the equality row."""
+
+    table: np.ndarray
+    c: np.ndarray
+    n_ub: int
+
+
+@dataclass(frozen=True)
 class LinearProgram:
     """maximize c.x with nonnegative x; either constraint block may be absent."""
 
@@ -47,43 +59,62 @@ class LinearProgram:
     a_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
 
-    def validated(self) -> "LinearProgram":
+    def validated(self) -> LinearProgram:
+        """The program as float arrays, an absent block as zero rows."""
         import numpy as np
 
         c = np.asarray(self.c, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise InputError("objective must be a non-empty vector")
+        if not np.all(np.isfinite(c)):
+            raise InputError("objective has non-finite entries")
         blocks = []
         for a, b, kind in ((self.a_ub, self.b_ub, "ub"), (self.a_eq, self.b_eq, "eq")):
             if (a is None) != (b is None):
                 raise InputError(f"{kind} constraints need both matrix and bounds")
-            if a is None:
-                blocks.append((None, None))
-                continue
-            a = np.asarray(a, dtype=float)
-            b = np.asarray(b, dtype=float)
+            a = np.zeros((0, c.size)) if a is None else np.asarray(a, dtype=float)
+            b = np.zeros(0) if b is None else np.asarray(b, dtype=float)
             if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.size or a.shape[1] != c.size:
                 raise InputError(f"{kind} constraint shapes are inconsistent")
-            blocks.append((a, b))
-        if not np.all(np.isfinite(c)):
-            raise InputError("objective has non-finite entries")
-        for a, b in blocks:
-            if a is not None and not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
                 raise InputError("constraints have non-finite entries")
+            if np.any(b < 0):
+                raise InputError(f"{kind} constraint bounds must be nonnegative")
+            blocks.append((a, b))
+        if blocks[1][1].size > 1:
+            raise InputError("at most one equality constraint is supported")
         return LinearProgram(c=c, a_ub=blocks[0][0], b_ub=blocks[0][1],
                              a_eq=blocks[1][0], b_eq=blocks[1][1])
+
+    def tableau(self) -> Tableau:
+        import numpy as np
+
+        lp = self.validated()
+        n, n_ub = lp.c.size, lp.b_ub.size
+        m = n_ub + lp.b_eq.size
+        table = np.zeros((m + 1, n + m + 1))
+        table[:n_ub, :n] = lp.a_ub
+        table[n_ub:m, :n] = lp.a_eq
+        table[:n_ub, -1] = lp.b_ub
+        table[n_ub:m, -1] = lp.b_eq
+        table[np.arange(m), n + np.arange(m)] = 1.0
+        if m > n_ub:
+            table[m] -= table[m - 1]
+            table[m, n + n_ub:-1] = 0.0  # keep the artificial's reduced cost at zero exactly
+        return Tableau(table=table, c=lp.c, n_ub=n_ub)
 
 
 @dataclass(frozen=True)
 class LPSolution:
-    """``duals`` holds one value per constraint row, <= rows first, then
-    equalities: the optimal multipliers of the dual program (>= 0 on <= rows,
-    free on equalities), so that ``objective == duals @ b`` at the optimum."""
+    """``duals`` holds one value per constraint row, <= rows first, then the
+    equality: the optimal multipliers of the dual program (>= 0 on <= rows,
+    free on the equality), so that ``objective == duals @ b`` at the
+    optimum."""
 
     x: np.ndarray
     objective: float
     iterations: int
-    duals: np.ndarray | None = None
+    duals: np.ndarray
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int):
@@ -123,80 +154,43 @@ def _run(tableau: np.ndarray, basis: list[int], n_cols: int, max_iter: int) -> i
     raise ComputationError(f"simplex did not converge within {max_iter} pivots")
 
 
-def solve_lp(lp: LinearProgram, max_iter: int = 100_000) -> LPSolution:
+def solve_lp(start: Tableau, max_iter: int = 100_000) -> LPSolution:
     import numpy as np
 
-    lp = lp.validated()
-    n = lp.c.size
-    n_ub = 0 if lp.a_ub is None else lp.a_ub.shape[0]
-    n_eq = 0 if lp.a_eq is None else lp.a_eq.shape[0]
-    m = n_ub + n_eq
-    if m == 0:
-        # Only x >= 0 constrains the problem: bounded iff no positive cost.
-        if np.any(lp.c > 0):
-            raise UnboundedProgramError("objective is unbounded above")
-        return LPSolution(x=np.zeros(n), objective=0.0, iterations=0, duals=np.zeros(0))
-
-    # Equality form: slacks on the <= rows, then flip rows to make b >= 0.
-    # Each row's identity column is its slack if the row is an unflipped <=
-    # row, else a new artificial; together they are the starting basis.
-    n_real = n + n_ub
-    flipped = np.zeros(m, dtype=bool)
-    if n_ub:
-        flipped[:n_ub] = lp.b_ub < 0
-    artificial_rows = np.flatnonzero(flipped | (np.arange(m) >= n_ub))
-    n_art = artificial_rows.size
-    identity = np.arange(n, n + m)
-    identity[artificial_rows] = n_real + np.arange(n_art)
-
-    tableau = np.zeros((m + 1, n_real + n_art + 1))
-    if n_ub:
-        tableau[:n_ub, :n] = lp.a_ub
-        tableau[np.arange(n_ub), n + np.arange(n_ub)] = 1.0
-        tableau[:n_ub, -1] = lp.b_ub
-    if n_eq:
-        tableau[n_ub:m, :n] = lp.a_eq
-        tableau[n_ub:m, -1] = lp.b_eq
-    tableau[np.flatnonzero(flipped)] *= -1.0
-    tableau[artificial_rows, identity[artificial_rows]] = 1.0
-    basis = identity.tolist()
+    tableau = start.table.copy()
+    m = tableau.shape[0] - 1
+    n = start.c.size
+    n_real = n + start.n_ub  # x and the slacks; the artificial never enters
+    basis = list(range(n, n + m))
 
     iters = 0
-    if n_art:
-        # Phase 1 objective: sum of artificials, expressed in the current basis.
-        for i in artificial_rows.tolist():
-            tableau[m] -= tableau[i]
-        tableau[m, n_real:-1] = 0.0  # keep artificial reduced costs at zero exactly
+    if m > start.n_ub:
         iters = _run(tableau, basis, n_real, max_iter)
         if -tableau[m, -1] > FEAS_TOL:
             raise InfeasibleProgramError(
                 f"constraints are infeasible (phase-1 residual {-tableau[m, -1]:.3g})"
             )
-        # Drive leftover artificials out of the basis; rows that cannot pivot
-        # on any real column are redundant constraints and carry a zero artificial.
-        for i in range(m):
-            if basis[i] >= n_real:
-                for j in range(n_real):
-                    if abs(tableau[i, j]) > PIVOT_TOL:
-                        _pivot(tableau, basis, i, j)
-                        break
+        # A basic artificial is at zero and in its own row; pivot it out. If
+        # no real column can pivot there, the equality row is 0 = 0.
+        if basis[m - 1] >= n_real:
+            for j in range(n_real):
+                if abs(tableau[m - 1, j]) > PIVOT_TOL:
+                    _pivot(tableau, basis, m - 1, j)
+                    break
         tableau[m, :] = 0.0
 
-    # Phase 2 on the real columns only. The artificial columns stay in the
+    # Phase 2 on the real columns only. The artificial column stays in the
     # tableau, priced out of entering, so that every row keeps its identity
     # column for reading the duals.
-    tableau[m, :n] = -lp.c  # minimize -c.x
+    tableau[m, :n] = -start.c  # minimize -c.x
     for i in range(m):
         if basis[i] < n_real and tableau[m, basis[i]] != 0.0:
             tableau[m] -= tableau[m, basis[i]] * tableau[i]
     iters += _run(tableau, basis, n_real, max_iter)
 
-    x = np.zeros(n_real + n_art)
+    x = np.zeros(n + m)
     x[basis] = tableau[:m, -1]
     solution = x[:n]
-    # An identity column's reduced cost is its row's dual; a flipped row's
-    # dual changes sign with the row.
-    duals = tableau[m, identity]
-    duals[flipped] *= -1.0
-    return LPSolution(x=solution, objective=float(lp.c @ solution), iterations=iters,
-                      duals=duals)
+    # An identity column's reduced cost is its row's dual.
+    return LPSolution(x=solution, objective=float(start.c @ solution), iterations=iters,
+                      duals=tableau[m, n:n + m].copy())

@@ -607,3 +607,20 @@ def test_closed_stdout_exits_141_without_a_traceback(tiny_dir, tmp_path, command
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["dea", "--help"]])
+def test_help_and_version_on_a_closed_stdout_exit_141(argv):
+    # argparse prints these into stdout's buffer and exits inside
+    # parse_args. (Unbuffered, argparse itself ignores the failed write.)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fsskit.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

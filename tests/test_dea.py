@@ -2,11 +2,17 @@
 vertex-enumeration oracle, model inequalities, and the corpus bridge."""
 
 import dataclasses
+import os
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fsskit
 from fsskit import dea
 from fsskit.cli import main
 from fsskit.config import RunConfig
@@ -142,7 +148,7 @@ def test_envelopment_lp_self_reference_is_feasible():
     # lambda = unit vector on the target with phi = 1 satisfies every row.
     lp = _envelopment_lp(np.array([d.inputs for d in HAND_DMUS]),
                          np.array([d.outputs for d in HAND_DMUS]), 2, "vrs")
-    solution = solve_lp(lp)
+    solution = solve_lp(lp.tableau())
     assert solution.objective >= 1.0 - 1e-9
 
 
@@ -202,6 +208,36 @@ def test_uncertified_solution_writes_no_results(monkeypatch, tmp_path):
     out = tmp_path / "out"
     assert main(["dea", "--dmus", str(table), "--output-dir", str(out)]) == 1
     assert not (out / "dea_results.csv").exists()
+
+
+def seeded_table(rng, n):
+    """CSV text of n units: three inputs near 1e5, two outputs near 1e1."""
+    rows = [f"D{i:03d},{rng.uniform(1e4, 2e5)!r},{rng.uniform(1e4, 2e5)!r},"
+            f"{rng.uniform(1e4, 2e5)!r},{rng.uniform(1.0, 40.0)!r},{rng.uniform(1.0, 40.0)!r}"
+            for i in range(n)]
+    return "id,input_a,input_b,input_c,output_d,output_e\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("column", [2, 5])  # input_b, output_e
+def test_certificate_cannot_pass_by_overflow(tmp_path, column):
+    # With a cell of 1e308, the certificate's row sizes overflow to inf, so
+    # its relative residuals would read 0 whatever the excess.
+    lines = seeded_table(random.Random(308), 300).splitlines()
+    cells = lines[17].split(",")
+    cells[column] = "1e308"
+    lines[17] = ",".join(cells)
+    table = tmp_path / "dmus.csv"
+    table.write_text("\n".join(lines) + "\n")
+    src = str(Path(fsskit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "fsskit.cli", "dea", "--dmus", str(table),
+                           "--output-dir", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    # One line, naming the unit and the model; no numpy warning.
+    assert re.fullmatch(r"error: DMU 'D\d{3}', (crs|vrs): the simplex solution is not a "
+                        r"certified optimum \(.*\)\n", proc.stderr), proc.stderr
+    assert not (tmp_path / "out" / "dea_results.csv").exists()
 
 
 def test_dmus_round_trip(tmp_path):

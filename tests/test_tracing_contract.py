@@ -3,9 +3,11 @@
 perfbench/tracing.py times the package from outside by replacing public
 functions by name. A rename in the package would otherwise break only a
 traced benchmark run, so this checks each wrapped name and that a traced
-`score` run fills the load, impact and credit counters.
+`score` run fills the load, impact and credit counters, and that a traced
+`dea` run counts every program it solves.
 """
 
+import random
 import sys
 from pathlib import Path
 
@@ -31,3 +33,21 @@ def test_traced_score_run_fills_the_counters(tiny_dir, tmp_path):
     metrics = tracer.metrics()
     for name in ("corpus.load_s", "normalize.impact_calls", "credit.weights_calls"):
         assert metrics[name] > 0, name
+
+
+def test_traced_dea_run_counts_every_program(tmp_path):
+    # The tracer counts programs where dea looks solve_lp up, once per unit
+    # and model.
+    rng = random.Random(16)
+    n = 40
+    table = tmp_path / "dmus.csv"
+    table.write_text("id,input_a,input_b,output_c\n" + "".join(
+        f"D{i:02d},{rng.uniform(1, 9)!r},{rng.uniform(1, 9)!r},{rng.uniform(1, 9)!r}\n"
+        for i in range(n)))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert main(["dea", "--dmus", str(table), "--model", "both",
+                     "--output-dir", str(tmp_path / "out")]) == 0
+    metrics = tracer.metrics()
+    assert metrics["simplex.lps"] == 2 * n
+    assert metrics["simplex.pivots"] > 0
