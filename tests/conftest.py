@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import fsskit
 from fsskit.config import RunConfig
 from fsskit.corpus import load_corpus
 from fsskit.indicators import compute_field_means, credit_ledger, researcher_scores
@@ -71,6 +75,30 @@ def write_tiny_files(directory):
     for name, content in TINY_FILES.items():
         (directory / name).write_text(content, encoding="utf-8")
     return directory
+
+
+def child_env():
+    """The environment for a child `python -m fsskit.cli`: this checkout's
+    package first on the path."""
+    src = str(Path(fsskit.__file__).resolve().parents[1])
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def euro_dmu_table(path, n=120, seed=16):
+    """A dmus.csv of n units shaped like the corpus bridge's: three labour
+    costs in euros (about 1e5 to 1e7) and two outputs near 1e0 to 1e2."""
+    rng = random.Random(seed)
+    lines = ["id,input_cost_assistant,input_cost_associate,input_cost_full,"
+             "output_impact,output_count"]
+    for i in range(n):
+        heads = rng.lognormvariate(3.0, 0.8)
+        costs = [heads * rng.uniform(0.1, 1.0) * scale for scale in (175e3, 250e3, 350e3)]
+        impact = 0.014 * (sum(costs) / 1e3) ** 0.95 * rng.uniform(0.4, 1.0)
+        count = 1.5 * heads ** 0.9 * rng.uniform(0.5, 1.0)
+        lines.append(",".join([f"D{i:03d}", *map(repr, costs), repr(impact), repr(count)]))
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 @pytest.fixture

@@ -11,15 +11,14 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import fsskit
 from fsskit import cli
 from fsskit.cli import main
 from fsskit.errors import ComputationError, InputError
 from fsskit.rankings import read_rankings
+from conftest import child_env
 
 NO_EXCLUSIONS = ["--min-years", "0", "--min-staff-uda", "0", "--min-staff-total", "0"]
 
@@ -541,12 +540,6 @@ def test_command_runs_without_cyclic_gc_and_main_restores_it(monkeypatch, capsys
 # ---------------------------------------------------------------------------
 # Child processes: what a command imports, and a closed stdout
 # ---------------------------------------------------------------------------
-
-def child_env():
-    src = str(Path(fsskit.__file__).resolve().parents[1])
-    return dict(os.environ,
-                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
 
 # Runs each argv through main in one process and prints, as its last line,
 # whether numpy had been imported after each command.

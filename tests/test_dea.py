@@ -2,17 +2,14 @@
 vertex-enumeration oracle, model inequalities, and the corpus bridge."""
 
 import dataclasses
-import os
 import random
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import fsskit
 from fsskit import dea
 from fsskit.cli import main
 from fsskit.config import RunConfig
@@ -25,7 +22,7 @@ from fsskit.errors import ComputationError, InputError, LoadError
 from fsskit.indicators import credit_ledger
 from fsskit.normalize import compute_baselines
 from fsskit.simplex import solve_lp
-from conftest import write_tiny_files
+from conftest import child_env, euro_dmu_table, write_tiny_files
 from oracles import reference_lp_maximum
 
 # One input, one output. A and B sit on the ray y = 2x (the CRS frontier);
@@ -176,6 +173,62 @@ def test_all_zero_input_column_changes_nothing(tmp_path):
                 == (tmp_path / "without" / name).read_text()), name
 
 
+def unit_certificate(inputs, outputs, input_scale, output_scale, index, model, solution):
+    """The certificate of one unit, computed on its own: the reference for
+    the block form in dea._certificate."""
+    n_in, n_out = input_scale.size, output_scale.size
+    phi, lam, duals = solution.objective, solution.x[1:], solution.duals
+    u = np.maximum(duals[:n_in], 0.0) / input_scale
+    v = np.maximum(duals[n_in:n_in + n_out], 0.0) / output_scale
+    w = duals[-1] if model == "vrs" else 0.0
+    x_o, y_o = inputs[index], outputs[index]
+    total = lam.sum()
+
+    def worst(excess, size):
+        return np.max(np.maximum(excess, 0.0) / np.maximum(size, np.finfo(float).tiny))
+
+    primal = [worst(lam @ inputs - x_o, input_scale * total + x_o),
+              worst(phi * y_o - lam @ outputs, output_scale * (phi + total)),
+              worst(-lam, 1.0)]
+    if model == "vrs":
+        primal.append(abs(total - 1.0))
+    weight = u @ input_scale + v @ output_scale + abs(w)
+    dual = [worst(outputs @ v - inputs @ u - w, weight),
+            worst(1.0 - v @ y_o, 1.0 + v @ y_o)]
+    gap = worst(abs(u @ x_o + w - phi), abs(u @ x_o) + abs(w) + phi)
+    return [max(primal), max(dual), gap]
+
+
+def test_block_certificate_matches_the_per_unit_one(monkeypatch):
+    # The block form sums in another order, so it may differ in the last
+    # digits; residuals are relative, so a few ulps of 1 bound the change.
+    tol = 64 * np.finfo(float).eps
+    calls = []
+    certificate = dea._certificate
+
+    def recording(*args):
+        result = certificate(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(dea, "_certificate", recording)
+    rng = random.Random(5150)
+    for dmus in (random_dmus(rng, 150), HAND_DMUS):
+        for model in ("crs", "vrs"):
+            calls.clear()
+            dea_output_oriented(dmus, model)
+            covered = []
+            for (inputs, outputs, in_scale, out_scale, rows, _, solutions), result in calls:
+                assert len(solutions) <= dea.CERTIFY_BLOCK
+                units = range(rows.start, rows.stop)
+                covered.extend(units)
+                for index, solution, residuals in zip(units, solutions, result):
+                    expected = unit_certificate(inputs, outputs, in_scale, out_scale,
+                                                index, model, solution)
+                    assert residuals == pytest.approx(expected, abs=tol), (model, index)
+            assert covered == list(range(len(dmus)))
+
+
 def perturbed_solver(delta):
     """solve_lp with phi moved by delta and lambda and the duals kept."""
     def solve(lp):
@@ -210,29 +263,19 @@ def test_uncertified_solution_writes_no_results(monkeypatch, tmp_path):
     assert not (out / "dea_results.csv").exists()
 
 
-def seeded_table(rng, n):
-    """CSV text of n units: three inputs near 1e5, two outputs near 1e1."""
-    rows = [f"D{i:03d},{rng.uniform(1e4, 2e5)!r},{rng.uniform(1e4, 2e5)!r},"
-            f"{rng.uniform(1e4, 2e5)!r},{rng.uniform(1.0, 40.0)!r},{rng.uniform(1.0, 40.0)!r}"
-            for i in range(n)]
-    return "id,input_a,input_b,input_c,output_d,output_e\n" + "\n".join(rows) + "\n"
-
-
-@pytest.mark.parametrize("column", [2, 5])  # input_b, output_e
+@pytest.mark.parametrize("column", [2, 5])  # input_cost_associate, output_count
 def test_certificate_cannot_pass_by_overflow(tmp_path, column):
     # With a cell of 1e308, the certificate's row sizes overflow to inf, so
     # its relative residuals would read 0 whatever the excess.
-    lines = seeded_table(random.Random(308), 300).splitlines()
+    table = euro_dmu_table(tmp_path / "dmus.csv", n=300, seed=308)
+    lines = table.read_text().splitlines()
     cells = lines[17].split(",")
     cells[column] = "1e308"
     lines[17] = ",".join(cells)
-    table = tmp_path / "dmus.csv"
     table.write_text("\n".join(lines) + "\n")
-    src = str(Path(fsskit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "fsskit.cli", "dea", "--dmus", str(table),
                            "--output-dir", str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     # One line, naming the unit and the model; no numpy warning.
     assert re.fullmatch(r"error: DMU 'D\d{3}', (crs|vrs): the simplex solution is not a "

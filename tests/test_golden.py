@@ -12,9 +12,9 @@ on the same census.
 """
 
 import hashlib
-import random
 
 from fsskit.cli import main
+from conftest import euro_dmu_table
 
 RUNS = [
     ["synth", "--seed", "5", "--researchers", "300", "--institutions", "4", "--out", "census"],
@@ -70,21 +70,6 @@ def test_artifacts_match_recorded_digests(tmp_path, monkeypatch, capsys):
     written = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(tmp_path.rglob("*")) if path.is_file()}
     assert written == GOLDEN
-
-
-def euro_dmu_table(path, n=120, seed=16):
-    """n units shaped like the corpus bridge's: three labour costs in euros
-    (about 1e5 to 1e7) and two outputs near 1e0 to 1e2."""
-    rng = random.Random(seed)
-    lines = ["id,input_cost_assistant,input_cost_associate,input_cost_full,"
-             "output_impact,output_count"]
-    for i in range(n):
-        heads = rng.lognormvariate(3.0, 0.8)
-        costs = [heads * rng.uniform(0.1, 1.0) * scale for scale in (175e3, 250e3, 350e3)]
-        impact = 0.014 * (sum(costs) / 1e3) ** 0.95 * rng.uniform(0.4, 1.0)
-        count = 1.5 * heads ** 0.9 * rng.uniform(0.5, 1.0)
-        lines.append(",".join([f"D{i:03d}", *map(repr, costs), repr(impact), repr(count)]))
-    path.write_text("\n".join(lines) + "\n")
 
 
 DEA_GOLDEN = {
