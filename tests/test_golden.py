@@ -1,9 +1,9 @@
 """Byte-level golden digests of every artifact one small census produces.
 
 A fixed synthetic census goes through `score` at every scope, `rank` at
-every level (staff standardized, universities by fss_u and by fp_u) and
-`compare` of the two university rankings. The sha256 of each of the 29
-files written must equal the digest recorded here, so a refactor that
+every level (researchers and staff raw and standardized, universities by
+each indicator and within one discipline) and `compare` of two university
+rankings. The sha256 of each of the 37 files written must equal the digest recorded here, so a refactor that
 changes any byte of any artifact fails this test.
 
 The DEA artifacts are pinned the same way: `dea --dmus --model both` on a
@@ -22,10 +22,14 @@ RUNS = [
       for scope in ("sds", "department", "university", "country")),
     *(["rank", "--data", "census", *flags, "--output-dir", f"rank_{name}"]
       for name, flags in (("researcher", ["--level", "researcher"]),
+                          ("researcher_std", ["--level", "researcher", "--standardize"]),
+                          ("staff", ["--level", "staff"]),
                           ("staff_std", ["--level", "staff", "--standardize"]),
                           ("department", ["--level", "department"]),
                           ("fss_u", ["--level", "university", "--indicator", "fss_u"]),
-                          ("fp_u", ["--level", "university", "--indicator", "fp_u"]))),
+                          ("p_u", ["--level", "university", "--indicator", "p_u"]),
+                          ("fp_u", ["--level", "university", "--indicator", "fp_u"]),
+                          ("uda", ["--level", "university", "--uda", "UDA1"]))),
     ["compare", "--a", "rank_fss_u/rankings.csv", "--b", "rank_fp_u/rankings.csv",
      "--out", "compare"],
 ]
@@ -44,10 +48,18 @@ GOLDEN = {
     "rank_fp_u/rankings.csv": "a58ccb196e61f42cd210dbf107e0e4a7a00f19b27d19ae7bfe0f7afd71b7d7b6",
     "rank_fss_u/percentile_distribution.csv": "f65f35a0997a1f65e9f008305d329f1a999ea16e8b7a58ee2d17cf3fca9ebf66",
     "rank_fss_u/rankings.csv": "de58e4f05b0c153f9200799dce587e1771daa8a2470d728c3b52fbe08c8f1a48",
+    "rank_p_u/percentile_distribution.csv": "f65f35a0997a1f65e9f008305d329f1a999ea16e8b7a58ee2d17cf3fca9ebf66",
+    "rank_p_u/rankings.csv": "f112f121f14cfcae4845fddfb0605ea7a5f57e31ad7b9eb2ddee0cc7216f83de",
     "rank_researcher/percentile_distribution.csv": "9a4b3e9070e00d58aef0645f72149805346dc570323cd6506740a85e55014ebe",
     "rank_researcher/rankings.csv": "d4ef32c82604db476913446a95b2bb0f24b3f497d6d42547e3999cbaba324c6b",
+    "rank_researcher_std/percentile_distribution.csv": "9a4b3e9070e00d58aef0645f72149805346dc570323cd6506740a85e55014ebe",
+    "rank_researcher_std/rankings.csv": "9fd1d728d8cb5757fe1a2f88d3e56f08fcae40fc0f0bdb6659ca7d98aa6e256c",
+    "rank_staff/percentile_distribution.csv": "563a3e1bd56fb9f3bf9dee1d658254cbb5fbf5a5c4ac9011ce8f726b4a28b075",
+    "rank_staff/rankings.csv": "6c005e902b94b7628e6729ff300ad8bb9ed67c537347c1640676e53716f1d175",
     "rank_staff_std/percentile_distribution.csv": "563a3e1bd56fb9f3bf9dee1d658254cbb5fbf5a5c4ac9011ce8f726b4a28b075",
     "rank_staff_std/rankings.csv": "2a0f2450424f28cb306b20e62c8e1a8cb2d5ee257d9ca5188def24dfcd2443ef",
+    "rank_uda/percentile_distribution.csv": "f65f35a0997a1f65e9f008305d329f1a999ea16e8b7a58ee2d17cf3fca9ebf66",
+    "rank_uda/rankings.csv": "ab1a9de49de3ff295c7af32cab5d5331912742ca1e65520f312d60b832cced88",
     "score_country/baselines.csv": "994d2b14d2ee7b1150053fc5233a611e9d7eaed538fdc78a9abb1510fb15e9f1",
     "score_country/report.json": "7ebffded7a9693fa71f2ba1aebb1caa1e8f4325a886a80abd2e3f724e9fbb926",
     "score_country/scores.csv": "f721da3e1856f4b35e3e39666be53aad632d07bbb327c7fff7ce6a03662f2e91",
