@@ -27,9 +27,11 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import io
 import json
 import os
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 from . import __version__
@@ -38,12 +40,13 @@ from .corpus import apply_exclusions, export_corpus, load_corpus, write_table
 from .dea import (corpus_input_ranks, dea_output_oriented, dmus_from_corpus, read_dmus,
                   scale_efficiency, write_dmus, write_results)
 from .errors import ComputationError, InputError
-from .indicators import (compute_field_means, country_staff_scores, credit_ledger,
-                         department_scores, researcher_scores, staff_scores, staff_unit_id,
+from .indicators import (STANDARDIZABLE, UNIVERSITY_INDICATORS, compute_field_means,
+                         country_staff_scores, credit_ledger, department_scores,
+                         researcher_scores, staff_scores, staff_unit_id, standardized_scores,
                          university_scores, write_scores)
 from .normalize import compute_baselines, load_baselines, write_baselines
-from .rankings import (compare_rankings, rank_scores, read_rankings, standardized_scores,
-                       write_comparison, write_rankings)
+from .rankings import (compare_rankings, rank_scores, read_rankings, write_comparison,
+                       write_rankings)
 from .synth import SynthParams, generate_synthetic_corpus
 
 DATA_FILES = ("researchers", "publications", "bylines", "taxonomy", "salaries")
@@ -126,7 +129,7 @@ def _sha256(path: Path) -> str:
 
 def _load_pipeline(args, config: RunConfig):
     """Load, filter, and prepare everything scoring needs, the credit ledger
-    included."""
+    included, and the input paths."""
     paths = _data_paths(args)
     corpus, report = load_corpus(paths["researchers"], paths["publications"],
                                  paths["bylines"], paths["taxonomy"],
@@ -141,9 +144,8 @@ def _load_pipeline(args, config: RunConfig):
         baselines = load_baselines(config.baseline_file)
     else:
         baselines = compute_baselines(corpus.publications)
-    checksums = {paths[name].name: _sha256(paths[name]) for name in sorted(paths)}
     ledger = credit_ledger(corpus, baselines)
-    return corpus, report, exclusions, baselines, ledger, checksums
+    return corpus, report, exclusions, baselines, ledger, paths
 
 
 def _outdir(path) -> Path:
@@ -176,26 +178,26 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _score_sets(ledger, config):
-    """Researcher scores always; aggregate sets per the configured scope."""
-    sets = [researcher_scores(ledger)]
-    means = compute_field_means(ledger)
-    if config.scope == "sds":
-        sets.append(staff_scores(ledger))
-    elif config.scope == "department":
-        sets.append(department_scores(ledger, means))
-    elif config.scope == "university":
-        for indicator in ("fss_u", "p_u", "fp_u"):
-            sets.append(university_scores(ledger, means, indicator))
-    elif config.scope == "country":
-        sets.append(country_staff_scores(ledger))
-    return sets
+def _score_sets(level: str, ledger, means, indicators=UNIVERSITY_INDICATORS, uda=None):
+    """One level's score sets ("country": national staff), one per indicator for
+    universities. Each function is looked up on this module when called."""
+    if level == "university":
+        return [university_scores(ledger, means, indicator, uda) for indicator in indicators]
+    if level == "researcher":
+        return [researcher_scores(ledger)]
+    if level == "staff":
+        return [staff_scores(ledger)]
+    if level == "department":
+        return [department_scores(ledger, means)]
+    return [country_staff_scores(ledger)]
 
 
 def cmd_score(args) -> int:
     config, defaulted = _config_from_args(args)
-    _, report, exclusions, baselines, ledger, checksums = _load_pipeline(args, config)
-    sets = _score_sets(ledger, config)
+    _, report, exclusions, baselines, ledger, paths = _load_pipeline(args, config)
+    checksums = {paths[name].name: _sha256(paths[name]) for name in sorted(paths)}
+    level = "staff" if config.scope == "sds" else config.scope
+    sets = [researcher_scores(ledger), *_score_sets(level, ledger, compute_field_means(ledger))]
 
     out = _outdir(config.output_dir)
     write_scores(sets, out / "scores.csv")
@@ -227,7 +229,7 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _eligible(exclusions, ledger, level: str, uda: str | None):
+def _ineligible(exclusions, ledger, level: str, uda: str | None):
     """Units too small to rank fairly, per the configured staff thresholds."""
     institutions = set(exclusions.excluded_institutions)
     pairs = set(exclusions.excluded_institution_udas)
@@ -241,13 +243,10 @@ def _eligible(exclusions, ledger, level: str, uda: str | None):
 
 def cmd_rank(args) -> int:
     level = args.level
-    indicator = args.indicator
-    if level != "university" and args.uda:
-        raise InputError("--uda only applies to university-level rankings")
-    if level != "university" and indicator:
-        raise InputError("--indicator only applies to university-level rankings")
-    if level not in ("researcher", "staff") and args.standardize:
-        raise InputError("--standardize only applies to researcher and staff rankings")
+    if level != "university":
+        _refuse(args, ("uda", "indicator"), f"to {level} rankings")
+    if level not in STANDARDIZABLE and args.standardize:
+        raise InputError(f"--standardize only applies to {' and '.join(STANDARDIZABLE)} rankings")
     config, _ = _config_from_args(args)
     corpus, _, exclusions, _, ledger, _ = _load_pipeline(args, config)
     if args.uda is not None:
@@ -256,18 +255,11 @@ def cmd_rank(args) -> int:
             raise InputError(f"unknown discipline {args.uda!r}; the taxonomy has "
                              f"{', '.join(known)}")
     means = compute_field_means(ledger)
-    if level == "researcher":
-        scores = researcher_scores(ledger)
-    elif level == "staff":
-        scores = staff_scores(ledger)
-    elif level == "department":
-        scores = department_scores(ledger, means)
-    elif level == "university":
-        scores = university_scores(ledger, means, indicator or "fss_u", args.uda)
+    scores, = _score_sets(level, ledger, means, (args.indicator or "fss_u",), args.uda)
     if args.standardize:
         scores = standardized_scores(scores, means)
 
-    ranked = rank_scores(scores, exclude=_eligible(exclusions, ledger, level, args.uda))
+    ranked = rank_scores(scores, exclude=_ineligible(exclusions, ledger, level, args.uda))
     if not ranked.entries:
         raise ComputationError("no units left to rank after exclusions")
 
@@ -381,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arguments(p, "rank")
     p.add_argument("--level", required=True,
                    choices=("researcher", "staff", "department", "university"))
-    p.add_argument("--indicator", choices=("fss_u", "p_u", "fp_u"),
+    p.add_argument("--indicator", choices=UNIVERSITY_INDICATORS,
                    help="university-level indicator (default fss_u)")
     p.add_argument("--uda", help="restrict a university ranking to one discipline")
     p.add_argument("--standardize", action="store_true",
@@ -422,9 +414,11 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         try:
-            args = parser.parse_args(argv)
+            with redirect_stdout(io.StringIO()) as printed:  # argparse ignores failed writes
+                args = parser.parse_args(argv)
         except SystemExit:
-            sys.stdout.flush()  # --help and --version print, then exit here
+            sys.stdout.write(printed.getvalue())  # --help and --version print, then exit here
+            sys.stdout.flush()
             raise
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit

@@ -251,9 +251,12 @@ def write_table(path, header, rows) -> Path:
 
 
 def parse_float(value: str, path: Path, line: int, column: str) -> float:
-    """One numeric cell; the nan and infinities float() accepts are refused,
-    so none reaches a score."""
+    """One numeric cell, in ASCII and without the ``_`` separators float()
+    accepts; the nan and infinities float() accepts are refused, so none
+    reaches a score."""
     try:
+        if not value.isascii() or "_" in value:
+            raise ValueError
         number = float(value)
     except ValueError:
         raise LoadError(f"not a number: {value!r}", file=path, line=line, column=column) from None
@@ -263,10 +266,18 @@ def parse_float(value: str, path: Path, line: int, column: str) -> float:
 
 
 def parse_int(value: str, path: Path, line: int, column: str) -> int:
+    """One integer cell, in ASCII and without ``_`` separators. Scores
+    divide integers as floats, so one too large for a float is refused."""
     try:
-        return int(value)
+        if not value.isascii() or "_" in value:
+            raise ValueError
+        number = int(value)
+        float(number)
     except ValueError:
         raise LoadError(f"not an integer: {value!r}", file=path, line=line, column=column) from None
+    except OverflowError:
+        raise LoadError("integer too large for a float", file=path, line=line, column=column) from None
+    return number
 
 
 def require(value: str, path: Path, line: int, column: str) -> str:

@@ -35,6 +35,7 @@ credited output, fractional and whole counts and labor cost. The caller
 builds the ledger once, with credit_ledger, and passes it to every
 indicator. Each score-set function groups the rows into its level's units
 and reduces each group; a single unit's value is its entry in that set.
+staff_table reduces each staff group once, for every staff-based value.
 FieldMeans.standardize is the one place a value is divided by its field's
 mean.
 """
@@ -42,7 +43,8 @@ mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -64,7 +66,8 @@ class ScoreSet:
     level: str
     indicator: str
     entries: dict[str, float]
-    metadata: dict = field(default_factory=dict)
+    sds_of_unit: dict[str, str] | None = None  # each unit's field, at levels that have one
+    uda: str | None = None  # the discipline a university set is restricted to
 
     def unit_ids(self) -> list[str]:
         return sorted(self.entries)
@@ -97,6 +100,28 @@ class FieldMeans:
                 "(no productive unit in that field)"
             )
         return value / table[sds_code]
+
+
+# The levels whose units each lie in one field, and the indicator each scores.
+STANDARDIZABLE = {"researcher": "fss_r", "staff": "fss_s"}
+
+
+def standardized_scores(scores: ScoreSet, means: FieldMeans) -> ScoreSet:
+    """Divide each unit's raw score by its field's national mean, making
+    units from fields with different citation and cost regimes rankable in
+    one list. Requires the score set to carry each unit's field."""
+    if STANDARDIZABLE.get(scores.level) != scores.indicator:
+        raise InputError(f"no field standardization defined for indicator {scores.indicator!r}")
+    if not scores.sds_of_unit:
+        raise InputError("score set does not record the field of each unit")
+    return ScoreSet(
+        level=scores.level,
+        indicator=f"{scores.indicator}_std",
+        entries={uid: means.standardize(scores.indicator, scores.sds_of_unit[uid],
+                                        scores.entries[uid])
+                 for uid in scores.unit_ids()},
+        sds_of_unit=scores.sds_of_unit,
+    )
 
 
 def staff_unit_id(institution_id: str | None, sds_code: str) -> str:
@@ -183,31 +208,44 @@ def _fractional_rate_of(row: CreditRow) -> float:
     return row.fractional / row.years
 
 
-def _staff_value(rows: list[CreditRow]) -> float:
-    """fss_s of a group: credited output per unit of labor cost."""
-    return math.fsum(r.output for r in rows) / math.fsum(r.cost for r in rows)
+def staff_table(ledger: list[CreditRow],
+                national: bool = False) -> dict[tuple[str | None, str], tuple[float, float]]:
+    """(fss_s, labor cost) of each (institution, field) staff group in key
+    order, each sum fsummed over the group's rows in ledger order.
+    ``national`` pools each field's staff across the census as institution None."""
+    table = {}
+    for key, members in group_rows(
+            ledger, lambda r: (None if national else r.institution_id, r.sds_code)).items():
+        cost = math.fsum(r.cost for r in members)
+        table[key] = (math.fsum(r.output for r in members) / cost, cost)
+    return table
 
 
-def _rollup(rows: list[CreditRow], means_table: str, means: FieldMeans, value_of) -> float:
-    """Head-count average of members' field-standardized values; a member
-    whose value is 0 counts in the head count only."""
-    return math.fsum(means.standardize(means_table, row.sds_code, value_of(row))
-                     for row in rows) / len(rows)
+def _rollups(rows: list[CreditRow], unit: str, means_table: str, means: FieldMeans,
+             value_of) -> dict[str, float]:
+    """Each unit's head-count average of its members' field-standardized
+    values; a member whose value is 0 counts in the head count only."""
+    return {uid: math.fsum(means.standardize(means_table, row.sds_code, value_of(row))
+                           for row in members) / len(members)
+            for uid, members in group_rows(rows, attrgetter(unit)).items()}
 
 
-def _fss_u_value(rows: list[CreditRow], means: FieldMeans) -> float:
-    by_sds = group_rows(rows, lambda r: r.sds_code)
-    costs = {sds: math.fsum(r.cost for r in members) for sds, members in by_sds.items()}
-    total_cost = math.fsum(costs.values())
-    return math.fsum(means.standardize("fss_s", sds, _staff_value(members))
-                     * (costs[sds] / total_cost)
-                     for sds, members in by_sds.items())
+def _fss_u(rows: list[CreditRow], means: FieldMeans) -> dict[str, float]:
+    """fss_u of each institution: its standardized field staff scores, cost-weighted."""
+    fields: dict[str, list[tuple[float, float]]] = {}
+    for (inst, sds), (value, cost) in staff_table(rows).items():
+        fields.setdefault(inst, []).append((means.standardize("fss_s", sds, value), cost))
+    entries = {}
+    for inst, terms in fields.items():
+        total_cost = math.fsum(cost for _, cost in terms)
+        entries[inst] = math.fsum(std * (cost / total_cost) for std, cost in terms)
+    return entries
 
 
 UNIVERSITY_INDICATORS = {
-    "fss_u": _fss_u_value,
-    "p_u": lambda rows, means: _rollup(rows, "q", means, _rate_of),
-    "fp_u": lambda rows, means: _rollup(rows, "fq", means, _fractional_rate_of),
+    "fss_u": _fss_u,
+    "p_u": lambda rows, means: _rollups(rows, "institution_id", "q", means, _rate_of),
+    "fp_u": lambda rows, means: _rollups(rows, "institution_id", "fq", means, _fractional_rate_of),
 }
 
 
@@ -227,11 +265,9 @@ def compute_field_means(ledger: list[CreditRow]) -> FieldMeans:
         return {sds: math.fsum(vals) / len(vals) for sds, vals in sorted(by_sds.items())}
 
     staff_values: dict[str, list[tuple[float, float]]] = {}
-    for (_, sds), members in group_rows(ledger, lambda r: (r.institution_id, r.sds_code)).items():
-        value = _staff_value(members)
-        if value <= 0:
-            continue
-        staff_values.setdefault(sds, []).append((value, math.fsum(r.cost for r in members)))
+    for (_, sds), (value, cost) in staff_table(ledger).items():
+        if value > 0:
+            staff_values.setdefault(sds, []).append((value, cost))
 
     return FieldMeans(
         fss_r=productive_mean(_fss_r_of),
@@ -254,49 +290,44 @@ def researcher_scores(ledger: list[CreditRow]) -> ScoreSet:
         level="researcher",
         indicator="fss_r",
         entries={row.id: _fss_r_of(row) for row in ledger},
-        metadata={"sds_of_unit": {row.id: row.sds_code for row in ledger}},
+        sds_of_unit={row.id: row.sds_code for row in ledger},
     )
+
+
+def _staff_set(table) -> ScoreSet:
+    return ScoreSet(level="staff", indicator="fss_s",
+                    entries={staff_unit_id(inst, sds): value
+                             for (inst, sds), (value, _) in table.items()},
+                    sds_of_unit={staff_unit_id(inst, sds): sds for inst, sds in table})
 
 
 def staff_scores(ledger: list[CreditRow]) -> ScoreSet:
     """Field staff scores for every (institution, field) pair with staff."""
-    groups = group_rows(ledger, lambda r: (r.institution_id, r.sds_code))
-    entries = {staff_unit_id(inst, sds): _staff_value(members)
-               for (inst, sds), members in groups.items()}
-    sds_of_unit = {staff_unit_id(inst, sds): sds for inst, sds in groups}
-    return ScoreSet(level="staff", indicator="fss_s", entries=entries,
-                    metadata={"sds_of_unit": sds_of_unit})
+    return _staff_set(staff_table(ledger))
 
 
 def country_staff_scores(ledger: list[CreditRow]) -> ScoreSet:
     """National staff score of every field with staff."""
-    groups = group_rows(ledger, lambda r: r.sds_code)
-    entries = {staff_unit_id(None, sds): _staff_value(members)
-               for sds, members in groups.items()}
-    return ScoreSet(level="staff", indicator="fss_s", entries=entries,
-                    metadata={"scope": "country"})
+    return _staff_set(staff_table(ledger, national=True))
 
 
 def department_scores(ledger: list[CreditRow], means: FieldMeans) -> ScoreSet:
     """Each department's head-count average of its members' field-standardized
     individual scores; unproductive members count in the head count only."""
     rows = [row for row in ledger if row.department_id]
-    entries = {dept: _rollup(members, "fss_r", means, _fss_r_of)
-               for dept, members in group_rows(rows, lambda r: r.department_id).items()}
-    return ScoreSet(level="department", indicator="fss_d", entries=entries)
+    return ScoreSet(level="department", indicator="fss_d",
+                    entries=_rollups(rows, "department_id", "fss_r", means, _fss_r_of))
 
 
 def university_scores(ledger: list[CreditRow], means: FieldMeans, indicator: str = "fss_u",
                       uda_code: str | None = None) -> ScoreSet:
     """Institution-level scores; ``indicator`` picks fss_u, p_u or fp_u."""
-    value_of = UNIVERSITY_INDICATORS.get(indicator)
-    if value_of is None:
+    entries_of = UNIVERSITY_INDICATORS.get(indicator)
+    if entries_of is None:
         raise InputError(f"unknown university indicator: {indicator!r}")
     rows = [row for row in ledger if uda_code is None or row.uda_code == uda_code]
-    entries = {inst: value_of(members, means)
-               for inst, members in group_rows(rows, lambda r: r.institution_id).items()}
-    return ScoreSet(level="university", indicator=indicator, entries=entries,
-                    metadata={} if uda_code is None else {"uda": uda_code})
+    return ScoreSet(level="university", indicator=indicator, entries=entries_of(rows, means),
+                    uda=uda_code)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .corpus import parse_float, parse_int, read_table, require, write_table
 from .errors import ComputationError, InputError, LoadError, UnitMismatchError
-from .indicators import FieldMeans, ScoreSet
 
 
 @dataclass(frozen=True)
@@ -73,43 +71,23 @@ def quartile_size(n: int) -> int:
     return -(-n // 4)
 
 
-def rank_scores(scores: ScoreSet, exclude=frozenset()) -> RankedList:
-    """Order a score set into a ranked list, skipping excluded units."""
+def _tie_blocks(values) -> list[tuple[int, int]]:
+    """(start, end) of each run of equal values in ``values``, end exclusive."""
+    starts = [i for i in range(len(values)) if i == 0 or values[i] != values[i - 1]]
+    return list(zip(starts, starts[1:] + [len(values)]))
+
+
+def rank_scores(scores, exclude=frozenset()) -> RankedList:
+    """Rank a score set (an ``indicators.ScoreSet``), skipping excluded units."""
     items = [(uid, scores.entries[uid]) for uid in scores.unit_ids() if uid not in exclude]
     items.sort(key=lambda kv: (-kv[1], kv[0]))
     n = len(items)
-    entries: list[RankedEntry] = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and items[j + 1][1] == items[i][1]:
-            j += 1
-        # Tie block [i..j]: every member takes the block's best rank, and
-        # only the n-(j+1) units below the block score strictly less.
-        pct = 100.0 * (n - j - 1) / n
-        for k in range(i, j + 1):
-            uid, value = items[k]
-            entries.append(RankedEntry(unit_id=uid, score=value, rank=i + 1, percentile=pct))
-        i = j + 1
-    return RankedList(entries=entries, group=scores.metadata.get("uda"))
-
-
-def standardized_scores(scores: ScoreSet, means: FieldMeans) -> ScoreSet:
-    """Divide each unit's raw score by its field's national mean, making
-    units from fields with different citation and cost regimes rankable in
-    one list. Requires the score set to carry each unit's field."""
-    if scores.indicator not in ("fss_r", "fss_s"):
-        raise InputError(f"no field standardization defined for indicator {scores.indicator!r}")
-    sds_of_unit = scores.metadata.get("sds_of_unit")
-    if not sds_of_unit:
-        raise InputError("score set does not record the field of each unit")
-    return ScoreSet(
-        level=scores.level,
-        indicator=f"{scores.indicator}_std",
-        entries={uid: means.standardize(scores.indicator, sds_of_unit[uid], scores.entries[uid])
-                 for uid in scores.unit_ids()},
-        metadata=dict(scores.metadata),
-    )
+    # Tie block [i, j): every member takes the block's best rank, and only
+    # the n - j units below the block score strictly less.
+    entries = [RankedEntry(unit_id=uid, score=value, rank=i + 1, percentile=100.0 * (n - j) / n)
+               for i, j in _tie_blocks([value for _, value in items])
+               for uid, value in items[i:j]]
+    return RankedList(entries=entries, group=scores.uda)
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +99,9 @@ def average_ranks(values) -> list[float]:
     values = list(values)
     order = sorted(range(len(values)), key=lambda i: values[i])
     ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        block_rank = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = block_rank
-        i = j + 1
+    for i, j in _tie_blocks([values[k] for k in order]):
+        for k in order[i:j]:
+            ranks[k] = (i + j - 1) / 2 + 1
     return ranks
 
 
@@ -184,6 +156,8 @@ def compare_rankings(a: RankedList, b: RankedList) -> ComparisonStats:
     shifts = {uid: abs(rank_a[uid] - rank_b[uid]) for uid in ids}
     shift_values = [shifts[uid] for uid in ids]
     moved = sum(1 for s in shift_values if s > 0)
+    ordered, mid = sorted(shift_values), n // 2
+    median_shift = float(ordered[mid]) if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
     top_a, top_b = a.top_quartile(), b.top_quartile()
     exits = len(top_a - top_b)
@@ -192,7 +166,7 @@ def compare_rankings(a: RankedList, b: RankedList) -> ComparisonStats:
         n_units=n,
         pct_shifting=100.0 * moved / n,
         avg_shift=math.fsum(shift_values) / n,
-        median_shift=float(statistics.median(shift_values)),
+        median_shift=median_shift,
         max_shift=max(shift_values),
         spearman=spearman_rho([score_a[uid] for uid in ids], [score_b[uid] for uid in ids]),
         top_quartile_exit_pct=100.0 * exits / len(top_a),

@@ -542,7 +542,8 @@ def test_command_runs_without_cyclic_gc_and_main_restores_it(monkeypatch, capsys
 # ---------------------------------------------------------------------------
 
 # Runs each argv through main in one process and prints, as its last line,
-# whether numpy had been imported after each command.
+# whether numpy had been imported after each command, and whether
+# statistics had been.
 IMPORT_PROBE = """
 import json, sys
 from fsskit.cli import main
@@ -550,7 +551,7 @@ seen = []
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
     seen.append([argv[0], "numpy" in sys.modules])
-print(json.dumps(seen))
+print(json.dumps([seen, "statistics" in sys.modules]))
 """
 
 
@@ -574,9 +575,10 @@ def test_only_dea_imports_numpy(tiny_dir, tmp_path):
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)],
                           env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
+    seen, statistics_imported = json.loads(proc.stdout.splitlines()[-1])
     assert [command for command, _ in seen] == [argv[0] for argv in argvs]
     assert [command for command, imported in seen if imported] == ["dea"]
+    assert not statistics_imported
 
 
 @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
@@ -602,14 +604,17 @@ def test_closed_stdout_exits_141_without_a_traceback(tiny_dir, tmp_path, command
     assert proc.stderr == b""
 
 
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["dea", "--help"]])
-def test_help_and_version_on_a_closed_stdout_exit_141(argv):
-    # argparse prints these into stdout's buffer and exits inside
-    # parse_args. (Unbuffered, argparse itself ignores the failed write.)
+def test_help_and_version_on_a_closed_stdout_exit_141(argv, buffering):
+    # argparse prints these and exits inside parse_args. Buffered, the
+    # failed write shows at the flush; unbuffered, argparse 3.11 ignores it.
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
     try:
         proc = subprocess.run([sys.executable, "-m", "fsskit.cli", *argv], stdout=write_end,
                               stderr=subprocess.PIPE, env=env, timeout=120)

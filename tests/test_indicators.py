@@ -28,9 +28,9 @@ from fsskit.corpus import Corpus
 from fsskit.errors import ComputationError, MissingFieldMeanError
 from fsskit.indicators import (FieldMeans, compute_field_means, country_staff_scores,
                                credit_ledger, department_scores, researcher_scores,
-                               staff_scores, staff_unit_id, university_scores)
+                               staff_scores, staff_unit_id, standardized_scores,
+                               university_scores)
 from fsskit.normalize import compute_baselines
-from fsskit.rankings import standardized_scores
 
 # fss_r = output / (salary * years)
 FSS_R = {
@@ -139,7 +139,7 @@ def test_batch_sets_cover_all_units(ledger):
     means = compute_field_means(ledger)
     individual = researcher_scores(ledger)
     assert sorted(individual.entries) == ["r1", "r2", "r3", "r4", "r5"]
-    assert individual.metadata["sds_of_unit"]["r3"] == "BIO01"
+    assert individual.sds_of_unit["r3"] == "BIO01"
     staff = staff_scores(ledger)
     assert sorted(staff.entries) == [
         staff_unit_id("UA", "MAT01"), staff_unit_id("UB", "BIO01"),

@@ -1,4 +1,5 @@
-"""nan and infinities parse as floats; every loader must refuse them.
+"""nan and infinities parse as floats; every loader must refuse them, and
+every number that is not an ASCII decimal a float can hold.
 
 Each rejection is a LoadError (CLI exit code 2) that names the file, the
 line and, where the loader knows it, the column, so a bad value never flows
@@ -110,4 +111,29 @@ def test_score_exits_2_on_non_finite_researcher(tmp_path, capsys, salary, years,
     err = capsys.readouterr().err
     assert "researchers.csv" in err
     assert "line 2" in err
+    assert f"column '{column}'" in err
+
+
+@pytest.mark.parametrize("command, file, old, new, line, column", [
+    ("validate", "publications.csv", "p1,2006,10,", "p1,2006,1_0,", 2, "citations"),
+    ("validate", "publications.csv", "p1,2006,10,", "p1,\u0662\u0660\u0660\u0666,10,", 2, "year"),
+    ("validate", "researchers.csv", "UA-M,4\n", "UA-M,4_0\n", 3, "years_in_window"),
+    ("score", "publications.csv", "p1,2006,10,", "p1,2006," + "9" * 400 + ",", 2, "citations"),
+], ids=["citations-separator", "year-arabic-indic-digits", "years-separator", "citations-400-digits"])
+def test_numbers_are_ascii_decimals_that_a_float_holds(tmp_path, capsys, command, file, old, new,
+                                                       line, column):
+    # int() and float() accept "_" separators and non-ASCII digits, and an
+    # integer too large for a float fails only where a score divides it.
+    for name, content in TINY_FILES.items():
+        if name == file:
+            assert content.count(old) == 1
+            content = content.replace(old, new)
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    argv = [command, "--data", str(tmp_path)]
+    if command == "score":
+        argv += ["--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert file in err
+    assert f"line {line}" in err
     assert f"column '{column}'" in err

@@ -6,16 +6,15 @@ import random
 import pytest
 
 from fsskit.errors import ComputationError, InputError, LoadError, UnitMismatchError
-from fsskit.indicators import FieldMeans, ScoreSet
+from fsskit.indicators import FieldMeans, ScoreSet, standardized_scores
 from fsskit.rankings import (RankedEntry, RankedList, average_ranks, compare_rankings,
                              quartile_size, rank_scores, read_rankings,
-                             spearman_rho, standardized_scores,
-                             write_comparison, write_rankings)
+                             spearman_rho, write_comparison, write_rankings)
 from oracles import reference_spearman_distinct
 
-def score_set(entries, level="university", indicator="fss_u", metadata=None):
+def score_set(entries, level="university", indicator="fss_u", sds_of_unit=None, uda=None):
     return ScoreSet(level=level, indicator=indicator, entries=entries,
-                    metadata=metadata or {})
+                    sds_of_unit=sds_of_unit, uda=uda)
 
 
 def ranked(scores_desc):
@@ -81,8 +80,8 @@ def test_rank_scores_excludes_units():
     assert rl.unit_ids() == {"a", "c"}
 
 
-def test_rank_scores_group_from_metadata():
-    scores = score_set({"a": 1.0, "b": 2.0}, metadata={"uda": "MATH"})
+def test_rank_scores_group_from_uda():
+    scores = score_set({"a": 1.0, "b": 2.0}, uda="MATH")
     assert rank_scores(scores).group == "MATH"
     assert rank_scores(score_set({"a": 1.0})).group is None
 
@@ -100,7 +99,7 @@ def test_standardized_scores_divide_by_field_mean():
     means = FieldMeans(fss_r={"S1": 2.0, "S2": 4.0}, fss_s={}, q={}, fq={})
     scores = score_set({"a": 1.0, "b": 1.0, "z": 0.0},
                        level="researcher", indicator="fss_r",
-                       metadata={"sds_of_unit": {"a": "S1", "b": "S2", "z": "S1"}})
+                       sds_of_unit={"a": "S1", "b": "S2", "z": "S1"})
     std = standardized_scores(scores, means)
     assert std.indicator == "fss_r_std"
     assert std.entries == {"a": 0.5, "b": 0.25, "z": 0.0}
@@ -110,10 +109,11 @@ def test_standardized_scores_require_field_metadata():
     means = FieldMeans(fss_r={"S1": 2.0}, fss_s={}, q={}, fq={})
     with pytest.raises(InputError):
         standardized_scores(score_set({"a": 1.0}, indicator="fss_r"), means)
+    with pytest.raises(InputError, match="field of each unit"):
+        standardized_scores(score_set({"a": 1.0}, level="researcher", indicator="fss_r"), means)
     with pytest.raises(InputError):
         standardized_scores(
-            score_set({"a": 1.0}, indicator="fss_u",
-                      metadata={"sds_of_unit": {"a": "S1"}}), means)
+            score_set({"a": 1.0}, indicator="fss_u", sds_of_unit={"a": "S1"}), means)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,7 @@ def test_rankings_round_trip(tmp_path):
 
 
 def test_rankings_round_trip_with_group(tmp_path):
-    scores = score_set({"a": 1.0, "b": 2.0}, metadata={"uda": "MATH"})
+    scores = score_set({"a": 1.0, "b": 2.0}, uda="MATH")
     rl = rank_scores(scores)
     path = write_rankings(rl, tmp_path / "rankings.csv")
     assert (tmp_path / "rankings.csv").read_text().splitlines()[0] == \

@@ -88,6 +88,6 @@ def test_batch_sets_ignore_researcher_order(synth):
                 department_scores(ledger, means)]
         sets += [university_scores(ledger, means, indicator)
                  for indicator in ("fss_u", "p_u", "fp_u")]
-        return means, [(s.entries, s.metadata) for s in sets]
+        return means, [(s.entries, s.sds_of_unit, s.uda) for s in sets]
 
     assert batch_sets(shuffled) == batch_sets(synth.corpus)
