@@ -6,11 +6,22 @@ discipline code plus the field's co-authorship convention), and the national
 salary schedule. It is frozen: it holds only what was loaded, and every
 downstream module only reads it. load_corpus reads each file in one pass
 and builds each record once; Authorship and Publication are NamedTuples,
-as there is one Authorship per byline row. Each byline row goes straight
-into its publication's position map; a row costs one dict lookup for its
-publication and only the checks its cells call for. Publications outside
-the observation window are dropped, but every byline row, theirs included,
-must name a known publication, a position >= 1 and an institution.
+which cost less to build and hold than dataclasses. Each byline row goes
+straight into its publication's position map; a row costs one dict lookup
+for its publication and only the checks its cells call for. Publications
+outside the observation window are dropped, but every byline row, theirs
+included, must name a known publication, a position >= 1 and an
+institution.
+
+A census repeats a few values in many rows, so load_corpus holds each
+repeated value once: every institution id, field, rank and department
+string; each subject category and each distinct category tuple; each year;
+and each distinct Authorship, whose researcher_id is the census record's
+own Researcher.id. Sharing is safe because every one of these is immutable
+(str, int, tuple, NamedTuple) and the package never compares them by
+identity. The lookup tables that find the shared values are local to the
+call, so nothing outlives loading. A loaded census then holds less than
+half the memory it would with every cell on its own.
 
 File formats (UTF-8, comma-delimited, header row, '.' decimal):
 
@@ -280,6 +291,25 @@ def parse_int(value: str, path: Path, line: int, column: str) -> int:
     return number
 
 
+# Bounds on the size of a positive quantity (years_in_window, a salary,
+# c_bar) and of a citation count. Within them a labour cost lies between
+# 1e-100 and 1e100 and a normalized impact is at most 1e100, so no score,
+# sum or mean of them can overflow to inf or turn nan.
+QUANTITY_MIN = 1e-50
+QUANTITY_MAX = 1e50
+
+
+def parse_quantity(value: str, path: Path, line: int, column: str) -> float:
+    """One positive quantity cell: a number from QUANTITY_MIN to QUANTITY_MAX."""
+    number = parse_float(value, path, line, column)
+    if number <= 0:
+        raise LoadError(f"{column} must be positive", file=path, line=line, column=column)
+    if not QUANTITY_MIN <= number <= QUANTITY_MAX:
+        raise LoadError(f"{column} must be between {QUANTITY_MIN:g} and {QUANTITY_MAX:g}, "
+                        f"got {number!r}", file=path, line=line, column=column)
+    return number
+
+
 def require(value: str, path: Path, line: int, column: str) -> str:
     if not value:
         raise LoadError("value is required", file=path, line=line, column=column)
@@ -312,10 +342,7 @@ def load_salary_schedule(path) -> SalarySchedule:
         band = band or None
         if (rank, band) in entries:
             raise LoadError(f"duplicate schedule entry for rank {rank!r}", file=path, line=line, column="rank")
-        salary = parse_float(salary, path, line, "salary_per_year")
-        if salary <= 0:
-            raise LoadError("salary must be positive", file=path, line=line, column="salary_per_year")
-        entries[(rank, band)] = salary
+        entries[(rank, band)] = parse_quantity(salary, path, line, "salary_per_year")
     return SalarySchedule(entries=entries)
 
 
@@ -337,6 +364,13 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
     taxonomy = load_taxonomy(taxonomy_file)
     salaries = load_salary_schedule(salary_file)
     start, end = config.window
+    # Each repeated string, year and category tuple is held once. The tables
+    # that do it are local to this call.
+    held: dict = {}
+
+    def share(value):
+        """The first value loaded that equals ``value``."""
+        return held.setdefault(value, value)
 
     researcher_path = Path(researcher_file)
     researchers: dict[str, Researcher] = {}
@@ -350,13 +384,8 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         require(sds, researcher_path, line, "sds")
         if sds not in taxonomy.uda_of_sds:
             raise LoadError(f"unknown field code {sds!r}", file=researcher_path, line=line, column="sds")
-        years = parse_float(years, researcher_path, line, "years_in_window")
-        if years <= 0:
-            raise LoadError("years_in_window must be positive", file=researcher_path, line=line,
-                            column="years_in_window")
-        salary = parse_float(salary, researcher_path, line, "salary") if salary else None
-        if salary is not None and salary <= 0:
-            raise LoadError("salary must be positive", file=researcher_path, line=line, column="salary")
+        years = parse_quantity(years, researcher_path, line, "years_in_window")
+        salary = parse_quantity(salary, researcher_path, line, "salary") if salary else None
         require(rank, researcher_path, line, "rank")
         if salary is None and rank not in ranks:
             raise LoadError(f"rank {rank!r} not present in the salary schedule",
@@ -364,11 +393,11 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         researchers[rid] = Researcher(
             id=rid,
             name=name,
-            sds_code=sds,
-            rank=rank,
+            sds_code=share(sds),
+            rank=share(rank),
             salary_per_year=salary,
-            institution_id=require(institution, researcher_path, line, "institution"),
-            department_id=department or None,
+            institution_id=share(require(institution, researcher_path, line, "institution")),
+            department_id=share(department) if department else None,
             years_in_window=years,
         )
     report.row_counts["researchers"] = len(researchers)
@@ -381,11 +410,14 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         require(pid, publication_path, line, "id")
         if pid in kept:
             raise LoadError(f"duplicate publication id {pid!r}", file=publication_path, line=line, column="id")
-        year = parse_int(year, publication_path, line, "year")
+        year = share(parse_int(year, publication_path, line, "year"))
         citations = parse_int(citations, publication_path, line, "citations")
         if citations < 0:
             raise LoadError("citations must be >= 0", file=publication_path, line=line, column="citations")
-        categories = tuple(sorted({c.strip() for c in categories.split(";") if c.strip()}))
+        if citations > QUANTITY_MAX:
+            raise LoadError(f"citations must be at most {QUANTITY_MAX:g}", file=publication_path,
+                            line=line, column="citations")
+        categories = share(tuple(sorted({share(c.strip()) for c in categories.split(";") if c.strip()})))
         if not categories:
             raise LoadError("at least one subject category is required", file=publication_path,
                             line=line, column="subject_categories")
@@ -398,6 +430,8 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         report.warnings.append("publication file is empty; all scores will be zero")
 
     byline_path = Path(byline_file)
+    # One Authorship per distinct (position, institution_id, researcher_id).
+    authorships: dict[tuple[int, str, str | None], Authorship] = {}
     unresolved = 0
     n_rows = 0
     for line, (pid, position, rid, institution) in read_table(byline_path, BYLINE_COLUMNS):
@@ -417,7 +451,9 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         if position in entries:
             raise LoadError(f"duplicate position {position} for publication {pid!r}",
                             file=byline_path, line=line, column="position")
-        if rid in researchers:
+        researcher = researchers.get(rid)
+        if researcher is not None:
+            rid = researcher.id
             for entry in entries.values():
                 if entry.researcher_id == rid:
                     raise LoadError(f"researcher {rid!r} appears twice in the byline of {pid!r}",
@@ -427,7 +463,11 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
                 unresolved += 1
             rid = None
         require(institution, byline_path, line, "institution_id")
-        entries[position] = Authorship(position, institution, rid)
+        key = (position, institution, rid)
+        authorship = authorships.get(key)
+        if authorship is None:
+            authorship = authorships[key] = Authorship(position, share(institution), rid)
+        entries[position] = authorship
     report.row_counts["bylines"] = n_rows
     if unresolved:
         report.warnings.append(f"{unresolved} byline author(s) did not resolve to a census "

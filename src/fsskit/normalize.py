@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Publication, parse_float, parse_int, read_table, require, write_table
+from .corpus import Publication, parse_int, parse_quantity, read_table, require, write_table
 from .errors import BaselineMissingError, LoadError
 
 BASELINE_COLUMNS = ("year", "category", "c_bar", "n_cited")
@@ -84,10 +84,8 @@ def load_baselines(path) -> BaselineTable:
     for line, (year, category, c_bar, n_cited) in read_table(path, BASELINE_COLUMNS):
         year = parse_int(year, path, line, "year")
         require(category, path, line, "category")
-        c_bar = parse_float(c_bar, path, line, "c_bar")
+        c_bar = parse_quantity(c_bar, path, line, "c_bar")
         n_cited = parse_int(n_cited, path, line, "n_cited")
-        if c_bar <= 0:
-            raise LoadError("c_bar must be positive", file=path, line=line, column="c_bar")
         if n_cited < 1:
             raise LoadError("a baseline needs at least one cited publication",
                             file=path, line=line, column="n_cited")

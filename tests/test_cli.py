@@ -581,6 +581,18 @@ def test_only_dea_imports_numpy(tiny_dir, tmp_path):
     assert not statistics_imported
 
 
+def test_rankings_loads_no_library_module():
+    # The package resolves its Library names on first use, so `compare`,
+    # which needs only rankings, does not load the indicator modules.
+    probe = "import json, sys, fsskit.rankings; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "fsskit.rankings" in loaded
+    assert not loaded & {"fsskit.config", "fsskit.indicators", "fsskit.normalize", "fsskit.dea"}
+
+
 @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
 @pytest.mark.parametrize("command", ["validate", "score"])
 def test_closed_stdout_exits_141_without_a_traceback(tiny_dir, tmp_path, command, buffering):

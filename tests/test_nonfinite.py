@@ -119,11 +119,17 @@ def test_score_exits_2_on_non_finite_researcher(tmp_path, capsys, salary, years,
     ("validate", "publications.csv", "p1,2006,10,", "p1,\u0662\u0660\u0660\u0666,10,", 2, "year"),
     ("validate", "researchers.csv", "UA-M,4\n", "UA-M,4_0\n", 3, "years_in_window"),
     ("score", "publications.csv", "p1,2006,10,", "p1,2006," + "9" * 400 + ",", 2, "citations"),
-], ids=["citations-separator", "year-arabic-indic-digits", "years-separator", "citations-400-digits"])
+    ("validate", "publications.csv", "p1,2006,10,", "p1,2006,1" + "0" * 51 + ",", 2, "citations"),
+    ("validate", "researchers.csv", "full,90000,", "full,1e51,", 4, "salary"),
+    ("validate", "researchers.csv", "UA-M,4\n", "UA-M,1e-51\n", 3, "years_in_window"),
+], ids=["citations-separator", "year-arabic-indic-digits", "years-separator", "citations-400-digits",
+        "citations-over-1e50", "salary-over-1e50", "years-under-1e-50"])
 def test_numbers_are_ascii_decimals_that_a_float_holds(tmp_path, capsys, command, file, old, new,
                                                        line, column):
     # int() and float() accept "_" separators and non-ASCII digits, and an
     # integer too large for a float fails only where a score divides it.
+    # Numbers past 1e50 or under 1e-50 can overflow a score, so they are
+    # refused too.
     for name, content in TINY_FILES.items():
         if name == file:
             assert content.count(old) == 1
@@ -137,3 +143,74 @@ def test_numbers_are_ascii_decimals_that_a_float_holds(tmp_path, capsys, command
     assert file in err
     assert f"line {line}" in err
     assert f"column '{column}'" in err
+
+
+@pytest.fixture(scope="module")
+def census5(tmp_path_factory):
+    data = tmp_path_factory.mktemp("census5")
+    assert main(["synth", "--seed", "5", "--researchers", "300", "--institutions", "4",
+                 "--out", str(data)]) == 0
+    return data
+
+
+def with_cell(source, target, file, column, value):
+    """A copy of the census at ``source`` whose ``file`` has ``value`` in
+    ``column`` of its first data row (line 2)."""
+    target.mkdir()
+    for path in source.iterdir():
+        (target / path.name).write_bytes(path.read_bytes())
+    with open(target / file, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][rows[0].index(column)] = value
+    with open(target / file, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return target
+
+
+def assert_exit_2_at(capsys, argv, file, column):
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert file in err
+    assert "line 2" in err
+    assert f"column '{column}'" in err
+
+
+# A finite cell can still overflow a quotient or product (a salary times
+# 1e-320 years is too small to divide by, 1e308 years is too large to add)
+# and then write inf or nan. Every positive quantity must lie within 1e-50
+# and 1e50.
+@pytest.mark.parametrize("command", [["score"], ["rank", "--level", "researcher"]],
+                         ids=["score", "rank"])
+def test_tiny_years_in_window_is_refused(census5, tmp_path, capsys, command):
+    data = with_cell(census5, tmp_path / "data", "researchers.csv", "years_in_window", "1e-320")
+    assert_exit_2_at(capsys, [*command, "--data", str(data), "--min-years", "0",
+                              "--output-dir", str(tmp_path / "out")],
+                     "researchers.csv", "years_in_window")
+    assert not (tmp_path / "out").exists()
+
+
+def test_huge_years_in_window_is_refused(census5, tmp_path, capsys):
+    data = with_cell(census5, tmp_path / "data", "researchers.csv", "years_in_window", "1e308")
+    assert_exit_2_at(capsys, ["score", "--data", str(data), "--min-years", "0",
+                              "--output-dir", str(tmp_path / "out")],
+                     "researchers.csv", "years_in_window")
+
+
+def test_tiny_baseline_c_bar_is_refused(census5, tmp_path, capsys):
+    assert main(["score", "--data", str(census5), "--min-years", "0",
+                 "--output-dir", str(tmp_path / "computed")]) == 0
+    baselines = with_cell(tmp_path / "computed", tmp_path / "file", "baselines.csv", "c_bar",
+                          "1e-320") / "baselines.csv"
+    assert_exit_2_at(capsys, ["score", "--data", str(census5), "--min-years", "0",
+                              "--baseline-source", "file", "--baseline-file", str(baselines),
+                              "--output-dir", str(tmp_path / "out")],
+                     "baselines.csv", "c_bar")
+
+
+def test_huge_schedule_salary_is_refused(census5, tmp_path, capsys):
+    data = with_cell(census5, tmp_path / "data", "salaries.csv", "salary_per_year", "1e308")
+    assert_exit_2_at(capsys, ["dea", "--data", str(data), "--min-years", "0",
+                              "--output-dir", str(tmp_path / "out")],
+                     "salaries.csv", "salary_per_year")
+
