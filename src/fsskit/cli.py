@@ -32,6 +32,7 @@ import json
 import os
 import sys
 from contextlib import redirect_stdout
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -134,16 +135,11 @@ def _load_pipeline(args, config: RunConfig):
     corpus, report = load_corpus(paths["researchers"], paths["publications"],
                                  paths["bylines"], paths["taxonomy"],
                                  paths["salaries"], config)
-    corpus, exclusions = apply_exclusions(
-        corpus,
-        min_years=config.exclusions.min_years,
-        min_staff_uda=config.exclusions.min_staff_uda,
-        min_staff_total=config.exclusions.min_staff_total,
-    )
+    corpus, exclusions = apply_exclusions(corpus, config.exclusions)
     if config.baseline_source == "file":
         baselines = load_baselines(config.baseline_file)
     else:
-        baselines = compute_baselines(corpus.publications)
+        baselines = compute_baselines(corpus.publications.values())
     ledger = credit_ledger(corpus, baselines)
     return corpus, report, exclusions, baselines, ledger, paths
 
@@ -328,14 +324,7 @@ def cmd_dea(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    params = SynthParams(
-        n_researchers=args.researchers,
-        n_institutions=args.institutions,
-        n_sds=args.sds,
-        lotka_alpha=args.alpha,
-        max_papers=args.max_papers,
-        single_category=args.single_category,
-    )
+    params = SynthParams(**{f.name: getattr(args, f.name) for f in fields(SynthParams)})
     corpus = generate_synthetic_corpus(args.seed, params)
     out = Path(args.out)
     export_corpus(corpus, out)
@@ -397,13 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic census")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--researchers", type=int, default=500)
-    p.add_argument("--institutions", type=int, default=8)
-    p.add_argument("--sds", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=1.3)
-    p.add_argument("--max-papers", dest="max_papers", type=int, default=40)
+    # One dest per SynthParams field, defaulting to that field's default.
+    p.add_argument("--researchers", dest="n_researchers", metavar="RESEARCHERS", type=int)
+    p.add_argument("--institutions", dest="n_institutions", metavar="INSTITUTIONS", type=int)
+    p.add_argument("--sds", dest="n_sds", metavar="SDS", type=int)
+    p.add_argument("--alpha", dest="lotka_alpha", metavar="ALPHA", type=float)
+    p.add_argument("--max-papers", dest="max_papers", type=int)
     p.add_argument("--single-category", dest="single_category", action="store_true")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, **asdict(SynthParams()))
 
     return parser
 

@@ -46,10 +46,13 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .credit import CONVENTIONS
 from .errors import InputError, LoadError, RankNotFoundError
+
+if TYPE_CHECKING:
+    from .config import ExclusionThresholds
 
 RESEARCHER_COLUMNS = ("id", "name", "sds", "rank", "salary", "institution", "department", "years_in_window")
 PUBLICATION_COLUMNS = ("id", "year", "citations", "subject_categories")
@@ -132,7 +135,6 @@ class Corpus:
     publications: dict[str, Publication]
     taxonomy: FieldTaxonomy
     salaries: SalarySchedule
-    window: tuple[int, int]
 
     def publications_of(self, researcher_id: str) -> list[tuple[Publication, int]]:
         """(publication, byline position) pairs for one census researcher,
@@ -494,7 +496,6 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         publications=publications,
         taxonomy=taxonomy,
         salaries=salaries,
-        window=(start, end),
     )
     if not publications:
         report.warnings.append("corpus has no publications in the observation window")
@@ -543,21 +544,20 @@ def export_corpus(corpus: Corpus, directory) -> dict[str, Path]:
 # Exclusion filtering
 # ---------------------------------------------------------------------------
 
-def apply_exclusions(corpus: Corpus, min_years: float = 0.0, min_staff_uda: int = 0,
-                     min_staff_total: int = 0) -> tuple[Corpus, ExclusionReport]:
+def apply_exclusions(corpus: Corpus,
+                     thresholds: ExclusionThresholds) -> tuple[Corpus, ExclusionReport]:
     """Robustness filters applied before ranking.
 
-    Researchers below ``min_years`` of work in the window leave the corpus
-    entirely (their byline entries then behave like external authors).
-    Institution groups below the staff thresholds stay in the corpus; the
-    report lists them as ineligible for ranking: (institution, UDA) pairs
-    under ``min_staff_uda`` for discipline-level rankings, institutions under
-    ``min_staff_total`` for whole-institution rankings. Idempotent for fixed
-    thresholds.
+    Researchers below ``thresholds.min_years`` of work in the window leave
+    the corpus entirely (their byline entries then behave like external
+    authors). Institution groups below the staff thresholds stay in the
+    corpus; the report lists them as ineligible for ranking: (institution,
+    UDA) pairs under ``min_staff_uda`` for discipline-level rankings,
+    institutions under ``min_staff_total`` for whole-institution rankings.
+    Idempotent for fixed thresholds.
     """
-    if min_years < 0 or min_staff_uda < 0 or min_staff_total < 0:
-        raise InputError("exclusion thresholds must be >= 0")
-
+    thresholds.validate()
+    min_years = thresholds.min_years
     report = ExclusionReport()
 
     kept: dict[str, Researcher] = {}
@@ -576,7 +576,7 @@ def apply_exclusions(corpus: Corpus, min_years: float = 0.0, min_staff_uda: int 
         staff_by_inst[r.institution_id] = staff_by_inst.get(r.institution_id, 0) + 1
 
     report.excluded_institution_udas = sorted(
-        key for key, count in staff_by_inst_uda.items() if count < min_staff_uda)
+        key for key, count in staff_by_inst_uda.items() if count < thresholds.min_staff_uda)
     report.excluded_institutions = sorted(
-        inst for inst, count in staff_by_inst.items() if count < min_staff_total)
+        inst for inst, count in staff_by_inst.items() if count < thresholds.min_staff_total)
     return replace(corpus, researchers=kept), report

@@ -88,6 +88,8 @@ def validate_dmus(dmus) -> list[DMU]:
         seen.add(dmu.id)
         if len(dmu.inputs) != n_in or len(dmu.outputs) != n_out:
             raise InputError(f"DMU {dmu.id!r} has inconsistent dimensions")
+        if not all(map(math.isfinite, (*dmu.inputs, *dmu.outputs))):
+            raise InputError(f"DMU {dmu.id!r} has a non-finite value")
         if any(v < 0 for v in dmu.inputs) or any(v < 0 for v in dmu.outputs):
             raise InputError(f"DMU {dmu.id!r} has negative values")
         # A unit with no positive input (or output) makes the expansion
@@ -174,12 +176,15 @@ def dea_output_oriented(dmus, model: str = "crs") -> list[DMUScore]:
     programs are built: phi and lambda do not depend on the units of a
     column (Charnes, Cooper & Rhodes 1978), and the simplex's absolute
     tolerances suit data near 1. Every solution is then certified against
-    the unscaled data (primal and dual feasibility, zero duality gap)."""
+    the unscaled data (primal and dual feasibility, zero duality gap).
+
+    The units are laid out in id order, so the pivots, and with them every
+    rounding, do not depend on the order ``dmus`` comes in."""
     import numpy as np
 
     if model not in MODELS:
         raise InputError(f"model must be one of {'/'.join(MODELS)}")
-    dmus = validate_dmus(dmus)
+    dmus = sorted(validate_dmus(dmus), key=lambda d: d.id)
     inputs = np.array([d.inputs for d in dmus], dtype=float)
     outputs = np.array([d.outputs for d in dmus], dtype=float)
     # Each column's maximum; an all-zero column (validate_dmus allows one) is
@@ -215,7 +220,7 @@ def dea_output_oriented(dmus, model: str = "crs") -> list[DMUScore]:
             peers = tuple(sorted(ids[j] for j in on_peers))
             scores.append(DMUScore(id=dmu_id, model=model, phi=phi,
                                    efficiency=1.0 / phi, peers=peers))
-    return sorted(scores, key=lambda s: s.id)
+    return scores
 
 
 def scale_efficiency(crs_scores, vrs_scores) -> dict[str, float]:

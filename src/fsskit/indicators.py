@@ -145,9 +145,8 @@ class CreditRow(NamedTuple):
     output: float      # fsum of normalized impact x fractional credit
     fractional: float  # fsum of fractional credit
     papers: int
-    salary: float      # yearly
     years: float
-    cost: float        # salary x years
+    cost: float        # yearly salary x years
 
 
 def credit_ledger(corpus: Corpus, baselines: BaselineTable) -> list[CreditRow]:
@@ -180,7 +179,7 @@ def credit_ledger(corpus: Corpus, baselines: BaselineTable) -> list[CreditRow]:
         rows.append(CreditRow(rid, researcher.sds_code, corpus.uda_of(researcher),
                               researcher.institution_id, researcher.department_id,
                               researcher.rank, math.fsum(outputs[rid]), math.fsum(shares[rid]),
-                              len(shares[rid]), salary, years, salary * years))
+                              len(shares[rid]), years, salary * years))
     return rows
 
 

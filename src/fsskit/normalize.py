@@ -41,9 +41,7 @@ class BaselineTable:
 
 
 def compute_baselines(publications) -> BaselineTable:
-    """Build the baseline table from an iterable (or dict) of publications."""
-    if isinstance(publications, dict):
-        publications = publications.values()
+    """Build the baseline table from an iterable of publications."""
     sums: dict[tuple[int, str], int] = {}
     counts: dict[tuple[int, str], int] = {}
     for pub in publications:

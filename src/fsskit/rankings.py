@@ -193,7 +193,9 @@ def write_rankings(ranked: RankedList, path) -> Path:
 
 
 def read_rankings(path) -> RankedList:
-    """rankings.csv; an optional group column must hold one value throughout."""
+    """rankings.csv; an optional group column must hold one value throughout.
+    The entries come back in (rank, unit_id) order, the order write_rankings
+    writes, whatever the order of the file's rows."""
     path = Path(path)
     entries = []
     group = None
@@ -212,6 +214,7 @@ def read_rankings(path) -> RankedList:
             percentile=parse_float(percentile, path, line, "percentile"),
         ))
         group = row_group
+    entries.sort(key=lambda e: (e.rank, e.unit_id))
     return RankedList(entries=entries, group=group or None)
 
 

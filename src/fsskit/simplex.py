@@ -35,6 +35,7 @@ if TYPE_CHECKING:
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 DEGENERATE_LIMIT = 8  # consecutive degenerate pivots before Bland's rule takes over
+MAX_PIVOTS = 100_000  # per phase; more means the program cycles or is far too large
 
 
 @dataclass(frozen=True)
@@ -125,13 +126,13 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int):
     basis[row] = col
 
 
-def _run(tableau: np.ndarray, basis: list[int], n_cols: int, max_iter: int) -> int:
+def _run(tableau: np.ndarray, basis: list[int], n_cols: int) -> int:
     """Minimize the tableau's objective row in place. Returns iteration count."""
     m = tableau.shape[0] - 1
     reduced = tableau[m, :n_cols]
     bland = False
     degenerate = 0
-    for iteration in range(max_iter):
+    for iteration in range(MAX_PIVOTS):
         if bland:
             col = int((reduced < -PIVOT_TOL).argmax())
         else:
@@ -151,10 +152,10 @@ def _run(tableau: np.ndarray, basis: list[int], n_cols: int, max_iter: int) -> i
         degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
         bland = bland or degenerate >= DEGENERATE_LIMIT
         _pivot(tableau, basis, row, col)
-    raise ComputationError(f"simplex did not converge within {max_iter} pivots")
+    raise ComputationError(f"simplex did not converge within {MAX_PIVOTS} pivots")
 
 
-def solve_lp(start: Tableau, max_iter: int = 100_000) -> LPSolution:
+def solve_lp(start: Tableau) -> LPSolution:
     import numpy as np
 
     tableau = start.table.copy()
@@ -165,7 +166,7 @@ def solve_lp(start: Tableau, max_iter: int = 100_000) -> LPSolution:
 
     iters = 0
     if m > start.n_ub:
-        iters = _run(tableau, basis, n_real, max_iter)
+        iters = _run(tableau, basis, n_real)
         if -tableau[m, -1] > FEAS_TOL:
             raise InfeasibleProgramError(
                 f"constraints are infeasible (phase-1 residual {-tableau[m, -1]:.3g})"
@@ -186,7 +187,7 @@ def solve_lp(start: Tableau, max_iter: int = 100_000) -> LPSolution:
     for i in range(m):
         if basis[i] < n_real and tableau[m, basis[i]] != 0.0:
             tableau[m] -= tableau[m, basis[i]] * tableau[i]
-    iters += _run(tableau, basis, n_real, max_iter)
+    iters += _run(tableau, basis, n_real)
 
     x = np.zeros(n + m)
     x[basis] = tableau[:m, -1]

@@ -5,13 +5,24 @@ P(k) proportional to k**-alpha), citation counts are zero-inflated with a
 per-category intensity, and bylines mix census co-authors with external
 ones. Everything is drawn from a single random.Random(seed) stream in a
 fixed order, so one seed always yields the same corpus.
+
+SynthParams holds what the ``synth`` command's flags set: the census
+size, the power law and the single-category switch. The module constants
+fix the rest: the window is RunConfig's default; each field has two
+subject categories; 8% of researchers publish nothing, 6% have one or two
+years in post and 10% carry an explicit salary; 35% of papers add one or
+two census co-authors and each adds up to three external ones; 15% gain a
+second category; 30% are uncited, and the rest draw citations with mean 6
+times a category intensity between 0.5 and 2 (capped at 200).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
+from .config import RunConfig
 from .corpus import Authorship, Corpus, FieldTaxonomy, Publication, Researcher, SalarySchedule
 from .errors import InputError
 
@@ -26,44 +37,35 @@ DEFAULT_SCHEDULE = {
     ("full", None): 70000.0,
 }
 
+CATEGORIES_PER_SDS = 2
+FRACTION_INACTIVE = 0.08
+FRACTION_SHORT_TENURE = 0.06
+EXPLICIT_SALARY_PROB = 0.1
+COAUTHOR_CENSUS_PROB = 0.35
+MAX_CENSUS_COAUTHORS = 2
+MAX_EXTERNAL_AUTHORS = 3
+MULTI_CATEGORY_PROB = 0.15
+CITATION_ZERO_PROB = 0.3
+CITATION_MEAN = 6.0
+
 
 @dataclass(frozen=True)
 class SynthParams:
+    """The settings ``fsskit synth`` takes, one field per flag."""
+
     n_researchers: int = 500
     n_institutions: int = 8
     n_sds: int = 5
-    categories_per_sds: int = 2
-    window: tuple[int, int] = (2006, 2010)
     lotka_alpha: float = 1.3
     max_papers: int = 40
-    fraction_inactive: float = 0.08
-    fraction_short_tenure: float = 0.06
-    explicit_salary_prob: float = 0.1
-    coauthor_census_prob: float = 0.35
-    max_census_coauthors: int = 2
-    max_external_authors: int = 3
-    multi_category_prob: float = 0.15
     single_category: bool = False
-    citation_zero_prob: float = 0.3
-    citation_mean: float = 6.0
 
     def validate(self):
-        for name in ("n_researchers", "n_institutions", "n_sds", "categories_per_sds", "max_papers"):
+        for name in ("n_researchers", "n_institutions", "n_sds", "max_papers"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1")
-        if self.max_census_coauthors < 0 or self.max_external_authors < 0:
-            raise InputError("co-author counts must be >= 0")
-        for name in ("fraction_inactive", "fraction_short_tenure", "explicit_salary_prob",
-                     "coauthor_census_prob", "multi_category_prob", "citation_zero_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise InputError(f"{name} must be in [0, 1], got {value}")
-        if self.lotka_alpha <= 0:
-            raise InputError("lotka_alpha must be positive")
-        if self.citation_mean <= 0:
-            raise InputError("citation_mean must be positive")
-        if self.window[0] > self.window[1]:
-            raise InputError("window start is after window end")
+        if not (math.isfinite(self.lotka_alpha) and self.lotka_alpha > 0):
+            raise InputError(f"lotka_alpha must be a finite positive number, got {self.lotka_alpha}")
 
 
 def lotka_pmf(alpha: float, max_papers: int) -> list[float]:
@@ -81,7 +83,7 @@ def generate_synthetic_corpus(seed: int, params: SynthParams | None = None) -> C
     params = params or SynthParams()
     params.validate()
     rng = random.Random(seed)
-    start, end = params.window
+    start, end = RunConfig().window
     window_years = end - start + 1
 
     sds_codes = [f"SDS{i + 1:02d}" for i in range(params.n_sds)]
@@ -92,7 +94,7 @@ def generate_synthetic_corpus(seed: int, params: SynthParams | None = None) -> C
             for i, sds in enumerate(sds_codes)
         },
     )
-    categories = {sds: _sds_categories(i, params.categories_per_sds)
+    categories = {sds: _sds_categories(i, CATEGORIES_PER_SDS)
                   for i, sds in enumerate(sds_codes)}
     all_categories = sorted(c for cats in categories.values() for c in cats)
     intensity = {cat: 0.5 + 1.5 * i / max(1, len(all_categories) - 1)
@@ -109,14 +111,14 @@ def generate_synthetic_corpus(seed: int, params: SynthParams | None = None) -> C
         sds = rng.choice(sds_codes)
         inst = rng.choices(institutions, weights=inst_weights, k=1)[0]
         rank = rng.choices(RANKS, weights=RANK_WEIGHTS, k=1)[0]
-        if rng.random() < params.fraction_short_tenure:
+        if rng.random() < FRACTION_SHORT_TENURE:
             years = float(rng.randint(1, 2))
         elif rng.random() < 0.1:
             years = float(rng.randint(3, window_years)) if window_years >= 3 else float(window_years)
         else:
             years = float(window_years)
         salary = None
-        if rng.random() < params.explicit_salary_prob:
+        if rng.random() < EXPLICIT_SALARY_PROB:
             salary = round(schedule.lookup(rank) * rng.uniform(0.8, 1.2), 2)
         researchers[rid] = Researcher(
             id=rid,
@@ -132,7 +134,7 @@ def generate_synthetic_corpus(seed: int, params: SynthParams | None = None) -> C
     pmf = lotka_pmf(params.lotka_alpha, params.max_papers)
     counts = {}
     for rid in sorted(researchers):
-        if rng.random() < params.fraction_inactive:
+        if rng.random() < FRACTION_INACTIVE:
             counts[rid] = 0
         else:
             counts[rid] = rng.choices(range(1, params.max_papers + 1), weights=pmf, k=1)[0]
@@ -150,27 +152,27 @@ def generate_synthetic_corpus(seed: int, params: SynthParams | None = None) -> C
             year = rng.randint(start, end)
 
             cats = [rng.choice(categories[anchor.sds_code])]
-            if not params.single_category and rng.random() < params.multi_category_prob:
+            if not params.single_category and rng.random() < MULTI_CATEGORY_PROB:
                 extra = rng.choice(all_categories)
                 if extra not in cats:
                     cats.append(extra)
 
             authors: list[tuple[str | None, str]] = [(rid, anchor.institution_id)]
-            if params.max_census_coauthors and rng.random() < params.coauthor_census_prob:
-                k = rng.randint(1, params.max_census_coauthors)
-                picks = rng.sample(all_ids, k + 1)
+            if rng.random() < COAUTHOR_CENSUS_PROB:
+                k = rng.randint(1, MAX_CENSUS_COAUTHORS)
+                picks = rng.sample(all_ids, min(k + 1, len(all_ids)))
                 for co in picks:
                     if co != rid and len(authors) <= k:
                         authors.append((co, researchers[co].institution_id))
-            for _ in range(rng.randint(0, params.max_external_authors)):
+            for _ in range(rng.randint(0, MAX_EXTERNAL_AUTHORS)):
                 # External authors occasionally share the anchor's institution so
                 # intramural first/last bylines occur in weighted fields.
                 inst = anchor.institution_id if rng.random() < 0.25 else rng.choice(external_pool)
                 authors.append((None, inst))
             rng.shuffle(authors)
 
-            mean = params.citation_mean * sum(intensity[c] for c in cats) / len(cats)
-            if rng.random() < params.citation_zero_prob:
+            mean = CITATION_MEAN * sum(intensity[c] for c in cats) / len(cats)
+            if rng.random() < CITATION_ZERO_PROB:
                 citations = 0
             else:
                 citations = min(200, 1 + int(rng.expovariate(1.0 / mean)))
@@ -191,5 +193,4 @@ def generate_synthetic_corpus(seed: int, params: SynthParams | None = None) -> C
         publications=publications,
         taxonomy=taxonomy,
         salaries=schedule,
-        window=params.window,
     )

@@ -127,7 +127,7 @@ def synth_corpus():
 
 @pytest.fixture(scope="session")
 def synth(synth_corpus):
-    baselines = compute_baselines(synth_corpus.publications)
+    baselines = compute_baselines(synth_corpus.publications.values())
     ledger = credit_ledger(synth_corpus, baselines)
     scores = researcher_scores(ledger)
     means = compute_field_means(ledger)

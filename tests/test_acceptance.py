@@ -132,7 +132,7 @@ def test_04_normalization_cohort_mean():
     with criterion("cited single-category cohort mean impact = 1 (1e-12)"):
         corpus = generate_synthetic_corpus(
             1234, SynthParams(n_researchers=300, single_category=True))
-        table = compute_baselines(corpus.publications)
+        table = compute_baselines(corpus.publications.values())
         cohorts = 0
         for year, category in table.cohorts():
             impacts = [
@@ -265,7 +265,7 @@ def test_10_throughput(tmp_path):
     assert len(corpus.publications) >= 100_000
     with criterion(f"score {len(corpus.publications)} publications in < 30s"):
         t0 = time.perf_counter()
-        baselines = compute_baselines(corpus.publications)
+        baselines = compute_baselines(corpus.publications.values())
         ledger = credit_ledger(corpus, baselines)
         scores = researcher_scores(ledger)
         means = compute_field_means(ledger)

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from fsskit.config import RunConfig
+from fsskit.config import ExclusionThresholds, RunConfig
 from fsskit.corpus import apply_exclusions, export_corpus, load_corpus, resolve_salary
 from fsskit.errors import InputError, LoadError, RankNotFoundError
 
@@ -26,6 +26,11 @@ def load_patched(tmp_path, **replacements):
     for name, content in TINY_FILES.items():
         (directory / name).write_text(replacements.get(name, content), encoding="utf-8")
     return load_from(directory)
+
+
+def thresholds(min_years=0.0, min_staff_uda=0, min_staff_total=0):
+    """Exclusion thresholds with every floor not named switched off."""
+    return ExclusionThresholds(min_years, min_staff_uda, min_staff_total)
 
 
 def test_loads_tiny_corpus(tiny):
@@ -322,7 +327,7 @@ def test_export_round_trip_is_fixpoint(tiny, tmp_path):
 
 
 def test_exclusions_drop_short_tenure(tiny):
-    filtered, report = apply_exclusions(tiny.corpus, min_years=3)
+    filtered, report = apply_exclusions(tiny.corpus, thresholds(min_years=3))
     assert sorted(filtered.researchers) == ["r1", "r2", "r3", "r5"]
     assert report.excluded_researchers == [("r4", "years_in_window 2.0 < 3")]
     # Publications stay; the excluded researcher's byline rows untouched.
@@ -332,7 +337,7 @@ def test_exclusions_drop_short_tenure(tiny):
 
 
 def test_exclusions_flag_small_units(tiny):
-    filtered, report = apply_exclusions(tiny.corpus, min_staff_uda=2, min_staff_total=3)
+    filtered, report = apply_exclusions(tiny.corpus, thresholds(min_staff_uda=2, min_staff_total=3))
     # UB has 3 staff but only 1 in MATH; UA has 2 total.
     assert ("UB", "MATH") in report.excluded_institution_udas
     assert ("UA", "MATH") not in report.excluded_institution_udas
@@ -343,13 +348,14 @@ def test_exclusions_flag_small_units(tiny):
 
 def test_staff_counted_after_tenure_filter(tiny):
     # r4 is dropped by min_years first, leaving UB-BIO with one researcher.
-    _, report = apply_exclusions(tiny.corpus, min_years=3, min_staff_uda=2)
+    _, report = apply_exclusions(tiny.corpus, thresholds(min_years=3, min_staff_uda=2))
     assert ("UB", "BIO") in report.excluded_institution_udas
 
 
 def test_exclusions_idempotent(tiny):
-    once, first = apply_exclusions(tiny.corpus, min_years=3, min_staff_uda=2, min_staff_total=3)
-    twice, report = apply_exclusions(once, min_years=3, min_staff_uda=2, min_staff_total=3)
+    floors = thresholds(min_years=3, min_staff_uda=2, min_staff_total=3)
+    once, first = apply_exclusions(tiny.corpus, floors)
+    twice, report = apply_exclusions(once, floors)
     assert sorted(twice.researchers) == sorted(once.researchers)
     assert report.excluded_institution_udas == first.excluded_institution_udas
     assert report.excluded_institutions == first.excluded_institutions
@@ -358,7 +364,7 @@ def test_exclusions_idempotent(tiny):
 
 def test_negative_thresholds_rejected(tiny):
     with pytest.raises(InputError):
-        apply_exclusions(tiny.corpus, min_years=-1)
+        apply_exclusions(tiny.corpus, thresholds(min_years=-1))
 
 
 def test_corpus_is_frozen(tiny):

@@ -115,4 +115,4 @@ def test_unknown_convention_is_refused(tiny):
                                                 "BIO01": "life_sciences"})
     broken = dataclasses.replace(corpus, taxonomy=taxonomy)
     with pytest.raises(ValueError, match="life_sciences"):
-        credit_ledger(broken, compute_baselines(corpus.publications))
+        credit_ledger(broken, compute_baselines(corpus.publications.values()))

@@ -2,6 +2,7 @@
 vertex-enumeration oracle, model inequalities, and the corpus bridge."""
 
 import dataclasses
+import math
 import random
 import re
 import subprocess
@@ -87,6 +88,18 @@ def test_validate_dmus_rejections():
         validate_dmus([DMU("A", (1.0,), (0.0,))])  # no positive output
     with pytest.raises(InputError):
         validate_dmus([DMU("A", (1.0,), ())])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["inputs", "outputs"])
+def test_non_finite_dmu_is_refused_by_name(value, where):
+    # NaN passes every sign check, and an inf would reach numpy; both must
+    # stop at validation, naming the unit, with no numpy warning.
+    cell = {"inputs": (2.0, 1.0), "outputs": (3.0,)}
+    cell[where] = (value, *cell[where][1:])
+    dmus = [DMU("A", (1.0, 1.0), (1.0,)), DMU("B", cell["inputs"], cell["outputs"])]
+    with pytest.raises(InputError, match="DMU 'B' has a non-finite value"):
+        dea_output_oriented(dmus, "crs")
 
 
 def test_scale_efficiency_unit_mismatch():
@@ -317,7 +330,7 @@ def test_write_results_format(tmp_path):
 
 
 def test_dmus_from_tiny_corpus(tiny):
-    baselines = compute_baselines(tiny.corpus.publications)
+    baselines = compute_baselines(tiny.corpus.publications.values())
     assert corpus_input_ranks(tiny.corpus) == ["assistant", "full"]
     dmus, skipped = dmus_from_corpus(tiny.corpus, credit_ledger(tiny.corpus, baselines))
     assert skipped == []
@@ -341,7 +354,7 @@ def test_dmus_from_corpus_skips_outputless_institution(tmp_path):
         researchers, directory / "publications.csv", directory / "bylines.csv",
         directory / "taxonomy.csv", directory / "salaries.csv", RunConfig(),
     )
-    baselines = compute_baselines(corpus.publications)
+    baselines = compute_baselines(corpus.publications.values())
     dmus, skipped = dmus_from_corpus(corpus, credit_ledger(corpus, baselines))
     assert {d.id for d in dmus} == {"UA", "UB"}
     assert len(skipped) == 1 and "UC" in skipped[0]

@@ -1,10 +1,12 @@
-"""Every function, class and method in src/fsskit has a use in src/fsskit.
+"""Every function, class, method and field in src/fsskit has a use there.
 
 A definition that nothing in the package refers to is dead code, or code
 kept alive only by its own tests. A module-level function or class counts
 as used when some name or attribute access in the package refers to it; a
 method counts only through an attribute access. Imports do not count, and
-dunders are never reported.
+dunders are never reported. An annotated field of a module-level class
+(a dataclass or NamedTuple field) counts as read only when the package
+loads an attribute of that name.
 """
 
 import ast
@@ -16,6 +18,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "fsskit"
 ALLOWED = {
     "Corpus.staff": "perfbench/tracing.py wraps it (ROADMAP item 2)",
     "Corpus.publications_of": "perfbench/tracing.py wraps it (ROADMAP item 2)",
+}
+
+# Classes ("Class") and fields ("Class.field") whose fields are read other
+# than by attribute, each with its reason.
+FIELDS_ALLOWED = {
+    "FieldMeans": "FieldMeans.standardize reads its tables through getattr",
+    "ComparisonStats": "write_comparison serializes it whole through asdict",
+    "LPSolution.iterations": "perfbench/tracing.py sums it into simplex.pivots",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -58,9 +68,38 @@ def unused(modules) -> list[str]:
     return out
 
 
+def class_fields(modules):
+    """Qualified name of every annotated field of a module-level class."""
+    for module in modules:
+        for node in module.body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield f"{node.name}.{item.target.id}"
+
+
+def unread_fields(modules) -> list[str]:
+    reads = {node.attr for module in modules for node in ast.walk(module)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [qualified for qualified in class_fields(modules)
+            if qualified.rpartition(".")[2] not in reads]
+
+
 def test_every_definition_has_a_use():
     found = unused(parsed_modules())
     dead = [name for name in found if name not in ALLOWED]
     assert dead == [], f"defined in src/fsskit but used nowhere there: {', '.join(dead)}"
     # An allowed name that gains a use, or is deleted, leaves the list.
     assert sorted(ALLOWED) == sorted(found)
+
+
+def test_every_field_is_read():
+    found = unread_fields(parsed_modules())
+
+    def allowed_by(qualified):
+        return {qualified, qualified.partition(".")[0]} & set(FIELDS_ALLOWED)
+
+    unread = [name for name in found if not allowed_by(name)]
+    assert unread == [], f"fields in src/fsskit that nothing there reads: {', '.join(unread)}"
+    # An allowed entry whose fields all gain a reader, or are deleted, leaves the list.
+    assert set().union(*map(allowed_by, found)) == set(FIELDS_ALLOWED)

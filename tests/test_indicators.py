@@ -71,7 +71,7 @@ FP_U = {"UA": F(21, 16), "UB": F(19, 24)}
 
 @pytest.fixture
 def ledger(tiny):
-    return credit_ledger(tiny.corpus, compute_baselines(tiny.corpus.publications))
+    return credit_ledger(tiny.corpus, compute_baselines(tiny.corpus.publications.values()))
 
 
 def test_fss_r_matches_hand_derivation(ledger):
@@ -171,7 +171,7 @@ def idle_field(tiny):
     z1 = dataclasses.replace(corpus.researchers["r1"], id="z1", name="Zed", sds_code="IDL01")
     idle = dataclasses.replace(corpus, taxonomy=taxonomy,
                                researchers={**corpus.researchers, "z1": z1})
-    return credit_ledger(idle, compute_baselines(idle.publications))
+    return credit_ledger(idle, compute_baselines(idle.publications.values()))
 
 
 def test_unproductive_field_has_no_mean(ledger, idle_field):
@@ -230,7 +230,6 @@ def test_nonpositive_years_rejected_at_scoring(tiny):
         publications=corpus.publications,
         taxonomy=corpus.taxonomy,
         salaries=corpus.salaries,
-        window=corpus.window,
     )
     with pytest.raises(ComputationError):
-        credit_ledger(patched, compute_baselines(corpus.publications))
+        credit_ledger(patched, compute_baselines(corpus.publications.values()))

@@ -94,7 +94,7 @@ def test_field_means_match_oracle(synth, oracle):
 
 def test_ledger_normalizes_each_publication_once(tiny, monkeypatch):
     corpus = tiny.corpus
-    baselines = compute_baselines(corpus.publications)
+    baselines = compute_baselines(corpus.publications.values())
     calls = []
     real = indicators.normalized_impact
     monkeypatch.setattr(indicators, "normalized_impact",
@@ -117,12 +117,12 @@ def test_ledger_normalizes_each_publication_once(tiny, monkeypatch):
                if a.researcher_id in corpus.researchers) > len(calls)
 
     # The ledger is a plain value: building it again gives equal rows.
-    assert credit_ledger(corpus, compute_baselines(corpus.publications)) == ledger
+    assert credit_ledger(corpus, compute_baselines(corpus.publications.values())) == ledger
 
 
 def test_replaced_corpus_starts_without_ledger(tiny):
     corpus = tiny.corpus
-    baselines = compute_baselines(corpus.publications)
+    baselines = compute_baselines(corpus.publications.values())
     before = researcher_scores(credit_ledger(corpus, baselines))
     r1 = dataclasses.replace(corpus.researchers["r1"],
                              salary_per_year=2 * 40000.0)

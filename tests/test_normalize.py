@@ -14,7 +14,7 @@ def pub(pid, year, citations, *categories):
 
 
 def test_baselines_from_tiny_corpus(tiny):
-    table = compute_baselines(tiny.corpus.publications)
+    table = compute_baselines(tiny.corpus.publications.values())
     # (2006, alg): p1=10 and p2=5 cited, p3 uncited -> mean 7.5 over 2.
     assert table.entries[(2006, "alg")] == (7.5, 2)
     # p4 is indexed in both categories and contributes to both cohorts.
@@ -25,7 +25,7 @@ def test_baselines_from_tiny_corpus(tiny):
 
 
 def test_normalized_impact_values(tiny):
-    table = compute_baselines(tiny.corpus.publications)
+    table = compute_baselines(tiny.corpus.publications.values())
     pubs = tiny.corpus.publications
     assert normalized_impact(pubs["p1"], table) == pytest.approx(10 / 7.5, rel=1e-12)
     assert normalized_impact(pubs["p3"], table) == 0.0
@@ -63,7 +63,7 @@ def test_cited_cohort_mean_is_one():
 
 
 def test_round_trip(tiny, tmp_path):
-    table = compute_baselines(tiny.corpus.publications)
+    table = compute_baselines(tiny.corpus.publications.values())
     path = write_baselines(table, tmp_path / "baselines.csv")
     assert load_baselines(path).entries == table.entries
 

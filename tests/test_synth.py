@@ -1,9 +1,13 @@
 """Synthetic census generator: determinism, shape, and count distribution."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
 
+from fsskit import synth
+from fsskit.cli import build_parser, main
+from fsskit.config import RunConfig
 from fsskit.errors import InputError
 from fsskit.synth import SynthParams, generate_synthetic_corpus, lotka_pmf
 
@@ -31,7 +35,7 @@ def test_default_shape(synth_corpus):
 
 
 def test_publications_well_formed(synth_corpus):
-    start, end = synth_corpus.window
+    start, end = RunConfig().window
     for pub in synth_corpus.publications.values():
         assert start <= pub.year <= end
         assert pub.citations >= 0
@@ -61,11 +65,12 @@ def test_banded_rank_occurs(synth_corpus):
                for r in synth_corpus.researchers.values())
 
 
-def test_paper_counts_follow_power_law():
+def test_paper_counts_follow_power_law(monkeypatch):
     # With census co-authorship off, each researcher's publication count is
     # exactly their own draw from the truncated power law.
-    params = SynthParams(n_researchers=2000, coauthor_census_prob=0.0,
-                         fraction_inactive=0.0, lotka_alpha=2.0, max_papers=30)
+    monkeypatch.setattr(synth, "COAUTHOR_CENSUS_PROB", 0.0)
+    monkeypatch.setattr(synth, "FRACTION_INACTIVE", 0.0)
+    params = SynthParams(n_researchers=2000, lotka_alpha=2.0, max_papers=30)
     corpus = generate_synthetic_corpus(314, params)
     counts = Counter()
     for pub in corpus.publications.values():
@@ -93,13 +98,33 @@ def test_degenerate_params_rejected():
     with pytest.raises(InputError):
         generate_synthetic_corpus(0, SynthParams(n_researchers=0))
     with pytest.raises(InputError):
-        generate_synthetic_corpus(0, SynthParams(lotka_alpha=0.0))
-    with pytest.raises(InputError):
-        generate_synthetic_corpus(0, SynthParams(citation_zero_prob=1.5))
-    with pytest.raises(InputError):
-        generate_synthetic_corpus(0, SynthParams(window=(2010, 2006)))
-    with pytest.raises(InputError):
         generate_synthetic_corpus(0, SynthParams(max_papers=0))
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "-1", "0"])
+def test_alpha_must_be_finite_and_positive(tmp_path, capsys, alpha):
+    with pytest.raises(InputError, match="lotka_alpha"):
+        generate_synthetic_corpus(0, SynthParams(lotka_alpha=float(alpha)))
+    assert main(["synth", f"--alpha={alpha}", "--out", str(tmp_path / "census")]) == 2
+    assert "lotka_alpha must be a finite positive number" in capsys.readouterr().err
+    assert not (tmp_path / "census").exists()
+
+
+def test_synth_flags_set_every_param():
+    # SynthParams holds exactly the settings `fsskit synth` takes, each with
+    # the flag's default; everything else in the generator is a constant.
+    args = vars(build_parser().parse_args(["synth", "--out", "census"]))
+    flags = {dest: value for dest, value in args.items()
+             if dest not in ("command", "func", "seed", "out")}
+    assert flags == dataclasses.asdict(SynthParams())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_census_smaller_than_a_byline(n):
+    # A census co-author draw asks for up to three researchers.
+    for seed in range(20):
+        corpus = generate_synthetic_corpus(seed, SynthParams(n_researchers=n))
+        assert len(corpus.researchers) == n
 
 
 def test_pmf_normalized():
