@@ -300,6 +300,8 @@ def cmd_dea(args) -> int:
         dmus, skipped = dmus_from_corpus(corpus, ledger)
         for warning in skipped:
             print(f"warning: {warning}")
+        if not dmus:
+            raise ComputationError("no institutions with research output left after exclusions")
         out = _outdir(config.output_dir)
         write_dmus(dmus, out / "dmus.csv",
                    input_names=[f"cost_{r}" for r in corpus_input_ranks(corpus)],

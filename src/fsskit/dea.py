@@ -17,9 +17,10 @@ never exceed 1 because the constant-returns technology contains the
 variable-returns one.
 
 The programs of one table differ only in the unit's outputs (phi's column)
-and inputs (the bounds). So the table's program is validated and laid out
-as a starting tableau once, each unit writes its own entries into it, and
-the solutions are certified CERTIFY_BLOCK units at a time.
+and inputs (the bounds). So the table is checked once (``validate_dmus``)
+and laid out once (``simplex.start_tableau``), each unit writes its own
+entries into that tableau, and every solution is certified, CERTIFY_BLOCK
+units at a time.
 
 numpy is imported inside the functions that compute on arrays, not at the
 top: the CLI imports this module for every command, and only ``dea`` solves
@@ -40,7 +41,7 @@ from .credit import fractional_contribution  # noqa: F401
 from .errors import ComputationError, InputError, LoadError
 from .indicators import CreditRow, group_rows
 from .normalize import normalized_impact  # noqa: F401
-from .simplex import LinearProgram, solve_lp
+from .simplex import solve_lp, start_tableau
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,38 +74,48 @@ class DMUScore:
         return abs(self.phi - 1.0) < FRONTIER_TOL
 
 
+def _fault(dmu: DMU, seen: set[str], n_in: int, n_out: int) -> tuple[str, int | None] | None:
+    """The first rule ``dmu`` breaks, or None: its message and the position of the one
+    cell at fault in its row (id, *inputs, *outputs), if one is. Adds its id to ``seen``."""
+    if dmu.id in seen:
+        return f"duplicate DMU id: {dmu.id!r}", 0
+    seen.add(dmu.id)
+    if len(dmu.inputs) != n_in or len(dmu.outputs) != n_out:
+        return f"DMU {dmu.id!r} has inconsistent dimensions", None
+    values = (*dmu.inputs, *dmu.outputs)
+    if not all(map(math.isfinite, values)):
+        return f"DMU {dmu.id!r} has a non-finite value", None
+    negative = [cell for cell, v in enumerate(values, 1) if v < 0]
+    if negative:
+        return f"DMU {dmu.id!r} has negative values", negative[0]
+    # A unit with no positive input (or output) makes the expansion
+    # program unbounded, so reject it up front with a useful message.
+    if not any(v > 0 for v in dmu.inputs):
+        return f"DMU {dmu.id!r} has no positive input", None
+    if not any(v > 0 for v in dmu.outputs):
+        return f"DMU {dmu.id!r} has no positive output", None
+    return None
+
+
 def validate_dmus(dmus) -> list[DMU]:
     dmus = list(dmus)
     if not dmus:
         raise InputError("need at least one DMU")
-    n_in = len(dmus[0].inputs)
-    n_out = len(dmus[0].outputs)
+    n_in, n_out = len(dmus[0].inputs), len(dmus[0].outputs)
     if n_in == 0 or n_out == 0:
         raise InputError("DMUs need at least one input and one output dimension")
-    seen = set()
+    seen: set[str] = set()
     for dmu in dmus:
-        if dmu.id in seen:
-            raise InputError(f"duplicate DMU id: {dmu.id!r}")
-        seen.add(dmu.id)
-        if len(dmu.inputs) != n_in or len(dmu.outputs) != n_out:
-            raise InputError(f"DMU {dmu.id!r} has inconsistent dimensions")
-        if not all(map(math.isfinite, (*dmu.inputs, *dmu.outputs))):
-            raise InputError(f"DMU {dmu.id!r} has a non-finite value")
-        if any(v < 0 for v in dmu.inputs) or any(v < 0 for v in dmu.outputs):
-            raise InputError(f"DMU {dmu.id!r} has negative values")
-        # A unit with no positive input (or output) makes the expansion
-        # program unbounded, so reject it up front with a useful message.
-        if not any(v > 0 for v in dmu.inputs):
-            raise InputError(f"DMU {dmu.id!r} has no positive input")
-        if not any(v > 0 for v in dmu.outputs):
-            raise InputError(f"DMU {dmu.id!r} has no positive output")
+        fault = _fault(dmu, seen, n_in, n_out)
+        if fault:
+            raise InputError(fault[0])
     return dmus
 
 
-def _envelopment_lp(inputs: np.ndarray, outputs: np.ndarray, index: int,
-                    model: str) -> LinearProgram:
-    """Variables are (phi, lambda_1..lambda_n); ``inputs`` and ``outputs``
-    hold one row per DMU."""
+def _envelopment_lp(inputs: np.ndarray, outputs: np.ndarray, index: int, model: str):
+    """(c, a_ub, b_ub, a_eq, b_eq) of unit ``index``'s program, as
+    ``start_tableau`` takes them. Variables are (phi, lambda_1..lambda_n);
+    ``inputs`` and ``outputs`` hold one row per DMU."""
     import numpy as np
 
     n, n_in = inputs.shape
@@ -119,8 +130,8 @@ def _envelopment_lp(inputs: np.ndarray, outputs: np.ndarray, index: int,
     c[0] = 1.0
     a_eq = b_eq = None
     if model == "vrs":
-        a_eq, b_eq = np.concatenate([[0.0], np.ones(n)])[None, :], np.ones(1)
-    return LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        a_eq, b_eq = np.concatenate([[0.0], np.ones(n)]), 1.0
+    return c, a_ub, b_ub, a_eq, b_eq
 
 
 def _certificate(inputs, outputs, input_scale, output_scale, rows: slice, model,
@@ -193,7 +204,7 @@ def dea_output_oriented(dmus, model: str = "crs") -> list[DMUScore]:
                                  for a in (inputs, outputs))
     scaled_inputs, scaled_outputs = inputs / input_scale, outputs / output_scale
     n_in, n_out = input_scale.size, output_scale.size
-    start = _envelopment_lp(scaled_inputs, scaled_outputs, 0, model).tableau()
+    start = start_tableau(*_envelopment_lp(scaled_inputs, scaled_outputs, 0, model))
     ids = [dmu.id for dmu in dmus]
     scores = []
     for first in range(0, len(ids), CERTIFY_BLOCK):
@@ -284,7 +295,9 @@ def dmus_from_corpus(corpus: Corpus, ledger: list[CreditRow]) -> tuple[list[DMU]
 # ---------------------------------------------------------------------------
 
 def read_dmus(path) -> list[DMU]:
-    """dmus.csv: id column plus input_*/output_* columns, order preserved."""
+    """dmus.csv: id column plus input_*/output_* columns, order preserved.
+    A row that breaks a rule of ``validate_dmus`` is a LoadError naming its
+    line, and its column where one cell is at fault."""
     path = Path(path)
     inputs: list[str] = []
     outputs: list[str] = []
@@ -301,21 +314,23 @@ def read_dmus(path) -> list[DMU]:
         return ["id", *inputs, *outputs]
 
     dmus = []
+    seen: set[str] = set()
     for line, (dmu_id, *cells) in read_table(path, dmu_columns):
         values = [parse_float(cell, path, line, column)
                   for cell, column in zip(cells, inputs + outputs)]
-        dmus.append(DMU(
-            id=require(dmu_id, path, line, "id"),
-            inputs=tuple(values[:len(inputs)]),
-            outputs=tuple(values[len(inputs):]),
-        ))
+        dmu = DMU(require(dmu_id, path, line, "id"), tuple(values[:len(inputs)]),
+                  tuple(values[len(inputs):]))
+        fault = _fault(dmu, seen, len(inputs), len(outputs))
+        if fault:
+            message, cell = fault
+            raise LoadError(message, file=path, line=line,
+                            column=None if cell is None else ["id", *inputs, *outputs][cell])
+        dmus.append(dmu)
     return dmus
 
 
 def write_dmus(dmus, path, input_names, output_names) -> Path:
-    dmus = validate_dmus(dmus)
-    if len(input_names) != len(dmus[0].inputs) or len(output_names) != len(dmus[0].outputs):
-        raise InputError("dimension name counts do not match the DMUs")
+    """dmus.csv for a table ``validate_dmus`` accepts, one name per dimension."""
     header = ["id"] + [f"input_{n}" for n in input_names] + [f"output_{n}" for n in output_names]
     return write_table(path, header, (
         (dmu.id, *dmu.inputs, *dmu.outputs) for dmu in sorted(dmus, key=lambda d: d.id)

@@ -5,9 +5,11 @@ with nonnegative bounds and at most one equality row, as in an envelopment
 program: the bounds are a unit's inputs and the equality is the convexity
 row under variable returns. Every <= row starts on its slack. The equality
 row starts on an artificial, which phase 1 drives to zero before phase 2
-optimizes c.x. ``LinearProgram.tableau`` validates a program and lays out
-its starting tableau once; ``solve_lp`` pivots on a copy, so programs that
-differ only in entries of the <= rows can share one ``Tableau``.
+optimizes c.x. ``start_tableau`` lays out a program's starting tableau and
+checks nothing: its one caller, ``dea``, builds the programs from a table
+``dea.validate_dmus`` has checked, and certifies every solution.
+``solve_lp`` pivots on a copy, so programs that differ only in entries of
+the <= rows can share one ``Tableau``.
 
 Pricing is Dantzig's rule (the most negative reduced cost enters). After
 DEGENERATE_LIMIT consecutive degenerate pivots, the rest of that phase uses
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ComputationError, InfeasibleProgramError, InputError, UnboundedProgramError
+from .errors import ComputationError, InfeasibleProgramError, UnboundedProgramError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,59 +52,25 @@ class Tableau:
     n_ub: int
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """maximize c.x with nonnegative x; either constraint block may be absent."""
+def start_tableau(c, a_ub, b_ub, a_eq=None, b_eq=None) -> Tableau:
+    """The starting tableau of  maximize c.x  s.t.  a_ub x <= b_ub,
+    a_eq.x = b_eq,  x >= 0. ``a_eq`` is one row and ``b_eq`` its scalar
+    bound. Every bound must be nonnegative; nothing here checks it."""
+    import numpy as np
 
-    c: np.ndarray
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-    a_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-
-    def validated(self) -> LinearProgram:
-        """The program as float arrays, an absent block as zero rows."""
-        import numpy as np
-
-        c = np.asarray(self.c, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise InputError("objective must be a non-empty vector")
-        if not np.all(np.isfinite(c)):
-            raise InputError("objective has non-finite entries")
-        blocks = []
-        for a, b, kind in ((self.a_ub, self.b_ub, "ub"), (self.a_eq, self.b_eq, "eq")):
-            if (a is None) != (b is None):
-                raise InputError(f"{kind} constraints need both matrix and bounds")
-            a = np.zeros((0, c.size)) if a is None else np.asarray(a, dtype=float)
-            b = np.zeros(0) if b is None else np.asarray(b, dtype=float)
-            if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.size or a.shape[1] != c.size:
-                raise InputError(f"{kind} constraint shapes are inconsistent")
-            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-                raise InputError("constraints have non-finite entries")
-            if np.any(b < 0):
-                raise InputError(f"{kind} constraint bounds must be nonnegative")
-            blocks.append((a, b))
-        if blocks[1][1].size > 1:
-            raise InputError("at most one equality constraint is supported")
-        return LinearProgram(c=c, a_ub=blocks[0][0], b_ub=blocks[0][1],
-                             a_eq=blocks[1][0], b_eq=blocks[1][1])
-
-    def tableau(self) -> Tableau:
-        import numpy as np
-
-        lp = self.validated()
-        n, n_ub = lp.c.size, lp.b_ub.size
-        m = n_ub + lp.b_eq.size
-        table = np.zeros((m + 1, n + m + 1))
-        table[:n_ub, :n] = lp.a_ub
-        table[n_ub:m, :n] = lp.a_eq
-        table[:n_ub, -1] = lp.b_ub
-        table[n_ub:m, -1] = lp.b_eq
-        table[np.arange(m), n + np.arange(m)] = 1.0
-        if m > n_ub:
-            table[m] -= table[m - 1]
-            table[m, n + n_ub:-1] = 0.0  # keep the artificial's reduced cost at zero exactly
-        return Tableau(table=table, c=lp.c, n_ub=n_ub)
+    c = np.asarray(c, dtype=float)
+    n, n_ub = c.size, len(b_ub)
+    m = n_ub + (a_eq is not None)
+    table = np.zeros((m + 1, n + m + 1))
+    table[:n_ub, :n] = a_ub
+    table[:n_ub, -1] = b_ub
+    table[np.arange(m), n + np.arange(m)] = 1.0
+    if a_eq is not None:
+        table[n_ub, :n] = a_eq
+        table[n_ub, -1] = b_eq
+        table[m] -= table[n_ub]
+        table[m, n + n_ub:-1] = 0.0  # keep the artificial's reduced cost at zero exactly
+    return Tableau(table=table, c=c, n_ub=n_ub)
 
 
 @dataclass(frozen=True)

@@ -114,7 +114,7 @@ def generate_synthetic_corpus(seed: int, params: SynthParams | None = None) -> C
         if rng.random() < FRACTION_SHORT_TENURE:
             years = float(rng.randint(1, 2))
         elif rng.random() < 0.1:
-            years = float(rng.randint(3, window_years)) if window_years >= 3 else float(window_years)
+            years = float(rng.randint(3, window_years))
         else:
             years = float(window_years)
         salary = None

@@ -287,13 +287,15 @@ def reference_lp_maximum(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     vertex. Exponential, so only for tiny programs. Returns (value, x) or
     (None, None) when no feasible vertex exists (works only for problems
     whose optimum is attained at a vertex, which holds for bounded feasible
-    LPs in standard form)."""
+    LPs in standard form). ``a_eq`` may also be one row with a scalar
+    ``b_eq``, as ``simplex.start_tableau`` takes it."""
     c = np.asarray(c, dtype=float)
     n = c.size
     planes = []
     for matrix, rhs in ((a_ub, b_ub), (a_eq, b_eq)):
         if matrix is not None:
-            for row, b in zip(np.asarray(matrix, dtype=float), np.asarray(rhs, dtype=float)):
+            for row, b in zip(np.atleast_2d(np.asarray(matrix, dtype=float)),
+                              np.atleast_1d(np.asarray(rhs, dtype=float))):
                 planes.append((row, b))
     for i in range(n):
         axis = np.zeros(n)

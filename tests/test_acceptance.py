@@ -223,10 +223,9 @@ def test_08_dea_properties():
             vrs = {s.id: s for s in dea_output_oriented(dmus, "vrs")}
             for model, scores in (("crs", crs), ("vrs", vrs)):
                 for index, dmu in enumerate(dmus):
-                    lp = _envelopment_lp(np.array([d.inputs for d in dmus]),
-                                         np.array([d.outputs for d in dmus]), index, model)
-                    expected, _ = reference_lp_maximum(lp.c, lp.a_ub, lp.b_ub,
-                                                       lp.a_eq, lp.b_eq)
+                    expected, _ = reference_lp_maximum(*_envelopment_lp(
+                        np.array([d.inputs for d in dmus]), np.array([d.outputs for d in dmus]),
+                        index, model))
                     assert scores[dmu.id].phi == pytest.approx(
                         max(expected, 1.0), abs=1e-6), (model, dmu.id)
                     if abs(expected - 1.0) <= 1e-9:

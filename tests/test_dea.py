@@ -22,7 +22,7 @@ from fsskit.dea import (DMU, corpus_input_ranks, dea_output_oriented,
 from fsskit.errors import ComputationError, InputError, LoadError
 from fsskit.indicators import credit_ledger
 from fsskit.normalize import compute_baselines
-from fsskit.simplex import solve_lp
+from fsskit.simplex import solve_lp, start_tableau
 from conftest import child_env, euro_dmu_table, write_tiny_files
 from oracles import reference_lp_maximum
 
@@ -127,10 +127,9 @@ def test_random_sets_match_vertex_enumeration():
         for model in ("crs", "vrs"):
             scores = {s.id: s for s in dea_output_oriented(dmus, model)}
             for index, dmu in enumerate(dmus):
-                lp = _envelopment_lp(np.array([d.inputs for d in dmus]),
-                                     np.array([d.outputs for d in dmus]), index, model)
-                expected, _ = reference_lp_maximum(
-                    lp.c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq)
+                expected, _ = reference_lp_maximum(*_envelopment_lp(
+                    np.array([d.inputs for d in dmus]), np.array([d.outputs for d in dmus]),
+                    index, model))
                 assert expected is not None
                 assert scores[dmu.id].phi == pytest.approx(
                     max(expected, 1.0), abs=1e-6), (model, dmu.id)
@@ -156,10 +155,27 @@ def test_model_inequalities_hold():
 
 def test_envelopment_lp_self_reference_is_feasible():
     # lambda = unit vector on the target with phi = 1 satisfies every row.
-    lp = _envelopment_lp(np.array([d.inputs for d in HAND_DMUS]),
-                         np.array([d.outputs for d in HAND_DMUS]), 2, "vrs")
-    solution = solve_lp(lp.tableau())
+    program = _envelopment_lp(np.array([d.inputs for d in HAND_DMUS]),
+                              np.array([d.outputs for d in HAND_DMUS]), 2, "vrs")
+    solution = solve_lp(start_tableau(*program))
     assert solution.objective >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("model", dea.MODELS)
+def test_a_units_entries_in_the_shared_tableau_make_its_own(model):
+    # dea_output_oriented lays out unit 0's program once and writes each
+    # unit's outputs (phi's column) and inputs (the bounds) into it; that
+    # must be, bit for bit, the starting tableau of the unit's own program.
+    rng = np.random.default_rng(8)
+    for n, n_in, n_out in ((40, 3, 2), (7, 1, 1), (12, 2, 3)):
+        inputs, outputs = rng.uniform(0.0, 1.0, (n, n_in)), rng.uniform(0.0, 1.0, (n, n_out))
+        shared = start_tableau(*_envelopment_lp(inputs, outputs, 0, model))
+        for index in range(n):
+            shared.table[n_in:n_in + n_out, 0] = outputs[index]
+            shared.table[:n_in, -1] = inputs[index]
+            own = start_tableau(*_envelopment_lp(inputs, outputs, index, model))
+            assert np.array_equal(shared.table, own.table), (n, index)
+            assert np.array_equal(shared.c, own.c) and shared.n_ub == own.n_ub
 
 
 def test_duplicate_units_terminate_on_the_frontier():
@@ -320,6 +336,19 @@ def test_read_dmus_rejects_bad_files(tmp_path):
         read_dmus(tmp_path / "absent.csv")
 
 
+@pytest.mark.parametrize("rows, where, message", [
+    ("A,1.0,1.0,2.0\nA,2.0,1.0,1.0\n", "line 3, column 'id'", "duplicate DMU id: 'A'"),
+    ("A,1.0,-1.0,-2.0\n", "line 2, column 'input_b'", "DMU 'A' has negative values"),
+    ("A,1.0,1.0,2.0\nB,0.0,0.0,1.0\n", "line 3", "DMU 'B' has no positive input"),
+    ("A,1.0,1.0,0.0\n", "line 2", "DMU 'A' has no positive output"),
+])
+def test_dea_dmus_names_the_line_of_a_bad_unit(tmp_path, capsys, rows, where, message):
+    path = tmp_path / "dmus.csv"
+    path.write_text("id,input_a,input_b,output_c\n" + rows)
+    assert main(["dea", "--dmus", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}, {where}: {message}\n"
+
+
 def test_write_results_format(tmp_path):
     scores = dea_output_oriented(HAND_DMUS, "crs")
     path = write_results(scores, tmp_path / "dea_results.csv")
@@ -343,6 +372,17 @@ def test_dmus_from_tiny_corpus(tiny):
     #     impact 31/45 + 7/15 + 1/2 = 149/90, count 11/15 + 2/5 + 1/2 = 49/30.
     assert by_id["UB"].inputs == pytest.approx([280000.0, 450000.0])
     assert by_id["UB"].outputs == pytest.approx([149 / 90, 49 / 30], rel=1e-12)
+
+
+def test_corpus_dea_with_no_institution_left_exits_1(tiny_dir, tmp_path, capsys):
+    # Valid input that leaves nothing to score is a computation that cannot
+    # produce a number, as it is for rank.
+    for argv in (["dea"], ["rank", "--level", "university"]):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--data", str(tiny_dir), "--min-years", "99",
+                     "--output-dir", str(out)]) == 1
+        assert "left" in capsys.readouterr().err
+    assert not (tmp_path / "dea" / "dmus.csv").exists()
 
 
 def test_dmus_from_corpus_skips_outputless_institution(tmp_path):
