@@ -7,11 +7,9 @@ salary schedule. It is frozen: it holds only what was loaded, and every
 downstream module only reads it. load_corpus reads each file in one pass
 and builds each record once; Authorship and Publication are NamedTuples,
 which cost less to build and hold than dataclasses. Each byline row goes
-straight into its publication's position map; a row costs one dict lookup
-for its publication and only the checks its cells call for. Publications
-outside the observation window are dropped, but every byline row, theirs
-included, must name a known publication, a position >= 1 and an
-institution.
+straight into its publication's position map. Publications outside the
+observation window are dropped, but every byline row, theirs included, must
+name a known publication, a position >= 1 and an institution.
 
 A census repeats a few values in many rows, so load_corpus holds each
 repeated value once: every institution id, field, rank and department
@@ -22,6 +20,13 @@ own Researcher.id. Sharing is safe because every one of these is immutable
 identity. The lookup tables that find the shared values are local to the
 call, so nothing outlives loading. A loaded census then holds less than
 half the memory it would with every cell on its own.
+
+The same repetition saves work: load_corpus parses and checks each distinct
+year, citations, subject_categories, position and institution_id cell once
+per load, and a row whose cells it has seen costs a dict lookup per cell. A
+cell is remembered only after it passes every check of its column, so a bad
+cell is still parsed, and blamed, at the first row that holds it, and each
+row's checks run in the same order whether its cells were seen before or not.
 
 File formats (UTF-8, comma-delimited, header row, '.' decimal):
 
@@ -45,6 +50,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -231,6 +237,9 @@ def read_table(path, columns, optional=()) -> Iterator[tuple[int, tuple[str, ...
             width = len(header)
             header += [c for c in optional if c not in header]
             index = [header.index(c) for c in (*columns, *optional)]
+            # One itemgetter picks a row's cells; for fewer than two it would
+            # not return a sequence.
+            pick = itemgetter(*index) if len(index) > 1 else lambda row: [row[i] for i in index]
             full = len(header)
             blank = [""] * full
             for row in reader:
@@ -242,7 +251,7 @@ def read_table(path, columns, optional=()) -> Iterator[tuple[int, tuple[str, ...
                     if not n:
                         continue
                     row += blank[n:]
-                yield reader.line_num, tuple(map(str.strip, map(row.__getitem__, index)))
+                yield reader.line_num, tuple(map(str.strip, pick(row)))
         except UnicodeDecodeError:
             raise LoadError("not UTF-8 text", file=path) from None
         except csv.Error as exc:
@@ -357,9 +366,9 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
     whose researcher_id is unknown become external authors (warning).
 
     Each file is read in one pass. Every byline row's own cells are checked
-    whatever the window: a known publication_id, an integer position >= 1
-    and a non-empty institution_id. The checks on a whole byline apply only
-    to publications in the window: no repeated position, positions 1..n
+    first, whatever the window: a known publication_id, an integer position
+    >= 1 and a non-empty institution_id. The checks on a whole byline apply
+    only to publications in the window: no repeated position, positions 1..n
     without gaps, at least one row, and no census researcher listed twice.
     """
     report = LoadReport()
@@ -408,21 +417,37 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
     # pid -> (year, citations, categories, {position: Authorship}), or None
     # for a publication outside the window.
     kept: dict[str, tuple[int, int, tuple[str, ...], dict[int, Authorship]] | None] = {}
-    for line, (pid, year, citations, categories) in read_table(publication_path, PUBLICATION_COLUMNS):
+    # Each distinct year, citations and subject_categories cell is parsed and
+    # checked once: a cell enters its memo only after it passes every check
+    # of its column, so a bad cell is blamed at the first row that holds it.
+    years: dict[str, int] = {}
+    counts: dict[str, int] = {}
+    category_lists: dict[str, tuple[str, ...]] = {}
+    for line, (pid, year_cell, citations_cell, categories_cell) in read_table(publication_path,
+                                                                               PUBLICATION_COLUMNS):
         require(pid, publication_path, line, "id")
         if pid in kept:
             raise LoadError(f"duplicate publication id {pid!r}", file=publication_path, line=line, column="id")
-        year = share(parse_int(year, publication_path, line, "year"))
-        citations = parse_int(citations, publication_path, line, "citations")
-        if citations < 0:
-            raise LoadError("citations must be >= 0", file=publication_path, line=line, column="citations")
-        if citations > QUANTITY_MAX:
-            raise LoadError(f"citations must be at most {QUANTITY_MAX:g}", file=publication_path,
-                            line=line, column="citations")
-        categories = share(tuple(sorted({share(c.strip()) for c in categories.split(";") if c.strip()})))
-        if not categories:
-            raise LoadError("at least one subject category is required", file=publication_path,
-                            line=line, column="subject_categories")
+        year = years.get(year_cell)
+        if year is None:
+            year = years[year_cell] = share(parse_int(year_cell, publication_path, line, "year"))
+        citations = counts.get(citations_cell)
+        if citations is None:
+            citations = parse_int(citations_cell, publication_path, line, "citations")
+            if citations < 0:
+                raise LoadError("citations must be >= 0", file=publication_path, line=line, column="citations")
+            if citations > QUANTITY_MAX:
+                raise LoadError(f"citations must be at most {QUANTITY_MAX:g}", file=publication_path,
+                                line=line, column="citations")
+            counts[citations_cell] = citations
+        categories = category_lists.get(categories_cell)
+        if categories is None:
+            categories = share(tuple(sorted({share(c.strip()) for c in categories_cell.split(";")
+                                             if c.strip()})))
+            if not categories:
+                raise LoadError("at least one subject category is required", file=publication_path,
+                                line=line, column="subject_categories")
+            category_lists[categories_cell] = categories
         kept[pid] = (year, citations, categories, {}) if start <= year <= end else None
     report.row_counts["publications"] = len(kept)
     skipped = sum(pub is None for pub in kept.values())
@@ -432,22 +457,32 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         report.warnings.append("publication file is empty; all scores will be zero")
 
     byline_path = Path(byline_file)
+    # Each distinct position and institution_id cell is parsed and checked
+    # once, as in the publications' memos above.
+    positions: dict[str, int] = {}
+    institutions: dict[str, str] = {}
     # One Authorship per distinct (position, institution_id, researcher_id).
     authorships: dict[tuple[int, str, str | None], Authorship] = {}
     unresolved = 0
     n_rows = 0
-    for line, (pid, position, rid, institution) in read_table(byline_path, BYLINE_COLUMNS):
+    for line, (pid, position_cell, rid, institution_cell) in read_table(byline_path, BYLINE_COLUMNS):
         n_rows += 1
         pub = kept.get(pid, False)
         if pub is False:
             require(pid, byline_path, line, "publication_id")  # "" is never a key
             raise LoadError(f"byline references unknown publication {pid!r}",
                             file=byline_path, line=line, column="publication_id")
-        position = parse_int(position, byline_path, line, "position")
-        if position < 1:
-            raise LoadError("position must be >= 1", file=byline_path, line=line, column="position")
+        position = positions.get(position_cell)
+        if position is None:
+            position = parse_int(position_cell, byline_path, line, "position")
+            if position < 1:
+                raise LoadError("position must be >= 1", file=byline_path, line=line, column="position")
+            positions[position_cell] = position
+        institution = institutions.get(institution_cell)
+        if institution is None:
+            institution = institutions[institution_cell] = share(
+                require(institution_cell, byline_path, line, "institution_id"))
         if pub is None:  # outside the window: only the row's own cells are checked
-            require(institution, byline_path, line, "institution_id")
             continue
         entries = pub[3]
         if position in entries:
@@ -464,11 +499,10 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
             if rid:
                 unresolved += 1
             rid = None
-        require(institution, byline_path, line, "institution_id")
         key = (position, institution, rid)
         authorship = authorships.get(key)
         if authorship is None:
-            authorship = authorships[key] = Authorship(position, share(institution), rid)
+            authorship = authorships[key] = Authorship(position, institution, rid)
         entries[position] = authorship
     report.row_counts["bylines"] = n_rows
     if unresolved:

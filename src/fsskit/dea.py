@@ -297,7 +297,8 @@ def dmus_from_corpus(corpus: Corpus, ledger: list[CreditRow]) -> tuple[list[DMU]
 def read_dmus(path) -> list[DMU]:
     """dmus.csv: id column plus input_*/output_* columns, order preserved.
     A row that breaks a rule of ``validate_dmus`` is a LoadError naming its
-    line, and its column where one cell is at fault."""
+    line, and its column where one cell is at fault; a table with no row is
+    a LoadError naming the file."""
     path = Path(path)
     inputs: list[str] = []
     outputs: list[str] = []
@@ -326,6 +327,8 @@ def read_dmus(path) -> list[DMU]:
             raise LoadError(message, file=path, line=line,
                             column=None if cell is None else ["id", *inputs, *outputs][cell])
         dmus.append(dmu)
+    if not dmus:
+        raise LoadError("need at least one DMU", file=path)
     return dmus
 
 

@@ -153,19 +153,30 @@ def credit_ledger(corpus: Corpus, baselines: BaselineTable) -> list[CreditRow]:
     """Every census researcher's row, in id order, from one walk over the
     publications: each publication with a census author is normalized once,
     and each census byline entry is credited under the convention the
-    taxonomy gives its author's field."""
+    taxonomy gives its author's field.
+
+    A share depends only on the byline's length, whether its first and last
+    authors share an institution, the position and the convention (see
+    credit.byline_weights), so each distinct such key is computed once."""
     researchers = corpus.researchers
     convention = {rid: corpus.taxonomy.convention(r.sds_code) for rid, r in researchers.items()}
     outputs: dict[str, list[float]] = {rid: [] for rid in researchers}
     shares: dict[str, list[float]] = {rid: [] for rid in researchers}
+    memo: dict[tuple[int, bool, int, str], float] = {}
     for pub in corpus.publications.values():
-        census = [entry for entry in pub.byline if entry.researcher_id in researchers]
+        byline = pub.byline
+        census = [entry for entry in byline if entry.researcher_id in researchers]
         if not census:
             continue
         impact = normalized_impact(pub, baselines)
+        n = len(byline)
+        intramural = byline[0].institution_id == byline[-1].institution_id
         for entry in census:
             rid = entry.researcher_id
-            share = fractional_contribution(pub.byline, entry.position, convention[rid])
+            key = (n, intramural, entry.position, convention[rid])
+            share = memo.get(key)
+            if share is None:
+                share = memo[key] = fractional_contribution(byline, entry.position, convention[rid])
             shares[rid].append(share)
             outputs[rid].append(impact * share)
     rows = []

@@ -197,10 +197,17 @@ def test_publication_without_categories_rejected(tmp_path):
     assert "category" in str(err.value)
 
 
-def replace_row(name, old, new):
+def replace_rows(name, *pairs):
+    """``name``'s tiny file with each (old, new) replacement made."""
     content = TINY_FILES[name]
-    assert old in content
-    return {name: content.replace(old, new)}
+    for old, new in pairs:
+        assert old in content
+        content = content.replace(old, new)
+    return {name: content}
+
+
+def replace_row(name, old, new):
+    return replace_rows(name, (old, new))
 
 
 # id -> (patched file, file the error names, line, column, full message).
@@ -253,6 +260,39 @@ LOAD_ERRORS = {
     "byline-unknown-publication-and-bad-position": (
         replace_row("bylines.csv", "p3,1,r2,UA", "p99,x,r2,UA"),
         "bylines.csv", 6, "publication_id", "byline references unknown publication 'p99'"),
+    # A row's own cells are checked before its byline's.
+    "byline-duplicate-position-and-empty-institution": (
+        replace_row("bylines.csv", "p2,3,r2,UA", "p2,1,r2,"),
+        "bylines.csv", 5, "institution_id", "value is required"),
+    "byline-census-researcher-twice-and-empty-institution": (
+        replace_row("bylines.csv", "p2,3,r2,UA", "p2,3,r1,"),
+        "bylines.csv", 5, "institution_id", "value is required"),
+    # The loader parses and checks each distinct cell once and remembers only
+    # cells that passed, so a bad cell on two rows is blamed at the first.
+    "repeated-bad-year": (
+        replace_rows("publications.csv", ("p3,2006,0,alg", "p3,20x6,0,alg"),
+                     ("p4,2007,8,bio;alg", "p4,20x6,8,bio;alg")),
+        "publications.csv", 4, "year", "not an integer: '20x6'"),
+    "repeated-bad-citations": (
+        replace_rows("publications.csv", ("p3,2006,0,alg", "p3,2006,-1,alg"),
+                     ("p5,2007,4,bio", "p5,2007,-1,bio")),
+        "publications.csv", 4, "citations", "citations must be >= 0"),
+    "repeated-bad-subject-categories": (
+        replace_rows("publications.csv", ("p3,2006,0,alg", "p3,2006,0,;"),
+                     ("p5,2007,4,bio", "p5,2007,4,;")),
+        "publications.csv", 4, "subject_categories", "at least one subject category is required"),
+    "repeated-bad-position": (
+        replace_rows("bylines.csv", ("p2,2,,XX", "p2,0,,XX"), ("p4,2,,XX", "p4,0,,XX")),
+        "bylines.csv", 4, "position", "position must be >= 1"),
+    "repeated-bad-position-out-of-window-first": (
+        replace_rows("bylines.csv", ("p6,1,r1,UA", "p6,x1,r1,UA"), ("p7,1,r5,UB", "p7,x1,r5,UB")),
+        "bylines.csv", 13, "position", "not an integer: 'x1'"),
+    "repeated-empty-institution": (
+        replace_rows("bylines.csv", ("p3,1,r2,UA", "p3,1,r2,"), ("p5,1,,XY", "p5,1,,")),
+        "bylines.csv", 6, "institution_id", "value is required"),
+    "repeated-empty-institution-out-of-window-first": (
+        replace_rows("bylines.csv", ("p6,1,r1,UA", "p6,1,r1,"), ("p7,1,r5,UB", "p7,1,r5,")),
+        "bylines.csv", 13, "institution_id", "value is required"),
 }
 
 
@@ -299,6 +339,33 @@ def test_publication_level_byline_checks_skip_out_of_window_publications(tmp_pat
     extra = "p6,3,r1,UA\np6,3,r2,UA\n"
     corpus, _ = load_patched(tmp_path, **{"bylines.csv": TINY_FILES["bylines.csv"] + extra})
     assert "p6" not in corpus.publications
+
+
+def test_cells_good_outside_the_window_are_accepted_inside_it(tmp_path):
+    # p6 (2003) is outside the window; its cells, first seen there, are
+    # taken as they are on the in-window rows that repeat them.
+    corpus, _ = load_patched(
+        tmp_path,
+        **replace_rows("publications.csv", ("p6,2003,7,alg", "p6,2003,07,alg;top"),
+                       ("p7,2008,6,alg", "p7,2008,07,alg;top")),
+        **replace_rows("bylines.csv", ("p6,1,r1,UA", "p6,01,r1,UQ"), ("p1,1,r1,UA", "p1,01,r1,UQ")))
+    p7 = corpus.publications["p7"]
+    assert (p7.citations, p7.subject_categories) == (7, ("alg", "top"))
+    assert corpus.publications["p1"].byline == ((1, "UQ", "r1"),)
+
+
+def test_each_unresolved_researcher_row_is_counted(tmp_path):
+    # "ghost" then names no census researcher on two rows, p2's and p5's.
+    _, report = load_patched(tmp_path, **replace_row("bylines.csv", "p2,2,,XX", "p2,2,ghost,XX"))
+    assert "2 byline author(s) did not resolve to a census researcher; treated as external" \
+        in report.warnings
+
+
+def test_equal_positions_written_differently_share_one_authorship(tmp_path):
+    corpus, _ = load_patched(tmp_path, **replace_row("bylines.csv", "p2,1,r1,UA", "p2,01,r1,UA"))
+    first = corpus.publications["p1"].byline[0]
+    assert first == (1, "UA", "r1")
+    assert corpus.publications["p2"].byline[0] is first
 
 
 def test_nonpositive_years_rejected(tmp_path):

@@ -349,6 +349,14 @@ def test_dea_dmus_names_the_line_of_a_bad_unit(tmp_path, capsys, rows, where, me
     assert capsys.readouterr().err == f"error: {path}, {where}: {message}\n"
 
 
+@pytest.mark.parametrize("text", ["id,input_a,output_b\n", "id,input_a,output_b\n\n\n"])
+def test_dea_dmus_names_the_file_of_a_table_without_units(tmp_path, capsys, text):
+    path = tmp_path / "dmus.csv"
+    path.write_text(text)
+    assert main(["dea", "--dmus", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: need at least one DMU\n"
+
+
 def test_write_results_format(tmp_path):
     scores = dea_output_oriented(HAND_DMUS, "crs")
     path = write_results(scores, tmp_path / "dea_results.csv")

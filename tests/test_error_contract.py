@@ -1,12 +1,14 @@
-"""The error contract of `score`, pinned over seeded single-cell corruptions.
+"""The error contracts of `score` and `dea --dmus`, pinned over seeded
+single-cell corruptions.
 
 A small synthetic census goes through `score` once per case, with one cell
-of one input file replaced by a bad (or merely odd) value. Each case's exit
+of one input file replaced by a bad (or merely odd) value; a small DMU
+table in euros goes through `dea --dmus` the same way. Each case's exit
 code and first stderr line, with the data directory's path taken out, are
-listed and pinned as one sha256 digest, the way `test_golden.py` pins
-artifacts. A loader change that moves which cell is blamed, or how, or that
-turns an exit 2 into an exit 1 or a traceback, fails this test; such a
-change re-records the digest and says why.
+listed and pinned as one sha256 digest per command, the way
+`test_golden.py` pins artifacts. A loader change that moves which cell is
+blamed, or how, or that turns an exit 2 into an exit 1 or a traceback,
+fails this test; such a change re-records the digest and says why.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 
 from fsskit.cli import main
+from conftest import euro_dmu_table
 
 FILES = ("researchers", "publications", "bylines", "taxonomy", "salaries")
 # Cells a user could plausibly write, good and bad; OTHER_ROW takes the same
@@ -26,14 +29,18 @@ VALUES = ("", "nan", "inf", "-inf", "-1", "0", "1.5", "1e400", "1e-400", "abc", 
 CASES = 200
 SEED = 20260
 DIGEST = "d65f6122259b7db5cb650270fe809e942475c12408a1d978f663ddd6567a274c"
+DMU_CASES = 60
+DMU_SEED = 20261
+DMU_DIGEST = "d61709e6e97ca42329fff1e35a142a0408a21331881f9b9762fba4019a90407d"
 
 
-def corruptions(census, rng):
-    """(file, line, column, value) of each case, and the file's corrupted text."""
-    texts = {name: (census / f"{name}.csv").read_text() for name in FILES}
+def corruptions(texts, cases, rng):
+    """(file, line, column, value) of each case, and the file's corrupted
+    text; ``texts`` maps each file's name to its text."""
     assert not any('"' in text for text in texts.values())  # cells split on "," alone
-    for _ in range(CASES):
-        name = rng.choice(FILES)
+    names = list(texts)
+    for _ in range(cases):
+        name = rng.choice(names)
         lines = texts[name].split("\n")  # the last item is the "" after the final newline
         header = lines[0].split(",")
         row = rng.randrange(1, len(lines) - 1)
@@ -47,27 +54,39 @@ def corruptions(census, rng):
         yield (name, row + 1, header[column], value), "\n".join(lines)
 
 
-def outcomes(directory) -> str:
+def outcomes(data, names, cases, seed, command) -> str:
     """One line per case: the cell, the value, the exit code and the first
-    stderr line, with the census path taken out."""
-    census = directory / "census"
-    with redirect_stdout(io.StringIO()):
-        assert main(["synth", "--seed", "5", "--researchers", "100", "--institutions", "4",
-                     "--out", str(census)]) == 0
+    stderr line, with the data directory's path taken out. Each case
+    corrupts one of the files ``names`` in ``data`` and runs ``command``."""
+    texts = {name: (data / f"{name}.csv").read_text() for name in names}
     listing = []
-    for (name, line, column, value), text in corruptions(census, random.Random(SEED)):
-        path = census / f"{name}.csv"
-        original = path.read_text()
+    for (name, line, column, value), text in corruptions(texts, cases, random.Random(seed)):
+        path = data / f"{name}.csv"
         path.write_text(text)
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
-            code = main(["score", "--data", str(census), "--min-years", "0",
-                         "--output-dir", str(directory / "out")])
-        path.write_text(original)
-        first = (err.getvalue().splitlines() or [""])[0].replace(f"{census}{os.sep}", "")
+            code = main(command)
+        path.write_text(texts[name])
+        first = (err.getvalue().splitlines() or [""])[0].replace(f"{data}{os.sep}", "")
         listing.append(f"{name}.csv line {line} {column}={value!r}: {code} {first}")
     return "\n".join(listing)
 
 
 def test_corruption_outcomes_match_recorded_digest(tmp_path):
-    listing = outcomes(tmp_path)
+    census = tmp_path / "census"
+    with redirect_stdout(io.StringIO()):
+        assert main(["synth", "--seed", "5", "--researchers", "100", "--institutions", "4",
+                     "--out", str(census)]) == 0
+    listing = outcomes(census, FILES, CASES, SEED,
+                       ["score", "--data", str(census), "--min-years", "0",
+                        "--output-dir", str(tmp_path / "out")])
     assert hashlib.sha256(listing.encode()).hexdigest() == DIGEST, listing
+
+
+def test_dmu_table_corruption_outcomes_match_recorded_digest(tmp_path):
+    data = tmp_path / "tables"
+    data.mkdir()
+    euro_dmu_table(data / "dmus.csv", n=40)
+    listing = outcomes(data, ("dmus",), DMU_CASES, DMU_SEED,
+                       ["dea", "--dmus", str(data / "dmus.csv"), "--model", "both",
+                        "--output-dir", str(tmp_path / "out")])
+    assert hashlib.sha256(listing.encode()).hexdigest() == DMU_DIGEST, listing
