@@ -38,13 +38,13 @@ from pathlib import Path
 from . import __version__
 from .config import BASELINE_SOURCES, OVERRIDE_KEYS, SCOPES, RunConfig, load_config
 from .corpus import apply_exclusions, export_corpus, load_corpus, write_table
-from .dea import (corpus_input_ranks, dea_output_oriented, dmus_from_corpus, read_dmus,
-                  scale_efficiency, write_dmus, write_results)
+from .dea import (dea_output_oriented, dmus_from_corpus, read_dmus, scale_efficiency,
+                  write_dmus, write_results)
 from .errors import ComputationError, InputError
 from .indicators import (STANDARDIZABLE, UNIVERSITY_INDICATORS, compute_field_means,
                          country_staff_scores, credit_ledger, department_scores,
-                         researcher_scores, staff_scores, staff_unit_id, standardized_scores,
-                         university_scores, write_scores)
+                         researcher_scores, small_units, staff_scores, staff_unit_id,
+                         standardized_scores, university_scores, write_scores)
 from .normalize import compute_baselines, load_baselines, write_baselines
 from .rankings import (compare_rankings, rank_scores, read_rankings, write_comparison,
                        write_rankings)
@@ -135,13 +135,13 @@ def _load_pipeline(args, config: RunConfig):
     corpus, report = load_corpus(paths["researchers"], paths["publications"],
                                  paths["bylines"], paths["taxonomy"],
                                  paths["salaries"], config)
-    corpus, exclusions = apply_exclusions(corpus, config.exclusions)
+    corpus, excluded = apply_exclusions(corpus, config.exclusions)
     if config.baseline_source == "file":
         baselines = load_baselines(config.baseline_file)
     else:
         baselines = compute_baselines(corpus.publications.values())
     ledger = credit_ledger(corpus, baselines)
-    return corpus, report, exclusions, baselines, ledger, paths
+    return corpus, report, excluded, baselines, ledger, paths
 
 
 def _outdir(path) -> Path:
@@ -190,10 +190,11 @@ def _score_sets(level: str, ledger, means, indicators=UNIVERSITY_INDICATORS, uda
 
 def cmd_score(args) -> int:
     config, defaulted = _config_from_args(args)
-    _, report, exclusions, baselines, ledger, paths = _load_pipeline(args, config)
+    _, report, excluded, baselines, ledger, paths = _load_pipeline(args, config)
     checksums = {paths[name].name: _sha256(paths[name]) for name in sorted(paths)}
     level = "staff" if config.scope == "sds" else config.scope
     sets = [researcher_scores(ledger), *_score_sets(level, ledger, compute_field_means(ledger))]
+    pairs, institutions = small_units(ledger, config.exclusions)
 
     out = _outdir(config.output_dir)
     write_scores(sets, out / "scores.csv")
@@ -208,9 +209,9 @@ def cmd_score(args) -> int:
         "row_counts": report.row_counts,
         "warnings": report.warnings,
         "exclusions": {
-            "researchers_excluded": len(exclusions.excluded_researchers),
-            "institution_uda_pairs_excluded": len(exclusions.excluded_institution_udas),
-            "institutions_excluded": len(exclusions.excluded_institutions),
+            "researchers_excluded": len(excluded),
+            "institution_uda_pairs_excluded": len(pairs),
+            "institutions_excluded": len(institutions),
         },
         "score_sets": [
             {"level": s.level, "indicator": s.indicator, "n_units": len(s.entries)}
@@ -225,16 +226,15 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _ineligible(exclusions, ledger, level: str, uda: str | None):
+def _ineligible(ledger, thresholds, level: str, uda: str | None):
     """Units too small to rank fairly, per the configured staff thresholds."""
-    institutions = set(exclusions.excluded_institutions)
-    pairs = set(exclusions.excluded_institution_udas)
+    if level not in ("university", "staff"):
+        return set()
+    pairs, institutions = map(set, small_units(ledger, thresholds))
     if level == "university":
         return institutions | {inst for inst, u in pairs if u == uda}
-    if level == "staff":
-        return {staff_unit_id(r.institution_id, r.sds_code) for r in ledger
-                if r.institution_id in institutions or (r.institution_id, r.uda_code) in pairs}
-    return set()
+    return {staff_unit_id(r.institution_id, r.sds_code) for r in ledger
+            if r.institution_id in institutions or (r.institution_id, r.uda_code) in pairs}
 
 
 def cmd_rank(args) -> int:
@@ -244,7 +244,7 @@ def cmd_rank(args) -> int:
     if level not in STANDARDIZABLE and args.standardize:
         raise InputError(f"--standardize only applies to {' and '.join(STANDARDIZABLE)} rankings")
     config, _ = _config_from_args(args)
-    corpus, _, exclusions, _, ledger, _ = _load_pipeline(args, config)
+    corpus, _, _, _, ledger, _ = _load_pipeline(args, config)
     if args.uda is not None:
         known = sorted(set(corpus.taxonomy.uda_of_sds.values()))
         if args.uda not in known:
@@ -255,7 +255,7 @@ def cmd_rank(args) -> int:
     if args.standardize:
         scores = standardized_scores(scores, means)
 
-    ranked = rank_scores(scores, exclude=_ineligible(exclusions, ledger, level, args.uda))
+    ranked = rank_scores(scores, exclude=_ineligible(ledger, config.exclusions, level, args.uda))
     if not ranked.entries:
         raise ComputationError("no units left to rank after exclusions")
 
@@ -297,14 +297,14 @@ def cmd_dea(args) -> int:
     else:
         config, _ = _config_from_args(args)
         corpus, _, _, _, ledger, _ = _load_pipeline(args, config)
-        dmus, skipped = dmus_from_corpus(corpus, ledger)
+        dmus, ranks, skipped = dmus_from_corpus(corpus, ledger)
         for warning in skipped:
             print(f"warning: {warning}")
         if not dmus:
             raise ComputationError("no institutions with research output left after exclusions")
         out = _outdir(config.output_dir)
         write_dmus(dmus, out / "dmus.csv",
-                   input_names=[f"cost_{r}" for r in corpus_input_ranks(corpus)],
+                   input_names=[f"cost_{rank}" for rank in ranks],
                    output_names=["impact", "count"])
 
     models = ("crs", "vrs") if args.model == "both" else (args.model,)

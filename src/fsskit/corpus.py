@@ -43,6 +43,9 @@ score.
 
 read_table and write_table are the package's only CSV reader and writer;
 the baseline, score, ranking and DMU files go through them too.
+
+apply_exclusions applies the tenure floor only; the staff floors, which
+keep small units out of rankings, are counted on the credit ledger.
 """
 
 from __future__ import annotations
@@ -172,21 +175,11 @@ class Corpus:
     def institutions(self) -> list[str]:
         return sorted({r.institution_id for r in self.researchers.values()})
 
-    def uda_of(self, researcher: Researcher) -> str:
-        return self.taxonomy.uda(researcher.sds_code)
-
 
 @dataclass
 class LoadReport:
     row_counts: dict[str, int] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
-
-
-@dataclass
-class ExclusionReport:
-    excluded_researchers: list[tuple[str, str]] = field(default_factory=list)
-    excluded_institution_udas: list[tuple[str, str]] = field(default_factory=list)
-    excluded_institutions: list[str] = field(default_factory=list)
 
 
 def resolve_salary(researcher: Researcher, schedule: SalarySchedule) -> float:
@@ -579,38 +572,20 @@ def export_corpus(corpus: Corpus, directory) -> dict[str, Path]:
 # ---------------------------------------------------------------------------
 
 def apply_exclusions(corpus: Corpus,
-                     thresholds: ExclusionThresholds) -> tuple[Corpus, ExclusionReport]:
-    """Robustness filters applied before ranking.
-
-    Researchers below ``thresholds.min_years`` of work in the window leave
-    the corpus entirely (their byline entries then behave like external
-    authors). Institution groups below the staff thresholds stay in the
-    corpus; the report lists them as ineligible for ranking: (institution,
-    UDA) pairs under ``min_staff_uda`` for discipline-level rankings,
-    institutions under ``min_staff_total`` for whole-institution rankings.
+                     thresholds: ExclusionThresholds) -> tuple[Corpus, list[tuple[str, str]]]:
+    """The corpus without the researchers below ``thresholds.min_years`` of
+    work in the window, and each dropped researcher's (id, reason), in id
+    order. Their byline entries then behave like external authors.
     Idempotent for fixed thresholds.
     """
     thresholds.validate()
     min_years = thresholds.min_years
-    report = ExclusionReport()
-
     kept: dict[str, Researcher] = {}
+    excluded: list[tuple[str, str]] = []
     for rid in sorted(corpus.researchers):
         r = corpus.researchers[rid]
         if r.years_in_window < min_years:
-            report.excluded_researchers.append((rid, f"years_in_window {r.years_in_window} < {min_years}"))
+            excluded.append((rid, f"years_in_window {r.years_in_window} < {min_years}"))
         else:
             kept[rid] = r
-
-    staff_by_inst_uda: dict[tuple[str, str], int] = {}
-    staff_by_inst: dict[str, int] = {}
-    for r in kept.values():
-        uda = corpus.taxonomy.uda(r.sds_code)
-        staff_by_inst_uda[(r.institution_id, uda)] = staff_by_inst_uda.get((r.institution_id, uda), 0) + 1
-        staff_by_inst[r.institution_id] = staff_by_inst.get(r.institution_id, 0) + 1
-
-    report.excluded_institution_udas = sorted(
-        key for key, count in staff_by_inst_uda.items() if count < thresholds.min_staff_uda)
-    report.excluded_institutions = sorted(
-        inst for inst, count in staff_by_inst.items() if count < thresholds.min_staff_total)
-    return replace(corpus, researchers=kept), report
+    return replace(corpus, researchers=kept), excluded

@@ -257,22 +257,19 @@ def scale_efficiency(crs_scores, vrs_scores) -> dict[str, float]:
 # Corpus bridge
 # ---------------------------------------------------------------------------
 
-def corpus_input_ranks(corpus: Corpus) -> list[str]:
-    """Rank names in the input-dimension order dmus_from_corpus uses."""
-    ranks = corpus.salaries.ranks()
-    extra = sorted({r.rank for r in corpus.researchers.values()} - set(ranks))
-    return ranks + extra
-
-
-def dmus_from_corpus(corpus: Corpus, ledger: list[CreditRow]) -> tuple[list[DMU], list[str]]:
-    """One DMU per institution.
+def dmus_from_corpus(corpus: Corpus,
+                     ledger: list[CreditRow]) -> tuple[list[DMU], list[str], list[str]]:
+    """One DMU per institution, the rank of each input dimension, and a
+    warning per institution skipped.
 
     Inputs are labor cost split by rank (salary times years in post, summed
-    over the institution's staff of that rank); outputs are total fractional
-    normalized impact and total fractional publication count. Institutions
-    with no output at all cannot be scored and are skipped with a warning.
+    over the institution's staff of that rank): the salary schedule's ranks,
+    then the ledger's other ranks, each in name order. Outputs are total
+    fractional normalized impact and total fractional publication count.
+    Institutions with no output at all cannot be scored and are skipped.
     """
-    ranks = corpus_input_ranks(corpus)
+    ranks = corpus.salaries.ranks()
+    ranks += sorted({r.rank for r in ledger} - set(ranks))
     staff = group_rows(ledger, lambda r: r.institution_id)
     dmus = []
     skipped = []
@@ -287,18 +284,27 @@ def dmus_from_corpus(corpus: Corpus, ledger: list[CreditRow]) -> tuple[list[DMU]
             inputs=tuple(math.fsum(r.cost for r in members if r.rank == rank) for rank in ranks),
             outputs=(impact_total, count_total),
         ))
-    return dmus, skipped
+    return dmus, ranks, skipped
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _parse_value(cell: str, path: Path, line: int, column: str) -> float:
+    """One DMU value; a nonzero one too small for a float (1e-400) is refused."""
+    value = parse_float(cell, path, line, column)
+    if value == 0.0 and any(digit in "123456789" for digit in cell.lower().partition("e")[0]):
+        raise LoadError(f"nonzero but too small for a float: {cell!r}", file=path, line=line,
+                        column=column)
+    return value
+
+
 def read_dmus(path) -> list[DMU]:
     """dmus.csv: id column plus input_*/output_* columns, order preserved.
-    A row that breaks a rule of ``validate_dmus`` is a LoadError naming its
-    line, and its column where one cell is at fault; a table with no row is
-    a LoadError naming the file."""
+    A row that breaks a rule of ``validate_dmus``, or holds a nonzero value
+    that reads as 0.0, is a LoadError naming its line, and its column where
+    one cell is at fault; a table with no row is a LoadError naming the file."""
     path = Path(path)
     inputs: list[str] = []
     outputs: list[str] = []
@@ -317,7 +323,7 @@ def read_dmus(path) -> list[DMU]:
     dmus = []
     seen: set[str] = set()
     for line, (dmu_id, *cells) in read_table(path, dmu_columns):
-        values = [parse_float(cell, path, line, column)
+        values = [_parse_value(cell, path, line, column)
                   for cell, column in zip(cells, inputs + outputs)]
         dmu = DMU(require(dmu_id, path, line, "id"), tuple(values[:len(inputs)]),
                   tuple(values[len(inputs):]))

@@ -38,16 +38,21 @@ and reduces each group; a single unit's value is its entry in that set.
 staff_table reduces each staff group once, for every staff-based value.
 FieldMeans.standardize is the one place a value is divided by its field's
 mean.
+
+The ledger is the one place a researcher's discipline is resolved, and
+small_units counts its rows to find the units under the staff floors.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
+from .config import ExclusionThresholds
 from .corpus import Corpus, resolve_salary, write_table
 from .credit import fractional_contribution
 from .errors import ComputationError, InputError, MissingFieldMeanError
@@ -187,7 +192,7 @@ def credit_ledger(corpus: Corpus, baselines: BaselineTable) -> list[CreditRow]:
         if salary <= 0 or years <= 0:
             what = "salary" if salary <= 0 else "years_in_window"
             raise ComputationError(f"researcher {rid!r} has non-positive {what}")
-        rows.append(CreditRow(rid, researcher.sds_code, corpus.uda_of(researcher),
+        rows.append(CreditRow(rid, researcher.sds_code, corpus.taxonomy.uda(researcher.sds_code),
                               researcher.institution_id, researcher.department_id,
                               researcher.rank, math.fsum(outputs[rid]), math.fsum(shares[rid]),
                               len(shares[rid]), years, salary * years))
@@ -200,6 +205,17 @@ def group_rows(rows, key) -> dict:
     for row in rows:
         groups.setdefault(key(row), []).append(row)
     return dict(sorted(groups.items()))
+
+
+def small_units(ledger: list[CreditRow],
+                thresholds: ExclusionThresholds) -> tuple[list[tuple[str, str]], list[str]]:
+    """The units under the staff floors, each in key order: the (institution,
+    discipline) pairs with fewer than ``thresholds.min_staff_uda`` rows and
+    the institutions with fewer than ``thresholds.min_staff_total``."""
+    pairs = Counter((row.institution_id, row.uda_code) for row in ledger)
+    totals = Counter(row.institution_id for row in ledger)
+    return (sorted(key for key, n in pairs.items() if n < thresholds.min_staff_uda),
+            sorted(inst for inst, n in totals.items() if n < thresholds.min_staff_total))
 
 
 # ---------------------------------------------------------------------------

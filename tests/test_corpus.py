@@ -1,4 +1,4 @@
-"""Loading, validation, export round-trip, and exclusion filters."""
+"""Loading, validation, export round-trip, and the tenure filter."""
 
 import dataclasses
 
@@ -394,39 +394,21 @@ def test_export_round_trip_is_fixpoint(tiny, tmp_path):
 
 
 def test_exclusions_drop_short_tenure(tiny):
-    filtered, report = apply_exclusions(tiny.corpus, thresholds(min_years=3))
+    filtered, excluded = apply_exclusions(tiny.corpus, thresholds(min_years=3))
     assert sorted(filtered.researchers) == ["r1", "r2", "r3", "r5"]
-    assert report.excluded_researchers == [("r4", "years_in_window 2.0 < 3")]
+    assert excluded == [("r4", "years_in_window 2.0 < 3")]
     # Publications stay; the excluded researcher's byline rows untouched.
     assert sorted(filtered.publications) == sorted(tiny.corpus.publications)
     assert filtered.publications["p4"].byline[2].researcher_id == "r4"
     assert filtered.publications_of("r4") == []
 
 
-def test_exclusions_flag_small_units(tiny):
-    filtered, report = apply_exclusions(tiny.corpus, thresholds(min_staff_uda=2, min_staff_total=3))
-    # UB has 3 staff but only 1 in MATH; UA has 2 total.
-    assert ("UB", "MATH") in report.excluded_institution_udas
-    assert ("UA", "MATH") not in report.excluded_institution_udas
-    assert report.excluded_institutions == ["UA"]
-    # The report gates rankings only: all researchers are still present.
-    assert sorted(filtered.researchers) == sorted(tiny.corpus.researchers)
-
-
-def test_staff_counted_after_tenure_filter(tiny):
-    # r4 is dropped by min_years first, leaving UB-BIO with one researcher.
-    _, report = apply_exclusions(tiny.corpus, thresholds(min_years=3, min_staff_uda=2))
-    assert ("UB", "BIO") in report.excluded_institution_udas
-
-
 def test_exclusions_idempotent(tiny):
-    floors = thresholds(min_years=3, min_staff_uda=2, min_staff_total=3)
-    once, first = apply_exclusions(tiny.corpus, floors)
-    twice, report = apply_exclusions(once, floors)
+    floors = thresholds(min_years=3)
+    once, _ = apply_exclusions(tiny.corpus, floors)
+    twice, excluded = apply_exclusions(once, floors)
     assert sorted(twice.researchers) == sorted(once.researchers)
-    assert report.excluded_institution_udas == first.excluded_institution_udas
-    assert report.excluded_institutions == first.excluded_institutions
-    assert report.excluded_researchers == []
+    assert excluded == []
 
 
 def test_negative_thresholds_rejected(tiny):

@@ -15,9 +15,8 @@ from fsskit import dea
 from fsskit.cli import main
 from fsskit.config import RunConfig
 from fsskit.corpus import load_corpus
-from fsskit.dea import (DMU, corpus_input_ranks, dea_output_oriented,
-                        dmus_from_corpus, read_dmus, scale_efficiency,
-                        validate_dmus, write_dmus, write_results,
+from fsskit.dea import (DMU, dea_output_oriented, dmus_from_corpus, read_dmus,
+                        scale_efficiency, validate_dmus, write_dmus, write_results,
                         _envelopment_lp)
 from fsskit.errors import ComputationError, InputError, LoadError
 from fsskit.indicators import credit_ledger
@@ -341,12 +340,22 @@ def test_read_dmus_rejects_bad_files(tmp_path):
     ("A,1.0,-1.0,-2.0\n", "line 2, column 'input_b'", "DMU 'A' has negative values"),
     ("A,1.0,1.0,2.0\nB,0.0,0.0,1.0\n", "line 3", "DMU 'B' has no positive input"),
     ("A,1.0,1.0,0.0\n", "line 2", "DMU 'A' has no positive output"),
+    ("A,1e-400,2,1\n", "line 2, column 'input_a'", "nonzero but too small for a float: '1e-400'"),
+    ("A,1.0,1.0,2.0\nB,1.0,1.0,-0.5E-999\n", "line 3, column 'output_c'",
+     "nonzero but too small for a float: '-0.5E-999'"),
 ])
 def test_dea_dmus_names_the_line_of_a_bad_unit(tmp_path, capsys, rows, where, message):
     path = tmp_path / "dmus.csv"
     path.write_text("id,input_a,input_b,output_c\n" + rows)
     assert main(["dea", "--dmus", str(path), "--output-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {path}, {where}: {message}\n"
+
+
+def test_dea_dmus_reads_every_spelling_of_zero_as_zero(tmp_path):
+    path = tmp_path / "dmus.csv"
+    path.write_text("id,input_a,input_b,output_c\nA,1.0,0e400,2.0\nB,2.0,-0.000,1.0\n"
+                    "C,3.0,00.0E-5,1.5\nD,4.0,5e-324,1.0\n")
+    assert [dmu.inputs[1] for dmu in read_dmus(path)] == [0.0, 0.0, 0.0, 5e-324]
 
 
 @pytest.mark.parametrize("text", ["id,input_a,output_b\n", "id,input_a,output_b\n\n\n"])
@@ -368,8 +377,8 @@ def test_write_results_format(tmp_path):
 
 def test_dmus_from_tiny_corpus(tiny):
     baselines = compute_baselines(tiny.corpus.publications.values())
-    assert corpus_input_ranks(tiny.corpus) == ["assistant", "full"]
-    dmus, skipped = dmus_from_corpus(tiny.corpus, credit_ledger(tiny.corpus, baselines))
+    dmus, ranks, skipped = dmus_from_corpus(tiny.corpus, credit_ledger(tiny.corpus, baselines))
+    assert ranks == ["assistant", "full"]
     assert skipped == []
     by_id = {d.id: d for d in dmus}
     # UA: assistant cost 40000*5, full cost 70000*4;
@@ -403,6 +412,6 @@ def test_dmus_from_corpus_skips_outputless_institution(tmp_path):
         directory / "taxonomy.csv", directory / "salaries.csv", RunConfig(),
     )
     baselines = compute_baselines(corpus.publications.values())
-    dmus, skipped = dmus_from_corpus(corpus, credit_ledger(corpus, baselines))
+    dmus, _, skipped = dmus_from_corpus(corpus, credit_ledger(corpus, baselines))
     assert {d.id for d in dmus} == {"UA", "UB"}
     assert len(skipped) == 1 and "UC" in skipped[0]

@@ -31,7 +31,7 @@ SEED = 20260
 DIGEST = "d65f6122259b7db5cb650270fe809e942475c12408a1d978f663ddd6567a274c"
 DMU_CASES = 60
 DMU_SEED = 20261
-DMU_DIGEST = "d61709e6e97ca42329fff1e35a142a0408a21331881f9b9762fba4019a90407d"
+DMU_DIGEST = "87f84dbc8e5f979f070e2f24a818b5157579ace16d8a28cf3eba0ab4389e6344"
 
 
 def corruptions(texts, cases, rng):

@@ -9,9 +9,15 @@ changes any byte of any artifact fails this test.
 The DEA artifacts are pinned the same way: `dea --dmus --model both` on a
 seeded 120-unit table in euros, written by the test, and corpus-mode `dea`
 on the same census.
+
+That census is too small for any unit to fall under a staff floor, so a
+second one, on twice the institutions, pins the floors: the score reports
+that count the ineligible units and the rankings they are left out of, at
+the default floors and at lower ones.
 """
 
 import hashlib
+import json
 
 from fsskit.cli import main
 from conftest import euro_dmu_table
@@ -103,3 +109,52 @@ def test_dea_artifacts_match_recorded_digests(tmp_path, monkeypatch, capsys):
     written = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(tmp_path.glob("dea_*/*"))}
     assert written == DEA_GOLDEN
+
+
+# (output directory, rank flags) at the default staff floors, then at lower ones.
+LOWER_FLOORS = ["--min-staff-uda", "12", "--min-staff-total", "10"]
+FLOOR_RANKS = [
+    ("rank_staff", ["--level", "staff"]),
+    ("rank_university", ["--level", "university"]),
+    ("rank_staff_low", ["--level", "staff", *LOWER_FLOORS]),
+    ("rank_university_low", ["--level", "university", *LOWER_FLOORS]),
+    ("rank_uda1_low", ["--level", "university", "--uda", "UDA1", *LOWER_FLOORS]),
+    ("rank_uda2_low", ["--level", "university", "--uda", "UDA2", *LOWER_FLOORS]),
+]
+
+FLOOR_GOLDEN = {
+    "rank_staff/rankings.csv": "cd7a0b7d6af7021353223569b85a1bb901f75faed8adf5cbdfd195118efb6f27",
+    "rank_staff_low/rankings.csv": "08cc8d05e478ff7c525cc4ca2b03e6077c891ff90f7ba190a3046b6b8e207032",
+    "rank_uda1_low/rankings.csv": "1e5c6c54ab65f02426be1ee57ca3c02c271406fe6a849687f59824cc01761640",
+    "rank_uda2_low/rankings.csv": "e65ef9881265043b7e834d56b779bc122f9f6e46fc168fe6e82cdb498d036aa4",
+    "rank_university/rankings.csv": "69c7feb7e4c6fc69310b351cd4e4b42e0e674272d91f7cfade547fe91f786470",
+    "rank_university_low/rankings.csv": "42574380cdcff4bf723d5cc094dc213cb263770326588ca063a46e286cd01b9a",
+    "score/report.json": "5c14d22e1eafba2c7c1ac407095ed2890b22f2becaf4a91709a8e19eeac6c411",
+    "score_low/report.json": "3dac2c1be43a5b5d776509f940fdcd1a102a58712e289d998aace8e74b63954b",
+}
+
+
+def test_staff_floor_artifacts_match_recorded_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runs = [["synth", "--seed", "5", "--researchers", "300", "--institutions", "8", "--out", "census"],
+            ["score", "--data", "census", "--scope", "university", "--output-dir", "score"],
+            ["score", "--data", "census", "--scope", "university", *LOWER_FLOORS,
+             "--output-dir", "score_low"],
+            *(["rank", "--data", "census", *flags, "--output-dir", name]
+              for name, flags in FLOOR_RANKS)]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    excluded = {name: json.loads((tmp_path / name / "report.json").read_text())["exclusions"]
+                for name in ("score", "score_low")}
+    assert excluded["score"]["institution_uda_pairs_excluded"] == 6
+    assert excluded["score"]["institutions_excluded"] == 4
+    assert excluded["score_low"]["institution_uda_pairs_excluded"] == 6
+    assert excluded["score_low"]["institutions_excluded"] == 0
+    ranked = {name: len((tmp_path / name / "rankings.csv").read_text().splitlines()) - 1
+              for name, _ in FLOOR_RANKS}
+    assert ranked == {"rank_staff": 18, "rank_university": 4, "rank_staff_low": 26,
+                      "rank_university_low": 8, "rank_uda1_low": 6, "rank_uda2_low": 4}
+    written = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.glob("*/*"))
+               if path.name in ("report.json", "rankings.csv")}
+    assert written == FLOOR_GOLDEN

@@ -3,7 +3,7 @@
 Each score-set function groups the ledger the caller built once into its
 level's units, so every unit a level should have must appear, and every
 value must match the naive recomputation in oracles.py at the acceptance
-tolerance.
+tolerance. The staff floors count the same rows.
 """
 
 import dataclasses
@@ -11,8 +11,10 @@ import dataclasses
 import pytest
 
 from fsskit import indicators
+from fsskit.config import ExclusionThresholds
+from fsskit.corpus import apply_exclusions
 from fsskit.indicators import (compute_field_means, country_staff_scores, credit_ledger,
-                               department_scores, researcher_scores, staff_scores,
+                               department_scores, researcher_scores, small_units, staff_scores,
                                staff_unit_id, university_scores)
 from fsskit.normalize import compute_baselines
 
@@ -74,7 +76,7 @@ def test_university_batch_matches_oracle(synth, oracle, uda):
         uda = sorted(set(corpus.taxonomy.uda_of_sds.values()))[0]
     references = {"fss_u": oracle.fss_u, "p_u": oracle.p_u, "fp_u": oracle.fp_u}
     expected_units = sorted({r.institution_id for r in corpus.researchers.values()
-                             if uda is None or corpus.uda_of(r) == uda})
+                             if uda is None or corpus.taxonomy.uda(r.sds_code) == uda})
     for indicator, reference in references.items():
         batch = university_scores(ledger, means, indicator, uda)
         assert sorted(batch.entries) == expected_units
@@ -130,3 +132,35 @@ def test_replaced_corpus_starts_without_ledger(tiny):
     after = researcher_scores(credit_ledger(scaled, baselines))
     assert after.entries["r1"] * 2 == pytest.approx(before.entries["r1"], rel=1e-12)
     assert after.entries["r2"] == before.entries["r2"]
+
+
+def floored(corpus, min_years=0.0, min_staff_uda=0, min_staff_total=0):
+    """The corpus after the tenure floor, and the units of its ledger under
+    the staff floors; every floor not named is switched off."""
+    floors = ExclusionThresholds(min_years, min_staff_uda, min_staff_total)
+    corpus, _ = apply_exclusions(corpus, floors)
+    ledger = credit_ledger(corpus, compute_baselines(corpus.publications.values()))
+    return corpus, small_units(ledger, floors)
+
+
+def test_exclusions_flag_small_units(tiny):
+    filtered, (pairs, institutions) = floored(tiny.corpus, min_staff_uda=2, min_staff_total=3)
+    # UB has 3 staff but only 1 in MATH; UA has 2 total.
+    assert ("UB", "MATH") in pairs
+    assert ("UA", "MATH") not in pairs
+    assert institutions == ["UA"]
+    # The floors gate rankings only: all researchers are still present.
+    assert sorted(filtered.researchers) == sorted(tiny.corpus.researchers)
+
+
+def test_staff_counted_after_tenure_filter(tiny):
+    # r4 is dropped by min_years first, leaving UB-BIO with one researcher.
+    _, (pairs, _) = floored(tiny.corpus, min_years=3, min_staff_uda=2)
+    assert ("UB", "BIO") in pairs
+
+
+def test_staff_floors_idempotent(tiny):
+    floors = {"min_years": 3, "min_staff_uda": 2, "min_staff_total": 3}
+    once, first = floored(tiny.corpus, **floors)
+    _, second = floored(once, **floors)
+    assert second == first

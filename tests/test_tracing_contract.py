@@ -3,8 +3,9 @@
 perfbench/tracing.py times the package from outside by replacing public
 functions by name. A rename in the package would otherwise break only a
 traced benchmark run, so this checks each wrapped name and that a traced
-`score` run fills the load, impact and credit counters, and that a traced
-`dea` run counts every program it solves.
+`score` run fills the load, impact and credit counters, that a traced
+staff ranking times loading and the tenure filter, and that a traced `dea`
+run counts every program it solves.
 """
 
 import random
@@ -32,6 +33,19 @@ def test_traced_score_run_fills_the_counters(tiny_dir, tmp_path):
         assert main(["score", "--data", str(tiny_dir), "--output-dir", str(tmp_path / "out")]) == 0
     metrics = tracer.metrics()
     for name in ("corpus.load_s", "normalize.impact_calls", "credit.weights_calls"):
+        assert metrics[name] > 0, name
+
+
+def test_traced_staff_ranking_times_loading_and_exclusions(tiny_dir, tmp_path):
+    # The tenure filter is still the wrapped cli.apply_exclusions; the staff
+    # floors are counted on the ledger, in cmd_rank's own time.
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert main(["rank", "--data", str(tiny_dir), "--level", "staff", "--min-years", "3",
+                     "--min-staff-uda", "1", "--min-staff-total", "1",
+                     "--output-dir", str(tmp_path / "out")]) == 0
+    metrics = tracer.metrics()
+    for name in ("corpus.load_s", "corpus.exclusions_s", "cli.rank_s"):
         assert metrics[name] > 0, name
 
 
