@@ -14,8 +14,9 @@ _LIBRARY = {
     "ComputationError": "errors", "FsskitError": "errors", "InputError": "errors",
     "LoadError": "errors",
     "RunConfig": "config",
-    "apply_exclusions": "corpus", "load_corpus": "corpus",
-    "compute_field_means": "indicators", "credit_ledger": "indicators",
+    "load_corpus": "corpus",
+    "apply_exclusions": "indicators", "compute_field_means": "indicators",
+    "credit_ledger": "indicators",
     "researcher_scores": "indicators", "university_scores": "indicators",
     "compute_baselines": "normalize",
 }

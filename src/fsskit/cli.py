@@ -37,14 +37,14 @@ from pathlib import Path
 
 from . import __version__
 from .config import BASELINE_SOURCES, OVERRIDE_KEYS, SCOPES, RunConfig, load_config
-from .corpus import apply_exclusions, export_corpus, load_corpus, write_table
+from .corpus import export_corpus, load_corpus, write_table
 from .dea import (dea_output_oriented, dmus_from_corpus, read_dmus, scale_efficiency,
                   write_dmus, write_results)
 from .errors import ComputationError, InputError
-from .indicators import (STANDARDIZABLE, UNIVERSITY_INDICATORS, compute_field_means,
-                         country_staff_scores, credit_ledger, department_scores,
-                         researcher_scores, small_units, staff_scores, staff_unit_id,
-                         standardized_scores, university_scores, write_scores)
+from .indicators import (STANDARDIZABLE, UNIVERSITY_INDICATORS, apply_exclusions,
+                         compute_field_means, country_staff_scores, credit_ledger,
+                         department_scores, researcher_scores, small_units, staff_scores,
+                         staff_unit_id, standardized_scores, university_scores, write_scores)
 from .normalize import compute_baselines, load_baselines, write_baselines
 from .rankings import (compare_rankings, rank_scores, read_rankings, write_comparison,
                        write_rankings)
@@ -135,12 +135,11 @@ def _load_pipeline(args, config: RunConfig):
     corpus, report = load_corpus(paths["researchers"], paths["publications"],
                                  paths["bylines"], paths["taxonomy"],
                                  paths["salaries"], config)
-    corpus, excluded = apply_exclusions(corpus, config.exclusions)
     if config.baseline_source == "file":
         baselines = load_baselines(config.baseline_file)
     else:
         baselines = compute_baselines(corpus.publications.values())
-    ledger = credit_ledger(corpus, baselines)
+    ledger, excluded = apply_exclusions(credit_ledger(corpus, baselines), config.exclusions)
     return corpus, report, excluded, baselines, ledger, paths
 
 
@@ -191,7 +190,7 @@ def _score_sets(level: str, ledger, means, indicators=UNIVERSITY_INDICATORS, uda
 def cmd_score(args) -> int:
     config, defaulted = _config_from_args(args)
     _, report, excluded, baselines, ledger, paths = _load_pipeline(args, config)
-    checksums = {paths[name].name: _sha256(paths[name]) for name in sorted(paths)}
+    checksums = {f"{name}.csv": _sha256(paths[name]) for name in sorted(paths)}
     level = "staff" if config.scope == "sds" else config.scope
     sets = [researcher_scores(ledger), *_score_sets(level, ledger, compute_field_means(ledger))]
     pairs, institutions = small_units(ledger, config.exclusions)

@@ -4,12 +4,15 @@ A Corpus ties together researchers (each classified in exactly one field),
 their publications with ordered bylines, the field taxonomy (field code ->
 discipline code plus the field's co-authorship convention), and the national
 salary schedule. It is frozen: it holds only what was loaded, and every
-downstream module only reads it. load_corpus reads each file in one pass
-and builds each record once; Authorship and Publication are NamedTuples,
-which cost less to build and hold than dataclasses. Each byline row goes
-straight into its publication's position map. Publications outside the
-observation window are dropped, but every byline row, theirs included, must
-name a known publication, a position >= 1 and an institution.
+downstream module only reads it. The floors that choose which researchers
+and units are scored reduce the credit ledger (indicators), not the corpus.
+
+load_corpus reads each file in one pass and builds each record once;
+Authorship and Publication are NamedTuples, which cost less to build and
+hold than dataclasses. Each byline row goes straight into its publication's
+position map. Publications outside the observation window are dropped, but
+every byline row, theirs included, must name a known publication, a
+position >= 1 and an institution.
 
 A census repeats a few values in many rows, so load_corpus holds each
 repeated value once: every institution id, field, rank and department
@@ -43,25 +46,19 @@ score.
 
 read_table and write_table are the package's only CSV reader and writer;
 the baseline, score, ranking and DMU files go through them too.
-
-apply_exclusions applies the tenure floor only; the staff floors, which
-keep small units out of rankings, are counted on the credit ledger.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .credit import CONVENTIONS
 from .errors import InputError, LoadError, RankNotFoundError
-
-if TYPE_CHECKING:
-    from .config import ExclusionThresholds
 
 RESEARCHER_COLUMNS = ("id", "name", "sds", "rank", "salary", "institution", "department", "years_in_window")
 PUBLICATION_COLUMNS = ("id", "year", "citations", "subject_categories")
@@ -565,27 +562,3 @@ def export_corpus(corpus: Corpus, directory) -> dict[str, Path]:
     }
     return {name: write_table(directory / name, header, rows)
             for name, (header, rows) in tables.items()}
-
-
-# ---------------------------------------------------------------------------
-# Exclusion filtering
-# ---------------------------------------------------------------------------
-
-def apply_exclusions(corpus: Corpus,
-                     thresholds: ExclusionThresholds) -> tuple[Corpus, list[tuple[str, str]]]:
-    """The corpus without the researchers below ``thresholds.min_years`` of
-    work in the window, and each dropped researcher's (id, reason), in id
-    order. Their byline entries then behave like external authors.
-    Idempotent for fixed thresholds.
-    """
-    thresholds.validate()
-    min_years = thresholds.min_years
-    kept: dict[str, Researcher] = {}
-    excluded: list[tuple[str, str]] = []
-    for rid in sorted(corpus.researchers):
-        r = corpus.researchers[rid]
-        if r.years_in_window < min_years:
-            excluded.append((rid, f"years_in_window {r.years_in_window} < {min_years}"))
-        else:
-            kept[rid] = r
-    return replace(corpus, researchers=kept), excluded

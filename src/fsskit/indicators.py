@@ -39,8 +39,10 @@ staff_table reduces each staff group once, for every staff-based value.
 FieldMeans.standardize is the one place a value is divided by its field's
 mean.
 
-The ledger is the one place a researcher's discipline is resolved, and
-small_units counts its rows to find the units under the staff floors.
+The ledger is the one place a researcher's discipline is resolved. Every
+unit rule reduces it: apply_exclusions drops the rows under the tenure
+floor, and small_units counts the rows left to find the units under the
+staff floors.
 """
 
 from __future__ import annotations
@@ -205,6 +207,22 @@ def group_rows(rows, key) -> dict:
     for row in rows:
         groups.setdefault(key(row), []).append(row)
     return dict(sorted(groups.items()))
+
+
+def apply_exclusions(ledger: list[CreditRow], thresholds: ExclusionThresholds
+                     ) -> tuple[list[CreditRow], list[tuple[str, str]]]:
+    """The ledger rows with at least ``thresholds.min_years`` of work in the
+    window, and each dropped researcher's (id, reason), both in ledger (id)
+    order. A row does not depend on the others, so dropping one changes none."""
+    thresholds.validate()
+    min_years = thresholds.min_years
+    kept, excluded = [], []
+    for row in ledger:
+        if row.years < min_years:
+            excluded.append((row.id, f"years_in_window {row.years} < {min_years}"))
+        else:
+            kept.append(row)
+    return kept, excluded
 
 
 def small_units(ledger: list[CreditRow],

@@ -7,6 +7,7 @@ emptying the rankings, so most flows zero them out explicitly.
 
 import csv
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -111,6 +112,47 @@ def test_score_from_baseline_file_matches_computed(tiny_dir, tmp_path):
                  "--output-dir", str(second)]) == 0
     assert (first / "scores.csv").read_bytes() == (second / "scores.csv").read_bytes()
     assert not (second / "baselines.csv").exists()
+
+
+def test_baseline_file_must_cover_every_cited_publication_whatever_the_floor(tmp_path,
+                                                                                  capsys):
+    # P000273 is cited, and its one census author, R00047, has 2 years in
+    # post. Moved into a category the baseline file lacks, it is refused
+    # whether or not the tenure floor drops its author: floors choose which
+    # units are scored, never which inputs must be complete.
+    census = tmp_path / "census"
+    assert main(["synth", "--seed", "5", "--researchers", "300", "--institutions", "4",
+                 "--out", str(census)]) == 0
+    assert main(["score", *data_args(census), "--output-dir", str(tmp_path / "base")]) == 0
+    publications = census / "publications.csv"
+    text = publications.read_text()
+    assert "\nP000273,2010,1,CAT01b\n" in text
+    assert "R00047,Researcher 47,SDS01,full,,U04,U04-D1,2.0\n" in (
+        census / "researchers.csv").read_text()
+    publications.write_text(text.replace("\nP000273,2010,1,CAT01b\n", "\nP000273,2010,1,CATZZ\n"))
+    capsys.readouterr()
+    for floor in (["--min-years", "0"], []):
+        assert main(["score", *data_args(census), *floor, "--baseline-source", "file",
+                     "--baseline-file", str(tmp_path / "base" / "baselines.csv"),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first == "error: no citation baseline for year 2010, category 'CATZZ'", floor
+
+
+def test_report_keys_each_input_checksum_by_its_role(tiny_dir, tmp_path):
+    # Five per-file inputs that share one basename keep five checksums.
+    flags = []
+    for name in ("researchers", "publications", "bylines", "taxonomy", "salaries"):
+        path = tmp_path / name / "in.csv"
+        path.parent.mkdir()
+        path.write_bytes((tiny_dir / f"{name}.csv").read_bytes())
+        flags += [f"--{name}", str(path)]
+    out = tmp_path / "out"
+    assert main(["score", *flags, *NO_EXCLUSIONS, "--output-dir", str(out)]) == 0
+    inputs = json.loads((out / "report.json").read_text())["inputs"]
+    assert inputs == {f"{name}.csv": hashlib.sha256((tiny_dir / f"{name}.csv").read_bytes())
+                      .hexdigest() for name in ("researchers", "publications", "bylines",
+                                                "taxonomy", "salaries")}
 
 
 def test_score_scope_country(tiny_dir, tmp_path):

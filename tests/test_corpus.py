@@ -1,12 +1,12 @@
-"""Loading, validation, export round-trip, and the tenure filter."""
+"""Loading, validation and the export round-trip."""
 
 import dataclasses
 
 import pytest
 
-from fsskit.config import ExclusionThresholds, RunConfig
-from fsskit.corpus import apply_exclusions, export_corpus, load_corpus, resolve_salary
-from fsskit.errors import InputError, LoadError, RankNotFoundError
+from fsskit.config import RunConfig
+from fsskit.corpus import export_corpus, load_corpus, resolve_salary
+from fsskit.errors import LoadError, RankNotFoundError
 
 from conftest import TINY_FILES, write_tiny_files
 
@@ -26,11 +26,6 @@ def load_patched(tmp_path, **replacements):
     for name, content in TINY_FILES.items():
         (directory / name).write_text(replacements.get(name, content), encoding="utf-8")
     return load_from(directory)
-
-
-def thresholds(min_years=0.0, min_staff_uda=0, min_staff_total=0):
-    """Exclusion thresholds with every floor not named switched off."""
-    return ExclusionThresholds(min_years, min_staff_uda, min_staff_total)
 
 
 def test_loads_tiny_corpus(tiny):
@@ -391,29 +386,6 @@ def test_export_round_trip_is_fixpoint(tiny, tmp_path):
     for name in ("researchers.csv", "publications.csv", "bylines.csv",
                  "taxonomy.csv", "salaries.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
-
-
-def test_exclusions_drop_short_tenure(tiny):
-    filtered, excluded = apply_exclusions(tiny.corpus, thresholds(min_years=3))
-    assert sorted(filtered.researchers) == ["r1", "r2", "r3", "r5"]
-    assert excluded == [("r4", "years_in_window 2.0 < 3")]
-    # Publications stay; the excluded researcher's byline rows untouched.
-    assert sorted(filtered.publications) == sorted(tiny.corpus.publications)
-    assert filtered.publications["p4"].byline[2].researcher_id == "r4"
-    assert filtered.publications_of("r4") == []
-
-
-def test_exclusions_idempotent(tiny):
-    floors = thresholds(min_years=3)
-    once, _ = apply_exclusions(tiny.corpus, floors)
-    twice, excluded = apply_exclusions(once, floors)
-    assert sorted(twice.researchers) == sorted(once.researchers)
-    assert excluded == []
-
-
-def test_negative_thresholds_rejected(tiny):
-    with pytest.raises(InputError):
-        apply_exclusions(tiny.corpus, thresholds(min_years=-1))
 
 
 def test_corpus_is_frozen(tiny):

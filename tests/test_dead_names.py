@@ -7,6 +7,10 @@ method counts only through an attribute access. Imports do not count, and
 dunders are never reported. An annotated field of a module-level class
 (a dataclass or NamedTuple field) counts as read only when the package
 loads an attribute of that name.
+
+A census is also built in one place: only the loaders construct a Corpus,
+nothing copies one with dataclasses.replace, and corpus.py, which only
+loads, reads no run setting from config.
 """
 
 import ast
@@ -103,3 +107,22 @@ def test_every_field_is_read():
     assert unread == [], f"fields in src/fsskit that nothing there reads: {', '.join(unread)}"
     # An allowed entry whose fields all gain a reader, or are deleted, leaves the list.
     assert set().union(*map(allowed_by, found)) == set(FIELDS_ALLOWED)
+
+
+def test_only_the_loaders_build_a_corpus():
+    builders, copies, corpus_imports = set(), [], []
+    for path in sorted(SRC.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in module.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "Corpus" in (getattr(node.func, "id", None),
+                                                              getattr(node.func, "attr", None)):
+                    builders.add(getattr(top, "name", "<module>"))
+                if isinstance(node, ast.ImportFrom):
+                    if node.module == "dataclasses" and any(a.name == "replace" for a in node.names):
+                        copies.append(path.name)
+                    if path.name == "corpus.py":
+                        corpus_imports.append(node.module)
+    assert builders == {"load_corpus", "generate_synthetic_corpus"}
+    assert copies == [], "dataclasses.replace imported in src/fsskit"
+    assert "config" not in corpus_imports

@@ -1,12 +1,14 @@
-"""The error contracts of `score` and `dea --dmus`, pinned over seeded
-single-cell corruptions.
+"""The error contracts of every command that reads a file, pinned over
+seeded single-cell corruptions.
 
-A small synthetic census goes through `score` once per case, with one cell
-of one input file replaced by a bad (or merely odd) value; a small DMU
-table in euros goes through `dea --dmus` the same way. Each case's exit
-code and first stderr line, with the data directory's path taken out, are
-listed and pinned as one sha256 digest per command, the way
-`test_golden.py` pins artifacts. A loader change that moves which cell is
+A small synthetic census goes through `score`, `rank --level university`
+and corpus-mode `dea` once per case, with one cell of one input file
+replaced by a bad (or merely odd) value; `rank` and `dea` run at the
+default floors, so the tenure floor applies. A small DMU table in euros
+goes through `dea --dmus`, and two researcher rankings of the census go
+through `compare`, the same way. Each case's exit code and first stderr
+line, with the data directory's path taken out, are listed and pinned as
+one sha256 digest per command, the way `test_golden.py` pins artifacts. A loader change that moves which cell is
 blamed, or how, or that turns an exit 2 into an exit 1 or a traceback,
 fails this test; such a change re-records the digest and says why.
 """
@@ -16,6 +18,8 @@ import io
 import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
 
 from fsskit.cli import main
 from conftest import euro_dmu_table
@@ -32,6 +36,15 @@ DIGEST = "d65f6122259b7db5cb650270fe809e942475c12408a1d978f663ddd6567a274c"
 DMU_CASES = 60
 DMU_SEED = 20261
 DMU_DIGEST = "87f84dbc8e5f979f070e2f24a818b5157579ace16d8a28cf3eba0ab4389e6344"
+RANK_CASES = 150
+RANK_SEED = 20262
+RANK_DIGEST = "52624ea737b14b33dac6bde1fdd2ed713038fc3a681e5ed63af47e0022f26433"
+DEA_CASES = 100
+DEA_SEED = 20263
+DEA_DIGEST = "6d2cbb8dfe99d7f586ff78598e4d39f390d1e866920009d8dd0d1dc7097f12af"
+COMPARE_CASES = 100
+COMPARE_SEED = 20264
+COMPARE_DIGEST = "d7d92c305beff32bfcd376beadabbb5d47cbd20efca71828f556edb154030cf3"
 
 
 def corruptions(texts, cases, rng):
@@ -71,15 +84,54 @@ def outcomes(data, names, cases, seed, command) -> str:
     return "\n".join(listing)
 
 
-def test_corruption_outcomes_match_recorded_digest(tmp_path):
-    census = tmp_path / "census"
+def digest_of(listing: str) -> str:
+    return hashlib.sha256(listing.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def census(tmp_path_factory):
+    """The seed-5 census of 100 researchers at 4 institutions; each case
+    restores the file it corrupts."""
+    census = tmp_path_factory.mktemp("contract") / "census"
     with redirect_stdout(io.StringIO()):
         assert main(["synth", "--seed", "5", "--researchers", "100", "--institutions", "4",
                      "--out", str(census)]) == 0
+    return census
+
+
+def test_corruption_outcomes_match_recorded_digest(census, tmp_path):
     listing = outcomes(census, FILES, CASES, SEED,
                        ["score", "--data", str(census), "--min-years", "0",
                         "--output-dir", str(tmp_path / "out")])
-    assert hashlib.sha256(listing.encode()).hexdigest() == DIGEST, listing
+    assert digest_of(listing) == DIGEST, listing
+
+
+def test_university_ranking_corruption_outcomes_match_recorded_digest(census, tmp_path):
+    listing = outcomes(census, FILES, RANK_CASES, RANK_SEED,
+                       ["rank", "--data", str(census), "--level", "university",
+                        "--output-dir", str(tmp_path / "out")])
+    assert digest_of(listing) == RANK_DIGEST, listing
+
+
+def test_corpus_dea_corruption_outcomes_match_recorded_digest(census, tmp_path):
+    listing = outcomes(census, FILES, DEA_CASES, DEA_SEED,
+                       ["dea", "--data", str(census), "--model", "both",
+                        "--output-dir", str(tmp_path / "out")])
+    assert digest_of(listing) == DEA_DIGEST, listing
+
+
+def test_comparison_corruption_outcomes_match_recorded_digest(census, tmp_path):
+    # a and b rank the census's researchers by fss_r, raw and standardized.
+    data = tmp_path / "rankings"
+    for name, extra in (("a", []), ("b", ["--standardize"])):
+        with redirect_stdout(io.StringIO()):
+            assert main(["rank", "--data", str(census), "--level", "researcher", *extra,
+                         "--output-dir", str(data / name)]) == 0
+        (data / name / "rankings.csv").replace(data / f"{name}.csv")
+    listing = outcomes(data, ("a", "b"), COMPARE_CASES, COMPARE_SEED,
+                       ["compare", "--a", str(data / "a.csv"), "--b", str(data / "b.csv"),
+                        "--out", str(tmp_path / "out")])
+    assert digest_of(listing) == COMPARE_DIGEST, listing
 
 
 def test_dmu_table_corruption_outcomes_match_recorded_digest(tmp_path):
@@ -89,4 +141,4 @@ def test_dmu_table_corruption_outcomes_match_recorded_digest(tmp_path):
     listing = outcomes(data, ("dmus",), DMU_CASES, DMU_SEED,
                        ["dea", "--dmus", str(data / "dmus.csv"), "--model", "both",
                         "--output-dir", str(tmp_path / "out")])
-    assert hashlib.sha256(listing.encode()).hexdigest() == DMU_DIGEST, listing
+    assert digest_of(listing) == DMU_DIGEST, listing

@@ -3,7 +3,8 @@
 Each score-set function groups the ledger the caller built once into its
 level's units, so every unit a level should have must appear, and every
 value must match the naive recomputation in oracles.py at the acceptance
-tolerance. The staff floors count the same rows.
+tolerance. The tenure floor drops rows of that ledger, and the staff
+floors count the rows it keeps.
 """
 
 import dataclasses
@@ -12,10 +13,10 @@ import pytest
 
 from fsskit import indicators
 from fsskit.config import ExclusionThresholds
-from fsskit.corpus import apply_exclusions
-from fsskit.indicators import (compute_field_means, country_staff_scores, credit_ledger,
-                               department_scores, researcher_scores, small_units, staff_scores,
-                               staff_unit_id, university_scores)
+from fsskit.errors import InputError
+from fsskit.indicators import (apply_exclusions, compute_field_means, country_staff_scores,
+                               credit_ledger, department_scores, researcher_scores, small_units,
+                               staff_scores, staff_unit_id, university_scores)
 from fsskit.normalize import compute_baselines
 
 from oracles import ReferenceScores
@@ -134,33 +135,72 @@ def test_replaced_corpus_starts_without_ledger(tiny):
     assert after.entries["r2"] == before.entries["r2"]
 
 
-def floored(corpus, min_years=0.0, min_staff_uda=0, min_staff_total=0):
-    """The corpus after the tenure floor, and the units of its ledger under
-    the staff floors; every floor not named is switched off."""
-    floors = ExclusionThresholds(min_years, min_staff_uda, min_staff_total)
-    corpus, _ = apply_exclusions(corpus, floors)
-    ledger = credit_ledger(corpus, compute_baselines(corpus.publications.values()))
-    return corpus, small_units(ledger, floors)
+def thresholds(min_years=0.0, min_staff_uda=0, min_staff_total=0):
+    """Exclusion thresholds with every floor not named switched off."""
+    return ExclusionThresholds(min_years, min_staff_uda, min_staff_total)
+
+
+def ledger_of(corpus):
+    return credit_ledger(corpus, compute_baselines(corpus.publications.values()))
+
+
+def test_exclusions_drop_short_tenure(tiny):
+    corpus = tiny.corpus
+    ledger = ledger_of(corpus)
+    kept, excluded = apply_exclusions(ledger, thresholds(min_years=3))
+    assert [row.id for row in kept] == ["r1", "r2", "r3", "r5"]
+    assert excluded == [("r4", "years_in_window 2.0 < 3")]
+    # Publications stay; the excluded researcher's byline rows untouched.
+    assert corpus.publications["p4"].byline[2].researcher_id == "r4"
+    assert "r4" not in {row.id for row in kept}
+    # Row for row, the kept rows are the ledger of the census without r4:
+    # its byline entries still count toward every share, and impact is per
+    # publication, so no other row moves.
+    filtered = dataclasses.replace(corpus, researchers={
+        rid: r for rid, r in corpus.researchers.items() if rid != "r4"})
+    assert kept == ledger_of(filtered)
+
+
+def test_exclusions_idempotent(tiny):
+    floors = thresholds(min_years=3)
+    once, _ = apply_exclusions(ledger_of(tiny.corpus), floors)
+    twice, excluded = apply_exclusions(once, floors)
+    assert twice == once
+    assert excluded == []
+
+
+def test_negative_thresholds_rejected(tiny):
+    with pytest.raises(InputError):
+        apply_exclusions(ledger_of(tiny.corpus), thresholds(min_years=-1))
+
+
+def floored(ledger, min_years=0.0, min_staff_uda=0, min_staff_total=0):
+    """The ledger rows left by the tenure floor, and the units among them
+    under the staff floors; every floor not named is switched off."""
+    floors = thresholds(min_years, min_staff_uda, min_staff_total)
+    kept, _ = apply_exclusions(ledger, floors)
+    return kept, small_units(kept, floors)
 
 
 def test_exclusions_flag_small_units(tiny):
-    filtered, (pairs, institutions) = floored(tiny.corpus, min_staff_uda=2, min_staff_total=3)
+    kept, (pairs, institutions) = floored(ledger_of(tiny.corpus), min_staff_uda=2,
+                                          min_staff_total=3)
     # UB has 3 staff but only 1 in MATH; UA has 2 total.
     assert ("UB", "MATH") in pairs
     assert ("UA", "MATH") not in pairs
     assert institutions == ["UA"]
     # The floors gate rankings only: all researchers are still present.
-    assert sorted(filtered.researchers) == sorted(tiny.corpus.researchers)
+    assert [row.id for row in kept] == sorted(tiny.corpus.researchers)
 
 
 def test_staff_counted_after_tenure_filter(tiny):
     # r4 is dropped by min_years first, leaving UB-BIO with one researcher.
-    _, (pairs, _) = floored(tiny.corpus, min_years=3, min_staff_uda=2)
+    _, (pairs, _) = floored(ledger_of(tiny.corpus), min_years=3, min_staff_uda=2)
     assert ("UB", "BIO") in pairs
 
 
 def test_staff_floors_idempotent(tiny):
     floors = {"min_years": 3, "min_staff_uda": 2, "min_staff_total": 3}
-    once, first = floored(tiny.corpus, **floors)
+    once, first = floored(ledger_of(tiny.corpus), **floors)
     _, second = floored(once, **floors)
     assert second == first

@@ -37,8 +37,8 @@ def test_traced_score_run_fills_the_counters(tiny_dir, tmp_path):
 
 
 def test_traced_staff_ranking_times_loading_and_exclusions(tiny_dir, tmp_path):
-    # The tenure filter is still the wrapped cli.apply_exclusions; the staff
-    # floors are counted on the ledger, in cmd_rank's own time.
+    # The tenure floor, a reduction of the ledger, is the wrapped
+    # cli.apply_exclusions; the staff floors are counted in cmd_rank's own time.
     tracer = tracing.Tracer()
     with tracer.installed():
         assert main(["rank", "--data", str(tiny_dir), "--level", "staff", "--min-years", "3",
