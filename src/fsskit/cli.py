@@ -36,7 +36,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
-from .config import BASELINE_SOURCES, OVERRIDE_KEYS, SCOPES, RunConfig, load_config
+from .config import OVERRIDE_KEYS, SCOPES, RunConfig, load_config
 from .corpus import export_corpus, load_corpus, write_table
 from .dea import (dea_output_oriented, dmus_from_corpus, read_dmus, scale_efficiency,
                   write_dmus, write_results)
@@ -65,7 +65,6 @@ READS = {
 CONFIG_FLAGS = {
     "window": {"nargs": 2, "type": int, "metavar": ("START", "END")},
     "scope": {"choices": SCOPES},
-    "baseline_source": {"choices": BASELINE_SOURCES},
     "baseline_file": {"metavar": "CSV"},
     "min_years": {"type": float},
     "min_staff_uda": {"type": int},
@@ -135,10 +134,10 @@ def _load_pipeline(args, config: RunConfig):
     corpus, report = load_corpus(paths["researchers"], paths["publications"],
                                  paths["bylines"], paths["taxonomy"],
                                  paths["salaries"], config)
-    if config.baseline_source == "file":
-        baselines = load_baselines(config.baseline_file)
-    else:
+    if config.baseline_file is None:
         baselines = compute_baselines(corpus.publications.values())
+    else:
+        baselines = load_baselines(config.baseline_file)
     ledger, excluded = apply_exclusions(credit_ledger(corpus, baselines), config.exclusions)
     return corpus, report, excluded, baselines, ledger, paths
 
@@ -197,8 +196,10 @@ def cmd_score(args) -> int:
 
     out = _outdir(config.output_dir)
     write_scores(sets, out / "scores.csv")
-    if config.baseline_source == "computed":
+    if config.baseline_file is None:
         write_baselines(baselines, out / "baselines.csv")
+    else:
+        checksums["baseline_file"] = _sha256(Path(config.baseline_file))
     run_report = {
         "tool": {"name": "fsskit", "version": __version__},
         "config": config.canonical_dict(),
@@ -254,7 +255,8 @@ def cmd_rank(args) -> int:
     if args.standardize:
         scores = standardized_scores(scores, means)
 
-    ranked = rank_scores(scores, exclude=_ineligible(ledger, config.exclusions, level, args.uda))
+    ranked = rank_scores(scores.entries, scores.uda,
+                         exclude=_ineligible(ledger, config.exclusions, level, args.uda))
     if not ranked.entries:
         raise ComputationError("no units left to rank after exclusions")
 

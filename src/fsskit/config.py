@@ -1,6 +1,8 @@
 """Run configuration: observation window, baselines, scope, thresholds.
 
 Configuration comes from an optional JSON file plus command-line overrides.
+Citation baselines come from ``baseline_file`` when it is set and are
+computed from the census when it is not.
 The config hash covers only fields that can change results; the output
 directory is excluded so the same analysis always reports the same hash.
 """
@@ -16,7 +18,6 @@ from pathlib import Path
 from .errors import InputError
 
 SCOPES = ("sds", "department", "university", "country")
-BASELINE_SOURCES = ("computed", "file")
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class ExclusionThresholds:
 @dataclass(frozen=True)
 class RunConfig:
     window: tuple[int, int] = (2006, 2010)
-    baseline_source: str = "computed"
     baseline_file: str | None = None
     scope: str = "university"
     exclusions: ExclusionThresholds = field(default_factory=ExclusionThresholds)
@@ -47,13 +47,6 @@ class RunConfig:
         start, end = self.window
         if start > end:
             raise InputError(f"window start {start} is after end {end}")
-        if self.baseline_source not in BASELINE_SOURCES:
-            raise InputError(f"baseline_source must be one of {'/'.join(BASELINE_SOURCES)}")
-        if self.baseline_source == "file" and not self.baseline_file:
-            raise InputError("baseline_source 'file' requires baseline_file")
-        if self.baseline_source == "computed" and self.baseline_file:
-            raise InputError("baseline_file is set but baseline_source is 'computed'; "
-                             "set baseline_source to 'file' or drop baseline_file")
         if self.scope not in SCOPES:
             raise InputError(f"scope must be one of {'/'.join(SCOPES)}")
         self.exclusions.validate()
@@ -90,7 +83,6 @@ _KINDS = {
     "min_staff_uda": ("an integer", _is_int),
     "min_staff_total": ("an integer", _is_int),
     "scope": ("a string", lambda v: isinstance(v, str)),
-    "baseline_source": ("a string", lambda v: isinstance(v, str)),
     "output_dir": ("a string", lambda v: isinstance(v, str)),
     "baseline_file": ("a string or null", lambda v: v is None or isinstance(v, str)),
 }

@@ -58,7 +58,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from .credit import CONVENTIONS
-from .errors import InputError, LoadError, RankNotFoundError
+from .errors import InputError, LoadError
 
 RESEARCHER_COLUMNS = ("id", "name", "sds", "rank", "salary", "institution", "department", "years_in_window")
 PUBLICATION_COLUMNS = ("id", "year", "citations", "subject_categories")
@@ -128,7 +128,7 @@ class SalarySchedule:
             return self.entries[(rank, None)]
         banded = [v for (r, band), v in sorted(self.entries.items(), key=lambda kv: (kv[0][0], kv[0][1] or "")) if r == rank]
         if not banded:
-            raise RankNotFoundError(f"rank {rank!r} not present in the salary schedule")
+            raise InputError(f"rank {rank!r} not present in the salary schedule")
         return sum(banded) / len(banded)
 
     def ranks(self) -> list[str]:

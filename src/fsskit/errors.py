@@ -3,7 +3,8 @@
 Two branches matter for the CLI exit-code contract: InputError maps to
 exit code 2 (bad files, bad arguments, mismatched unit sets) and
 ComputationError maps to exit code 1 (a well-formed run that cannot
-produce a number).
+produce a number). Errors differ only by message, except that LoadError
+also carries the file, line and column.
 """
 
 
@@ -35,27 +36,3 @@ class LoadError(InputError):
             where.append(f"column '{column}'")
         prefix = ", ".join(where)
         super().__init__(f"{prefix}: {message}" if prefix else message)
-
-
-class RankNotFoundError(InputError):
-    """An academic rank is absent from the salary schedule."""
-
-
-class UnitMismatchError(InputError):
-    """Two ranked lists do not cover the same unit set."""
-
-
-class BaselineMissingError(ComputationError):
-    """A cited publication has no citation baseline for one of its keys."""
-
-
-class MissingFieldMeanError(ComputationError):
-    """A field has no positive national mean to standardize against."""
-
-
-class InfeasibleProgramError(ComputationError):
-    """The linear program admits no feasible point."""
-
-
-class UnboundedProgramError(ComputationError):
-    """The linear program's objective is unbounded above."""

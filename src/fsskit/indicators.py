@@ -57,7 +57,7 @@ from typing import NamedTuple
 from .config import ExclusionThresholds
 from .corpus import Corpus, resolve_salary, write_table
 from .credit import fractional_contribution
-from .errors import ComputationError, InputError, MissingFieldMeanError
+from .errors import ComputationError, InputError
 from .normalize import BaselineTable, normalized_impact
 
 SCORE_COLUMNS = ("level", "unit_id", "indicator", "value")
@@ -102,7 +102,7 @@ class FieldMeans:
             return 0.0
         table = getattr(self, table_name)
         if sds_code not in table:
-            raise MissingFieldMeanError(
+            raise ComputationError(
                 f"no national {table_name} mean for field {sds_code!r} "
                 "(no productive unit in that field)"
             )

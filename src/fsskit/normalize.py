@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Publication, parse_int, parse_quantity, read_table, require, write_table
-from .errors import BaselineMissingError, LoadError
+from .errors import ComputationError, LoadError
 
 BASELINE_COLUMNS = ("year", "category", "c_bar", "n_cited")
 
@@ -32,7 +32,7 @@ class BaselineTable:
         try:
             return self.entries[(year, category)][0]
         except KeyError:
-            raise BaselineMissingError(
+            raise ComputationError(
                 f"no citation baseline for year {year}, category {category!r}"
             ) from None
 

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .corpus import parse_float, parse_int, read_table, require, write_table
-from .errors import ComputationError, InputError, LoadError, UnitMismatchError
+from .errors import ComputationError, InputError, LoadError
 
 
 @dataclass(frozen=True)
@@ -77,17 +77,17 @@ def _tie_blocks(values) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [len(values)]))
 
 
-def rank_scores(scores, exclude=frozenset()) -> RankedList:
-    """Rank a score set (an ``indicators.ScoreSet``), skipping excluded units."""
-    items = [(uid, scores.entries[uid]) for uid in scores.unit_ids() if uid not in exclude]
-    items.sort(key=lambda kv: (-kv[1], kv[0]))
+def rank_scores(scores: dict[str, float], group=None, exclude=frozenset()) -> RankedList:
+    """Rank units by score, given as ``{unit_id: score}``, skipping excluded units."""
+    items = sorted(((uid, value) for uid, value in scores.items() if uid not in exclude),
+                   key=lambda kv: (-kv[1], kv[0]))
     n = len(items)
     # Tie block [i, j): every member takes the block's best rank, and only
     # the n - j units below the block score strictly less.
     entries = [RankedEntry(unit_id=uid, score=value, rank=i + 1, percentile=100.0 * (n - j) / n)
                for i, j in _tie_blocks([value for _, value in items])
                for uid, value in items[i:j]]
-    return RankedList(entries=entries, group=scores.uda)
+    return RankedList(entries=entries, group=group)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def compare_rankings(a: RankedList, b: RankedList) -> ComparisonStats:
     ids_a, ids_b = a.unit_ids(), b.unit_ids()
     if ids_a != ids_b:
         diff = sorted(ids_a.symmetric_difference(ids_b))
-        raise UnitMismatchError(f"rankings cover different units: {', '.join(diff)}")
+        raise InputError(f"rankings cover different units: {', '.join(diff)}")
     n = len(a)
     if n < 2:
         raise ComputationError("comparison needs at least two units")
@@ -194,28 +194,32 @@ def write_rankings(ranked: RankedList, path) -> Path:
 
 def read_rankings(path) -> RankedList:
     """rankings.csv; an optional group column must hold one value throughout.
-    The entries come back in (rank, unit_id) order, the order write_rankings
-    writes, whatever the order of the file's rows."""
+    The list is ranked again from the scores, so it comes back in the order
+    write_rankings writes, whatever the order of the file's rows; a rank or
+    percentile cell that differs from the one its score gives is refused,
+    at the first such row in file order."""
     path = Path(path)
-    entries = []
+    scores: dict[str, float] = {}
+    written = []  # (line, unit_id, (rank, percentile)) in file order
     group = None
-    seen = set()
     for line, (uid, score, rank, percentile, row_group) in read_table(path, RANKING_COLUMNS, ("group",)):
         require(uid, path, line, "unit_id")
-        if uid in seen:
+        if uid in scores:
             raise LoadError(f"duplicate unit {uid!r}", file=path, line=line, column="unit_id")
-        seen.add(uid)
         if group is not None and row_group != group:
             raise LoadError("mixed groups in one ranking file", file=path, line=line, column="group")
-        entries.append(RankedEntry(
-            unit_id=uid,
-            score=parse_float(score, path, line, "score"),
-            rank=parse_int(rank, path, line, "rank"),
-            percentile=parse_float(percentile, path, line, "percentile"),
-        ))
+        scores[uid] = parse_float(score, path, line, "score")
+        written.append((line, uid, (parse_int(rank, path, line, "rank"),
+                                    parse_float(percentile, path, line, "percentile"))))
         group = row_group
-    entries.sort(key=lambda e: (e.rank, e.unit_id))
-    return RankedList(entries=entries, group=group or None)
+    ranked = rank_scores(scores, group or None)
+    derived = {e.unit_id: (e.rank, e.percentile) for e in ranked.entries}
+    for line, uid, cells in written:
+        for column, value, expected in zip(("rank", "percentile"), cells, derived[uid]):
+            if value != expected:
+                raise LoadError(f"{column} {value!r} differs from {expected!r}, the {column} "
+                                "its score gives", file=path, line=line, column=column)
+    return ranked
 
 
 def write_comparison(stats: ComparisonStats, path) -> Path:

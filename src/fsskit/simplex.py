@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ComputationError, InfeasibleProgramError, UnboundedProgramError
+from .errors import ComputationError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -115,7 +115,7 @@ def _run(tableau: np.ndarray, basis: list[int], n_cols: int) -> int:
                                                 and (row < 0 or basis[i] < basis[row])):
                     row, best = i, ratio
         if row < 0:
-            raise UnboundedProgramError("objective is unbounded above")
+            raise ComputationError("objective is unbounded above")
         # Dantzig's rule can cycle on a degenerate vertex; Bland's cannot.
         degenerate = degenerate + 1 if best <= PIVOT_TOL else 0
         bland = bland or degenerate >= DEGENERATE_LIMIT
@@ -136,7 +136,7 @@ def solve_lp(start: Tableau) -> LPSolution:
     if m > start.n_ub:
         iters = _run(tableau, basis, n_real)
         if -tableau[m, -1] > FEAS_TOL:
-            raise InfeasibleProgramError(
+            raise ComputationError(
                 f"constraints are infeasible (phase-1 residual {-tableau[m, -1]:.3g})"
             )
         # A basic artificial is at zero and in its own row; pivot it out. If

@@ -21,9 +21,9 @@ from fsskit.cli import main
 from fsskit.corpus import Authorship, SalarySchedule, export_corpus
 from fsskit.credit import ALPHABETICAL, POSITION_WEIGHTED, byline_weights
 from fsskit.dea import DMU, _envelopment_lp, dea_output_oriented, scale_efficiency
-from fsskit.indicators import (ScoreSet, compute_field_means, country_staff_scores,
-                               credit_ledger, department_scores, researcher_scores,
-                               staff_scores, staff_unit_id, university_scores, write_scores)
+from fsskit.indicators import (compute_field_means, country_staff_scores, credit_ledger,
+                               department_scores, researcher_scores, staff_scores,
+                               staff_unit_id, university_scores, write_scores)
 from fsskit.normalize import compute_baselines, normalized_impact
 from fsskit.rankings import quartile_size, rank_scores, spearman_rho
 from fsskit.synth import SynthParams, generate_synthetic_corpus
@@ -51,8 +51,7 @@ def test_01_percentile_anchors():
     with criterion("percentile anchors: 3rd of 10 -> 70, 3rd of 100 -> 97"):
         def percentile(scores, value):
             """The rankings.csv percentile of the unit scoring ``value``."""
-            ranked = rank_scores(ScoreSet(level="university", indicator="fss_u",
-                                          entries={f"u{s}": s for s in scores}))
+            ranked = rank_scores({f"u{s}": s for s in scores})
             return next(e.percentile for e in ranked.entries if e.score == value)
 
         assert percentile(range(10, 0, -1), 8) == 70.0
@@ -168,7 +167,7 @@ def test_05_salary_scale_invariance(synth):
         base_uni = university_scores(synth.ledger, synth.means)
 
         def order(scores):
-            return [e.unit_id for e in rank_scores(scores).entries]
+            return [e.unit_id for e in rank_scores(scores.entries).entries]
 
         for k in (0.5, 3.0):
             scaled = scale_salaries(corpus, k)

@@ -107,7 +107,6 @@ def test_score_from_baseline_file_matches_computed(tiny_dir, tmp_path):
                  "--output-dir", str(first)]) == 0
     second = tmp_path / "second"
     assert main(["score", *data_args(tiny_dir), *NO_EXCLUSIONS,
-                 "--baseline-source", "file",
                  "--baseline-file", str(first / "baselines.csv"),
                  "--output-dir", str(second)]) == 0
     assert (first / "scores.csv").read_bytes() == (second / "scores.csv").read_bytes()
@@ -132,7 +131,7 @@ def test_baseline_file_must_cover_every_cited_publication_whatever_the_floor(tmp
     publications.write_text(text.replace("\nP000273,2010,1,CAT01b\n", "\nP000273,2010,1,CATZZ\n"))
     capsys.readouterr()
     for floor in (["--min-years", "0"], []):
-        assert main(["score", *data_args(census), *floor, "--baseline-source", "file",
+        assert main(["score", *data_args(census), *floor,
                      "--baseline-file", str(tmp_path / "base" / "baselines.csv"),
                      "--output-dir", str(tmp_path / "out")]) == 1
         first = capsys.readouterr().err.splitlines()[0]
@@ -153,6 +152,28 @@ def test_report_keys_each_input_checksum_by_its_role(tiny_dir, tmp_path):
     assert inputs == {f"{name}.csv": hashlib.sha256((tiny_dir / f"{name}.csv").read_bytes())
                       .hexdigest() for name in ("researchers", "publications", "bylines",
                                                 "taxonomy", "salaries")}
+
+
+def test_report_checksums_the_baseline_file(tiny_dir, tmp_path):
+    # Two baseline files that differ in one c_bar give two different inputs.
+    assert main(["score", *data_args(tiny_dir), *NO_EXCLUSIONS,
+                 "--output-dir", str(tmp_path / "computed")]) == 0
+    text = (tmp_path / "computed" / "baselines.csv").read_text()
+    header, first, *rest = text.splitlines(keepends=True)
+    cells = first.split(",")
+    cells[2] = "1.5"
+    edited = "".join([header, ",".join(cells), *rest])
+    assert edited != text
+    inputs = []
+    for name, content in (("a", text), ("b", edited)):
+        baselines = tmp_path / f"{name}.csv"
+        baselines.write_text(content)
+        out = tmp_path / name
+        assert main(["score", *data_args(tiny_dir), *NO_EXCLUSIONS,
+                     "--baseline-file", str(baselines), "--output-dir", str(out)]) == 0
+        inputs.append(json.loads((out / "report.json").read_text())["inputs"])
+        assert inputs[-1]["baseline_file"] == hashlib.sha256(content.encode()).hexdigest()
+    assert inputs[0] != inputs[1]
 
 
 def test_score_scope_country(tiny_dir, tmp_path):
@@ -365,7 +386,6 @@ DMUS_REFUSED = {
     "--config": ["--config", "c.json"],
     "--window": ["--window", "2010", "2001"],
     "--scope": ["--scope", "sds"],
-    "--baseline-source": ["--baseline-source", "computed"],
     "--baseline-file": ["--baseline-file", "baselines.csv"],
     "--min-years": ["--min-years", "-5"],
     "--min-staff-uda": ["--min-staff-uda", "0"],
@@ -404,7 +424,6 @@ def test_dea_dmus_refuses_census_and_config_flags(tmp_path, monkeypatch, capsys,
 # argparse refuses any other before anything is loaded or written.
 UNREAD_FLAGS = {
     "--scope": ["--scope", "sds"],
-    "--baseline-source": ["--baseline-source", "computed"],
     "--baseline-file": ["--baseline-file", "baselines.csv"],
     "--min-years": ["--min-years", "0"],
     "--min-staff-uda": ["--min-staff-uda", "0"],
@@ -436,11 +455,11 @@ def test_unread_config_flags_are_refused(tiny_dir, tmp_path, monkeypatch, capsys
 DEFAULTS_LINES = {
     "validate": (["validate"], "window"),
     "rank": (["rank", "--level", "researcher", *NO_EXCLUSIONS, "--output-dir", "out"],
-             "baseline_file, baseline_source, window"),
+             "baseline_file, window"),
     "dea": (["dea", "--min-years", "0", "--output-dir", "out"],
-            "baseline_file, baseline_source, window"),
+            "baseline_file, window"),
     "score": (["score", "--min-years", "0", "--output-dir", "out"],
-              "baseline_file, baseline_source, min_staff_total, min_staff_uda, scope, window"),
+              "baseline_file, min_staff_total, min_staff_uda, scope, window"),
 }
 
 

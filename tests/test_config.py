@@ -1,8 +1,9 @@
 """Run configuration: the hashed settings and what load_config refuses.
 
-``citation_cutoff``, ``seed`` and ``workers`` are not settings: as
-config-file keys and as command-line flags they exit 2 like any unknown key
-or flag. A setting of the wrong JSON type exits 2 and names the key.
+``citation_cutoff``, ``seed``, ``workers`` and ``baseline_source`` are not
+settings: as config-file keys and as command-line flags they exit 2 like any
+unknown key or flag. A setting of the wrong JSON type exits 2 and names the
+key. Setting ``baseline_file`` alone selects baselines from that file.
 """
 
 import hashlib
@@ -16,19 +17,19 @@ from fsskit.cli import main
 from fsskit.config import RunConfig, load_config
 from fsskit.errors import InputError
 
-REMOVED_FLAGS = [["--citation-cutoff", "2020-01-01"], ["--seed", "9"], ["--workers", "4"]]
-REMOVED_KEYS = ["citation_cutoff", "seed", "workers"]
+REMOVED_FLAGS = [["--citation-cutoff", "2020-01-01"], ["--seed", "9"], ["--workers", "4"],
+                 ["--baseline-source", "computed"]]
+REMOVED_KEYS = ["citation_cutoff", "seed", "workers", "baseline_source"]
 
 
-def test_run_config_has_six_settings():
+def test_run_config_has_five_settings():
     assert [f.name for f in fields(RunConfig)] == [
-        "window", "baseline_source", "baseline_file", "scope", "exclusions", "output_dir"]
+        "window", "baseline_file", "scope", "exclusions", "output_dir"]
 
 
 def test_config_hash_covers_exactly_the_result_settings():
     expected = {
         "window": [2006, 2010],
-        "baseline_source": "computed",
         "baseline_file": None,
         "scope": "university",
         "exclusions": {"min_years": 3.0, "min_staff_uda": 10, "min_staff_total": 30},
@@ -79,7 +80,7 @@ def test_removed_config_keys_exit_2(tiny_dir, tmp_path, capsys, key):
     ('{"exclusions": {"min_staff_uda": "10"}}', "'min_staff_uda'"),
     ('{"exclusions": {"min_staff_total": 2.5}}', "'min_staff_total'"),
     ('{"scope": 1}', "'scope'"),
-    ('{"baseline_source": null}', "'baseline_source'"),
+    ('{"scope": null}', "'scope'"),
     ('{"baseline_file": 3}', "'baseline_file'"),
     ('{"output_dir": ["out"]}', "'output_dir'"),
 ])
@@ -93,20 +94,46 @@ def test_value_of_wrong_type_exits_2(tiny_dir, tmp_path, monkeypatch, capsys, te
 
 
 @pytest.mark.parametrize("source", ["config", "flag"])
-def test_baseline_file_with_computed_source_exits_2(tiny_dir, tmp_path, capsys, source):
-    # The computed baselines would be used and the named file ignored.
+def test_baseline_file_alone_selects_file_baselines(tiny_dir, tmp_path, capsys, source):
+    # The file's baselines are used, so a file with every cohort mean
+    # doubled halves every researcher's score, and no baselines.csv is written.
+    computed = tmp_path / "computed"
+    assert main(["score", "--data", str(tiny_dir), "--output-dir", str(computed)]) == 0
+    header, *rows = (computed / "baselines.csv").read_text().splitlines()
+    doubled = []
+    for row in rows:
+        year, category, c_bar, n_cited = row.split(",")
+        doubled.append(f"{year},{category},{2 * float(c_bar)!r},{n_cited}")
+    baselines = tmp_path / "baselines.csv"
+    baselines.write_text("\n".join([header, *doubled]) + "\n")
     out = tmp_path / "out"
     argv = ["score", "--data", str(tiny_dir), "--output-dir", str(out)]
     if source == "config":
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"baseline_file": "baselines.csv"}))
+        config.write_text(json.dumps({"baseline_file": str(baselines)}))
         argv += ["--config", str(config)]
     else:
-        argv += ["--baseline-file", str(tmp_path / "baselines.csv")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "baseline_file" in err and "baseline_source" in err
-    assert not out.exists()
+        argv += ["--baseline-file", str(baselines)]
+    assert main(argv) == 0
+    assert not (out / "baselines.csv").exists()
+
+    def fss_r_of(name):
+        text = (tmp_path / name / "scores.csv").read_text()
+        rows = [line.split(",") for line in text.splitlines()]
+        return {unit: float(value) for level, unit, _, value in rows if level == "researcher"}
+
+    before, after = fss_r_of("computed"), fss_r_of("out")
+    assert any(before.values())
+    assert after == pytest.approx({unit: value / 2 for unit, value in before.items()}, rel=1e-12)
+
+
+def test_empty_baseline_file_exits_2_naming_it(tiny_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"baseline_file": ""}))
+    assert main(["score", "--data", str(tiny_dir), "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: .: cannot be read")
+    assert not (tmp_path / "out").exists()
 
 
 UNREADABLE = {

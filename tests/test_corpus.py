@@ -6,7 +6,7 @@ import pytest
 
 from fsskit.config import RunConfig
 from fsskit.corpus import export_corpus, load_corpus, resolve_salary
-from fsskit.errors import LoadError, RankNotFoundError
+from fsskit.errors import InputError, LoadError
 
 from conftest import TINY_FILES, write_tiny_files
 
@@ -65,7 +65,7 @@ def test_salary_resolution(tiny):
     # Explicit salary wins over the schedule.
     assert resolve_salary(researchers["r3"], schedule) == 90000
     ghost = dataclasses.replace(researchers["r1"], rank="dean", salary_per_year=None)
-    with pytest.raises(RankNotFoundError):
+    with pytest.raises(InputError, match="rank 'dean' not present in the salary schedule"):
         resolve_salary(ghost, schedule)
 
 

@@ -44,7 +44,7 @@ DEA_SEED = 20263
 DEA_DIGEST = "6d2cbb8dfe99d7f586ff78598e4d39f390d1e866920009d8dd0d1dc7097f12af"
 COMPARE_CASES = 100
 COMPARE_SEED = 20264
-COMPARE_DIGEST = "d7d92c305beff32bfcd376beadabbb5d47cbd20efca71828f556edb154030cf3"
+COMPARE_DIGEST = "2361bf5d3d1c7931d24640dcb4674e89aab0ae3806d217ee095fce5ce7e76289"
 
 
 def corruptions(texts, cases, rng):

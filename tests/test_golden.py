@@ -14,6 +14,10 @@ That census is too small for any unit to fall under a staff floor, so a
 second one, on twice the institutions, pins the floors: the score reports
 that count the ineligible units and the rankings they are left out of, at
 the default floors and at lower ones.
+
+A third census has exactly one staff unit that published nothing in the
+window, so the national staff means, taken over productive units only, and
+the standardized staff ranking that ranks that unit last are pinned too.
 """
 
 import hashlib
@@ -67,16 +71,16 @@ GOLDEN = {
     "rank_uda/percentile_distribution.csv": "f65f35a0997a1f65e9f008305d329f1a999ea16e8b7a58ee2d17cf3fca9ebf66",
     "rank_uda/rankings.csv": "ab1a9de49de3ff295c7af32cab5d5331912742ca1e65520f312d60b832cced88",
     "score_country/baselines.csv": "994d2b14d2ee7b1150053fc5233a611e9d7eaed538fdc78a9abb1510fb15e9f1",
-    "score_country/report.json": "7ebffded7a9693fa71f2ba1aebb1caa1e8f4325a886a80abd2e3f724e9fbb926",
+    "score_country/report.json": "99108c288cb3c1e9254d2c198953f1f1853351131ad0d2c41ea49f5a8eec82f9",
     "score_country/scores.csv": "f721da3e1856f4b35e3e39666be53aad632d07bbb327c7fff7ce6a03662f2e91",
     "score_department/baselines.csv": "994d2b14d2ee7b1150053fc5233a611e9d7eaed538fdc78a9abb1510fb15e9f1",
-    "score_department/report.json": "0ab6fddd0850458b386903ef2c2e238bcd9b76b0bad40c22434118735f60f73b",
+    "score_department/report.json": "ca62f00975c64ab208495cdac044c61adab4d544a2471f9a81adbe5e252746c8",
     "score_department/scores.csv": "d94a268b289a4ca9b16310a4731e14830b64865818236736e8c07cc21e0b2758",
     "score_sds/baselines.csv": "994d2b14d2ee7b1150053fc5233a611e9d7eaed538fdc78a9abb1510fb15e9f1",
-    "score_sds/report.json": "df5211bd5152a8f23baf4fc59ebe83b2f2a04568f2d4861da2adb264ea63eaa6",
+    "score_sds/report.json": "fe817993a3abd4d1b7a721126b59852d83ff224cd15e02ca94414e2aa5c478a9",
     "score_sds/scores.csv": "4fe4b91b316243d63aea56916ae9a89df665c18119cdbff0f0641a5bbc9af7c7",
     "score_university/baselines.csv": "994d2b14d2ee7b1150053fc5233a611e9d7eaed538fdc78a9abb1510fb15e9f1",
-    "score_university/report.json": "6acdc9ccb5df57debb5fcba324caae684661e14841433146b80a78ac09fab4a0",
+    "score_university/report.json": "b008f03ae1732868b7117d3c88eb19c37a374cff068fbdb8456cd063251db450",
     "score_university/scores.csv": "d1b4d4fb1880dfec8eff93dcfac703870d74ac48c7f58badbf87b8943f06835b",
 }
 
@@ -129,8 +133,8 @@ FLOOR_GOLDEN = {
     "rank_uda2_low/rankings.csv": "e65ef9881265043b7e834d56b779bc122f9f6e46fc168fe6e82cdb498d036aa4",
     "rank_university/rankings.csv": "69c7feb7e4c6fc69310b351cd4e4b42e0e674272d91f7cfade547fe91f786470",
     "rank_university_low/rankings.csv": "42574380cdcff4bf723d5cc094dc213cb263770326588ca063a46e286cd01b9a",
-    "score/report.json": "5c14d22e1eafba2c7c1ac407095ed2890b22f2becaf4a91709a8e19eeac6c411",
-    "score_low/report.json": "3dac2c1be43a5b5d776509f940fdcd1a102a58712e289d998aace8e74b63954b",
+    "score/report.json": "c731ce6f6597fb9b475186ca5bb31c9d65d19c620bdfadee6d5aba3ea2e142a6",
+    "score_low/report.json": "00041a38c35d4650b8c84d5d9d32804ec7957219ef05fe43e249636a16e09db3",
 }
 
 
@@ -158,3 +162,24 @@ def test_staff_floor_artifacts_match_recorded_digests(tmp_path, monkeypatch, cap
                for path in sorted(tmp_path.glob("*/*"))
                if path.name in ("report.json", "rankings.csv")}
     assert written == FLOOR_GOLDEN
+
+
+UNPRODUCTIVE_GOLDEN = {
+    "rank/rankings.csv": "31bbc19211d5ccc52a1adf1b8ee7d0bd078050a871a3ec66e9d13191e020c58a",
+    "score/scores.csv": "1f71fb10a6787f6b0faff422f6171173b968776acfa96497853128f4aa476da7",
+}
+
+
+def test_unproductive_staff_unit_artifacts_match_recorded_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["synth", "--seed", "5", "--researchers", "200", "--institutions", "10",
+                  "--sds", "8", "--out", "census"],
+                 ["score", "--data", "census", "--scope", "university", "--output-dir", "score"],
+                 ["rank", "--data", "census", "--level", "staff", "--standardize",
+                  "--min-staff-uda", "0", "--min-staff-total", "0", "--output-dir", "rank"]):
+        assert main(argv) == 0, argv
+    ranked = (tmp_path / "rank" / "rankings.csv").read_text().splitlines()
+    assert [line for line in ranked if ",0.0," in line] == ["U01:SDS06,0.0,65,0.0"]
+    written = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in UNPRODUCTIVE_GOLDEN}
+    assert written == UNPRODUCTIVE_GOLDEN

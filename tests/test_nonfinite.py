@@ -203,7 +203,7 @@ def test_tiny_baseline_c_bar_is_refused(census5, tmp_path, capsys):
     baselines = with_cell(tmp_path / "computed", tmp_path / "file", "baselines.csv", "c_bar",
                           "1e-320") / "baselines.csv"
     assert_exit_2_at(capsys, ["score", "--data", str(census5), "--min-years", "0",
-                              "--baseline-source", "file", "--baseline-file", str(baselines),
+                              "--baseline-file", str(baselines),
                               "--output-dir", str(tmp_path / "out")],
                      "baselines.csv", "c_bar")
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from fsskit.errors import ComputationError, InputError, LoadError, UnitMismatchError
+from fsskit.errors import ComputationError, InputError, LoadError
 from fsskit.indicators import FieldMeans, ScoreSet, standardized_scores
 from fsskit.rankings import (RankedEntry, RankedList, average_ranks, compare_rankings,
                              quartile_size, rank_scores, read_rankings,
@@ -32,7 +32,7 @@ def ranked(scores_desc):
 
 def percentile_of(scores, value):
     """The percentile rank_scores gives the unit scoring ``value``."""
-    rl = rank_scores(score_set({f"u{i}": s for i, s in enumerate(scores)}))
+    rl = rank_scores({f"u{i}": s for i, s in enumerate(scores)})
     return next(e.percentile for e in rl.entries if e.score == value)
 
 
@@ -65,8 +65,7 @@ def test_quartile_sizes():
 # ---------------------------------------------------------------------------
 
 def test_rank_scores_with_ties():
-    scores = score_set({"a": 3.0, "b": 5.0, "c": 3.0, "d": 1.0})
-    rl = rank_scores(scores)
+    rl = rank_scores({"a": 3.0, "b": 5.0, "c": 3.0, "d": 1.0})
     assert [e.unit_id for e in rl.entries] == ["b", "a", "c", "d"]
     assert rl.rank_of() == {"b": 1, "a": 2, "c": 2, "d": 4}
     by_id = {e.unit_id: e.percentile for e in rl.entries}
@@ -74,16 +73,15 @@ def test_rank_scores_with_ties():
 
 
 def test_rank_scores_excludes_units():
-    scores = score_set({"a": 3.0, "b": 5.0, "c": 1.0})
-    rl = rank_scores(scores, exclude={"b"})
+    rl = rank_scores({"a": 3.0, "b": 5.0, "c": 1.0}, exclude={"b"})
     assert rl.rank_of() == {"a": 1, "c": 2}
     assert rl.unit_ids() == {"a", "c"}
 
 
 def test_rank_scores_group_from_uda():
     scores = score_set({"a": 1.0, "b": 2.0}, uda="MATH")
-    assert rank_scores(scores).group == "MATH"
-    assert rank_scores(score_set({"a": 1.0})).group is None
+    assert rank_scores(scores.entries, scores.uda).group == "MATH"
+    assert rank_scores({"a": 1.0}).group is None
 
 
 def test_top_quartile_is_positional():
@@ -203,7 +201,7 @@ def test_compare_rankings_identity():
 def test_compare_rankings_unit_mismatch():
     a, _ = comparison_fixture()
     other = ranked([("u1", 2.0), ("u9", 1.0)])
-    with pytest.raises(UnitMismatchError) as err:
+    with pytest.raises(InputError, match="rankings cover different units: u2, .*u9") as err:
         compare_rankings(a, other)
     assert "u9" in str(err.value)
 
@@ -219,8 +217,7 @@ def test_compare_rankings_too_small():
 # ---------------------------------------------------------------------------
 
 def test_rankings_round_trip(tmp_path):
-    scores = score_set({"a": 3.0, "b": 5.0, "c": 3.0, "d": 1.0})
-    rl = rank_scores(scores)
+    rl = rank_scores({"a": 3.0, "b": 5.0, "c": 3.0, "d": 1.0})
     path = write_rankings(rl, tmp_path / "rankings.csv")
     loaded = read_rankings(path)
     assert loaded.entries == rl.entries
@@ -228,8 +225,7 @@ def test_rankings_round_trip(tmp_path):
 
 
 def test_rankings_round_trip_with_group(tmp_path):
-    scores = score_set({"a": 1.0, "b": 2.0}, uda="MATH")
-    rl = rank_scores(scores)
+    rl = rank_scores({"a": 1.0, "b": 2.0}, "MATH")
     path = write_rankings(rl, tmp_path / "rankings.csv")
     assert (tmp_path / "rankings.csv").read_text().splitlines()[0] == \
         "group,unit_id,score,rank,percentile"
@@ -255,6 +251,36 @@ def test_read_rankings_rejects_bad_files(tmp_path):
         read_rankings(path)
     with pytest.raises(LoadError, match="not found"):
         read_rankings(tmp_path / "absent.csv")
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "99999999999999999999999999"])
+def test_read_rankings_refuses_a_rank_its_score_does_not_give(tmp_path, value):
+    path = write_rankings(rank_scores({"a": 3.0, "b": 2.0, "c": 1.0}), tmp_path / "rankings.csv")
+    lines = path.read_text().splitlines()
+    assert lines[2] == "b,2.0,2,33.333333333333336"
+    lines[2] = f"b,2.0,{value},33.333333333333336"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LoadError, match=f"line 3, column 'rank': rank {value} differs from 2, "
+                                        "the rank its score gives"):
+        read_rankings(path)
+
+
+def test_read_rankings_refuses_a_percentile_its_score_does_not_give(tmp_path):
+    path = tmp_path / "rankings.csv"
+    path.write_text("unit_id,score,rank,percentile\na,2.0,1,50.0\nb,1.0,2,10.0\n")
+    with pytest.raises(LoadError, match="line 3, column 'percentile': percentile 10.0 differs "
+                                        "from 0.0, the percentile its score gives"):
+        read_rankings(path)
+
+
+def test_read_rankings_blames_the_first_row_a_changed_score_moves(tmp_path):
+    # Raising c's score moves a and b down one place each; a's row comes
+    # first in the file, so a is named, not c.
+    path = tmp_path / "rankings.csv"
+    path.write_text("unit_id,score,rank,percentile\n"
+                    "a,3.0,1,66.66666666666667\nb,2.0,2,33.333333333333336\nc,9.0,3,0.0\n")
+    with pytest.raises(LoadError, match="line 2, column 'rank': rank 1 differs from 2"):
+        read_rankings(path)
 
 
 def test_write_comparison_json(tmp_path):

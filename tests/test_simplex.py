@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fsskit import simplex
-from fsskit.errors import ComputationError, InfeasibleProgramError, UnboundedProgramError
+from fsskit.errors import ComputationError
 from fsskit.simplex import solve_lp, start_tableau
 from oracles import reference_lp_maximum
 
@@ -37,19 +37,19 @@ def test_unconstrained_cases():
     sol = solve([-1.0, 0.0], *NO_ROWS)
     assert sol.objective == 0.0
     assert sol.x == pytest.approx([0.0, 0.0])
-    with pytest.raises(UnboundedProgramError):
+    with pytest.raises(ComputationError, match="objective is unbounded above"):
         solve([1.0, -1.0], *NO_ROWS)
 
 
 def test_unbounded_with_constraints():
     # x - y <= 1 leaves max x + y unbounded along the ray x = y.
-    with pytest.raises(UnboundedProgramError):
+    with pytest.raises(ComputationError, match="objective is unbounded above"):
         solve([1.0, 1.0], [[1.0, -1.0]], [1.0])
 
 
 def test_infeasible_case():
     # x + y <= 1 cannot meet x + y = 2.
-    with pytest.raises(InfeasibleProgramError):
+    with pytest.raises(ComputationError, match="constraints are infeasible"):
         solve([1.0, 1.0], [[1.0, 1.0]], [1.0], [1.0, 1.0], 2.0)
 
 
@@ -129,7 +129,7 @@ def test_random_programs_match_vertex_enumeration():
         program = ([float(rng.randint(-4, 5)) for _ in range(n)], a_ub, b_ub, a_eq, b_eq)
         expected, _ = reference_lp_maximum(*program)
         if expected is None:
-            with pytest.raises(InfeasibleProgramError):
+            with pytest.raises(ComputationError, match="constraints are infeasible"):
                 solve(*program)
             checked_infeasible += 1
         else:
