@@ -5,7 +5,8 @@ score units, rank them, compare two rankings, run the efficiency frontier,
 and generate synthetic test data. Exit codes: 0 on success, 1 when a
 computation fails on valid input, 2 when the input itself is bad (including
 unparsable or unreadable files, an output directory that cannot be made, and
-bad flags), 141 (128 + SIGPIPE) when stdout is closed before the command
+bad flags, among them an empty path, which would name the working
+directory), 141 (128 + SIGPIPE) when stdout is closed before the command
 has printed everything, as by ``fsskit validate ... | head -1``.
 
 Outputs are deterministic: report files carry no timestamps or absolute
@@ -32,7 +33,6 @@ import json
 import os
 import sys
 from contextlib import redirect_stdout
-from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -52,6 +52,14 @@ from .synth import SynthParams, generate_synthetic_corpus
 
 DATA_FILES = ("researchers", "publications", "bylines", "taxonomy", "salaries")
 
+
+def _path(text: str) -> str:
+    """The type of every path flag: ``Path("")`` would be the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file or directory")
+    return text
+
+
 # The settings each census command reads. Rank ranks the level that --level
 # names, whatever the scope; dea builds one DMU per institution and uses no
 # staff floor.
@@ -65,24 +73,25 @@ READS = {
 CONFIG_FLAGS = {
     "window": {"nargs": 2, "type": int, "metavar": ("START", "END")},
     "scope": {"choices": SCOPES},
-    "baseline_file": {"metavar": "CSV"},
+    "baseline_file": {"metavar": "CSV", "type": _path},
     "min_years": {"type": float},
     "min_staff_uda": {"type": int},
     "min_staff_total": {"type": int},
-    "output_dir": {"metavar": "DIR"},
+    "output_dir": {"metavar": "DIR", "type": _path},
 }
 
 
 def _add_data_arguments(parser: argparse.ArgumentParser):
-    parser.add_argument("--data", metavar="DIR",
+    parser.add_argument("--data", metavar="DIR", type=_path,
                         help="directory holding researchers.csv, publications.csv, "
                              "bylines.csv, taxonomy.csv, salaries.csv")
     for name in DATA_FILES:
-        parser.add_argument(f"--{name}", metavar="CSV", help=f"path to the {name} file")
+        parser.add_argument(f"--{name}", metavar="CSV", type=_path,
+                            help=f"path to the {name} file")
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser, command: str):
-    parser.add_argument("--config", metavar="JSON", help="run configuration file")
+    parser.add_argument("--config", metavar="JSON", type=_path, help="run configuration file")
     for key, flag in CONFIG_FLAGS.items():
         if key in READS[command]:
             parser.add_argument("--" + key.replace("_", "-"), dest=key, **flag)
@@ -327,7 +336,7 @@ def cmd_dea(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    params = SynthParams(**{f.name: getattr(args, f.name) for f in fields(SynthParams)})
+    params = SynthParams(**{name: getattr(args, name) for name in SynthParams._fields})
     corpus = generate_synthetic_corpus(args.seed, params)
     out = Path(args.out)
     export_corpus(corpus, out)
@@ -373,22 +382,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("compare", help="compare two rankings of the same units")
-    p.add_argument("--a", required=True, metavar="CSV", help="first ranking")
-    p.add_argument("--b", required=True, metavar="CSV", help="second ranking")
-    p.add_argument("--out", metavar="DIR", help="output directory (default .)")
+    p.add_argument("--a", required=True, metavar="CSV", type=_path, help="first ranking")
+    p.add_argument("--b", required=True, metavar="CSV", type=_path, help="second ranking")
+    p.add_argument("--out", metavar="DIR", type=_path, help="output directory (default .)")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("dea", help="output-oriented efficiency frontier")
     _add_data_arguments(p)
     _add_config_arguments(p, "dea")
-    p.add_argument("--dmus", metavar="CSV",
+    p.add_argument("--dmus", metavar="CSV", type=_path,
                    help="score a prepared DMU table instead of corpus files")
     p.add_argument("--model", choices=("crs", "vrs", "both"), default="both")
     p.set_defaults(func=cmd_dea)
 
     p = sub.add_parser("synth", help="generate a synthetic census")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, metavar="DIR")
+    p.add_argument("--out", required=True, metavar="DIR", type=_path)
     # One dest per SynthParams field, defaulting to that field's default.
     p.add_argument("--researchers", dest="n_researchers", metavar="RESEARCHERS", type=int)
     p.add_argument("--institutions", dest="n_institutions", metavar="INSTITUTIONS", type=int)
@@ -396,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", dest="lotka_alpha", metavar="ALPHA", type=float)
     p.add_argument("--max-papers", dest="max_papers", type=int)
     p.add_argument("--single-category", dest="single_category", action="store_true")
-    p.set_defaults(func=cmd_synth, **asdict(SynthParams()))
+    p.set_defaults(func=cmd_synth, **SynthParams()._asdict())
 
     return parser
 

@@ -12,16 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import InputError
 
 SCOPES = ("sds", "department", "university", "country")
 
 
-@dataclass(frozen=True)
-class ExclusionThresholds:
+class ExclusionThresholds(NamedTuple):
     """Robustness floors applied before rankings are formed."""
 
     min_years: float = 3.0
@@ -35,12 +34,11 @@ class ExclusionThresholds:
             raise InputError("staff thresholds must be >= 0")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     window: tuple[int, int] = (2006, 2010)
     baseline_file: str | None = None
     scope: str = "university"
-    exclusions: ExclusionThresholds = field(default_factory=ExclusionThresholds)
+    exclusions: ExclusionThresholds = ExclusionThresholds()
     output_dir: str = "out"
 
     def validate(self):
@@ -53,9 +51,10 @@ class RunConfig:
 
     def canonical_dict(self) -> dict:
         """Result-affecting fields only: every field but ``output_dir``."""
-        data = asdict(self)
+        data = self._asdict()
         del data["output_dir"]
         data["window"] = list(self.window)
+        data["exclusions"] = self.exclusions._asdict()
         return data
 
     def config_hash(self) -> str:
@@ -63,8 +62,8 @@ class RunConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-_TOP_LEVEL_KEYS = {f.name for f in fields(RunConfig)}
-_EXCLUSION_KEYS = {f.name for f in fields(ExclusionThresholds)}
+_TOP_LEVEL_KEYS = set(RunConfig._fields)
+_EXCLUSION_KEYS = set(ExclusionThresholds._fields)
 # Every setting, one name each: the file's keys with the exclusions object
 # flattened, which are also the names load_config takes as overrides.
 OVERRIDE_KEYS = tuple(sorted(_TOP_LEVEL_KEYS - {"exclusions"} | _EXCLUSION_KEYS))
@@ -72,6 +71,10 @@ OVERRIDE_KEYS = tuple(sorted(_TOP_LEVEL_KEYS - {"exclusions"} | _EXCLUSION_KEYS)
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no count
+
+
+def _is_path(value) -> bool:
+    return isinstance(value, str) and value != ""  # Path("") is the working directory
 
 
 # What each setting's JSON value must be, checked before any comparison.
@@ -83,8 +86,8 @@ _KINDS = {
     "min_staff_uda": ("an integer", _is_int),
     "min_staff_total": ("an integer", _is_int),
     "scope": ("a string", lambda v: isinstance(v, str)),
-    "output_dir": ("a string", lambda v: isinstance(v, str)),
-    "baseline_file": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "output_dir": ("a non-empty string", _is_path),
+    "baseline_file": ("a non-empty string or null", lambda v: v is None or _is_path(v)),
 }
 
 

@@ -7,9 +7,10 @@ salary schedule. It is frozen: it holds only what was loaded, and every
 downstream module only reads it. The floors that choose which researchers
 and units are scored reduce the credit ledger (indicators), not the corpus.
 
-load_corpus reads each file in one pass and builds each record once;
-Authorship and Publication are NamedTuples, which cost less to build and
-hold than dataclasses. Each byline row goes straight into its publication's
+load_corpus reads each file in one pass and builds each record once.
+Every fsskit record, these included, is a NamedTuple: an immutable tuple
+with named fields, cheap to build and hold, and importing it loads no
+module beyond typing. Each byline row goes straight into its publication's
 position map. Publications outside the observation window are dropped, but
 every byline row, theirs included, must name a known publication, a
 position >= 1 and an institution.
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -67,8 +67,7 @@ TAXONOMY_COLUMNS = ("sds", "uda", "convention")
 SALARY_COLUMNS = ("rank", "seniority_band", "salary_per_year")
 
 
-@dataclass(frozen=True)
-class Researcher:
+class Researcher(NamedTuple):
     id: str
     sds_code: str
     rank: str
@@ -93,8 +92,7 @@ class Publication(NamedTuple):
     byline: tuple[Authorship, ...]  # ordered by position, 1..n with no gaps
 
 
-@dataclass(frozen=True)
-class FieldTaxonomy:
+class FieldTaxonomy(NamedTuple):
     """Field -> discipline mapping plus per-field co-authorship convention."""
 
     uda_of_sds: dict[str, str]
@@ -113,8 +111,7 @@ class FieldTaxonomy:
             raise InputError(f"unknown field code: {sds_code!r}") from None
 
 
-@dataclass(frozen=True)
-class SalarySchedule:
+class SalarySchedule(NamedTuple):
     """National average yearly salary keyed by (rank, seniority band).
 
     A band of None is the rank-level average. When a rank has only banded
@@ -135,8 +132,7 @@ class SalarySchedule:
         return sorted({rank for rank, _ in self.entries})
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     researchers: dict[str, Researcher]
     publications: dict[str, Publication]
     taxonomy: FieldTaxonomy
@@ -173,18 +169,9 @@ class Corpus:
         return sorted({r.institution_id for r in self.researchers.values()})
 
 
-@dataclass
-class LoadReport:
-    row_counts: dict[str, int] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-
-
-def resolve_salary(researcher: Researcher, schedule: SalarySchedule) -> float:
-    """Yearly cost of one researcher: explicit value if recorded, else the
-    schedule average for their rank."""
-    if researcher.salary_per_year is not None:
-        return researcher.salary_per_year
-    return schedule.lookup(researcher.rank)
+class LoadReport(NamedTuple):
+    row_counts: dict[str, int]
+    warnings: list[str]
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +348,7 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
     only to publications in the window: no repeated position, positions 1..n
     without gaps, at least one row, and no census researcher listed twice.
     """
-    report = LoadReport()
+    report = LoadReport(row_counts={}, warnings=[])
     taxonomy = load_taxonomy(taxonomy_file)
     salaries = load_salary_schedule(salary_file)
     start, end = config.window

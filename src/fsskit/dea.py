@@ -30,9 +30,8 @@ programs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import Corpus, parse_float, read_table, require, write_table
 # perfbench/tracing.py wraps fractional_contribution and normalized_impact on
@@ -54,15 +53,13 @@ RESIDUALS = ("primal residual", "dual residual", "duality gap")
 CERTIFY_BLOCK = 64  # units certified at once; the certificate's arrays are this many by n
 
 
-@dataclass(frozen=True)
-class DMU:
+class DMU(NamedTuple):
     id: str
     inputs: tuple[float, ...]
     outputs: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class DMUScore:
+class DMUScore(NamedTuple):
     id: str
     model: str
     phi: float

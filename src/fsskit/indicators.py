@@ -49,13 +49,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from .config import ExclusionThresholds
-from .corpus import Corpus, resolve_salary, write_table
+from .corpus import Corpus, write_table
 from .credit import fractional_contribution
 from .errors import ComputationError, InputError
 from .normalize import BaselineTable, normalized_impact
@@ -66,8 +65,7 @@ STAFF_KEY_SEPARATOR = ":"
 COUNTRY_UNIT = "@country"
 
 
-@dataclass
-class ScoreSet:
+class ScoreSet(NamedTuple):
     """One indicator evaluated over the units of one level."""
 
     level: str
@@ -80,8 +78,7 @@ class ScoreSet:
         return sorted(self.entries)
 
 
-@dataclass(frozen=True)
-class FieldMeans:
+class FieldMeans(NamedTuple):
     """National means per field over productive units, for standardization.
 
     score_R, whole and fractional output rates are plain means over
@@ -187,9 +184,14 @@ def credit_ledger(corpus: Corpus, baselines: BaselineTable) -> list[CreditRow]:
             shares[rid].append(share)
             outputs[rid].append(impact * share)
     rows = []
+    schedule: dict[str, float] = {}  # each rank's schedule salary, looked up once
     for rid in sorted(researchers):
         researcher = researchers[rid]
-        salary = resolve_salary(researcher, corpus.salaries)
+        salary = researcher.salary_per_year  # an explicit value overrides the schedule
+        if salary is None:
+            if researcher.rank not in schedule:
+                schedule[researcher.rank] = corpus.salaries.lookup(researcher.rank)
+            salary = schedule[researcher.rank]
         years = researcher.years_in_window
         if salary <= 0 or years <= 0:
             what = "salary" if salary <= 0 else "years_in_window"

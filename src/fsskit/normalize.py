@@ -13,8 +13,8 @@ independent of publication order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import Publication, parse_int, parse_quantity, read_table, require, write_table
 from .errors import ComputationError, LoadError
@@ -22,8 +22,7 @@ from .errors import ComputationError, LoadError
 BASELINE_COLUMNS = ("year", "category", "c_bar", "n_cited")
 
 
-@dataclass(frozen=True)
-class BaselineTable:
+class BaselineTable(NamedTuple):
     """(year, category) -> (mean citations of cited pubs, cited-pub count)."""
 
     entries: dict[tuple[int, str], tuple[float, int]]

@@ -15,28 +15,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import parse_float, parse_int, read_table, require, write_table
 from .errors import ComputationError, InputError, LoadError
 
 
-@dataclass(frozen=True)
-class RankedEntry:
+class RankedEntry(NamedTuple):
     unit_id: str
     score: float
     rank: int
     percentile: float
 
 
-@dataclass
-class RankedList:
+class RankedList(NamedTuple):
     entries: list[RankedEntry]  # score descending, unit_id ascending within ties
     group: str | None = None  # e.g. a discipline code when ranking within one
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def rank_of(self) -> dict[str, int]:
         return {e.unit_id: e.rank for e in self.entries}
@@ -52,8 +47,7 @@ class RankedList:
         return {e.unit_id for e in self.entries[:quartile_size(len(self.entries))]}
 
 
-@dataclass(frozen=True)
-class ComparisonStats:
+class ComparisonStats(NamedTuple):
     n_units: int
     pct_shifting: float
     avg_shift: float
@@ -61,7 +55,7 @@ class ComparisonStats:
     max_shift: int
     spearman: float
     top_quartile_exit_pct: float
-    shifts: dict[str, int] = field(default_factory=dict)
+    shifts: dict[str, int]
 
 
 def quartile_size(n: int) -> int:
@@ -146,7 +140,7 @@ def compare_rankings(a: RankedList, b: RankedList) -> ComparisonStats:
     if ids_a != ids_b:
         diff = sorted(ids_a.symmetric_difference(ids_b))
         raise InputError(f"rankings cover different units: {', '.join(diff)}")
-    n = len(a)
+    n = len(a.entries)
     if n < 2:
         raise ComputationError("comparison needs at least two units")
 
@@ -224,6 +218,6 @@ def read_rankings(path) -> RankedList:
 
 def write_comparison(stats: ComparisonStats, path) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(asdict(stats), indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(stats._asdict(), indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path

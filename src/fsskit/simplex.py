@@ -26,8 +26,7 @@ program. The pivot loop works on the tableau's own methods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ComputationError
 
@@ -40,8 +39,7 @@ DEGENERATE_LIMIT = 8  # consecutive degenerate pivots before Bland's rule takes 
 MAX_PIVOTS = 100_000  # per phase; more means the program cycles or is far too large
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(NamedTuple):
     """Rows: the <= rows, the equality, the objective (phase 1's, minus the
     equality). Columns: x, the slacks, the artificial (the starting basis),
     the bounds. Between solves a caller may overwrite the <= rows' entries
@@ -73,8 +71,7 @@ def start_tableau(c, a_ub, b_ub, a_eq=None, b_eq=None) -> Tableau:
     return Tableau(table=table, c=c, n_ub=n_ub)
 
 
-@dataclass(frozen=True)
-class LPSolution:
+class LPSolution(NamedTuple):
     """``duals`` holds one value per constraint row, <= rows first, then the
     equality: the optimal multipliers of the dual program (>= 0 on <= rows,
     free on the equality), so that ``objective == duals @ b`` at the

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import RunConfig
 from .corpus import Authorship, Corpus, FieldTaxonomy, Publication, Researcher, SalarySchedule
@@ -49,8 +49,7 @@ CITATION_ZERO_PROB = 0.3
 CITATION_MEAN = 6.0
 
 
-@dataclass(frozen=True)
-class SynthParams:
+class SynthParams(NamedTuple):
     """The settings ``fsskit synth`` takes, one field per flag."""
 
     n_researchers: int = 500

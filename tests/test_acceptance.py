@@ -4,7 +4,6 @@ summary lines). Tolerances are part of the contract and must not be
 loosened here.
 """
 
-import dataclasses
 import itertools
 import os
 import random
@@ -150,13 +149,13 @@ def test_04_normalization_cohort_mean():
 def scale_salaries(corpus, k: float):
     researchers = {
         rid: (r if r.salary_per_year is None
-              else dataclasses.replace(r, salary_per_year=r.salary_per_year * k))
+              else r._replace(salary_per_year=r.salary_per_year * k))
         for rid, r in corpus.researchers.items()
     }
     schedule = SalarySchedule(entries={
         key: value * k for key, value in corpus.salaries.entries.items()
     })
-    return dataclasses.replace(corpus, researchers=researchers, salaries=schedule)
+    return corpus._replace(researchers=researchers, salaries=schedule)
 
 
 def test_05_salary_scale_invariance(synth):

@@ -513,6 +513,58 @@ def test_output_path_that_is_a_file_exit_2(tiny_dir, tmp_path, capsys, command):
     assert out.read_text() == "not a directory\n"
 
 
+# Path("") is the working directory, so an empty path would read or write
+# there. Each case -> (argv, the config file's contents or None, the error).
+ARGPARSE_EMPTY = "argument {}: an empty path names no file or directory"
+EMPTY_PATHS = {
+    "score--output-dir": (["score", "--output-dir", ""], None, ARGPARSE_EMPTY),
+    "rank--output-dir": (["rank", "--level", "researcher", "--output-dir", ""], None,
+                         ARGPARSE_EMPTY),
+    "synth--out": (["synth", "--researchers", "30", "--out", ""], None, ARGPARSE_EMPTY),
+    "score--config": (["score", "--config", ""], None, ARGPARSE_EMPTY),
+    "score--baseline-file": (["score", "--baseline-file", ""], None, ARGPARSE_EMPTY),
+    "compare--a": (["compare", "--a", "", "--b", "{ranking}"], None, ARGPARSE_EMPTY),
+    "compare--b": (["compare", "--a", "{ranking}", "--b", ""], None, ARGPARSE_EMPTY),
+    "compare--out": (["compare", "--a", "{ranking}", "--b", "{ranking}", "--out", ""], None,
+                     ARGPARSE_EMPTY),
+    "dea--dmus": (["dea", "--dmus", ""], None, ARGPARSE_EMPTY),
+    "validate--data": (["validate", "--data", ""], None, ARGPARSE_EMPTY),
+    "validate--researchers": (["validate", "--researchers", ""], None, ARGPARSE_EMPTY),
+    "config-output_dir": (["score", "--config", "{config}"], {"output_dir": ""},
+                          "error: config key 'output_dir' must be a non-empty string"),
+    "config-baseline_file": (["score", "--config", "{config}"], {"baseline_file": ""},
+                             "error: config key 'baseline_file' must be a non-empty string "
+                             "or null"),
+}
+
+
+@pytest.mark.parametrize("case", EMPTY_PATHS)
+def test_empty_path_exits_2_naming_its_flag(tiny_dir, tmp_path, monkeypatch, capsys, case):
+    argv, settings, expected = EMPTY_PATHS[case]
+    ranking = tmp_path / "rankings.csv"
+    ranking.write_text("unit_id,score,rank,percentile\nu1,2.0,1,50.0\nu2,1.0,2,0.0\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings or {}))
+    argv = [arg.format(ranking=ranking, config=config) for arg in argv]
+    if argv[0] in ("validate", "score", "rank"):
+        argv += data_args(tiny_dir)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    if settings is None:
+        flag = argv[argv.index("") - 1]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        expected = expected.format(flag)
+    else:
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert expected in captured.err
+    assert captured.out == ""
+    assert list(cwd.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # synth and the full pipeline
 # ---------------------------------------------------------------------------
@@ -603,22 +655,23 @@ def test_command_runs_without_cyclic_gc_and_main_restores_it(monkeypatch, capsys
 # ---------------------------------------------------------------------------
 
 # Runs each argv through main in one process and prints, as its last line,
-# whether numpy had been imported after each command, and whether
-# statistics had been.
+# which of the watched modules had been imported after each command.
 IMPORT_PROBE = """
 import json, sys
 from fsskit.cli import main
 seen = []
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-    seen.append([argv[0], "numpy" in sys.modules])
-print(json.dumps([seen, "statistics" in sys.modules]))
+    seen.append([argv[0], [name for name in ("numpy", "inspect", "dataclasses", "statistics")
+                           if name in sys.modules]])
+print(json.dumps(seen))
 """
 
 
 def test_only_dea_imports_numpy(tiny_dir, tmp_path):
     # numpy serves the simplex alone; importing it would cost each census
-    # command about as much CPU as its own work on a small census.
+    # command about as much CPU as its own work on a small census. numpy
+    # brings inspect with it; no command needs dataclasses or statistics.
     out = tmp_path / "out"
     dmus = tmp_path / "dmus.csv"
     dmus.write_text("id,input_x,output_y\nA,2.0,4.0\nB,4.0,8.0\nC,4.0,4.0\n")
@@ -636,10 +689,10 @@ def test_only_dea_imports_numpy(tiny_dir, tmp_path):
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)],
                           env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    seen, statistics_imported = json.loads(proc.stdout.splitlines()[-1])
+    seen = json.loads(proc.stdout.splitlines()[-1])
     assert [command for command, _ in seen] == [argv[0] for argv in argvs]
-    assert [command for command, imported in seen if imported] == ["dea"]
-    assert not statistics_imported
+    assert [(command, names) for command, names in seen if names] == [
+        ("dea", ["numpy", "inspect"])]
 
 
 def test_rankings_loads_no_library_module():

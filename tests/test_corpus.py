@@ -1,12 +1,12 @@
 """Loading, validation and the export round-trip."""
 
-import dataclasses
-
 import pytest
 
 from fsskit.config import RunConfig
-from fsskit.corpus import export_corpus, load_corpus, resolve_salary
+from fsskit.corpus import export_corpus, load_corpus
 from fsskit.errors import InputError, LoadError
+from fsskit.indicators import credit_ledger
+from fsskit.normalize import compute_baselines
 
 from conftest import TINY_FILES, write_tiny_files
 
@@ -56,17 +56,28 @@ def test_out_of_window_bylines_dropped_silently(tiny):
     ]
 
 
+def ledger_cost(corpus):
+    baselines = compute_baselines(corpus.publications.values())
+    return {row.id: row.cost for row in credit_ledger(corpus, baselines)}
+
+
 def test_salary_resolution(tiny):
-    researchers = tiny.corpus.researchers
-    schedule = tiny.corpus.salaries
-    assert resolve_salary(researchers["r1"], schedule) == 40000
+    corpus = tiny.corpus
+    schedule = corpus.salaries
+    assert schedule.lookup("assistant") == 40000
     # "full" has only banded entries; the rank value is their mean.
-    assert resolve_salary(researchers["r2"], schedule) == 70000
-    # Explicit salary wins over the schedule.
-    assert resolve_salary(researchers["r3"], schedule) == 90000
-    ghost = dataclasses.replace(researchers["r1"], rank="dean", salary_per_year=None)
+    assert schedule.lookup("full") == 70000
     with pytest.raises(InputError, match="rank 'dean' not present in the salary schedule"):
-        resolve_salary(ghost, schedule)
+        schedule.lookup("dean")
+    # The ledger costs r1 (assistant) and r2 (full) at their rank's schedule
+    # salary, and r3 at its explicit salary, which wins over the schedule.
+    cost = ledger_cost(corpus)
+    assert cost["r1"] == 40000 * 5
+    assert cost["r2"] == 70000 * 4
+    assert cost["r3"] == 90000 * 5
+    ghost = corpus.researchers["r1"]._replace(rank="dean", salary_per_year=None)
+    with pytest.raises(InputError, match="rank 'dean' not present in the salary schedule"):
+        ledger_cost(corpus._replace(researchers={**corpus.researchers, "r1": ghost}))
 
 
 def test_staff_filters(tiny):
@@ -142,7 +153,7 @@ def test_unknown_rank_without_salary_rejected(tmp_path):
 def test_unknown_rank_with_explicit_salary_loads(tmp_path):
     paid = TINY_FILES["researchers.csv"].replace("r3,Cyn,BIO01,full,90000", "r3,Cyn,BIO01,dean,90000")
     corpus, _ = load_patched(tmp_path, **{"researchers.csv": paid})
-    assert resolve_salary(corpus.researchers["r3"], corpus.salaries) == 90000
+    assert ledger_cost(corpus)["r3"] == 90000 * 5
 
 
 def test_byline_position_gap_rejected(tmp_path):
@@ -389,5 +400,5 @@ def test_export_round_trip_is_fixpoint(tiny, tmp_path):
 
 
 def test_corpus_is_frozen(tiny):
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         tiny.corpus.researchers = {}

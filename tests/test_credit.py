@@ -1,6 +1,5 @@
 """Fractional authorship credit: named fixtures and random properties."""
 
-import dataclasses
 import random
 
 import pytest
@@ -113,6 +112,6 @@ def test_unknown_convention_is_refused(tiny):
     taxonomy = FieldTaxonomy(uda_of_sds=corpus.taxonomy.uda_of_sds,
                              convention_of_sds={**corpus.taxonomy.convention_of_sds,
                                                 "BIO01": "life_sciences"})
-    broken = dataclasses.replace(corpus, taxonomy=taxonomy)
+    broken = corpus._replace(taxonomy=taxonomy)
     with pytest.raises(ValueError, match="life_sciences"):
         credit_ledger(broken, compute_baselines(corpus.publications.values()))

@@ -1,7 +1,6 @@
 """Output-oriented DEA: a hand-solved fixture, randomized agreement with a
 vertex-enumeration oracle, model inequalities, and the corpus bridge."""
 
-import dataclasses
 import math
 import random
 import re
@@ -263,7 +262,7 @@ def perturbed_solver(delta):
         solution = solve_lp(lp)
         x = solution.x.copy()
         x[0] += delta
-        return dataclasses.replace(solution, x=x, objective=float(x[0]))
+        return solution._replace(x=x, objective=float(x[0]))
     return solve
 
 

@@ -5,12 +5,13 @@ kept alive only by its own tests. A module-level function or class counts
 as used when some name or attribute access in the package refers to it; a
 method counts only through an attribute access. Imports do not count, and
 dunders are never reported. An annotated field of a module-level class
-(a dataclass or NamedTuple field) counts as read only when the package
-loads an attribute of that name.
+(a NamedTuple field) counts as read only when the package loads an
+attribute of that name.
 
 A census is also built in one place: only the loaders construct a Corpus,
-nothing copies one with dataclasses.replace, and corpus.py, which only
-loads, reads no run setting from config.
+nothing calls ``_replace``, the one way to copy a record (a Corpus among
+them) with some fields changed, and corpus.py, which only loads, reads no
+run setting from config.
 """
 
 import ast
@@ -28,7 +29,7 @@ ALLOWED = {
 # than by attribute, each with its reason.
 FIELDS_ALLOWED = {
     "FieldMeans": "FieldMeans.standardize reads its tables through getattr",
-    "ComparisonStats": "write_comparison serializes it whole through asdict",
+    "ComparisonStats": "write_comparison serializes it whole through _asdict",
     "LPSolution.iterations": "perfbench/tracing.py sums it into simplex.pivots",
 }
 
@@ -118,11 +119,10 @@ def test_only_the_loaders_build_a_corpus():
                 if isinstance(node, ast.Call) and "Corpus" in (getattr(node.func, "id", None),
                                                               getattr(node.func, "attr", None)):
                     builders.add(getattr(top, "name", "<module>"))
-                if isinstance(node, ast.ImportFrom):
-                    if node.module == "dataclasses" and any(a.name == "replace" for a in node.names):
-                        copies.append(path.name)
-                    if path.name == "corpus.py":
-                        corpus_imports.append(node.module)
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_replace":
+                    copies.append(f"{path.name}:{node.lineno}")
+                if isinstance(node, ast.ImportFrom) and path.name == "corpus.py":
+                    corpus_imports.append(node.module)
     assert builders == {"load_corpus", "generate_synthetic_corpus"}
-    assert copies == [], "dataclasses.replace imported in src/fsskit"
+    assert copies == [], f"_replace called in src/fsskit at {', '.join(copies)}"
     assert "config" not in corpus_imports

@@ -19,7 +19,6 @@ Tiny-corpus ground truth used below:
               r4=7/15                r5=1/2
 """
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -164,13 +163,11 @@ def idle_field(tiny):
     z1 at UA in department UA-M, has no publication: no productive unit, so
     no national mean, in that field."""
     corpus = tiny.corpus
-    taxonomy = dataclasses.replace(
-        corpus.taxonomy,
+    taxonomy = corpus.taxonomy._replace(
         uda_of_sds={**corpus.taxonomy.uda_of_sds, "IDL01": "MATH"},
         convention_of_sds={**corpus.taxonomy.convention_of_sds, "IDL01": "alphabetical"})
-    z1 = dataclasses.replace(corpus.researchers["r1"], id="z1", name="Zed", sds_code="IDL01")
-    idle = dataclasses.replace(corpus, taxonomy=taxonomy,
-                               researchers={**corpus.researchers, "z1": z1})
+    z1 = corpus.researchers["r1"]._replace(id="z1", name="Zed", sds_code="IDL01")
+    idle = corpus._replace(taxonomy=taxonomy, researchers={**corpus.researchers, "z1": z1})
     return credit_ledger(idle, compute_baselines(idle.publications.values()))
 
 
@@ -224,7 +221,7 @@ def test_nonzero_value_without_field_mean_is_named(idle_field):
 
 def test_nonpositive_years_rejected_at_scoring(tiny):
     corpus = tiny.corpus
-    broken = dataclasses.replace(corpus.researchers["r1"], years_in_window=0.0)
+    broken = corpus.researchers["r1"]._replace(years_in_window=0.0)
     patched = Corpus(
         researchers={**corpus.researchers, "r1": broken},
         publications=corpus.publications,

@@ -7,8 +7,6 @@ tolerance. The tenure floor drops rows of that ledger, and the staff
 floors count the rows it keeps.
 """
 
-import dataclasses
-
 import pytest
 
 from fsskit import indicators
@@ -127,12 +125,24 @@ def test_replaced_corpus_starts_without_ledger(tiny):
     corpus = tiny.corpus
     baselines = compute_baselines(corpus.publications.values())
     before = researcher_scores(credit_ledger(corpus, baselines))
-    r1 = dataclasses.replace(corpus.researchers["r1"],
-                             salary_per_year=2 * 40000.0)
-    scaled = dataclasses.replace(corpus, researchers={**corpus.researchers, "r1": r1})
+    r1 = corpus.researchers["r1"]._replace(salary_per_year=2 * 40000.0)
+    scaled = corpus._replace(researchers={**corpus.researchers, "r1": r1})
     after = researcher_scores(credit_ledger(scaled, baselines))
     assert after.entries["r1"] * 2 == pytest.approx(before.entries["r1"], rel=1e-12)
     assert after.entries["r2"] == before.entries["r2"]
+
+
+def test_first_rank_missing_from_the_schedule_in_id_order_is_named(tiny):
+    # Each rank is looked up once, at the first researcher who holds it, so
+    # the rank named is still that of the first such researcher by id,
+    # whatever the order of the researcher table.
+    corpus = tiny.corpus
+    researchers = {**corpus.researchers,
+                   "r2": corpus.researchers["r2"]._replace(rank="emeritus"),
+                   "r4": corpus.researchers["r4"]._replace(rank="dean")}
+    reversed_table = corpus._replace(researchers=dict(reversed(researchers.items())))
+    with pytest.raises(InputError, match="rank 'emeritus' not present in the salary schedule"):
+        credit_ledger(reversed_table, compute_baselines(corpus.publications.values()))
 
 
 def thresholds(min_years=0.0, min_staff_uda=0, min_staff_total=0):
@@ -156,7 +166,7 @@ def test_exclusions_drop_short_tenure(tiny):
     # Row for row, the kept rows are the ledger of the census without r4:
     # its byline entries still count toward every share, and impact is per
     # publication, so no other row moves.
-    filtered = dataclasses.replace(corpus, researchers={
+    filtered = corpus._replace(researchers={
         rid: r for rid, r in corpus.researchers.items() if rid != "r4"})
     assert kept == ledger_of(filtered)
 

@@ -11,7 +11,6 @@ not change a byte of what they write.
 """
 
 import csv
-import dataclasses
 import random
 
 import pytest
@@ -124,7 +123,7 @@ def test_dea_dmus_ignores_row_order(tmp_path, seed):
 def test_batch_sets_ignore_researcher_order(synth):
     items = list(synth.corpus.researchers.items())
     random.Random(7).shuffle(items)
-    shuffled = dataclasses.replace(synth.corpus, researchers=dict(items))
+    shuffled = synth.corpus._replace(researchers=dict(items))
     assert list(shuffled.researchers) != sorted(shuffled.researchers)
 
     def batch_sets(corpus):

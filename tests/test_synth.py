@@ -1,6 +1,5 @@
 """Synthetic census generator: determinism, shape, and count distribution."""
 
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -116,7 +115,7 @@ def test_synth_flags_set_every_param():
     args = vars(build_parser().parse_args(["synth", "--out", "census"]))
     flags = {dest: value for dest, value in args.items()
              if dest not in ("command", "func", "seed", "out")}
-    assert flags == dataclasses.asdict(SynthParams())
+    assert flags == SynthParams()._asdict()
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -1,11 +1,11 @@
-"""Each distinct census cell is parsed once, and each distinct credit share
-computed once.
+"""Each distinct census cell is parsed once, each distinct credit share
+computed once, and each rank's schedule salary looked up once.
 
 load_corpus remembers every year, citations, position and institution_id
 cell it has checked, and credit_ledger every share it has computed, keyed
-by what decides it. These tests count the calls behind those memos on a
-synthetic census, so an edit that drops one fails here, with no timing
-involved.
+by what decides it, and every rank's salary it has looked up. These tests
+count the calls behind those memos on a synthetic census, so an edit that
+drops one fails here, with no timing involved.
 """
 
 from collections import Counter
@@ -65,3 +65,14 @@ def test_each_distinct_share_is_computed_once(census, monkeypatch):
     ledger = indicators.credit_ledger(corpus, compute_baselines(corpus.publications.values()))
     assert shares and max(shares.values()) == 1
     assert sum(shares.values()) < sum(row.papers for row in ledger)
+
+
+def test_each_rank_is_looked_up_once(census, monkeypatch):
+    corpus, _ = load_corpus(*census, RunConfig())
+    lookups = counted(monkeypatch, corpus_module.SalarySchedule, "lookup",
+                      lambda schedule, rank: rank)
+    indicators.credit_ledger(corpus, compute_baselines(corpus.publications.values()))
+    scheduled = [r.rank for r in corpus.researchers.values() if r.salary_per_year is None]
+    assert set(lookups) == set(scheduled)
+    assert max(lookups.values()) == 1
+    assert sum(lookups.values()) < len(scheduled)
