@@ -4,8 +4,8 @@ Subcommands cover the batch workflow end to end: validate input files,
 score units, rank them, compare two rankings, run the efficiency frontier,
 and generate synthetic test data. Exit codes: 0 on success, 1 when a
 computation fails on valid input, 2 when the input itself is bad (including
-unparsable or unreadable files, an output directory that cannot be made, and
-bad flags, among them an empty path, which would name the working
+unparsable or unreadable files, an output directory or artifact that cannot
+be made, and bad flags, among them an empty path, which would name the working
 directory), 141 (128 + SIGPIPE) when stdout is closed before the command
 has printed everything, as by ``fsskit validate ... | head -1``.
 
@@ -29,7 +29,6 @@ import argparse
 import gc
 import hashlib
 import io
-import json
 import os
 import sys
 from contextlib import redirect_stdout
@@ -37,7 +36,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import OVERRIDE_KEYS, SCOPES, RunConfig, load_config
-from .corpus import export_corpus, load_corpus, write_table
+from .corpus import export_corpus, load_corpus, write_json, write_table
 from .dea import (dea_output_oriented, dmus_from_corpus, read_dmus, scale_efficiency,
                   write_dmus, write_results)
 from .errors import ComputationError, InputError
@@ -227,8 +226,7 @@ def cmd_score(args) -> int:
             for s in sets
         ],
     }
-    (out / "report.json").write_text(
-        json.dumps(run_report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out / "report.json", run_report)
     for s in sets:
         print(f"{s.level}/{s.indicator}: {len(s.entries)} units")
     print(f"wrote {out / 'scores.csv'}")
@@ -338,7 +336,7 @@ def cmd_dea(args) -> int:
 def cmd_synth(args) -> int:
     params = SynthParams(**{name: getattr(args, name) for name in SynthParams._fields})
     corpus = generate_synthetic_corpus(args.seed, params)
-    out = Path(args.out)
+    out = _outdir(args.out)
     export_corpus(corpus, out)
     print(f"generated {len(corpus.researchers)} researchers, "
           f"{len(corpus.publications)} publications")

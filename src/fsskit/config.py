@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -27,12 +27,6 @@ class ExclusionThresholds(NamedTuple):
     min_staff_uda: int = 10
     min_staff_total: int = 30
 
-    def validate(self):
-        if self.min_years < 0:
-            raise InputError("min_years must be >= 0")
-        if self.min_staff_uda < 0 or self.min_staff_total < 0:
-            raise InputError("staff thresholds must be >= 0")
-
 
 class RunConfig(NamedTuple):
     window: tuple[int, int] = (2006, 2010)
@@ -40,14 +34,6 @@ class RunConfig(NamedTuple):
     scope: str = "university"
     exclusions: ExclusionThresholds = ExclusionThresholds()
     output_dir: str = "out"
-
-    def validate(self):
-        start, end = self.window
-        if start > end:
-            raise InputError(f"window start {start} is after end {end}")
-        if self.scope not in SCOPES:
-            raise InputError(f"scope must be one of {'/'.join(SCOPES)}")
-        self.exclusions.validate()
 
     def canonical_dict(self) -> dict:
         """Result-affecting fields only: every field but ``output_dir``."""
@@ -73,22 +59,43 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no count
 
 
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 0
+
+
 def _is_path(value) -> bool:
     return isinstance(value, str) and value != ""  # Path("") is the working directory
 
 
-# What each setting's JSON value must be, checked before any comparison.
-_KINDS = {
-    "window": ("a pair of years",
-               lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_int, v))),
-    "min_years": ("a finite number",
-                  lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v)),
-    "min_staff_uda": ("an integer", _is_int),
-    "min_staff_total": ("an integer", _is_int),
-    "scope": ("a string", lambda v: isinstance(v, str)),
-    "output_dir": ("a non-empty string", _is_path),
-    "baseline_file": ("a non-empty string or null", lambda v: v is None or _is_path(v)),
+# Each setting's one rule: what its JSON value must be, the test of its type
+# and range, and the form it is kept in, so that 3 and 3.0 hash alike. An
+# integer too large for a float is not finite as a float.
+_RULES = {
+    "window": ("a pair of years, the start not after the end",
+               lambda v: (isinstance(v, (list, tuple)) and len(v) == 2
+                          and all(map(_is_int, v)) and v[0] <= v[1]), tuple),
+    "min_years": ("a finite number >= 0",
+                  lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= sys.float_info.max,
+                  float),
+    "min_staff_uda": ("an integer >= 0", _is_count, int),
+    "min_staff_total": ("an integer >= 0", _is_count, int),
+    "scope": (f"one of {'/'.join(SCOPES)}", lambda v: v in SCOPES, str),
+    "output_dir": ("a non-empty string", _is_path, str),
+    "baseline_file": ("a non-empty string or null", lambda v: v is None or _is_path(v),
+                      lambda v: v),
 }
+
+
+def check_settings(settings: dict) -> dict:
+    """Each of ``settings`` in its kept form; InputError names the first that
+    breaks its rule. load_config and indicators.apply_exclusions both use it."""
+    kept = {}
+    for key, value in settings.items():
+        what, accepts, keep = _RULES[key]
+        if not accepts(value):
+            raise InputError(f"config key {key!r} must be {what}")
+        kept[key] = keep(value)
+    return kept
 
 
 def load_config(path=None, overrides: dict | None = None) -> tuple[RunConfig, list[str]]:
@@ -129,16 +136,8 @@ def load_config(path=None, overrides: dict | None = None) -> tuple[RunConfig, li
             raise InputError(f"unknown config override: {key}")
         if value is not None:
             settings[key] = value
-    for key, value in settings.items():
-        what, is_kind = _KINDS[key]
-        if not is_kind(value):
-            raise InputError(f"config key {key!r} must be {what}")
+    settings = check_settings(settings)
     defaulted = sorted(set(OVERRIDE_KEYS) - set(settings))
-
-    if "window" in settings:
-        settings["window"] = tuple(settings["window"])
     thresholds = ExclusionThresholds(**{key: settings.pop(key) for key in _EXCLUSION_KEYS
                                         if key in settings})
-    config = RunConfig(exclusions=thresholds, **settings)
-    config.validate()
-    return config, defaulted
+    return RunConfig(exclusions=thresholds, **settings), defaulted

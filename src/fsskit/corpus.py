@@ -46,19 +46,22 @@ it counts toward the byline length for fractional credit but receives no
 score.
 
 read_table and write_table are the package's only CSV reader and writer;
-the baseline, score, ranking and DMU files go through them too.
+the baseline, score, ranking and DMU files go through them too. write_json
+writes report.json and comparison.json. A file that cannot be written is an
+InputError naming it.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from .credit import CONVENTIONS
-from .errors import InputError, LoadError
+from .errors import ComputationError, InputError, LoadError
 
 RESEARCHER_COLUMNS = ("id", "name", "sds", "rank", "salary", "institution", "department", "years_in_window")
 PUBLICATION_COLUMNS = ("id", "year", "citations", "subject_categories")
@@ -242,11 +245,34 @@ def write_table(path, header, rows) -> Path:
     shortest round-trip form and None as "".
     """
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _create(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     return path
+
+
+def write_json(path, data) -> Path:
+    """Write ``data`` as JSON, indented, keys sorted. JSON has no NaN or
+    infinity, so a value that is one is a ComputationError naming the file,
+    and nothing is written."""
+    path = Path(path)
+    try:
+        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ComputationError(f"{path}: a value to write is not a finite number") from None
+    with _create(path) as fh:
+        fh.write(text)
+    return path
+
+
+def _create(path: Path):
+    """``path`` opened for writing text; one that cannot be is an InputError
+    naming it."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot be written: {exc.strerror}") from None
 
 
 def parse_float(value: str, path: Path, line: int, column: str) -> float:

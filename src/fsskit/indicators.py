@@ -35,7 +35,9 @@ credited output, fractional and whole counts and labor cost. The caller
 builds the ledger once, with credit_ledger, and passes it to every
 indicator. Each score-set function groups the rows into its level's units
 and reduces each group; a single unit's value is its entry in that set.
-staff_table reduces each staff group once, for every staff-based value.
+staff_table is the one function that reduces staff groups: every
+staff-based value reads its table, and compute_field_means and a
+staff-based score set each call it.
 FieldMeans.standardize is the one place a value is divided by its field's
 mean.
 
@@ -53,7 +55,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .config import ExclusionThresholds
+from .config import ExclusionThresholds, check_settings
 from .corpus import Corpus, write_table
 from .credit import fractional_contribution
 from .errors import ComputationError, InputError
@@ -216,7 +218,7 @@ def apply_exclusions(ledger: list[CreditRow], thresholds: ExclusionThresholds
     """The ledger rows with at least ``thresholds.min_years`` of work in the
     window, and each dropped researcher's (id, reason), both in ledger (id)
     order. A row does not depend on the others, so dropping one changes none."""
-    thresholds.validate()
+    check_settings(thresholds._asdict())
     min_years = thresholds.min_years
     kept, excluded = [], []
     for row in ledger:

@@ -13,12 +13,11 @@ one list's top-quartile units fall out of the other's top quartile.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import parse_float, parse_int, read_table, require, write_table
+from .corpus import parse_float, parse_int, read_table, require, write_json, write_table
 from .errors import ComputationError, InputError, LoadError
 
 
@@ -217,7 +216,4 @@ def read_rankings(path) -> RankedList:
 
 
 def write_comparison(stats: ComparisonStats, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(stats._asdict(), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
+    return write_json(path, stats._asdict())

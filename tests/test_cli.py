@@ -9,7 +9,9 @@ import csv
 import gc
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 
@@ -55,6 +57,34 @@ def test_missing_data_flag_exit_2(capsys):
 def test_validate_directory_as_input_file_exit_2(tiny_dir, capsys):
     assert main(["validate", *data_args(tiny_dir), "--bylines", str(tiny_dir)]) == 2
     assert f"error: {tiny_dir}: cannot be read" in capsys.readouterr().err
+
+
+def test_repeated_field_code_in_taxonomy_exit_2(tiny_dir, capsys):
+    taxonomy = tiny_dir / "taxonomy.csv"
+    taxonomy.write_text(taxonomy.read_text() + "MAT01,MATH,alphabetical\n")
+    assert main(["validate", *data_args(tiny_dir)]) == 2
+    assert capsys.readouterr().err == (f"error: {taxonomy}, line 4, column 'sds': "
+                                       "duplicate field code 'MAT01'\n")
+
+
+def without_publications(directory):
+    """The census in ``directory`` with header-only publications and bylines."""
+    for name in ("publications.csv", "bylines.csv"):
+        path = directory / name
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+    return directory
+
+
+def test_census_without_publications_scores_zero(tiny_dir, tmp_path, capsys):
+    data = without_publications(tiny_dir)
+    assert main(["validate", *data_args(data)]) == 0
+    out = capsys.readouterr().out
+    assert "warning: publication file is empty; all scores will be zero\n" in out
+    assert "warning: corpus has no publications in the observation window\n" in out
+    assert main(["score", *data_args(data), "--output-dir", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "scores.csv", newline="") as fh:
+        values = [float(row["value"]) for row in csv.DictReader(fh)]
+    assert values and set(values) == {0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +394,15 @@ def test_dea_from_corpus(tiny_dir, tmp_path, capsys):
     assert len(se_lines) == 3
 
 
+def test_dea_on_a_census_without_output_exit_1(tiny_dir, tmp_path, capsys):
+    data = without_publications(tiny_dir)
+    assert main(["dea", *data_args(data), "--output-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    for inst in ("UA", "UB"):
+        assert f"warning: institution {inst!r} has no research output; skipped\n" in captured.out
+    assert captured.err == "error: no institutions with research output left after exclusions\n"
+
+
 def test_dea_from_prepared_table(tmp_path):
     dmus = tmp_path / "dmus.csv"
     dmus.write_text("id,input_x,output_y\nA,2.0,4.0\nB,4.0,8.0\nC,4.0,4.0\n")
@@ -492,25 +531,68 @@ def test_dea_quotes_ids_holding_a_comma(tmp_path):
 # Output directories
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("command", ["score", "rank", "compare", "dea-corpus", "dea-dmus"])
-def test_output_path_that_is_a_file_exit_2(tiny_dir, tmp_path, capsys, command):
+def command_argv(command, tiny_dir, tmp_path):
+    """The argv of one writing command, up to its output directory flag."""
     ranking = tmp_path / "rankings.csv"
     ranking.write_text("unit_id,score,rank,percentile\nu1,2.0,1,50.0\nu2,1.0,2,0.0\n")
     dmus = tmp_path / "dmus.csv"
     dmus.write_text("id,input_x,output_y\nA,2.0,4.0\nB,4.0,8.0\n")
-    out = tmp_path / "taken"
-    out.write_text("not a directory\n")
-    argv = {
+    return {
         "score": ["score", *data_args(tiny_dir), "--output-dir"],
         "rank": ["rank", *data_args(tiny_dir), *NO_EXCLUSIONS, "--level", "university",
                  "--output-dir"],
         "compare": ["compare", "--a", str(ranking), "--b", str(ranking), "--out"],
         "dea-corpus": ["dea", *data_args(tiny_dir), "--min-years", "0", "--output-dir"],
         "dea-dmus": ["dea", "--dmus", str(dmus), "--output-dir"],
+        "synth": ["synth", "--researchers", "30", "--out"],
     }[command]
-    assert main([*argv, str(out)]) == 2
+
+
+@pytest.mark.parametrize("command", ["score", "rank", "compare", "dea-corpus", "dea-dmus",
+                                     "synth"])
+def test_output_path_that_is_a_file_exit_2(tiny_dir, tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main([*command_argv(command, tiny_dir, tmp_path), str(out)]) == 2
     assert f"error: cannot make output directory {out}" in capsys.readouterr().err
     assert out.read_text() == "not a directory\n"
+
+
+# Each command's first artifact, or one of them -> the file made a directory.
+ARTIFACTS = [("score", "scores.csv"), ("score", "report.json"), ("rank", "rankings.csv"),
+             ("compare", "comparison.json"), ("dea-corpus", "dmus.csv"),
+             ("dea-dmus", "dea_results.csv"), ("synth", "researchers.csv")]
+
+
+@pytest.mark.parametrize("command, artifact", ARTIFACTS)
+def test_artifact_path_that_is_a_directory_exit_2(tiny_dir, tmp_path, capsys, command, artifact):
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    assert main([*command_argv(command, tiny_dir, tmp_path), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / artifact}: cannot be written: ")
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_json_artifact_refuses_a_non_finite_value(tmp_path, monkeypatch, capsys, seed):
+    # JSON has no NaN or infinity: a statistic that is one exits 1 naming the
+    # file, and no comparison.json is written.
+    rng = random.Random(seed)
+    bad = rng.choice([math.nan, math.inf, -math.inf])
+    real = cli.compare_rankings
+
+    def broken(a, b):
+        stats = real(a, b)
+        return stats._replace(**{rng.choice(["pct_shifting", "avg_shift", "spearman"]): bad})
+
+    monkeypatch.setattr(cli, "compare_rankings", broken)
+    argv = command_argv("compare", None, tmp_path)
+    out = tmp_path / "out"
+    assert main([*argv, str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {out / 'comparison.json'}: a value to write "
+                                       "is not a finite number\n")
+    assert not (out / "comparison.json").exists()
 
 
 # Path("") is the working directory, so an empty path would read or write

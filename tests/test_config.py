@@ -92,6 +92,71 @@ def test_value_of_wrong_type_exits_2(tiny_dir, tmp_path, monkeypatch, capsys, te
     assert not (tmp_path / "out").exists()
 
 
+# A config file the loader refuses, with the one error it gives. The range of
+# a setting is part of its rule, so the error reads like a type refusal.
+REFUSED_FILES = {
+    "not-json": ('{"scope": ', "config file {path} is not valid JSON"),
+    "not-an-object": ("[1, 2]", "config file {path} must contain a JSON object"),
+    "exclusions-not-an-object": ('{"exclusions": [3]}', "config key 'exclusions' must be an object"),
+    "unknown-exclusions-key": ('{"exclusions": {"min_papers": 2}}',
+                               "unknown exclusions key(s): min_papers"),
+    "window-reversed": ('{"window": [2010, 2006]}',
+                        "config key 'window' must be a pair of years, the start not after the end"),
+    "scope-unknown": ('{"scope": "faculty"}',
+                      "config key 'scope' must be one of sds/department/university/country"),
+    "min_staff_uda-negative": ('{"exclusions": {"min_staff_uda": -1}}',
+                               "config key 'min_staff_uda' must be an integer >= 0"),
+    "min_staff_total-negative": ('{"exclusions": {"min_staff_total": -1}}',
+                                 "config key 'min_staff_total' must be an integer >= 0"),
+    "min_years-negative": ('{"exclusions": {"min_years": -0.5}}',
+                           "config key 'min_years' must be a finite number >= 0"),
+    # An integer too large for a float: float() of it would raise OverflowError.
+    "min_years-401-digits": ('{"exclusions": {"min_years": 1%s}}' % ("0" * 400),
+                             "config key 'min_years' must be a finite number >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_FILES)
+def test_refused_config_file_exits_2_with_its_error(tiny_dir, tmp_path, monkeypatch, capsys, case):
+    text, message = REFUSED_FILES[case]
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["score", "--data", str(tiny_dir), "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message.format(path=config)}")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_set_of_settings_has_one_hash(tiny_dir, tmp_path, capsys):
+    # The tenure floor 3 from the default, a flag, or a config file, written
+    # 3 or 3.0, is one setting, kept as the float 3.0.
+    sources = {
+        "default": [],
+        "flag-3": ["--min-years", "3"],
+        "flag-3.0": ["--min-years", "3.0"],
+        "file-3": '{"exclusions": {"min_years": 3}}',
+        "file-3.0": '{"exclusions": {"min_years": 3.0}}',
+    }
+    hashes = {}
+    for name, source in sources.items():
+        if isinstance(source, str):
+            config = tmp_path / f"{name}.json"
+            config.write_text(source)
+            source = ["--config", str(config)]
+        out = tmp_path / name
+        assert main(["score", "--data", str(tiny_dir), "--output-dir", str(out), *source]) == 0
+        hashes[name] = json.loads((out / "report.json").read_text())["config_hash"]
+    capsys.readouterr()
+    assert set(hashes.values()) == {RunConfig().config_hash()}
+    assert (tmp_path / "file-3" / "report.json").read_bytes() == \
+        (tmp_path / "file-3.0" / "report.json").read_bytes()
+    config, _ = load_config(overrides={"min_years": 3, "window": [2006, 2010]})
+    assert config == RunConfig()
+    assert type(config.exclusions.min_years) is float and type(config.window) is tuple
+
+
 @pytest.mark.parametrize("source", ["config", "flag"])
 def test_baseline_file_alone_selects_file_baselines(tiny_dir, tmp_path, capsys, source):
     # The file's baselines are used, so a file with every cohort mean
