@@ -21,35 +21,71 @@ over them would be pure cost; reference counting still frees the rest.
 Each census command's parser offers only the config flags that the command
 reads (``READS``), so argparse refuses any other one with exit 2 before a
 file is read; ``dea --dmus`` refuses the census and config flags by name.
+
+Each command imports only the modules it runs. This module imports what the
+parser and every command need (``config``, ``corpus`` and ``errors``); each
+``cmd_*`` binds the names it takes from the other modules through ``_need``
+(``_LATE`` lists them). Without a bytecode cache every process compiles each
+module it imports, so ``compare`` would otherwise compile DEA and the
+simplex for nothing. A late name looked up on this module from outside is
+bound the same way (PEP 562), and a name already set here, as by a test or a
+tracer that replaces it, stays the one the commands call.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import io
 import os
 import sys
 from contextlib import redirect_stdout
+from importlib import import_module
 from pathlib import Path
 
 from . import __version__
-from .config import OVERRIDE_KEYS, SCOPES, RunConfig, load_config
+from .config import OVERRIDE_KEYS, SCOPES, RunConfig, SynthParams, load_config
 from .corpus import export_corpus, load_corpus, write_json, write_table
-from .dea import (dea_output_oriented, dmus_from_corpus, read_dmus, scale_efficiency,
-                  write_dmus, write_results)
 from .errors import ComputationError, InputError
-from .indicators import (STANDARDIZABLE, UNIVERSITY_INDICATORS, apply_exclusions,
-                         compute_field_means, country_staff_scores, credit_ledger,
-                         department_scores, researcher_scores, small_units, staff_scores,
-                         staff_unit_id, standardized_scores, university_scores, write_scores)
-from .normalize import compute_baselines, load_baselines, write_baselines
-from .rankings import (compare_rankings, rank_scores, read_rankings, write_comparison,
-                       write_rankings)
-from .synth import SynthParams, generate_synthetic_corpus
+
+# The names cli takes from the modules that only some commands run, by
+# module; a command binds them through _need before it runs.
+_LATE = {
+    "dea": ("dea_output_oriented", "dmus_from_corpus", "read_dmus", "scale_efficiency",
+            "write_dmus", "write_results"),
+    "indicators": ("STANDARDIZABLE", "apply_exclusions", "compute_field_means",
+                   "country_staff_scores", "credit_ledger", "department_scores",
+                   "researcher_scores", "small_units", "staff_scores", "staff_unit_id",
+                   "standardized_scores", "university_scores", "write_scores"),
+    "normalize": ("compute_baselines", "load_baselines", "write_baselines"),
+    "rankings": ("compare_rankings", "rank_scores", "read_rankings", "write_comparison",
+                 "write_rankings"),
+    "synth": ("generate_synthetic_corpus",),
+}
+
+
+def _need(*modules: str):
+    """Import ``modules`` and bind on cli the names it takes from them. A name
+    already bound stays: a caller that replaced it on cli keeps its own."""
+    for module in modules:
+        loaded = import_module(f".{module}", __package__)
+        for name in _LATE[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    """A late name looked up on cli from outside, bound on first use (PEP 562)."""
+    for module, names in _LATE.items():
+        if name in names:
+            _need(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 DATA_FILES = ("researchers", "publications", "bylines", "taxonomy", "salaries")
+# The keys of indicators.UNIVERSITY_INDICATORS, which the parser offers
+# without importing indicators.
+UNIVERSITY_INDICATORS = ("fss_u", "p_u", "fp_u")
 
 
 def _path(text: str) -> str:
@@ -128,6 +164,8 @@ def _config_from_args(args) -> tuple[RunConfig, list[str]]:
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # imported here: only score checksums its inputs
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -137,7 +175,8 @@ def _sha256(path: Path) -> str:
 
 def _load_pipeline(args, config: RunConfig):
     """Load, filter, and prepare everything scoring needs, the credit ledger
-    included, and the input paths."""
+    included, and the input paths. The caller has bound normalize's and
+    indicators' names."""
     paths = _data_paths(args)
     corpus, report = load_corpus(paths["researchers"], paths["publications"],
                                  paths["bylines"], paths["taxonomy"],
@@ -195,6 +234,7 @@ def _score_sets(level: str, ledger, means, indicators=UNIVERSITY_INDICATORS, uda
 
 
 def cmd_score(args) -> int:
+    _need("normalize", "indicators")
     config, defaulted = _config_from_args(args)
     _, report, excluded, baselines, ledger, paths = _load_pipeline(args, config)
     checksums = {f"{name}.csv": _sha256(paths[name]) for name in sorted(paths)}
@@ -245,6 +285,7 @@ def _ineligible(ledger, thresholds, level: str, uda: str | None):
 
 
 def cmd_rank(args) -> int:
+    _need("normalize", "indicators", "rankings")
     level = args.level
     if level != "university":
         _refuse(args, ("uda", "indicator"), f"to {level} rankings")
@@ -280,6 +321,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _need("rankings")
     ranked_a = read_rankings(args.a)
     ranked_b = read_rankings(args.b)
     stats = compare_rankings(ranked_a, ranked_b)
@@ -297,6 +339,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_dea(args) -> int:
+    _need("normalize", "indicators", "dea")
     if args.dmus:
         _refuse(args, ("data", *DATA_FILES, "config",
                        *(key for key in READS["dea"] if key != "output_dir")), "with --dmus")
@@ -334,6 +377,7 @@ def cmd_dea(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _need("synth")
     params = SynthParams(**{name: getattr(args, name) for name in SynthParams._fields})
     corpus = generate_synthetic_corpus(args.seed, params)
     out = _outdir(args.out)

@@ -5,12 +5,13 @@ Citation baselines come from ``baseline_file`` when it is set and are
 computed from the census when it is not.
 The config hash covers only fields that can change results; the output
 directory is excluded so the same analysis always reports the same hash.
+``SynthParams`` holds the settings of ``fsskit synth``, which the parser
+reads for the synth flags' defaults without loading the generator.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -36,16 +37,39 @@ class RunConfig(NamedTuple):
     output_dir: str = "out"
 
     def canonical_dict(self) -> dict:
-        """Result-affecting fields only: every field but ``output_dir``."""
-        data = self._asdict()
-        del data["output_dir"]
-        data["window"] = list(self.window)
-        data["exclusions"] = self.exclusions._asdict()
+        """Result-affecting fields only, every field but ``output_dir``, each in
+        its kept form (check_settings), so one set of settings has one hash."""
+        data = check_settings({key: value for key, value in self._asdict().items()
+                               if key not in ("exclusions", "output_dir")})
+        data["window"] = list(data["window"])
+        data["exclusions"] = check_settings(self.exclusions._asdict())
         return data
 
     def config_hash(self) -> str:
+        # Imported here, not at the top: of the commands, only score hashes.
+        import hashlib
+        import json
+
         payload = json.dumps(self.canonical_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+class SynthParams(NamedTuple):
+    """The settings ``fsskit synth`` takes, one field per flag."""
+
+    n_researchers: int = 500
+    n_institutions: int = 8
+    n_sds: int = 5
+    lotka_alpha: float = 1.3
+    max_papers: int = 40
+    single_category: bool = False
+
+    def validate(self):
+        for name in ("n_researchers", "n_institutions", "n_sds", "max_papers"):
+            if getattr(self, name) < 1:
+                raise InputError(f"{name} must be >= 1")
+        if not (math.isfinite(self.lotka_alpha) and self.lotka_alpha > 0):
+            raise InputError(f"lotka_alpha must be a finite positive number, got {self.lotka_alpha}")
 
 
 _TOP_LEVEL_KEYS = set(RunConfig._fields)
@@ -107,6 +131,8 @@ def load_config(path=None, overrides: dict | None = None) -> tuple[RunConfig, li
     """
     data: dict = {}
     if path is not None:
+        import json  # imported here: a run without --config reads no JSON
+
         path = Path(path)
         try:
             data = json.loads(path.read_text(encoding="utf-8"))

@@ -54,7 +54,6 @@ InputError naming it.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from operator import itemgetter
 from pathlib import Path
@@ -100,18 +99,6 @@ class FieldTaxonomy(NamedTuple):
 
     uda_of_sds: dict[str, str]
     convention_of_sds: dict[str, str]
-
-    def uda(self, sds_code: str) -> str:
-        try:
-            return self.uda_of_sds[sds_code]
-        except KeyError:
-            raise InputError(f"unknown field code: {sds_code!r}") from None
-
-    def convention(self, sds_code: str) -> str:
-        try:
-            return self.convention_of_sds[sds_code]
-        except KeyError:
-            raise InputError(f"unknown field code: {sds_code!r}") from None
 
 
 class SalarySchedule(NamedTuple):
@@ -161,7 +148,7 @@ class Corpus(NamedTuple):
                 continue
             if sds_code is not None and r.sds_code != sds_code:
                 continue
-            if uda_code is not None and self.taxonomy.uda(r.sds_code) != uda_code:
+            if uda_code is not None and self.taxonomy.uda_of_sds[r.sds_code] != uda_code:
                 continue
             if department_id is not None and r.department_id != department_id:
                 continue
@@ -256,6 +243,8 @@ def write_json(path, data) -> Path:
     """Write ``data`` as JSON, indented, keys sorted. JSON has no NaN or
     infinity, so a value that is one is a ComputationError naming the file,
     and nothing is written."""
+    import json  # imported here: only score and compare write JSON
+
     path = Path(path)
     try:
         text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"

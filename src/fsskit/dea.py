@@ -23,8 +23,8 @@ entries into that tableau, and every solution is certified, CERTIFY_BLOCK
 units at a time.
 
 numpy is imported inside the functions that compute on arrays, not at the
-top: the CLI imports this module for every command, and only ``dea`` solves
-programs.
+top, so that importing this module for its table and bridge functions does
+not load numpy; of the commands, only ``dea`` imports this module at all.
 """
 
 from __future__ import annotations

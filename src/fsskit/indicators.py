@@ -165,7 +165,8 @@ def credit_ledger(corpus: Corpus, baselines: BaselineTable) -> list[CreditRow]:
     authors share an institution, the position and the convention (see
     credit.byline_weights), so each distinct such key is computed once."""
     researchers = corpus.researchers
-    convention = {rid: corpus.taxonomy.convention(r.sds_code) for rid, r in researchers.items()}
+    taxonomy = corpus.taxonomy
+    convention = {rid: taxonomy.convention_of_sds[r.sds_code] for rid, r in researchers.items()}
     outputs: dict[str, list[float]] = {rid: [] for rid in researchers}
     shares: dict[str, list[float]] = {rid: [] for rid in researchers}
     memo: dict[tuple[int, bool, int, str], float] = {}
@@ -198,7 +199,7 @@ def credit_ledger(corpus: Corpus, baselines: BaselineTable) -> list[CreditRow]:
         if salary <= 0 or years <= 0:
             what = "salary" if salary <= 0 else "years_in_window"
             raise ComputationError(f"researcher {rid!r} has non-positive {what}")
-        rows.append(CreditRow(rid, researcher.sds_code, corpus.taxonomy.uda(researcher.sds_code),
+        rows.append(CreditRow(rid, researcher.sds_code, taxonomy.uda_of_sds[researcher.sds_code],
                               researcher.institution_id, researcher.department_id,
                               researcher.rank, math.fsum(outputs[rid]), math.fsum(shares[rid]),
                               len(shares[rid]), years, salary * years))

@@ -18,9 +18,10 @@ ties the lowest-index basic variable leaves, so the pivot sequence is a pure
 function of the input. The final tableau also gives the row duals, which
 callers can use to certify an optimum.
 
-numpy is imported inside the functions that build arrays, not at the top:
-the census commands import this module through ``dea`` but never solve a
-program. The pivot loop works on the tableau's own methods.
+numpy is imported inside the functions that build arrays, not at the top,
+so that importing ``dea`` loads numpy only when a program is solved; of the
+commands, only ``dea`` imports this module. The pivot loop works on the
+tableau's own methods.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ per-category intensity, and bylines mix census co-authors with external
 ones. Everything is drawn from a single random.Random(seed) stream in a
 fixed order, so one seed always yields the same corpus.
 
-SynthParams holds what the ``synth`` command's flags set: the census
-size, the power law and the single-category switch. The module constants
-fix the rest: the window is RunConfig's default; each field has two
-subject categories; 8% of researchers publish nothing, 6% have one or two
+``config.SynthParams`` holds what the ``synth`` command's flags set: the
+census size, the power law and the single-category switch. The module
+constants fix the rest: the window is RunConfig's default; each field has
+two subject categories; 8% of researchers publish nothing, 6% have one or two
 years in post and 10% carry an explicit salary; 35% of papers add one or
 two census co-authors and each adds up to three external ones; 15% gain a
 second category; 30% are uncited, and the rest draw citations with mean 6
@@ -18,13 +18,10 @@ times a category intensity between 0.5 and 2 (capped at 200).
 
 from __future__ import annotations
 
-import math
 import random
-from typing import NamedTuple
 
-from .config import RunConfig
+from .config import RunConfig, SynthParams
 from .corpus import Authorship, Corpus, FieldTaxonomy, Publication, Researcher, SalarySchedule
-from .errors import InputError
 
 RANKS = ("assistant", "associate", "full")
 RANK_WEIGHTS = (4, 3, 2)
@@ -47,24 +44,6 @@ MAX_EXTERNAL_AUTHORS = 3
 MULTI_CATEGORY_PROB = 0.15
 CITATION_ZERO_PROB = 0.3
 CITATION_MEAN = 6.0
-
-
-class SynthParams(NamedTuple):
-    """The settings ``fsskit synth`` takes, one field per flag."""
-
-    n_researchers: int = 500
-    n_institutions: int = 8
-    n_sds: int = 5
-    lotka_alpha: float = 1.3
-    max_papers: int = 40
-    single_category: bool = False
-
-    def validate(self):
-        for name in ("n_researchers", "n_institutions", "n_sds", "max_papers"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be >= 1")
-        if not (math.isfinite(self.lotka_alpha) and self.lotka_alpha > 0):
-            raise InputError(f"lotka_alpha must be a finite positive number, got {self.lotka_alpha}")
 
 
 def lotka_pmf(alpha: float, max_papers: int) -> list[float]:

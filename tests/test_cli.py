@@ -789,6 +789,47 @@ def test_rankings_loads_no_library_module():
     assert not loaded & {"fsskit.config", "fsskit.indicators", "fsskit.normalize", "fsskit.dea"}
 
 
+# Runs one command through main in a fresh interpreter and prints, as its
+# last line, which of the watched modules that command loaded.
+WATCHED = ("fsskit.indicators", "fsskit.normalize", "fsskit.rankings", "fsskit.dea",
+           "fsskit.simplex", "fsskit.synth", "hashlib", "json")
+COMMAND_PROBE = f"""
+import sys
+from fsskit.cli import main
+code = main(sys.argv[1:])
+print(*[name for name in {WATCHED!r} if name in sys.modules])
+sys.exit(code)
+"""
+LOADS = {
+    "validate": [],
+    "score": ["fsskit.indicators", "fsskit.normalize", "hashlib", "json"],
+    "rank": ["fsskit.indicators", "fsskit.normalize", "fsskit.rankings"],
+    "compare": ["fsskit.rankings", "json"],
+    "dea-dmus": ["fsskit.indicators", "fsskit.normalize", "fsskit.dea", "fsskit.simplex"],
+    "synth": ["fsskit.synth"],
+}
+
+
+@pytest.mark.parametrize("command", LOADS)
+def test_each_command_loads_only_the_modules_it_runs(tiny_dir, tmp_path, command):
+    # With no bytecode cache, each module a command imports is compiled at
+    # every start, so one that it does not run is pure start-up cost.
+    if command == "validate":
+        argv = ["validate", *data_args(tiny_dir)]
+    else:
+        argv = [*command_argv(command, tiny_dir, tmp_path), str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", COMMAND_PROBE, *argv], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == LOADS[command]
+
+
+def test_parser_offers_every_university_indicator():
+    from fsskit.indicators import UNIVERSITY_INDICATORS
+
+    assert cli.UNIVERSITY_INDICATORS == tuple(UNIVERSITY_INDICATORS)
+
+
 @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
 @pytest.mark.parametrize("command", ["validate", "score"])
 def test_closed_stdout_exits_141_without_a_traceback(tiny_dir, tmp_path, command, buffering):

@@ -13,7 +13,7 @@ import re
 import pytest
 
 from fsskit.cli import main
-from fsskit.config import RunConfig, load_config
+from fsskit.config import ExclusionThresholds, RunConfig, load_config
 from fsskit.errors import InputError
 
 REMOVED_FLAGS = [["--citation-cutoff", "2020-01-01"], ["--seed", "9"], ["--workers", "4"],
@@ -155,6 +155,17 @@ def test_one_set_of_settings_has_one_hash(tiny_dir, tmp_path, capsys):
     config, _ = load_config(overrides={"min_years": 3, "window": [2006, 2010]})
     assert config == RunConfig()
     assert type(config.exclusions.min_years) is float and type(config.window) is tuple
+
+
+def test_library_config_hashes_its_settings_in_their_kept_form():
+    # A RunConfig built in code, with an integer tenure floor or a window
+    # list, is the same set of settings as the default and hashes like it.
+    default = RunConfig()
+    for config in (RunConfig(exclusions=ExclusionThresholds(3)),
+                   RunConfig(window=[2006, 2010], exclusions=ExclusionThresholds(3, 10, 30))):
+        assert config.canonical_dict() == default.canonical_dict()
+        assert config.config_hash() == default.config_hash()
+    assert RunConfig(exclusions=ExclusionThresholds(4)).config_hash() != default.config_hash()
 
 
 @pytest.mark.parametrize("source", ["config", "flag"])

@@ -75,7 +75,7 @@ def test_university_batch_matches_oracle(synth, oracle, uda):
         uda = sorted(set(corpus.taxonomy.uda_of_sds.values()))[0]
     references = {"fss_u": oracle.fss_u, "p_u": oracle.p_u, "fp_u": oracle.fp_u}
     expected_units = sorted({r.institution_id for r in corpus.researchers.values()
-                             if uda is None or corpus.taxonomy.uda(r.sds_code) == uda})
+                             if uda is None or corpus.taxonomy.uda_of_sds[r.sds_code] == uda})
     for indicator, reference in references.items():
         batch = university_scores(ledger, means, indicator, uda)
         assert sorted(batch.entries) == expected_units
