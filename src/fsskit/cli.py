@@ -339,13 +339,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_dea(args) -> int:
-    _need("normalize", "indicators", "dea")
+    _need("dea")
     if args.dmus:
         _refuse(args, ("data", *DATA_FILES, "config",
                        *(key for key in READS["dea"] if key != "output_dir")), "with --dmus")
         dmus = read_dmus(args.dmus)
         out = _outdir(args.output_dir or ".")
     else:
+        _need("normalize", "indicators")
         config, _ = _config_from_args(args)
         corpus, _, _, _, ledger, _ = _load_pipeline(args, config)
         dmus, ranks, skipped = dmus_from_corpus(corpus, ledger)

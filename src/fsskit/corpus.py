@@ -32,7 +32,8 @@ cell is remembered only after it passes every check of its column, so a bad
 cell is still parsed, and blamed, at the first row that holds it, and each
 row's checks run in the same order whether its cells were seen before or not.
 
-File formats (UTF-8, comma-delimited, header row, '.' decimal):
+File formats (UTF-8, with or without a byte order mark, comma-delimited,
+header row, '.' decimal):
 
     researchers.csv   id,name,sds,rank,salary,institution,department,years_in_window
     publications.csv  id,year,citations,subject_categories   (categories ';'-separated)
@@ -46,15 +47,20 @@ it counts toward the byline length for fractional credit but receives no
 score.
 
 read_table and write_table are the package's only CSV reader and writer;
-the baseline, score, ranking and DMU files go through them too. write_json
-writes report.json and comparison.json. A file that cannot be written is an
-InputError naming it.
+the baseline, score, ranking and DMU files go through them too. read_table
+strips every cell, except in a file whose bytes show that no cell can need
+it (_plain): one with no quote, no non-ASCII byte and no whitespace but
+line feeds, such as the publications and bylines a census export writes.
+write_json writes report.json and comparison.json. A file that cannot be
+written is an InputError naming it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import stat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -168,6 +174,27 @@ class LoadReport(NamedTuple):
 # Loading
 # ---------------------------------------------------------------------------
 
+# The bytes of a plain table: printable ASCII other than '"', and '\n'.
+_PLAIN = bytes(range(0x21, 0x7F)).replace(b'"', b"") + b"\n"
+_SCAN_CHUNK = 1 << 20
+
+
+def _plain(fd: int) -> bool:
+    """Whether ``fd`` is a regular file of plain bytes only. Such a file has no
+    quoted cell, no line break inside a cell and no whitespace, so str.strip
+    leaves each of its cells as it is. The bytes are read with os.pread, so the
+    handle's position does not move; nothing is decoded, and a pipe, which
+    could not be read twice, is not read at all."""
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        return False
+    offset = 0
+    while chunk := os.pread(fd, _SCAN_CHUNK, offset):
+        if chunk.translate(None, _PLAIN):
+            return False
+        offset += len(chunk)
+    return True
+
+
 def read_table(path, columns, optional=()) -> Iterator[tuple[int, tuple[str, ...]]]:
     """Yield (line, cells) for every data row of the CSV table at ``path``.
 
@@ -178,16 +205,21 @@ def read_table(path, columns, optional=()) -> Iterator[tuple[int, tuple[str, ...
     missing trailing cells of a short row, read as "". Blank lines are
     skipped; a repeated column name and a row wider than the header are
     errors. Every error is a LoadError that names the file and, where it
-    has one, the line.
+    has one, the line. A leading byte order mark is dropped.
+
+    Stripping every cell is most of the cost of a row, so it is skipped in a
+    file that _plain finds has no byte it could remove; such a row's cells
+    are passed through as csv read them.
     """
     path = Path(path)
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except FileNotFoundError:
         raise LoadError("file not found", file=path) from None
     except OSError as exc:
         raise LoadError(f"cannot be read: {exc.strerror}", file=path) from None
     with fh:
+        plain = _plain(fh.fileno())
         reader = csv.reader(fh)
         try:
             header = [name.strip() for name in next(reader, ())]
@@ -204,10 +236,13 @@ def read_table(path, columns, optional=()) -> Iterator[tuple[int, tuple[str, ...
             width = len(header)
             header += [c for c in optional if c not in header]
             index = [header.index(c) for c in (*columns, *optional)]
-            # One itemgetter picks a row's cells; for fewer than two it would
-            # not return a sequence.
-            pick = itemgetter(*index) if len(index) > 1 else lambda row: [row[i] for i in index]
             full = len(header)
+            if plain and index == list(range(full)):
+                pick = tuple
+            else:
+                # One itemgetter picks a row's cells; for fewer than two it
+                # would not return a tuple.
+                pick = itemgetter(*index) if len(index) > 1 else lambda row: tuple([row[i] for i in index])
             blank = [""] * full
             for row in reader:
                 n = len(row)
@@ -218,7 +253,7 @@ def read_table(path, columns, optional=()) -> Iterator[tuple[int, tuple[str, ...
                     if not n:
                         continue
                     row += blank[n:]
-                yield reader.line_num, tuple(map(str.strip, pick(row)))
+                yield reader.line_num, pick(row) if plain else tuple(map(str.strip, pick(row)))
         except UnicodeDecodeError:
             raise LoadError("not UTF-8 text", file=path) from None
         except csv.Error as exc:

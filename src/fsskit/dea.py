@@ -38,12 +38,13 @@ from .corpus import Corpus, parse_float, read_table, require, write_table
 # this module; the bridge itself takes its credit from the ledger it is given.
 from .credit import fractional_contribution  # noqa: F401
 from .errors import ComputationError, InputError, LoadError
-from .indicators import CreditRow, group_rows
 from .normalize import normalized_impact  # noqa: F401
 from .simplex import solve_lp, start_tableau
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .indicators import CreditRow
 
 MODELS = ("crs", "vrs")
 FRONTIER_TOL = 1e-6
@@ -265,6 +266,8 @@ def dmus_from_corpus(corpus: Corpus,
     fractional normalized impact and total fractional publication count.
     Institutions with no output at all cannot be scored and are skipped.
     """
+    from .indicators import group_rows  # imported here: dea --dmus never runs indicators
+
     ranks = corpus.salaries.ranks()
     ranks += sorted({r.rank for r in ledger} - set(ranks))
     staff = group_rows(ledger, lambda r: r.institution_id)

@@ -805,7 +805,7 @@ LOADS = {
     "score": ["fsskit.indicators", "fsskit.normalize", "hashlib", "json"],
     "rank": ["fsskit.indicators", "fsskit.normalize", "fsskit.rankings"],
     "compare": ["fsskit.rankings", "json"],
-    "dea-dmus": ["fsskit.indicators", "fsskit.normalize", "fsskit.dea", "fsskit.simplex"],
+    "dea-dmus": ["fsskit.normalize", "fsskit.dea", "fsskit.simplex"],
     "synth": ["fsskit.synth"],
 }
 
