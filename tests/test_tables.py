@@ -5,23 +5,34 @@ a missing file, a missing header or column, an over-wide row, a blank line,
 padded cells, a non-numeric cell and an empty key cell the same way: skip
 what is harmless, and otherwise raise a LoadError that names the file, the
 line and the column.
+
+read_table passes the cells of a plain file (corpus._plain) through
+unstripped; the tests at the end check that it reads such a file exactly as
+it reads one that takes the stripping path.
 """
 
 import csv
+import json
+import os
+import random
 import re
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from fsskit import cli
 from fsskit.config import RunConfig
-from fsskit.corpus import (load_corpus, load_salary_schedule, load_taxonomy, read_table,
-                           write_table)
+from fsskit.corpus import (_plain, export_corpus, load_corpus, load_salary_schedule,
+                           load_taxonomy, read_table, write_table)
 from fsskit.dea import read_dmus
 from fsskit.errors import LoadError
 from fsskit.normalize import load_baselines
 from fsskit.rankings import read_rankings
 
-from conftest import TINY_FILES
+from conftest import TINY_FILES, child_env, euro_dmu_table, write_tiny_files
 
 CENSUS = ("researchers", "publications", "bylines", "taxonomy", "salaries")
 SRC = Path(__file__).resolve().parent.parent / "src" / "fsskit"
@@ -218,3 +229,177 @@ def test_one_module_reads_and_writes_csv():
         else:
             for pattern in ("csv.DictReader", "csv.reader(", "csv.writer("):
                 assert pattern not in text, f"{path.name} uses {pattern}"
+
+
+# ---------------------------------------------------------------------------
+# The plain path reads what the stripping path reads
+# ---------------------------------------------------------------------------
+
+def is_plain(path) -> bool:
+    with open(path, "rb") as fh:
+        return _plain(fh.fileno())
+
+
+def seeded_table(seed) -> str:
+    """A plain table of ids, integers, floats and empty cells, with short
+    rows and blank lines among its full ones."""
+    rng = random.Random(seed)
+    lines = ["id,count,share,note,code"]
+    for i in range(300):
+        cells = [f"X{i:05d}", str(rng.randrange(-9, 10 ** rng.randrange(1, 9))),
+                 rng.choice([repr(rng.uniform(-1e3, 1e3)), f"{rng.lognormvariate(0, 9):.6e}", "0.5"]),
+                 rng.choice(["", "", "a;b", "n/a", "x_y"]),
+                 rng.choice(["", str(rng.randrange(100))])]
+        kind = rng.random()
+        if kind < 0.05:
+            lines.append("")
+        elif kind < 0.2:
+            lines.append(",".join(cells[:rng.randrange(1, 5)]))
+        else:
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+# Each writes the table again with one byte that is not plain, in a last row
+# that the comparison leaves out (or, for the BOM, before the header).
+NOT_PLAIN = {
+    "space": lambda text: text + "Z, 1,,,\n",
+    "crlf": lambda text: (text + "Z,1,,,\n").replace("\n", "\r\n"),
+    "quote": lambda text: text + '"Z",1,,,\n',
+    "non-ascii": lambda text: text + "Z\u00e9,1,,,\n",
+    "bom": lambda text: "\ufeff" + text + "Z,1,,,\n",
+}
+SELECTIONS = {
+    "header-in-order": (("id", "count", "share", "note", "code"), ()),
+    "picked": (("share", "id"), ("code", "absent")),
+    "one-column": (("note",), ()),
+}
+
+
+@pytest.mark.parametrize("selection", sorted(SELECTIONS))
+@pytest.mark.parametrize("variant", sorted(NOT_PLAIN))
+@pytest.mark.parametrize("seed", range(3))
+def test_plain_file_reads_as_the_stripped_one(tmp_path, seed, variant, selection):
+    text = seeded_table(seed)
+    plain, other = tmp_path / "plain.csv", tmp_path / "other.csv"
+    plain.write_bytes(text.encode())
+    other.write_bytes(NOT_PLAIN[variant](text).encode())
+    assert is_plain(plain)
+    assert not is_plain(other)
+    columns, optional = SELECTIONS[selection]
+    expected = list(read_table(other, columns, optional))[:-1]
+    # A csv list would not equal the stripped path's tuple.
+    assert list(read_table(plain, columns, optional)) == expected
+
+
+def test_quoted_cell_ending_in_a_line_break_is_stripped(tmp_path):
+    # A quoted cell may hold a line break, which strip removes; so a quote
+    # disqualifies a file from the plain path.
+    path = tmp_path / "t.csv"
+    path.write_bytes(b'id,v\nA,"a\n"\n')
+    assert not is_plain(path)
+    assert list(read_table(path, ("id", "v"))) == [(3, ("A", "a"))]
+
+
+def test_bad_cell_is_blamed_before_a_late_undecodable_byte(tmp_path):
+    # The plain check reads bytes without decoding them, so a byte that is not
+    # UTF-8, beyond csv's first reads, still comes after an earlier row's fault.
+    path = tmp_path / "bylines.csv"
+    path.write_bytes(b"publication_id,position,researcher_id,institution_id\n"
+                     b"p1,1,r1,UA\np2,x,r1,UA\n" + b"p3,1,r2,UA\n" * 7000 + b"p4,1,\xff,UB\n")
+    assert path.stat().st_size > 64 * 1024
+    with pytest.raises(LoadError) as err:
+        load_census_file(path)
+    message = str(err.value)
+    assert "line 3" in message
+    assert "column 'position'" in message
+
+
+def test_synth_census_takes_the_plain_path(tmp_path, synth_corpus):
+    # researchers.csv holds names with spaces; the other four are plain. A
+    # change to the export, or to the rule, that turns the plain path off for
+    # them fails here.
+    paths = export_corpus(synth_corpus, tmp_path)
+    assert {name: is_plain(path) for name, path in paths.items()} == {
+        "researchers.csv": False, "publications.csv": True, "bylines.csv": True,
+        "taxonomy.csv": True, "salaries.csv": True,
+    }
+
+
+def test_census_with_a_fifo_loads_as_with_the_file(tmp_path, synth_corpus):
+    # The bylines are larger than a pipe's buffer, so the writer blocks until
+    # the child reads; a reader that opened or read the pipe twice would load
+    # no byline, or wait for a second writer until the timeout.
+    census = tmp_path / "census"
+    paths = export_corpus(synth_corpus, census)
+    content = paths["bylines.csv"].read_bytes()
+    assert len(content) > 1 << 16
+    argv = [sys.executable, "-m", "fsskit.cli", "validate", "--data", str(census)]
+    expected = subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=120)
+    assert expected.returncode == 0, expected.stderr
+
+    fifo = paths["bylines.csv"]
+    fifo.unlink()
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(content)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        proc = subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=120)
+    finally:
+        if writer.is_alive():  # the child never opened the pipe, or stopped reading
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (proc.returncode, proc.stdout) == (0, expected.stdout), proc.stderr
+
+
+def with_bom(path):
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+
+def artifacts(directory):
+    out = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+    if "report.json" in out:  # its input checksums are of the files' own bytes
+        report = json.loads(out["report.json"])
+        del report["inputs"]
+        out["report.json"] = report
+    return out
+
+
+def run(argv, out):
+    assert cli.main([*argv, str(out)]) == 0
+    return artifacts(out)
+
+
+@pytest.mark.parametrize("name", [f"{name}.csv" for name in CENSUS])
+def test_census_file_with_a_bom_scores_alike(tmp_path, name, capsys):
+    # Spreadsheet programs start a saved CSV with a byte order mark; it is not
+    # part of the first column's name.
+    plain, marked = write_tiny_files(tmp_path / "plain"), write_tiny_files(tmp_path / "marked")
+    with_bom(marked / name)
+    expected = run(["score", "--data", str(plain), "--output-dir"], tmp_path / "out-plain")
+    assert run(["score", "--data", str(marked), "--output-dir"], tmp_path / "out-marked") == expected
+
+
+def test_rankings_and_dmus_with_a_bom_read_alike(tmp_path, capsys):
+    ranking, marked_ranking = tmp_path / "rankings.csv", tmp_path / "marked-rankings.csv"
+    ranking.write_text("unit_id,score,rank,percentile\nu1,2.0,1,50.0\nu2,1.0,2,0.0\n")
+    marked_ranking.write_bytes(ranking.read_bytes())
+    with_bom(marked_ranking)
+    assert (run(["compare", "--a", str(marked_ranking), "--b", str(marked_ranking), "--out"],
+                tmp_path / "cmp-marked")
+            == run(["compare", "--a", str(ranking), "--b", str(ranking), "--out"], tmp_path / "cmp"))
+    dmus = euro_dmu_table(tmp_path / "dmus.csv", n=20)
+    marked_dmus = tmp_path / "marked-dmus.csv"
+    marked_dmus.write_bytes(dmus.read_bytes())
+    with_bom(marked_dmus)
+    assert (run(["dea", "--dmus", str(marked_dmus), "--output-dir"], tmp_path / "dea-marked")
+            == run(["dea", "--dmus", str(dmus), "--output-dir"], tmp_path / "dea"))
