@@ -207,9 +207,9 @@ def read_table(path, columns, optional=()) -> Iterator[tuple[int, tuple[str, ...
     errors. Every error is a LoadError that names the file and, where it
     has one, the line. A leading byte order mark is dropped.
 
-    Stripping every cell is most of the cost of a row, so it is skipped in a
-    file that _plain finds has no byte it could remove; such a row's cells
-    are passed through as csv read them.
+    Stripping every cell is a large part of the cost of a row, so it is
+    skipped in a file that _plain finds has no byte it could remove; such a
+    row's cells are passed through as csv read them.
     """
     path = Path(path)
     try:
