@@ -1,6 +1,7 @@
 """Run configuration: observation window, baselines, scope, thresholds.
 
-Configuration comes from an optional JSON file plus command-line overrides.
+Configuration comes from an optional JSON file, UTF-8 with or without a
+byte order mark, plus command-line overrides.
 Citation baselines come from ``baseline_file`` when it is set and are
 computed from the census when it is not.
 The config hash covers only fields that can change results; the output
@@ -135,7 +136,7 @@ def load_config(path=None, overrides: dict | None = None) -> tuple[RunConfig, li
 
         path = Path(path)
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            data = json.loads(path.read_text(encoding="utf-8-sig"))
         except FileNotFoundError:
             raise InputError(f"config file not found: {path}") from None
         except OSError as exc:

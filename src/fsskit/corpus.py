@@ -10,10 +10,11 @@ and units are scored reduce the credit ledger (indicators), not the corpus.
 load_corpus reads each file in one pass and builds each record once.
 Every fsskit record, these included, is a NamedTuple: an immutable tuple
 with named fields, cheap to build and hold, and importing it loads no
-module beyond typing. Each byline row goes straight into its publication's
-position map. Publications outside the observation window are dropped, but
-every byline row, theirs included, must name a known publication, a
-position >= 1 and an institution.
+module beyond typing. Each byline row is appended to its publication's
+byline list in file order, and only a byline whose rows arrive out of
+position order is sorted. Publications outside the observation window are
+dropped, but every byline row, theirs included, must name a known
+publication, a position >= 1 and an institution.
 
 A census repeats a few values in many rows, so load_corpus holds each
 repeated value once: every institution id, field, rank and department
@@ -395,8 +396,15 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
     Each file is read in one pass. Every byline row's own cells are checked
     first, whatever the window: a known publication_id, an integer position
     >= 1 and a non-empty institution_id. The checks on a whole byline apply
-    only to publications in the window: no repeated position, positions 1..n
-    without gaps, at least one row, and no census researcher listed twice.
+    only to publications in the window: no repeated position and no census
+    researcher listed twice, each blamed on its row, then at least one row
+    and positions 1..n without gaps.
+
+    Each byline is built as a list in file order. While a publication's rows
+    arrive in position order, a row at position len(list) + 1 cannot repeat
+    one, so only the other rows scan the list for their position; the first
+    such row marks the byline as out of order, and only those bylines are
+    sorted at the end.
     """
     report = LoadReport(row_counts={}, warnings=[])
     taxonomy = load_taxonomy(taxonomy_file)
@@ -441,9 +449,10 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
     report.row_counts["researchers"] = len(researchers)
 
     publication_path = Path(publication_file)
-    # pid -> (year, citations, categories, {position: Authorship}), or None
-    # for a publication outside the window.
-    kept: dict[str, tuple[int, int, tuple[str, ...], dict[int, Authorship]] | None] = {}
+    # pid -> (year, citations, categories, byline in file order, whether its
+    # rows so far came in position order), or None for a publication outside
+    # the window.
+    kept: dict[str, tuple[int, int, tuple[str, ...], list[Authorship], bool] | None] = {}
     # Each distinct year, citations and subject_categories cell is parsed and
     # checked once: a cell enters its memo only after it passes every check
     # of its column, so a bad cell is blamed at the first row that holds it.
@@ -475,7 +484,7 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
                 raise LoadError("at least one subject category is required", file=publication_path,
                                 line=line, column="subject_categories")
             category_lists[categories_cell] = categories
-        kept[pid] = (year, citations, categories, {}) if start <= year <= end else None
+        kept[pid] = (year, citations, categories, [], True) if start <= year <= end else None
     report.row_counts["publications"] = len(kept)
     skipped = sum(pub is None for pub in kept.values())
     if skipped:
@@ -512,13 +521,19 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         if pub is None:  # outside the window: only the row's own cells are checked
             continue
         entries = pub[3]
-        if position in entries:
-            raise LoadError(f"duplicate position {position} for publication {pid!r}",
-                            file=byline_path, line=line, column="position")
+        # Rows in order so far hold positions 1..len(entries), so the next
+        # one cannot be repeated; any other row scans the byline.
+        if position != len(entries) + 1 or not pub[4]:
+            for entry in entries:
+                if entry.position == position:
+                    raise LoadError(f"duplicate position {position} for publication {pid!r}",
+                                    file=byline_path, line=line, column="position")
+            if pub[4]:
+                kept[pid] = (*pub[:4], False)
         researcher = researchers.get(rid)
         if researcher is not None:
             rid = researcher.id
-            for entry in entries.values():
+            for entry in entries:
                 if entry.researcher_id == rid:
                     raise LoadError(f"researcher {rid!r} appears twice in the byline of {pid!r}",
                                     file=byline_path, line=line, column="researcher_id")
@@ -530,27 +545,30 @@ def load_corpus(researcher_file, publication_file, byline_file, taxonomy_file,
         authorship = authorships.get(key)
         if authorship is None:
             authorship = authorships[key] = Authorship(position, institution, rid)
-        entries[position] = authorship
+        entries.append(authorship)
     report.row_counts["bylines"] = n_rows
     if unresolved:
         report.warnings.append(f"{unresolved} byline author(s) did not resolve to a census "
                                "researcher; treated as external")
 
+    # Each load record is dropped as its publication is built, so the lists
+    # and the finished bylines never all exist at once.
     publications: dict[str, Publication] = {}
     for pid in sorted(kept):
-        pub = kept[pid]
+        pub = kept.pop(pid)
         if pub is None:
             continue
-        year, citations, categories, entries = pub
-        n = len(entries)
-        if not n:
+        year, citations, categories, entries, ordered = pub
+        if not entries:
             raise LoadError(f"publication {pid!r} has no byline", file=byline_path)
-        # Positions are unique and >= 1, so they are 1..n exactly when the largest is n.
-        if max(entries) != n:
-            raise LoadError(f"byline positions for publication {pid!r} are not 1..n without gaps",
-                            file=byline_path, column="position")
-        publications[pid] = Publication(pid, year, citations, categories,
-                                        tuple(map(entries.__getitem__, range(1, n + 1))))
+        if not ordered:
+            # Positions are unique and >= 1, so the sort compares positions
+            # alone, and they are 1..n exactly when the largest is n.
+            entries.sort()
+            if entries[-1].position != len(entries):
+                raise LoadError(f"byline positions for publication {pid!r} are not 1..n without gaps",
+                                file=byline_path, column="position")
+        publications[pid] = Publication(pid, year, citations, categories, tuple(entries))
 
     corpus = Corpus(
         researchers=researchers,

@@ -157,25 +157,32 @@ class CreditRow(NamedTuple):
 
 def credit_ledger(corpus: Corpus, baselines: BaselineTable) -> list[CreditRow]:
     """Every census researcher's row, in id order, from one walk over the
-    publications: each publication with a census author is normalized once,
-    and each census byline entry is credited under the convention the
-    taxonomy gives its author's field.
+    publications: each census byline entry is credited under the convention
+    the taxonomy gives its author's field.
 
-    A share depends only on the byline's length, whether its first and last
-    authors share an institution, the position and the convention (see
-    credit.byline_weights), so each distinct such key is computed once."""
+    A normalized impact depends only on the publication's year, citations
+    and subject categories, so each such cohort with a census author is
+    normalized once; a missing baseline still fails at the first publication
+    that needs it. A share depends only on the byline's length, whether its
+    first and last authors share an institution, the position and the
+    convention (see credit.byline_weights), so each distinct such key is
+    computed once."""
     researchers = corpus.researchers
     taxonomy = corpus.taxonomy
     convention = {rid: taxonomy.convention_of_sds[r.sds_code] for rid, r in researchers.items()}
     outputs: dict[str, list[float]] = {rid: [] for rid in researchers}
     shares: dict[str, list[float]] = {rid: [] for rid in researchers}
     memo: dict[tuple[int, bool, int, str], float] = {}
+    impacts: dict[tuple[int, int, tuple[str, ...]], float] = {}
     for pub in corpus.publications.values():
         byline = pub.byline
         census = [entry for entry in byline if entry.researcher_id in researchers]
         if not census:
             continue
-        impact = normalized_impact(pub, baselines)
+        cohort = pub[1:4]  # (year, citations, subject_categories)
+        impact = impacts.get(cohort)
+        if impact is None:
+            impact = impacts[cohort] = normalized_impact(pub, baselines)
         n = len(byline)
         intramural = byline[0].institution_id == byline[-1].institution_id
         for entry in census:

@@ -224,3 +224,19 @@ def test_unreadable_config_file_exits_2(tiny_dir, tmp_path, capsys, kind):
                  "--config", str(path)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_file_with_a_bom_reads_alike(tiny_dir, tmp_path, capsys):
+    # A byte order mark before the JSON, as some editors save it, is not
+    # part of the settings.
+    reports = {}
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        config = tmp_path / f"{name}.json"
+        config.write_bytes(prefix + b'{"exclusions": {"min_years": 3}}')
+        out = tmp_path / name
+        assert main(["score", "--data", str(tiny_dir), "--output-dir", str(out),
+                     "--config", str(config)]) == 0
+        assert load_config(config)[0].config_hash() == RunConfig().config_hash()
+        reports[name] = (out / "report.json").read_bytes()
+    capsys.readouterr()
+    assert reports["bom"] == reports["plain"]

@@ -1,5 +1,8 @@
 """Loading, validation and the export round-trip."""
 
+import pickle
+import random
+
 import pytest
 
 from fsskit.config import RunConfig
@@ -262,6 +265,22 @@ LOAD_ERRORS = {
     "byline-gap": (
         replace_row("bylines.csv", "p2,2,,XX", "p2,4,,XX"),
         "bylines.csv", None, "position", "byline positions for publication 'p2' are not 1..n without gaps"),
+    # Bylines whose rows arrive out of position order: p2's rows are lines 3..5.
+    "byline-duplicate-position-after-out-of-order-row": (
+        replace_rows("bylines.csv", ("p2,1,r1,UA", "p2,2,r1,UA"), ("p2,2,,XX", "p2,1,,XX"),
+                     ("p2,3,r2,UA", "p2,2,r2,UA")),
+        "bylines.csv", 5, "position", "duplicate position 2 for publication 'p2'"),
+    # Position 3 is the next slot by count (len + 1) but was already taken.
+    "byline-duplicate-next-position-after-out-of-order-row": (
+        replace_rows("bylines.csv", ("p2,1,r1,UA", "p2,3,r1,UA"), ("p2,2,,XX", "p2,1,,XX")),
+        "bylines.csv", 5, "position", "duplicate position 3 for publication 'p2'"),
+    "byline-census-researcher-twice-out-of-order": (
+        replace_rows("bylines.csv", ("p2,1,r1,UA", "p2,2,r1,UA"), ("p2,2,,XX", "p2,1,,XX"),
+                     ("p2,3,r2,UA", "p2,3,r1,UA")),
+        "bylines.csv", 5, "researcher_id", "researcher 'r1' appears twice in the byline of 'p2'"),
+    "byline-gap-out-of-order": (
+        replace_rows("bylines.csv", ("p7,1,r5,UB", "p7,3,r5,UB"), ("p7,2,r1,UA", "p7,1,r1,UA")),
+        "bylines.csv", None, "position", "byline positions for publication 'p7' are not 1..n without gaps"),
     # Two faults on one row: the publication is checked before the position.
     "byline-unknown-publication-and-bad-position": (
         replace_row("bylines.csv", "p3,1,r2,UA", "p99,x,r2,UA"),
@@ -397,6 +416,20 @@ def test_export_round_trip_is_fixpoint(tiny, tmp_path):
     for name in ("researchers.csv", "publications.csv", "bylines.csv",
                  "taxonomy.csv", "salaries.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_shuffled_bylines_load_to_the_same_corpus(synth_corpus, tmp_path):
+    # A pickle also records which objects the records share, so equal pickles
+    # mean equal values shared alike, whatever the order of the byline rows.
+    canonical = tmp_path / "canonical"
+    export_corpus(synth_corpus, canonical)
+    shuffled = tmp_path / "shuffled"
+    export_corpus(synth_corpus, shuffled)
+    header, *rows = (canonical / "bylines.csv").read_text(encoding="utf-8").splitlines()
+    random.Random(32).shuffle(rows)
+    (shuffled / "bylines.csv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    assert (shuffled / "bylines.csv").read_bytes() != (canonical / "bylines.csv").read_bytes()
+    assert pickle.dumps(load_from(shuffled)) == pickle.dumps(load_from(canonical))
 
 
 def test_corpus_is_frozen(tiny):

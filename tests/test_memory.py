@@ -1,9 +1,10 @@
-"""load_corpus holds each repeated value once.
+"""load_corpus holds each repeated value once, and little more while loading.
 
 A census names few institutions, researchers, categories and years in
 many rows. The loaded corpus shares one object per distinct value, which
 keeps its size per byline row, and so the peak memory of every census
-command, low.
+command, low. While loading, each byline is a list in file order, so the
+peak stays close to what is kept.
 """
 
 import gc
@@ -20,6 +21,11 @@ FILES = ("researchers", "publications", "bylines", "taxonomy", "salaries")
 # Bytes the loaded corpus may hold per byline row. Sharing repeated values
 # brings this census to about 125; holding every cell on its own takes 321.
 MAX_BYTES_PER_BYLINE_ROW = 220
+
+# Bytes load_corpus may hold at its peak per byline row. Building each byline
+# as a list in file order brings this census to about 175; a {position:
+# Authorship} map per publication took 254.
+MAX_PEAK_BYTES_PER_BYLINE_ROW = 210
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +86,16 @@ def test_load_retains_little_per_byline_row(census):
     assert rows > 10_000
     assert retained / rows <= MAX_BYTES_PER_BYLINE_ROW, f"{retained / rows:.0f} B per byline row"
     assert len(corpus.publications) > 0
+
+
+def test_load_peaks_little_per_byline_row(census):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _, report = load_corpus(*census, RunConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = report.row_counts["bylines"]
+    assert rows > 10_000
+    assert peak / rows <= MAX_PEAK_BYTES_PER_BYLINE_ROW, f"{peak / rows:.0f} B per byline row at the peak"

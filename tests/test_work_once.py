@@ -1,11 +1,11 @@
-"""Each distinct census cell is parsed once, each distinct credit share
-computed once, and each rank's schedule salary looked up once.
+"""Each distinct census cell is parsed once, each distinct credit share and
+citation cohort computed once, and each rank's schedule salary looked up once.
 
 load_corpus remembers every year, citations, position and institution_id
-cell it has checked, and credit_ledger every share it has computed, keyed
-by what decides it, and every rank's salary it has looked up. These tests
-count the calls behind those memos on a synthetic census, so an edit that
-drops one fails here, with no timing involved.
+cell it has checked, and credit_ledger every share and normalized impact it
+has computed, keyed by what decides it, and every rank's salary it has
+looked up. These tests count the calls behind those memos on a synthetic
+census, so an edit that drops one fails here, with no timing involved.
 """
 
 from collections import Counter
@@ -65,6 +65,17 @@ def test_each_distinct_share_is_computed_once(census, monkeypatch):
     ledger = indicators.credit_ledger(corpus, compute_baselines(corpus.publications.values()))
     assert shares and max(shares.values()) == 1
     assert sum(shares.values()) < sum(row.papers for row in ledger)
+
+
+def test_each_distinct_cohort_is_normalized_once(census, monkeypatch):
+    corpus, _ = load_corpus(*census, RunConfig())
+    impacts = counted(monkeypatch, indicators, "normalized_impact",
+                      lambda pub, baselines: (pub.year, pub.citations, pub.subject_categories))
+    indicators.credit_ledger(corpus, compute_baselines(corpus.publications.values()))
+    credited = sum(any(entry.researcher_id is not None for entry in pub.byline)
+                   for pub in corpus.publications.values())
+    assert impacts and max(impacts.values()) == 1
+    assert sum(impacts.values()) < credited
 
 
 def test_each_rank_is_looked_up_once(census, monkeypatch):
