@@ -163,7 +163,11 @@ def _config_from_args(args) -> tuple[RunConfig, list[str]]:
     return config, defaulted
 
 
-def _sha256(path: Path) -> str:
+def _sha256(path: Path) -> str | None:
+    """The file's checksum, or None for a stream such as a pipe: the loader
+    has read it already, and it cannot be read again."""
+    if not path.is_file():
+        return None
     import hashlib  # imported here: only score checksums its inputs
 
     digest = hashlib.sha256()
@@ -178,9 +182,7 @@ def _load_pipeline(args, config: RunConfig):
     included, and the input paths. The caller has bound normalize's and
     indicators' names."""
     paths = _data_paths(args)
-    corpus, report = load_corpus(paths["researchers"], paths["publications"],
-                                 paths["bylines"], paths["taxonomy"],
-                                 paths["salaries"], config)
+    corpus, report = load_corpus(*(paths[name] for name in DATA_FILES), config)
     if config.baseline_file is None:
         baselines = compute_baselines(corpus.publications.values())
     else:
@@ -206,9 +208,7 @@ def _outdir(path) -> Path:
 def cmd_validate(args) -> int:
     config, _ = _config_from_args(args)
     paths = _data_paths(args)
-    corpus, report = load_corpus(paths["researchers"], paths["publications"],
-                                 paths["bylines"], paths["taxonomy"],
-                                 paths["salaries"], config)
+    corpus, report = load_corpus(*(paths[name] for name in DATA_FILES), config)
     for name in sorted(report.row_counts):
         print(f"{name}: {report.row_counts[name]} rows")
     print(f"institutions: {len(corpus.institutions())}")
@@ -299,11 +299,12 @@ def cmd_rank(args) -> int:
             raise InputError(f"unknown discipline {args.uda!r}; the taxonomy has "
                              f"{', '.join(known)}")
     means = compute_field_means(ledger)
-    scores, = _score_sets(level, ledger, means, (args.indicator or "fss_u",), args.uda)
     if args.standardize:
-        scores = standardized_scores(scores, means)
+        scores = standardized_scores(ledger, means, level)
+    else:
+        scores, = _score_sets(level, ledger, means, (args.indicator or "fss_u",), args.uda)
 
-    ranked = rank_scores(scores.entries, scores.uda,
+    ranked = rank_scores(scores.entries, args.uda,
                          exclude=_ineligible(ledger, config.exclusions, level, args.uda))
     if not ranked.entries:
         raise ComputationError("no units left to rank after exclusions")

@@ -315,6 +315,16 @@ def parse_float(value: str, path: Path, line: int, column: str) -> float:
     return number
 
 
+def parse_value(value: str, path: Path, line: int, column: str) -> float:
+    """One number cell where 0 is allowed; a nonzero one too small for a
+    float (1e-400), which would read as 0, is refused."""
+    number = parse_float(value, path, line, column)
+    if number == 0.0 and any(digit in "123456789" for digit in value.lower().partition("e")[0]):
+        raise LoadError(f"nonzero but too small for a float: {value!r}", file=path, line=line,
+                        column=column)
+    return number
+
+
 def parse_int(value: str, path: Path, line: int, column: str) -> int:
     """One integer cell, in ASCII and without ``_`` separators. Scores
     divide integers as floats, so one too large for a float is refused."""

@@ -33,7 +33,7 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .corpus import Corpus, parse_float, read_table, require, write_table
+from .corpus import Corpus, parse_value, read_table, require, write_table
 # perfbench/tracing.py wraps fractional_contribution and normalized_impact on
 # this module; the bridge itself takes its credit from the ledger it is given.
 from .credit import fractional_contribution  # noqa: F401
@@ -291,15 +291,6 @@ def dmus_from_corpus(corpus: Corpus,
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _parse_value(cell: str, path: Path, line: int, column: str) -> float:
-    """One DMU value; a nonzero one too small for a float (1e-400) is refused."""
-    value = parse_float(cell, path, line, column)
-    if value == 0.0 and any(digit in "123456789" for digit in cell.lower().partition("e")[0]):
-        raise LoadError(f"nonzero but too small for a float: {cell!r}", file=path, line=line,
-                        column=column)
-    return value
-
-
 def read_dmus(path) -> list[DMU]:
     """dmus.csv: id column plus input_*/output_* columns, order preserved.
     A row that breaks a rule of ``validate_dmus``, or holds a nonzero value
@@ -323,7 +314,7 @@ def read_dmus(path) -> list[DMU]:
     dmus = []
     seen: set[str] = set()
     for line, (dmu_id, *cells) in read_table(path, dmu_columns):
-        values = [_parse_value(cell, path, line, column)
+        values = [parse_value(cell, path, line, column)
                   for cell, column in zip(cells, inputs + outputs)]
         dmu = DMU(require(dmu_id, path, line, "id"), tuple(values[:len(inputs)]),
                   tuple(values[len(inputs):]))

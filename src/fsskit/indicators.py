@@ -73,11 +73,6 @@ class ScoreSet(NamedTuple):
     level: str
     indicator: str
     entries: dict[str, float]
-    sds_of_unit: dict[str, str] | None = None  # each unit's field, at levels that have one
-    uda: str | None = None  # the discipline a university set is restricted to
-
-    def unit_ids(self) -> list[str]:
-        return sorted(self.entries)
 
 
 class FieldMeans(NamedTuple):
@@ -112,22 +107,20 @@ class FieldMeans(NamedTuple):
 STANDARDIZABLE = {"researcher": "fss_r", "staff": "fss_s"}
 
 
-def standardized_scores(scores: ScoreSet, means: FieldMeans) -> ScoreSet:
-    """Divide each unit's raw score by its field's national mean, making
+def standardized_scores(ledger: list[CreditRow], means: FieldMeans, level: str) -> ScoreSet:
+    """Each ``level`` unit's raw score over its field's national mean, making
     units from fields with different citation and cost regimes rankable in
-    one list. Requires the score set to carry each unit's field."""
-    if STANDARDIZABLE.get(scores.level) != scores.indicator:
-        raise InputError(f"no field standardization defined for indicator {scores.indicator!r}")
-    if not scores.sds_of_unit:
-        raise InputError("score set does not record the field of each unit")
-    return ScoreSet(
-        level=scores.level,
-        indicator=f"{scores.indicator}_std",
-        entries={uid: means.standardize(scores.indicator, scores.sds_of_unit[uid],
-                                        scores.entries[uid])
-                 for uid in scores.unit_ids()},
-        sds_of_unit=scores.sds_of_unit,
-    )
+    one list."""
+    indicator = STANDARDIZABLE.get(level)
+    if level == "researcher":
+        entries = {row.id: means.standardize(indicator, row.sds_code, _fss_r_of(row))
+                   for row in ledger}
+    elif level == "staff":
+        entries = {staff_unit_id(inst, sds): means.standardize(indicator, sds, value)
+                   for (inst, sds), (value, _) in staff_table(ledger).items()}
+    else:
+        raise InputError(f"no field standardization defined for level {level!r}")
+    return ScoreSet(level, f"{indicator}_std", entries)
 
 
 def staff_unit_id(institution_id: str | None, sds_code: str) -> str:
@@ -342,19 +335,14 @@ def compute_field_means(ledger: list[CreditRow]) -> FieldMeans:
 
 def researcher_scores(ledger: list[CreditRow]) -> ScoreSet:
     """Individual scores for every census researcher."""
-    return ScoreSet(
-        level="researcher",
-        indicator="fss_r",
-        entries={row.id: _fss_r_of(row) for row in ledger},
-        sds_of_unit={row.id: row.sds_code for row in ledger},
-    )
+    return ScoreSet(level="researcher", indicator="fss_r",
+                    entries={row.id: _fss_r_of(row) for row in ledger})
 
 
 def _staff_set(table) -> ScoreSet:
     return ScoreSet(level="staff", indicator="fss_s",
                     entries={staff_unit_id(inst, sds): value
-                             for (inst, sds), (value, _) in table.items()},
-                    sds_of_unit={staff_unit_id(inst, sds): sds for inst, sds in table})
+                             for (inst, sds), (value, _) in table.items()})
 
 
 def staff_scores(ledger: list[CreditRow]) -> ScoreSet:
@@ -382,8 +370,7 @@ def university_scores(ledger: list[CreditRow], means: FieldMeans, indicator: str
     if entries_of is None:
         raise InputError(f"unknown university indicator: {indicator!r}")
     rows = [row for row in ledger if uda_code is None or row.uda_code == uda_code]
-    return ScoreSet(level="university", indicator=indicator, entries=entries_of(rows, means),
-                    uda=uda_code)
+    return ScoreSet(level="university", indicator=indicator, entries=entries_of(rows, means))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +379,7 @@ def university_scores(ledger: list[CreditRow], means: FieldMeans, indicator: str
 
 def write_scores(score_sets, path) -> Path:
     """scores.csv: level,unit_id,indicator,value with full-precision floats."""
-    rows = sorted(((scores.level, uid, scores.indicator, scores.entries[uid])
-                   for scores in score_sets for uid in scores.unit_ids()),
+    rows = sorted(((scores.level, uid, scores.indicator, value)
+                   for scores in score_sets for uid, value in scores.entries.items()),
                   key=lambda row: (row[0], row[2], row[1]))
     return write_table(path, SCORE_COLUMNS, rows)

@@ -17,7 +17,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import parse_float, parse_int, read_table, require, write_json, write_table
+from .corpus import parse_int, parse_value, read_table, require, write_json, write_table
 from .errors import ComputationError, InputError, LoadError
 
 
@@ -201,9 +201,9 @@ def read_rankings(path) -> RankedList:
             raise LoadError(f"duplicate unit {uid!r}", file=path, line=line, column="unit_id")
         if group is not None and row_group != group:
             raise LoadError("mixed groups in one ranking file", file=path, line=line, column="group")
-        scores[uid] = parse_float(score, path, line, "score")
+        scores[uid] = parse_value(score, path, line, "score")
         written.append((line, uid, (parse_int(rank, path, line, "rank"),
-                                    parse_float(percentile, path, line, "percentile"))))
+                                    parse_value(percentile, path, line, "percentile"))))
         group = row_group
     ranked = rank_scores(scores, group or None)
     derived = {e.unit_id: (e.rank, e.percentile) for e in ranked.entries}

@@ -372,6 +372,20 @@ def test_compare_mismatched_units_exit_2(tmp_path, capsys):
     assert "u2" in err and "u3" in err
 
 
+def test_compare_refuses_a_nonzero_score_that_reads_as_0(tmp_path, capsys):
+    # Read as 0.0, C's 1e-400 would tie B and agree with the ranks written.
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text("unit_id,score,rank,percentile\n"
+                 "A,2.0,1,66.66666666666667\nB,0.0,2,0.0\nC,1e-400,2,0.0\n")
+    b.write_text("unit_id,score,rank,percentile\n"
+                 "A,3.0,1,66.66666666666667\nB,2.0,2,33.333333333333336\nC,1.0,3,0.0\n")
+    assert main(["compare", "--a", str(a), "--b", str(b), "--out", str(tmp_path / "out")]) == 2
+    assert ("line 4, column 'score': nonzero but too small for a float: '1e-400'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # dea
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def test_batch_sets_cover_all_units(ledger):
     means = compute_field_means(ledger)
     individual = researcher_scores(ledger)
     assert sorted(individual.entries) == ["r1", "r2", "r3", "r4", "r5"]
-    assert individual.sds_of_unit["r3"] == "BIO01"
+    assert {row.id: row.sds_code for row in ledger}["r3"] == "BIO01"
     staff = staff_scores(ledger)
     assert sorted(staff.entries) == [
         staff_unit_id("UA", "MAT01"), staff_unit_id("UB", "BIO01"),
@@ -199,10 +199,10 @@ def test_unproductive_field_adds_zero_to_university(idle_field, indicator, expec
 
 def test_unproductive_field_standardizes_to_zero(idle_field):
     means = compute_field_means(idle_field)
-    researchers = standardized_scores(researcher_scores(idle_field), means)
+    researchers = standardized_scores(idle_field, means, "researcher")
     assert researchers.entries["z1"] == 0.0
     assert researchers.entries["r1"] == pytest.approx(float(FSS_R["r1"] / MEAN_R_MAT), rel=1e-12)
-    staff = standardized_scores(staff_scores(idle_field), means)
+    staff = standardized_scores(idle_field, means, "staff")
     assert staff.entries[staff_unit_id("UA", "IDL01")] == 0.0
 
 
@@ -212,10 +212,10 @@ def test_nonzero_value_without_field_mean_is_named(idle_field):
     with pytest.raises(ComputationError, match="no national fss_r mean for field 'IDL01'") as err:
         means.standardize("fss_r", "IDL01", 1e-6)
     assert "IDL01" in str(err.value)
-    scores = researcher_scores(idle_field)
-    scores.entries["z1"] = 1e-6
+    ledger = [row._replace(output=1e-6 * row.cost) if row.id == "z1" else row
+              for row in idle_field]
     with pytest.raises(ComputationError, match="no national fss_r mean for field 'IDL01'") as err:
-        standardized_scores(scores, means)
+        standardized_scores(ledger, means, "researcher")
     assert "IDL01" in str(err.value)
 
 

@@ -57,7 +57,6 @@ def test_country_batch_matches_oracle(synth, oracle):
     batch = country_staff_scores(ledger)
     sds_of = {staff_unit_id(None, sds): sds for sds in corpus.taxonomy.uda_of_sds}
     assert set(batch.entries) == set(sds_of)
-    assert batch.sds_of_unit == sds_of
     check(batch, lambda uid: oracle.fss_s(sds_of[uid], None))
 
 

@@ -6,16 +6,11 @@ import random
 import pytest
 
 from fsskit.errors import ComputationError, InputError, LoadError
-from fsskit.indicators import FieldMeans, ScoreSet, standardized_scores
+from fsskit.indicators import CreditRow, FieldMeans, standardized_scores
 from fsskit.rankings import (RankedEntry, RankedList, average_ranks, compare_rankings,
                              quartile_size, rank_scores, read_rankings,
                              spearman_rho, write_comparison, write_rankings)
 from oracles import reference_spearman_distinct
-
-def score_set(entries, level="university", indicator="fss_u", sds_of_unit=None, uda=None):
-    return ScoreSet(level=level, indicator=indicator, entries=entries,
-                    sds_of_unit=sds_of_unit, uda=uda)
-
 
 def ranked(scores_desc):
     """Build a RankedList from distinct scores already in rank order."""
@@ -79,8 +74,7 @@ def test_rank_scores_excludes_units():
 
 
 def test_rank_scores_group_from_uda():
-    scores = score_set({"a": 1.0, "b": 2.0}, uda="MATH")
-    assert rank_scores(scores.entries, scores.uda).group == "MATH"
+    assert rank_scores({"a": 1.0, "b": 2.0}, "MATH").group == "MATH"
     assert rank_scores({"a": 1.0}).group is None
 
 
@@ -93,25 +87,31 @@ def test_top_quartile_is_positional():
 # Field standardization
 # ---------------------------------------------------------------------------
 
+def ledger_row(rid, sds, output, cost):
+    """A ledger row at institution I1 (discipline D) with ``output`` and ``cost``."""
+    return CreditRow(rid, sds, "D", "I1", None, "PO", output, 0.0, 0, 1.0, cost)
+
+
+STD_LEDGER = [ledger_row("a", "S1", 1.0, 1.0), ledger_row("b", "S2", 1.0, 1.0),
+              ledger_row("z", "S1", 0.0, 1.0)]
+
+
 def test_standardized_scores_divide_by_field_mean():
-    means = FieldMeans(fss_r={"S1": 2.0, "S2": 4.0}, fss_s={}, q={}, fq={})
-    scores = score_set({"a": 1.0, "b": 1.0, "z": 0.0},
-                       level="researcher", indicator="fss_r",
-                       sds_of_unit={"a": "S1", "b": "S2", "z": "S1"})
-    std = standardized_scores(scores, means)
-    assert std.indicator == "fss_r_std"
+    means = FieldMeans(fss_r={"S1": 2.0, "S2": 4.0}, fss_s={"S1": 0.25, "S2": 4.0}, q={}, fq={})
+    std = standardized_scores(STD_LEDGER, means, "researcher")
+    assert std.level == "researcher" and std.indicator == "fss_r_std"
     assert std.entries == {"a": 0.5, "b": 0.25, "z": 0.0}
+    # Staff I1:S1 pools a and z (output 1 over cost 2), I1:S2 is b alone.
+    std = standardized_scores(STD_LEDGER, means, "staff")
+    assert std.level == "staff" and std.indicator == "fss_s_std"
+    assert std.entries == {"I1:S1": 2.0, "I1:S2": 0.25}
 
 
-def test_standardized_scores_require_field_metadata():
-    means = FieldMeans(fss_r={"S1": 2.0}, fss_s={}, q={}, fq={})
-    with pytest.raises(InputError):
-        standardized_scores(score_set({"a": 1.0}, indicator="fss_r"), means)
-    with pytest.raises(InputError, match="field of each unit"):
-        standardized_scores(score_set({"a": 1.0}, level="researcher", indicator="fss_r"), means)
-    with pytest.raises(InputError):
-        standardized_scores(
-            score_set({"a": 1.0}, indicator="fss_u", sds_of_unit={"a": "S1"}), means)
+@pytest.mark.parametrize("level", ["department", "university", "country"])
+def test_standardized_scores_refuse_other_levels(level):
+    means = FieldMeans(fss_r={"S1": 2.0}, fss_s={"S1": 2.0}, q={}, fq={})
+    with pytest.raises(InputError, match=f"no field standardization defined for level '{level}'"):
+        standardized_scores(STD_LEDGER, means, level)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +270,16 @@ def test_read_rankings_refuses_a_percentile_its_score_does_not_give(tmp_path):
     path.write_text("unit_id,score,rank,percentile\na,2.0,1,50.0\nb,1.0,2,10.0\n")
     with pytest.raises(LoadError, match="line 3, column 'percentile': percentile 10.0 differs "
                                         "from 0.0, the percentile its score gives"):
+        read_rankings(path)
+
+
+@pytest.mark.parametrize("row", ["c,1e-400,3,0.0", "c,1.0,3,1e-400"])
+def test_read_rankings_refuses_a_nonzero_cell_that_reads_as_0(tmp_path, row):
+    path = tmp_path / "rankings.csv"
+    path.write_text("unit_id,score,rank,percentile\n"
+                    f"a,3.0,1,66.66666666666667\nb,2.0,2,33.333333333333336\n{row}\n")
+    column = "score" if "e-400," in row else "percentile"
+    with pytest.raises(LoadError, match=f"line 4, column '{column}': nonzero but too small"):
         read_rankings(path)
 
 

@@ -18,9 +18,9 @@ import pytest
 from conftest import euro_dmu_table
 from fsskit.cli import main
 from fsskit.corpus import export_corpus
-from fsskit.indicators import (compute_field_means, country_staff_scores, credit_ledger,
-                               department_scores, researcher_scores, staff_scores,
-                               university_scores)
+from fsskit.indicators import (STANDARDIZABLE, compute_field_means, country_staff_scores,
+                               credit_ledger, department_scores, researcher_scores,
+                               staff_scores, standardized_scores, university_scores)
 
 SHUFFLED = ("researchers.csv", "publications.csv", "bylines.csv")
 
@@ -133,6 +133,7 @@ def test_batch_sets_ignore_researcher_order(synth):
                 department_scores(ledger, means)]
         sets += [university_scores(ledger, means, indicator)
                  for indicator in ("fss_u", "p_u", "fp_u")]
-        return means, [(s.entries, s.sds_of_unit, s.uda) for s in sets]
+        sets += [standardized_scores(ledger, means, level) for level in STANDARDIZABLE]
+        return means, sets
 
     assert batch_sets(shuffled) == batch_sets(synth.corpus)

@@ -326,25 +326,20 @@ def test_synth_census_takes_the_plain_path(tmp_path, synth_corpus):
     }
 
 
-def test_census_with_a_fifo_loads_as_with_the_file(tmp_path, synth_corpus):
-    # The bylines are larger than a pipe's buffer, so the writer blocks until
-    # the child reads; a reader that opened or read the pipe twice would load
-    # no byline, or wait for a second writer until the timeout.
-    census = tmp_path / "census"
-    paths = export_corpus(synth_corpus, census)
-    content = paths["bylines.csv"].read_bytes()
+def run_fed_through_a_fifo(path: Path, argv, timeout=120):
+    """Run ``argv`` as a child while a writer thread feeds ``path``'s bytes
+    through a FIFO put in its place. The bylines are larger than a pipe's
+    buffer, so the writer blocks until the child reads; a reader that opened
+    or read the pipe twice would load no byline, or wait for a second writer
+    until the timeout, which kills the child. The writer is gone on return."""
+    content = path.read_bytes()
     assert len(content) > 1 << 16
-    argv = [sys.executable, "-m", "fsskit.cli", "validate", "--data", str(census)]
-    expected = subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=120)
-    assert expected.returncode == 0, expected.stderr
-
-    fifo = paths["bylines.csv"]
-    fifo.unlink()
-    os.mkfifo(fifo)
+    path.unlink()
+    os.mkfifo(path)
 
     def feed():
         try:
-            with open(fifo, "wb") as fh:
+            with open(path, "wb") as fh:
                 fh.write(content)
         except BrokenPipeError:
             pass
@@ -352,13 +347,47 @@ def test_census_with_a_fifo_loads_as_with_the_file(tmp_path, synth_corpus):
     writer = threading.Thread(target=feed, daemon=True)
     writer.start()
     try:
-        proc = subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=120)
+        proc = subprocess.run(argv, env=child_env(), capture_output=True, text=True,
+                              timeout=timeout)
     finally:
         if writer.is_alive():  # the child never opened the pipe, or stopped reading
-            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
         writer.join(timeout=10)
     assert not writer.is_alive()
+    return proc
+
+
+def test_census_with_a_fifo_loads_as_with_the_file(tmp_path, synth_corpus):
+    census = tmp_path / "census"
+    paths = export_corpus(synth_corpus, census)
+    argv = [sys.executable, "-m", "fsskit.cli", "validate", "--data", str(census)]
+    expected = subprocess.run(argv, env=child_env(), capture_output=True, text=True, timeout=120)
+    assert expected.returncode == 0, expected.stderr
+    proc = run_fed_through_a_fifo(paths["bylines.csv"], argv)
     assert (proc.returncode, proc.stdout) == (0, expected.stdout), proc.stderr
+
+
+def test_score_on_a_fifo_census_checksums_only_the_files(tmp_path, synth_corpus):
+    # A pipe the loader has read cannot be read again to checksum it, so its
+    # checksum is null; the scores are those of the file.
+    census = tmp_path / "census"
+    paths = export_corpus(synth_corpus, census)
+
+    def score(out):
+        return [sys.executable, "-m", "fsskit.cli", "score", "--data", str(census),
+                "--output-dir", str(tmp_path / out)]
+
+    expected = subprocess.run(score("file"), env=child_env(), capture_output=True, text=True,
+                              timeout=120)
+    assert expected.returncode == 0, expected.stderr
+    proc = run_fed_through_a_fifo(paths["bylines.csv"], score("fifo"), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert ((tmp_path / "fifo" / "scores.csv").read_bytes()
+            == (tmp_path / "file" / "scores.csv").read_bytes())
+    inputs = {run: json.loads((tmp_path / run / "report.json").read_text())["inputs"]
+              for run in ("file", "fifo")}
+    assert isinstance(inputs["file"]["bylines.csv"], str)
+    assert inputs["fifo"] == {**inputs["file"], "bylines.csv": None}
 
 
 def with_bom(path):
