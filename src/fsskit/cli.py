@@ -46,7 +46,7 @@ from pathlib import Path
 from . import __version__
 from .config import OVERRIDE_KEYS, SCOPES, RunConfig, SynthParams, load_config
 from .corpus import export_corpus, load_corpus, write_json, write_table
-from .errors import ComputationError, InputError
+from .errors import ComputationError, InputError, LoadError
 
 # The names cli takes from the modules that only some commands run, by
 # module; a command binds them through _need before it runs.
@@ -54,9 +54,9 @@ _LATE = {
     "dea": ("dea_output_oriented", "dmus_from_corpus", "read_dmus", "scale_efficiency",
             "write_dmus", "write_results"),
     "indicators": ("STANDARDIZABLE", "apply_exclusions", "compute_field_means",
-                   "country_staff_scores", "credit_ledger", "department_scores",
-                   "researcher_scores", "small_units", "staff_scores", "staff_unit_id",
-                   "standardized_scores", "university_scores", "write_scores"),
+                   "credit_ledger", "department_scores", "researcher_scores",
+                   "small_units", "staff_scores", "staff_unit_id", "standardized_scores",
+                   "university_scores", "write_scores"),
     "normalize": ("compute_baselines", "load_baselines", "write_baselines"),
     "rankings": ("compare_rankings", "rank_scores", "read_rankings", "write_comparison",
                  "write_rankings"),
@@ -185,9 +185,14 @@ def _load_pipeline(args, config: RunConfig):
     corpus, report = load_corpus(*(paths[name] for name in DATA_FILES), config)
     if config.baseline_file is None:
         baselines = compute_baselines(corpus.publications.values())
-    else:
+        ledger = credit_ledger(corpus, baselines)
+    else:  # a table computed from the census covers every cohort; a file may not
         baselines = load_baselines(config.baseline_file)
-    ledger, excluded = apply_exclusions(credit_ledger(corpus, baselines), config.exclusions)
+        try:
+            ledger = credit_ledger(corpus, baselines)
+        except ComputationError as exc:
+            raise LoadError(str(exc), file=config.baseline_file) from None
+    ledger, excluded = apply_exclusions(ledger, config.exclusions)
     return corpus, report, excluded, baselines, ledger, paths
 
 
@@ -220,17 +225,16 @@ def cmd_validate(args) -> int:
 
 
 def _score_sets(level: str, ledger, means, indicators=UNIVERSITY_INDICATORS, uda=None):
-    """One level's score sets ("country": national staff), one per indicator for
-    universities. Each function is looked up on this module when called."""
+    """One level's or scope's score sets, one per indicator for universities;
+    any other level ("staff", "sds" or "country") scores staff, "country" the
+    national staff. Each function is looked up on this module when called."""
     if level == "university":
         return [university_scores(ledger, means, indicator, uda) for indicator in indicators]
     if level == "researcher":
         return [researcher_scores(ledger)]
-    if level == "staff":
-        return [staff_scores(ledger)]
     if level == "department":
         return [department_scores(ledger, means)]
-    return [country_staff_scores(ledger)]
+    return [staff_scores(ledger, national=level == "country")]
 
 
 def cmd_score(args) -> int:
@@ -238,8 +242,8 @@ def cmd_score(args) -> int:
     config, defaulted = _config_from_args(args)
     _, report, excluded, baselines, ledger, paths = _load_pipeline(args, config)
     checksums = {f"{name}.csv": _sha256(paths[name]) for name in sorted(paths)}
-    level = "staff" if config.scope == "sds" else config.scope
-    sets = [researcher_scores(ledger), *_score_sets(level, ledger, compute_field_means(ledger))]
+    sets = [researcher_scores(ledger),
+            *_score_sets(config.scope, ledger, compute_field_means(ledger))]
     pairs, institutions = small_units(ledger, config.exclusions)
 
     out = _outdir(config.output_dir)

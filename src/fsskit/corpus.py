@@ -205,7 +205,8 @@ def read_table(path, columns, optional=()) -> Iterator[tuple[int, tuple[str, ...
     from the header to those names. An absent optional column, and the
     missing trailing cells of a short row, read as "". Blank lines are
     skipped; a repeated column name and a row wider than the header are
-    errors. Every error is a LoadError that names the file and, where it
+    errors, but unnamed columns, as a spreadsheet's trailing ``,,`` writes,
+    may repeat: no caller reads one. Every error is a LoadError that names the file and, where it
     has one, the line. A leading byte order mark is dropped.
 
     Stripping every cell is a large part of the cost of a row, so it is
@@ -226,7 +227,7 @@ def read_table(path, columns, optional=()) -> Iterator[tuple[int, tuple[str, ...
             header = [name.strip() for name in next(reader, ())]
             if not header:
                 raise LoadError("missing header row", file=path)
-            repeated = sorted({name for name in header if header.count(name) > 1})
+            repeated = sorted({name for name in header if name and header.count(name) > 1})
             if repeated:
                 raise LoadError(f"repeated column(s) {', '.join(repeated)}", file=path, line=1)
             if callable(columns):

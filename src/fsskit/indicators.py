@@ -35,9 +35,12 @@ credited output, fractional and whole counts and labor cost. The caller
 builds the ledger once, with credit_ledger, and passes it to every
 indicator. Each score-set function groups the rows into its level's units
 and reduces each group; a single unit's value is its entry in that set.
+RATES is the one place a researcher rate (fss_r, q, fq) is written, keyed
+by the FieldMeans table of its means: compute_field_means, the researcher
+and department scores, p_u and fp_u each read their rate there.
 staff_table is the one function that reduces staff groups: every
-staff-based value reads its table, and compute_field_means and a
-staff-based score set each call it.
+staff-based value reads its table, and compute_field_means and
+staff_scores, at institution or national scope, each call it.
 FieldMeans.standardize is the one place a value is divided by its field's
 mean.
 
@@ -113,7 +116,8 @@ def standardized_scores(ledger: list[CreditRow], means: FieldMeans, level: str) 
     one list."""
     indicator = STANDARDIZABLE.get(level)
     if level == "researcher":
-        entries = {row.id: means.standardize(indicator, row.sds_code, _fss_r_of(row))
+        fss_r = RATES["fss_r"]
+        entries = {row.id: means.standardize(indicator, row.sds_code, fss_r(row))
                    for row in ledger}
     elif level == "staff":
         entries = {staff_unit_id(inst, sds): means.standardize(indicator, sds, value)
@@ -245,16 +249,13 @@ def small_units(ledger: list[CreditRow],
 # Reductions over ledger rows
 # ---------------------------------------------------------------------------
 
-def _fss_r_of(row: CreditRow) -> float:
-    return row.output / row.cost
-
-
-def _rate_of(row: CreditRow) -> float:
-    return row.papers / row.years
-
-
-def _fractional_rate_of(row: CreditRow) -> float:
-    return row.fractional / row.years
+# Each researcher rate that has a national field mean, by the name of the
+# FieldMeans table that holds those means: the one place each is written.
+RATES = {
+    "fss_r": lambda row: row.output / row.cost,
+    "q": lambda row: row.papers / row.years,
+    "fq": lambda row: row.fractional / row.years,
+}
 
 
 def staff_table(ledger: list[CreditRow],
@@ -270,11 +271,11 @@ def staff_table(ledger: list[CreditRow],
     return table
 
 
-def _rollups(rows: list[CreditRow], unit: str, means_table: str, means: FieldMeans,
-             value_of) -> dict[str, float]:
+def _rollups(rows: list[CreditRow], unit: str, rate: str, means: FieldMeans) -> dict[str, float]:
     """Each unit's head-count average of its members' field-standardized
-    values; a member whose value is 0 counts in the head count only."""
-    return {uid: math.fsum(means.standardize(means_table, row.sds_code, value_of(row))
+    ``rate``; a member whose rate is 0 counts in the head count only."""
+    rate_of = RATES[rate]
+    return {uid: math.fsum(means.standardize(rate, row.sds_code, rate_of(row))
                            for row in members) / len(members)
             for uid, members in group_rows(rows, attrgetter(unit)).items()}
 
@@ -293,8 +294,8 @@ def _fss_u(rows: list[CreditRow], means: FieldMeans) -> dict[str, float]:
 
 UNIVERSITY_INDICATORS = {
     "fss_u": _fss_u,
-    "p_u": lambda rows, means: _rollups(rows, "institution_id", "q", means, _rate_of),
-    "fp_u": lambda rows, means: _rollups(rows, "institution_id", "fq", means, _fractional_rate_of),
+    "p_u": lambda rows, means: _rollups(rows, "institution_id", "q", means),
+    "fp_u": lambda rows, means: _rollups(rows, "institution_id", "fq", means),
 }
 
 
@@ -319,13 +320,11 @@ def compute_field_means(ledger: list[CreditRow]) -> FieldMeans:
             staff_values.setdefault(sds, []).append((value, cost))
 
     return FieldMeans(
-        fss_r=productive_mean(_fss_r_of),
         fss_s={
             sds: math.fsum(v * cost for v, cost in pairs) / math.fsum(cost for _, cost in pairs)
             for sds, pairs in sorted(staff_values.items())
         },
-        q=productive_mean(_rate_of),
-        fq=productive_mean(_fractional_rate_of),
+        **{rate: productive_mean(rate_of) for rate, rate_of in RATES.items()},
     )
 
 
@@ -335,24 +334,17 @@ def compute_field_means(ledger: list[CreditRow]) -> FieldMeans:
 
 def researcher_scores(ledger: list[CreditRow]) -> ScoreSet:
     """Individual scores for every census researcher."""
+    fss_r = RATES["fss_r"]
     return ScoreSet(level="researcher", indicator="fss_r",
-                    entries={row.id: _fss_r_of(row) for row in ledger})
+                    entries={row.id: fss_r(row) for row in ledger})
 
 
-def _staff_set(table) -> ScoreSet:
+def staff_scores(ledger: list[CreditRow], national: bool = False) -> ScoreSet:
+    """Field staff scores for every (institution, field) pair with staff;
+    ``national`` scores each field's staff across the census instead."""
     return ScoreSet(level="staff", indicator="fss_s",
                     entries={staff_unit_id(inst, sds): value
-                             for (inst, sds), (value, _) in table.items()})
-
-
-def staff_scores(ledger: list[CreditRow]) -> ScoreSet:
-    """Field staff scores for every (institution, field) pair with staff."""
-    return _staff_set(staff_table(ledger))
-
-
-def country_staff_scores(ledger: list[CreditRow]) -> ScoreSet:
-    """National staff score of every field with staff."""
-    return _staff_set(staff_table(ledger, national=True))
+                             for (inst, sds), (value, _) in staff_table(ledger, national).items()})
 
 
 def department_scores(ledger: list[CreditRow], means: FieldMeans) -> ScoreSet:
@@ -360,7 +352,7 @@ def department_scores(ledger: list[CreditRow], means: FieldMeans) -> ScoreSet:
     individual scores; unproductive members count in the head count only."""
     rows = [row for row in ledger if row.department_id]
     return ScoreSet(level="department", indicator="fss_d",
-                    entries=_rollups(rows, "department_id", "fss_r", means, _fss_r_of))
+                    entries=_rollups(rows, "department_id", "fss_r", means))
 
 
 def university_scores(ledger: list[CreditRow], means: FieldMeans, indicator: str = "fss_u",

@@ -20,9 +20,9 @@ from fsskit.cli import main
 from fsskit.corpus import Authorship, SalarySchedule, export_corpus
 from fsskit.credit import ALPHABETICAL, POSITION_WEIGHTED, byline_weights
 from fsskit.dea import DMU, _envelopment_lp, dea_output_oriented, scale_efficiency
-from fsskit.indicators import (compute_field_means, country_staff_scores, credit_ledger,
-                               department_scores, researcher_scores, staff_scores,
-                               staff_unit_id, university_scores, write_scores)
+from fsskit.indicators import (compute_field_means, credit_ledger, department_scores,
+                               researcher_scores, staff_scores, staff_unit_id,
+                               university_scores, write_scores)
 from fsskit.normalize import compute_baselines, normalized_impact
 from fsskit.rankings import quartile_size, rank_scores, spearman_rho
 from fsskit.synth import SynthParams, generate_synthetic_corpus
@@ -112,7 +112,7 @@ def test_03_indicator_oracle_equivalence(synth):
             assert fp_u[inst] == pytest.approx(
                 oracle.fp_u(inst), rel=1e-9), inst
 
-        country = country_staff_scores(ledger).entries
+        country = staff_scores(ledger, national=True).entries
         assert set(country) == {staff_unit_id(None, sds) for sds in corpus.taxonomy.uda_of_sds}
         for sds in sorted(corpus.taxonomy.uda_of_sds):
             assert country[staff_unit_id(None, sds)] == pytest.approx(

@@ -163,9 +163,10 @@ def test_baseline_file_must_cover_every_cited_publication_whatever_the_floor(tmp
     for floor in (["--min-years", "0"], []):
         assert main(["score", *data_args(census), *floor,
                      "--baseline-file", str(tmp_path / "base" / "baselines.csv"),
-                     "--output-dir", str(tmp_path / "out")]) == 1
+                     "--output-dir", str(tmp_path / "out")]) == 2
         first = capsys.readouterr().err.splitlines()[0]
-        assert first == "error: no citation baseline for year 2010, category 'CATZZ'", floor
+        assert first == (f"error: {tmp_path / 'base' / 'baselines.csv'}: no citation baseline "
+                         "for year 2010, category 'CATZZ'"), floor
 
 
 def test_report_keys_each_input_checksum_by_its_role(tiny_dir, tmp_path):

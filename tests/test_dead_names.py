@@ -1,12 +1,13 @@
-"""Every function, class, method and field in src/fsskit has a use there.
+"""Every function, class, method, field and module-level name in src/fsskit
+has a use there.
 
 A definition that nothing in the package refers to is dead code, or code
-kept alive only by its own tests. A module-level function or class counts
-as used when some name or attribute access in the package refers to it; a
-method counts only through an attribute access. Imports do not count, and
-dunders are never reported. An annotated field of a module-level class
-(a NamedTuple field) counts as read only when the package loads an
-attribute of that name.
+kept alive only by its own tests. A module-level function, class or
+assigned name (such as ``indicators.RATES``) counts as used when some name
+read or attribute access in the package refers to it; a method counts only
+through an attribute access. Imports do not count, and dunders are never
+reported. An annotated field of a module-level class (a NamedTuple field)
+counts as read only when the package loads an attribute of that name.
 
 A census is also built in one place: only the loaders construct a Corpus,
 nothing calls ``_replace``, the one way to copy a record (a Corpus among
@@ -21,8 +22,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "fsskit"
 
 # Definitions kept without a use in the package, each with its reason.
 ALLOWED = {
-    "Corpus.staff": "perfbench/tracing.py wraps it (ROADMAP item 2)",
-    "Corpus.publications_of": "perfbench/tracing.py wraps it (ROADMAP item 2)",
+    "Corpus.staff": "perfbench/tracing.py wraps it (ROADMAP item 1)",
+    "Corpus.publications_of": "perfbench/tracing.py wraps it (ROADMAP item 1)",
 }
 
 # Classes ("Class") and fields ("Class.field") whose fields are read other
@@ -42,10 +43,14 @@ def parsed_modules():
 
 
 def definitions(modules):
-    """(qualified name, is a method) of every module-level function and
-    class, and of every method of a module-level class."""
+    """(qualified name, is a method) of every module-level function, class
+    and assigned name, and of every method of a module-level class."""
     for module in modules:
         for node in module.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for name in ast.walk(node):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        yield name.id, False
             if not isinstance(node, DEFINITIONS):
                 continue
             yield node.name, False
@@ -59,7 +64,7 @@ def unused(modules) -> list[str]:
     names, attributes = set(), set()
     for module in modules:
         for node in ast.walk(module):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)

@@ -25,10 +25,9 @@ import pytest
 
 from fsskit.corpus import Corpus
 from fsskit.errors import ComputationError
-from fsskit.indicators import (FieldMeans, compute_field_means, country_staff_scores,
-                               credit_ledger, department_scores, researcher_scores,
-                               staff_scores, staff_unit_id, standardized_scores,
-                               university_scores)
+from fsskit.indicators import (FieldMeans, compute_field_means, credit_ledger,
+                               department_scores, researcher_scores, staff_scores,
+                               staff_unit_id, standardized_scores, university_scores)
 from fsskit.normalize import compute_baselines
 
 # fss_r = output / (salary * years)
@@ -89,8 +88,8 @@ def test_fss_s_matches_hand_derivation(ledger):
 def test_country_staff_score_is_cost_weighted_mean(ledger):
     # National output over national cost equals the cost-weighted mean of
     # the university staff scores when every university is productive.
-    assert country_staff_scores(ledger).entries[staff_unit_id(None, "MAT01")] == pytest.approx(
-        float(MEAN_S_MAT), rel=1e-12)
+    national = staff_scores(ledger, national=True).entries
+    assert national[staff_unit_id(None, "MAT01")] == pytest.approx(float(MEAN_S_MAT), rel=1e-12)
 
 
 def test_field_means(ledger):

@@ -7,6 +7,9 @@ second implementation of any indicator:
 - doubling the census (every researcher, publication and byline copied
   under a new id, every institution and department too) leaves every unit's
   score, and its twin's, bit for bit where it was, at every `score` scope;
+  under corpus-mode `dea` it leaves every institution's expansion factor
+  and efficiency, and its twin's, within dea.CERTIFICATE_TOL (relative)
+  under both models, peers aside;
 - multiplying every citation count by 3 moves no score by more than the
   acceptance tolerance (rel 1e-9), and no unit whose score lies further
   than that from every other unit's changes rank;
@@ -25,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from fsskit.cli import main
+from fsskit.dea import CERTIFICATE_TOL
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 if str(PERFBENCH) not in sys.path:
@@ -183,3 +187,29 @@ def test_tripling_dmu_columns_keeps_phi_and_peers(dmu_table, tmp_path):
     for (uid, model, phi, _, peers), (uid3, model3, phi3, _, peers3) in zip(before, after):
         assert (uid3, model3, peers3) == (uid, model, peers)
         assert float(phi3) == pytest.approx(float(phi), rel=REL), (uid, model)
+
+
+def test_doubling_the_census_keeps_every_dea_result(tmp_path):
+    # Corpus-mode dea on a census where most units lie off both frontiers:
+    # each institution and its twin keep the original expansion factor.
+    census = tmp_path / "census"
+    run("synth", "--seed", "7", "--researchers", "1500", "--institutions", "20",
+        "--out", str(census))
+    results = {}
+    for name, data in (("before", census),
+                       ("after", transformed(census, tmp_path / "double", doubled_rows))):
+        out = tmp_path / name
+        run("dea", "--data", str(data), "--model", "both", "--min-years", "0",
+            "--output-dir", str(out))
+        _, *rows = read_rows(out / "dea_results.csv")
+        results[name] = {(uid, model): (float(phi), float(efficiency))
+                         for uid, model, phi, efficiency, _ in rows}
+    before, after = results["before"], results["after"]
+    assert len(before) == 40
+    assert {model: sum(phi > 1 for (_, m), (phi, _) in before.items() if m == model)
+            for model in ("crs", "vrs")} == {"crs": 13, "vrs": 11}
+    assert sorted(after) == sorted([*before, *((twin(uid), model) for uid, model in before)])
+    for (uid, model), (phi, efficiency) in before.items():
+        for unit in (uid, twin(uid)):
+            assert after[(unit, model)] == (pytest.approx(phi, rel=CERTIFICATE_TOL),
+                                            pytest.approx(efficiency, rel=CERTIFICATE_TOL)), unit

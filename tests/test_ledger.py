@@ -12,8 +12,8 @@ import pytest
 from fsskit import indicators
 from fsskit.config import ExclusionThresholds
 from fsskit.errors import InputError
-from fsskit.indicators import (apply_exclusions, compute_field_means, country_staff_scores,
-                               credit_ledger, department_scores, researcher_scores, small_units,
+from fsskit.indicators import (apply_exclusions, compute_field_means, credit_ledger,
+                               department_scores, researcher_scores, small_units,
                                staff_scores, staff_unit_id, university_scores)
 from fsskit.normalize import compute_baselines
 
@@ -54,7 +54,7 @@ def test_staff_batch_matches_oracle(synth, oracle):
 
 def test_country_batch_matches_oracle(synth, oracle):
     corpus, ledger = synth.corpus, synth.ledger
-    batch = country_staff_scores(ledger)
+    batch = staff_scores(ledger, national=True)
     sds_of = {staff_unit_id(None, sds): sds for sds in corpus.taxonomy.uda_of_sds}
     assert set(batch.entries) == set(sds_of)
     check(batch, lambda uid: oracle.fss_s(sds_of[uid], None))
@@ -104,7 +104,7 @@ def test_ledger_normalizes_each_publication_once(tiny, monkeypatch):
     means = compute_field_means(ledger)
     researcher_scores(ledger)
     staff_scores(ledger)
-    country_staff_scores(ledger)
+    staff_scores(ledger, national=True)
     department_scores(ledger, means)
     for indicator in ("fss_u", "p_u", "fp_u"):
         university_scores(ledger, means, indicator)

@@ -18,9 +18,9 @@ import pytest
 from conftest import euro_dmu_table
 from fsskit.cli import main
 from fsskit.corpus import export_corpus
-from fsskit.indicators import (STANDARDIZABLE, compute_field_means, country_staff_scores,
-                               credit_ledger, department_scores, researcher_scores,
-                               staff_scores, standardized_scores, university_scores)
+from fsskit.indicators import (STANDARDIZABLE, compute_field_means, credit_ledger,
+                               department_scores, researcher_scores, staff_scores,
+                               standardized_scores, university_scores)
 
 SHUFFLED = ("researchers.csv", "publications.csv", "bylines.csv")
 
@@ -129,8 +129,8 @@ def test_batch_sets_ignore_researcher_order(synth):
     def batch_sets(corpus):
         ledger = credit_ledger(corpus, synth.baselines)
         means = compute_field_means(ledger)
-        sets = [researcher_scores(ledger), staff_scores(ledger), country_staff_scores(ledger),
-                department_scores(ledger, means)]
+        sets = [researcher_scores(ledger), staff_scores(ledger),
+                staff_scores(ledger, national=True), department_scores(ledger, means)]
         sets += [university_scores(ledger, means, indicator)
                  for indicator in ("fss_u", "p_u", "fp_u")]
         sets += [standardized_scores(ledger, means, level) for level in STANDARDIZABLE]

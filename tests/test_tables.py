@@ -418,6 +418,20 @@ def test_census_file_with_a_bom_scores_alike(tmp_path, name, capsys):
     assert run(["score", "--data", str(marked), "--output-dir"], tmp_path / "out-marked") == expected
 
 
+def test_census_with_unnamed_header_columns_scores_alike(tmp_path, capsys):
+    # Spreadsheet exports end a header with ",," for columns they left
+    # unnamed; those columns repeat the name "" but name nothing to read.
+    census = tmp_path / "census"
+    assert cli.main(["synth", "--seed", "3", "--researchers", "200", "--institutions", "6",
+                     "--out", str(census)]) == 0
+    expected = run(["score", "--data", str(census), "--output-dir"], tmp_path / "out-plain")
+    for name in CENSUS:
+        path = census / f"{name}.csv"
+        header, rest = path.read_text().split("\n", 1)
+        path.write_text(f"{header},,\n{rest}")
+    assert run(["score", "--data", str(census), "--output-dir"], tmp_path / "out-unnamed") == expected
+
+
 def test_rankings_and_dmus_with_a_bom_read_alike(tmp_path, capsys):
     ranking, marked_ranking = tmp_path / "rankings.csv", tmp_path / "marked-rankings.csv"
     ranking.write_text("unit_id,score,rank,percentile\nu1,2.0,1,50.0\nu2,1.0,2,0.0\n")
