@@ -450,9 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--researchers", dest="n_researchers", metavar="RESEARCHERS", type=int)
     p.add_argument("--institutions", dest="n_institutions", metavar="INSTITUTIONS", type=int)
     p.add_argument("--sds", dest="n_sds", metavar="SDS", type=int)
-    p.add_argument("--alpha", dest="lotka_alpha", metavar="ALPHA", type=float)
     p.add_argument("--max-papers", dest="max_papers", type=int)
-    p.add_argument("--single-category", dest="single_category", action="store_true")
     p.set_defaults(func=cmd_synth, **SynthParams()._asdict())
 
     return parser

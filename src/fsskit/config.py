@@ -6,13 +6,13 @@ Citation baselines come from ``baseline_file`` when it is set and are
 computed from the census when it is not.
 The config hash covers only fields that can change results; the output
 directory is excluded so the same analysis always reports the same hash.
-``SynthParams`` holds the settings of ``fsskit synth``, which the parser
-reads for the synth flags' defaults without loading the generator.
+``SynthParams`` holds the settings of ``fsskit synth``, four counts that
+are each at least 1; the parser reads them for the synth flags' defaults
+without loading the generator, which fixes every other setting.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -61,16 +61,12 @@ class SynthParams(NamedTuple):
     n_researchers: int = 500
     n_institutions: int = 8
     n_sds: int = 5
-    lotka_alpha: float = 1.3
     max_papers: int = 40
-    single_category: bool = False
 
     def validate(self):
-        for name in ("n_researchers", "n_institutions", "n_sds", "max_papers"):
+        for name in self._fields:
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1")
-        if not (math.isfinite(self.lotka_alpha) and self.lotka_alpha > 0):
-            raise InputError(f"lotka_alpha must be a finite positive number, got {self.lotka_alpha}")
 
 
 _TOP_LEVEL_KEYS = set(RunConfig._fields)

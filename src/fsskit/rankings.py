@@ -31,19 +31,7 @@ class RankedEntry(NamedTuple):
 class RankedList(NamedTuple):
     entries: list[RankedEntry]  # score descending, unit_id ascending within ties
     group: str | None = None  # e.g. a discipline code when ranking within one
-
-    def rank_of(self) -> dict[str, int]:
-        return {e.unit_id: e.rank for e in self.entries}
-
-    def score_of(self) -> dict[str, float]:
-        return {e.unit_id: e.score for e in self.entries}
-
-    def unit_ids(self) -> set[str]:
-        return {e.unit_id for e in self.entries}
-
-    def top_quartile(self) -> set[str]:
-        """First ceil(n/4) units of the sorted order."""
-        return {e.unit_id for e in self.entries[:quartile_size(len(self.entries))]}
+    file: Path | None = None  # the file read_rankings read it from, named in errors
 
 
 class ComparisonStats(NamedTuple):
@@ -129,30 +117,33 @@ def spearman_rho(x, y) -> float:
 def compare_rankings(a: RankedList, b: RankedList) -> ComparisonStats:
     """How a unit population reorders between two rankings.
 
-    Both lists must rank exactly the same units. Shift magnitudes are
-    absolute differences of competition ranks; the correlation is computed
-    from scores (not ranks) so tied blocks are handled by average ranks;
-    the quartile exit rate is the share of a's top quartile missing from
-    b's top quartile.
+    Both lists must rank exactly the same units; each unit only one of them
+    ranks is named, with that list's file when it was read from one. Shift
+    magnitudes are absolute differences of competition ranks; the
+    correlation is computed from scores (not ranks) so tied blocks are
+    handled by average ranks; the quartile exit rate is the share of a's top
+    quartile (its first ceil(n/4) units) missing from b's top quartile.
     """
-    ids_a, ids_b = a.unit_ids(), b.unit_ids()
-    if ids_a != ids_b:
-        diff = sorted(ids_a.symmetric_difference(ids_b))
-        raise InputError(f"rankings cover different units: {', '.join(diff)}")
+    entries_a = {e.unit_id: e for e in a.entries}
+    entries_b = {e.unit_id: e for e in b.entries}
+    if entries_a.keys() != entries_b.keys():
+        raise InputError("rankings cover different units: " + ", ".join(
+            uid if ranked.file is None else f"{uid} (only in {ranked.file})"
+            for ranked, only in ((a, entries_a.keys() - entries_b.keys()),
+                                 (b, entries_b.keys() - entries_a.keys()))
+            for uid in sorted(only)))
     n = len(a.entries)
     if n < 2:
         raise ComputationError("comparison needs at least two units")
 
-    rank_a, rank_b = a.rank_of(), b.rank_of()
-    score_a, score_b = a.score_of(), b.score_of()
-    ids = sorted(ids_a)
-    shifts = {uid: abs(rank_a[uid] - rank_b[uid]) for uid in ids}
+    ids = sorted(entries_a)
+    shifts = {uid: abs(entries_a[uid].rank - entries_b[uid].rank) for uid in ids}
     shift_values = [shifts[uid] for uid in ids]
     moved = sum(1 for s in shift_values if s > 0)
     ordered, mid = sorted(shift_values), n // 2
     median_shift = float(ordered[mid]) if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
-    top_a, top_b = a.top_quartile(), b.top_quartile()
+    top_a, top_b = ({e.unit_id for e in ranked.entries[:quartile_size(n)]} for ranked in (a, b))
     exits = len(top_a - top_b)
 
     return ComparisonStats(
@@ -161,7 +152,8 @@ def compare_rankings(a: RankedList, b: RankedList) -> ComparisonStats:
         avg_shift=math.fsum(shift_values) / n,
         median_shift=median_shift,
         max_shift=max(shift_values),
-        spearman=spearman_rho([score_a[uid] for uid in ids], [score_b[uid] for uid in ids]),
+        spearman=spearman_rho([entries_a[uid].score for uid in ids],
+                              [entries_b[uid].score for uid in ids]),
         top_quartile_exit_pct=100.0 * exits / len(top_a),
         shifts=shifts,
     )
@@ -212,7 +204,7 @@ def read_rankings(path) -> RankedList:
             if value != expected:
                 raise LoadError(f"{column} {value!r} differs from {expected!r}, the {column} "
                                 "its score gives", file=path, line=line, column=column)
-    return ranked
+    return RankedList(ranked.entries, ranked.group, path)
 
 
 def write_comparison(stats: ComparisonStats, path) -> Path:

@@ -7,13 +7,14 @@ ones. Everything is drawn from a single random.Random(seed) stream in a
 fixed order, so one seed always yields the same corpus.
 
 ``config.SynthParams`` holds what the ``synth`` command's flags set: the
-census size, the power law and the single-category switch. The module
-constants fix the rest: the window is RunConfig's default; each field has
-two subject categories; 8% of researchers publish nothing, 6% have one or two
-years in post and 10% carry an explicit salary; 35% of papers add one or
-two census co-authors and each adds up to three external ones; 15% gain a
-second category; 30% are uncited, and the rest draw citations with mean 6
-times a category intensity between 0.5 and 2 (capped at 200).
+census size and the most papers one researcher draws. The module constants
+fix the rest: the power law's exponent is 1.3; the window is RunConfig's
+default; each field has two subject categories; 8% of researchers publish
+nothing, 6% have one or two years in post and 10% carry an explicit salary;
+35% of papers add one or two census co-authors and each adds up to three
+external ones; 15% gain a second category; 30% are uncited, and the rest
+draw citations with mean 6 times a category intensity between 0.5 and 2
+(capped at 200).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ DEFAULT_SCHEDULE = {
     ("full", None): 70000.0,
 }
 
+LOTKA_ALPHA = 1.3
 CATEGORIES_PER_SDS = 2
 FRACTION_INACTIVE = 0.08
 FRACTION_SHORT_TENURE = 0.06
@@ -109,7 +111,7 @@ def generate_synthetic_corpus(seed: int, params: SynthParams | None = None) -> C
             years_in_window=years,
         )
 
-    pmf = lotka_pmf(params.lotka_alpha, params.max_papers)
+    pmf = lotka_pmf(LOTKA_ALPHA, params.max_papers)
     counts = {}
     for rid in sorted(researchers):
         if rng.random() < FRACTION_INACTIVE:
@@ -130,7 +132,7 @@ def generate_synthetic_corpus(seed: int, params: SynthParams | None = None) -> C
             year = rng.randint(start, end)
 
             cats = [rng.choice(categories[anchor.sds_code])]
-            if not params.single_category and rng.random() < MULTI_CATEGORY_PROB:
+            if rng.random() < MULTI_CATEGORY_PROB:
                 extra = rng.choice(all_categories)
                 if extra not in cats:
                     cats.append(extra)

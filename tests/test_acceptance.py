@@ -128,14 +128,15 @@ def test_03_indicator_oracle_equivalence(synth):
 
 def test_04_normalization_cohort_mean():
     with criterion("cited single-category cohort mean impact = 1 (1e-12)"):
-        corpus = generate_synthetic_corpus(
-            1234, SynthParams(n_researchers=300, single_category=True))
-        table = compute_baselines(corpus.publications.values())
+        # Each publication of the default seed-1234 census, cut to its first category.
+        publications = [pub._replace(subject_categories=pub.subject_categories[:1])
+                        for pub in generate_synthetic_corpus(1234).publications.values()]
+        table = compute_baselines(publications)
         cohorts = 0
         for year, category in table.cohorts():
             impacts = [
                 normalized_impact(pub, table)
-                for pub in corpus.publications.values()
+                for pub in publications
                 if pub.year == year and pub.citations >= 1
                 and pub.subject_categories == (category,)
             ]

@@ -259,7 +259,7 @@ def test_rank_university_within_uda_gets_group_column(tiny_dir, tmp_path):
     assert header == "group,unit_id,score,rank,percentile"
     ranked = read_rankings(out / "rankings.csv")
     assert ranked.group == "MATH"
-    assert ranked.unit_ids() == {"UA", "UB"}
+    assert {e.unit_id for e in ranked.entries} == {"UA", "UB"}
 
 
 def test_rank_researcher_standardized(tiny_dir, tmp_path, capsys):
@@ -320,7 +320,7 @@ def test_rank_staff_respects_field_exclusions(tiny_dir, tmp_path):
                  "--min-staff-uda", "2", "--min-staff-total", "0",
                  "--level", "staff", "--output-dir", str(out)]) == 0
     ranked = read_rankings(out / "rankings.csv")
-    assert ranked.unit_ids() == {"UA:MAT01", "UB:BIO01"}
+    assert {e.unit_id for e in ranked.entries} == {"UA:MAT01", "UB:BIO01"}
 
 
 def test_rank_staff_with_separator_in_field_code(tiny_dir, tmp_path):
@@ -334,7 +334,7 @@ def test_rank_staff_with_separator_in_field_code(tiny_dir, tmp_path):
                  "--min-staff-uda", "2", "--min-staff-total", "0",
                  "--level", "staff", "--output-dir", str(out)]) == 0
     ranked = read_rankings(out / "rankings.csv")
-    assert ranked.unit_ids() == {"UA:MAT:01", "UB:BIO01"}
+    assert {e.unit_id for e in ranked.entries} == {"UA:MAT:01", "UB:BIO01"}
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +371,8 @@ def test_compare_mismatched_units_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "u2" in err and "u3" in err
+    # Each unit only one ranking has is named with the file holding it.
+    assert f"u2 (only in {a}), u3 (only in {b})" in err
 
 
 def test_compare_refuses_a_nonzero_score_that_reads_as_0(tmp_path, capsys):

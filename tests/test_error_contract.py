@@ -11,6 +11,11 @@ line, with the data directory's path taken out, are listed and pinned as
 one sha256 digest per command, the way `test_golden.py` pins artifacts. A loader change that moves which cell is
 blamed, or how, or that turns an exit 2 into an exit 1 or a traceback,
 fails this test; such a change re-records the digest and says why.
+
+Apart from the digests, every case must keep the contract's property: no
+case raises or exits 1, and the first line of each exit 2 names the
+corrupted file or a census file whose rows cite the corrupted file's keys
+(``CITED_BY``), as researchers.csv cites taxonomy.csv's fields.
 """
 
 import hashlib
@@ -44,7 +49,11 @@ DEA_SEED = 20263
 DEA_DIGEST = "6d2cbb8dfe99d7f586ff78598e4d39f390d1e866920009d8dd0d1dc7097f12af"
 COMPARE_CASES = 100
 COMPARE_SEED = 20264
-COMPARE_DIGEST = "2361bf5d3d1c7931d24640dcb4674e89aab0ae3806d217ee095fce5ce7e76289"
+COMPARE_DIGEST = "5da6b373d471e4d03e97023fcfa9ed4c5a53ea28b3c0a02ca9b8a9542a89b217"
+# The census files whose rows cite each file's keys: an exit 2 for a bad key
+# may blame the row that cites it.
+CITED_BY = {"researchers": ("bylines",), "publications": ("bylines",),
+            "taxonomy": ("researchers",), "salaries": ("researchers",)}
 
 
 def corruptions(texts, cases, rng):
@@ -70,7 +79,8 @@ def corruptions(texts, cases, rng):
 def outcomes(data, names, cases, seed, command) -> str:
     """One line per case: the cell, the value, the exit code and the first
     stderr line, with the data directory's path taken out. Each case
-    corrupts one of the files ``names`` in ``data`` and runs ``command``."""
+    corrupts one of the files ``names`` in ``data`` and runs ``command``,
+    and must keep the contract's property (see the module docstring)."""
     texts = {name: (data / f"{name}.csv").read_text() for name in names}
     listing = []
     for (name, line, column, value), text in corruptions(texts, cases, random.Random(seed)):
@@ -81,6 +91,9 @@ def outcomes(data, names, cases, seed, command) -> str:
         path.write_text(texts[name])
         first = (err.getvalue().splitlines() or [""])[0].replace(f"{data}{os.sep}", "")
         listing.append(f"{name}.csv line {line} {column}={value!r}: {code} {first}")
+        assert code in (0, 2), listing[-1]
+        assert code == 0 or any(f"{blamed}.csv" in first
+                                for blamed in (name, *CITED_BY.get(name, ()))), listing[-1]
     return "\n".join(listing)
 
 

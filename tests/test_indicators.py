@@ -24,7 +24,7 @@ from fractions import Fraction as F
 import pytest
 
 from fsskit.corpus import Corpus
-from fsskit.errors import ComputationError
+from fsskit.errors import ComputationError, InputError
 from fsskit.indicators import (FieldMeans, compute_field_means, credit_ledger,
                                department_scores, researcher_scores, staff_scores,
                                staff_unit_id, standardized_scores, university_scores)
@@ -131,6 +131,12 @@ def test_rate_indicators_match_hand_derivation(ledger):
     for inst in ("UA", "UB"):
         assert p_u[inst] == pytest.approx(float(P_U[inst]), rel=1e-12)
         assert fp_u[inst] == pytest.approx(float(FP_U[inst]), rel=1e-12)
+
+
+def test_unknown_university_indicator_is_refused(ledger):
+    # The CLI offers only the three indicators, so only a library caller gets here.
+    with pytest.raises(InputError, match="unknown university indicator: 'fss_x'"):
+        university_scores(ledger, compute_field_means(ledger), "fss_x")
 
 
 def test_batch_sets_cover_all_units(ledger):

@@ -17,10 +17,30 @@ second implementation of any indicator:
   leaves every expansion factor and peer set where it was (the envelopment
   program does not depend on units of measure): byte for byte under x2,
   which is exact in floating point, and within 1e-9 under x3.
+
+Each level is also a reduction of the level below it, checked through the
+`score --scope sds|country|university|department` artifacts of a census
+whose labour costs (salary times years) are read from researchers.csv, each
+within the acceptance tolerance, because the sums run in another order:
+
+- a staff unit's fss_s is the cost-weighted mean of its members' fss_r;
+- a field's national fss_s is the cost-weighted mean of that field's
+  institution staff scores;
+- an institution's fss_u is the cost-weighted mean of its staff scores,
+  each over its field's cost-weighted mean over productive staff units;
+- merging two institutions, by relabelling only researchers.csv, leaves
+  every field mean, and so every other institution's and every
+  department's scores, bit for bit where they were; the merged fss_u is the
+  cost-weighted mean of the two, and its p_u and fp_u the head-count-weighted
+  means;
+- merging two departments the same way leaves every other department's
+  fss_d bit for bit, and the merged fss_d is the head-count-weighted mean of
+  the two.
 """
 
 import csv
 import io
+import math
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -213,3 +233,173 @@ def test_doubling_the_census_keeps_every_dea_result(tmp_path):
         for unit in (uid, twin(uid)):
             assert after[(unit, model)] == (pytest.approx(phi, rel=CERTIFICATE_TOL),
                                             pytest.approx(efficiency, rel=CERTIFICATE_TOL)), unit
+
+
+
+# ---------------------------------------------------------------------------
+# Cross-level relations: each level reduces the level below it
+# ---------------------------------------------------------------------------
+
+MERGED = ("U09", "U10")  # the institutions merged, U10's researchers relabelled U09
+MERGED_DEPARTMENTS = ("U10-D1", "U10-D8")  # U10-D8 has an unproductive member
+
+
+@pytest.fixture(scope="module")
+def salaried(tmp_path_factory):
+    """The census of test_golden's unproductive staff unit (seed 5: 200
+    researchers, 10 institutions, 8 fields; U01:SDS06 scores 0), with an
+    explicit salary on every researcher's row, so that each labour cost,
+    salary times years, can be read from researchers.csv."""
+    source = tmp_path_factory.mktemp("levels") / "source"
+    run("synth", "--seed", "5", "--researchers", "200", "--institutions", "10", "--sds", "8",
+        "--out", str(source))
+
+    def paid(name, rows):
+        if name != "researchers":
+            return rows
+        return [{**row, "salary": repr(30000.0 + 250.0 * (i * 37 % 101))}
+                for i, row in enumerate(rows)]
+
+    return transformed(source, source.parent / "census", paid)
+
+
+def level_scores(census, out):
+    """Every unit's score at the four scopes, by (indicator, unit_id): fss_r
+    and fss_s from `--scope sds`, the national fss_s from `--scope country`,
+    fss_u, p_u and fp_u from `--scope university` and fss_d from
+    `--scope department`."""
+    found = {}
+    for scope in ("sds", "country", "university", "department"):
+        for (_, unit, indicator), value in scores(census, out / scope, scope).items():
+            found[(indicator, unit)] = float(value)
+    return found
+
+
+@pytest.fixture(scope="module")
+def levels(salaried, tmp_path_factory):
+    return level_scores(salaried, tmp_path_factory.mktemp("levels_out"))
+
+
+def of(found, indicator):
+    return {unit: value for (name, unit), value in found.items() if name == indicator}
+
+
+def grouped(census, found, key):
+    """Each scored researcher's (fss_r, labour cost), grouped by
+    ``key(institution, department, field)``."""
+    header, *rows = read_rows(census / "researchers.csv")
+    fss_r = of(found, "fss_r")
+    groups = {}
+    for row in (dict(zip(header, cells)) for cells in rows):
+        if row["id"] in fss_r:
+            cost = float(row["salary"]) * float(row["years_in_window"])
+            groups.setdefault(key(row["institution"], row["department"], row["sds"]),
+                              []).append((fss_r[row["id"]], cost))
+    return groups
+
+
+def staff_unit(inst, _, sds):
+    return f"{inst}:{sds}"
+
+
+def costs_of(groups):
+    """Each group's labour cost, its members' summed."""
+    return {group: math.fsum(cost for _, cost in pairs) for group, pairs in groups.items()}
+
+
+def weighted_mean(pairs):
+    """The mean of each (value, weight) pair's value, weighted."""
+    return math.fsum(v * w for v, w in pairs) / math.fsum(w for _, w in pairs)
+
+
+def test_staff_score_is_the_cost_weighted_mean_of_its_members(salaried, levels):
+    groups = grouped(salaried, levels, staff_unit)
+    staff = {unit: value for unit, value in of(levels, "fss_s").items() if "@" not in unit}
+    assert sorted(staff) == sorted(groups)
+    assert staff["U01:SDS06"] == 0.0
+    for unit, pairs in groups.items():
+        assert staff[unit] == pytest.approx(weighted_mean(pairs), rel=REL), unit
+
+
+def field_staff(found, costs):
+    """Each field's institution staff units as (fss_s, labour cost) pairs."""
+    fields = {}
+    for unit, value in of(found, "fss_s").items():
+        inst, _, sds = unit.partition(":")
+        if not inst.startswith("@"):
+            fields.setdefault(sds, []).append((value, costs[unit]))
+    return fields
+
+
+def test_national_staff_score_is_the_cost_weighted_mean_of_its_field(salaried, levels):
+    national = {unit: value for unit, value in of(levels, "fss_s").items() if "@" in unit}
+    fields = field_staff(levels, costs_of(grouped(salaried, levels, staff_unit)))
+    assert sorted(national) == [f"@country:{sds}" for sds in sorted(fields)]
+    for sds, pairs in fields.items():
+        assert national[f"@country:{sds}"] == pytest.approx(weighted_mean(pairs), rel=REL), sds
+
+
+def test_institution_score_is_its_cost_weighted_standardized_staff(salaried, levels):
+    # A field's national staff mean is cost-weighted over its productive
+    # staff units only, so U01:SDS06 takes no part in SDS06's.
+    costs = costs_of(grouped(salaried, levels, staff_unit))
+    means = {sds: weighted_mean([(v, c) for v, c in pairs if v > 0])
+             for sds, pairs in field_staff(levels, costs).items()}
+    terms = {}
+    for unit, value in of(levels, "fss_s").items():
+        inst, _, sds = unit.partition(":")
+        if not inst.startswith("@"):
+            terms.setdefault(inst, []).append((value / means[sds], costs[unit]))
+    fss_u = of(levels, "fss_u")
+    assert sorted(fss_u) == sorted(terms)
+    for inst, pairs in terms.items():
+        assert fss_u[inst] == pytest.approx(weighted_mean(pairs), rel=REL), inst
+
+
+def relabelled(census, target, column, old, new):
+    """The census with each ``old`` in researchers.csv's ``column`` made
+    ``new``; bylines.csv keeps its institutions, so every credit share stays."""
+    def change(name, rows):
+        if name != "researchers":
+            return rows
+        return [{**row, column: new if row[column] == old else row[column]} for row in rows]
+
+    return transformed(census, target, change)
+
+
+def test_merging_two_institutions_reduces_their_scores(salaried, levels, tmp_path):
+    kept, gone = MERGED
+    # A staff unit scoring 0 would join its field's mean once merged.
+    assert all(value > 0 for unit, value in of(levels, "fss_s").items()
+               if unit.partition(":")[0] in MERGED)
+    merged = level_scores(relabelled(salaried, tmp_path / "census", "institution", gone, kept),
+                          tmp_path / "out")
+    # No field mean moves: every other institution's scores, and every
+    # department's (a department keeps its id), stay bitwise where they were.
+    for indicator in ("fss_u", "p_u", "fp_u", "fss_d"):
+        before, after = of(levels, indicator), of(merged, indicator)
+        assert sorted(after) == sorted(set(before) - {gone}), indicator
+        for unit, value in before.items():
+            if unit not in MERGED:
+                assert after[unit] == value, (indicator, unit)
+    groups = grouped(salaried, levels, lambda inst, *_: inst)
+    costs, heads = costs_of(groups), {inst: len(pairs) for inst, pairs in groups.items()}
+    for indicator, weights in (("fss_u", costs), ("p_u", heads), ("fp_u", heads)):
+        before = of(levels, indicator)
+        expected = weighted_mean([(before[inst], weights[inst]) for inst in MERGED])
+        assert of(merged, indicator)[kept] == pytest.approx(expected, rel=REL), indicator
+
+
+def test_merging_two_departments_reduces_their_scores(salaried, levels, tmp_path):
+    kept, gone = MERGED_DEPARTMENTS
+    merged = of(level_scores(relabelled(salaried, tmp_path / "census", "department", gone,
+                                        kept), tmp_path / "out"), "fss_d")
+    before = of(levels, "fss_d")
+    assert sorted(merged) == sorted(set(before) - {gone})
+    for unit, value in before.items():
+        if unit not in MERGED_DEPARTMENTS:
+            assert merged[unit] == value, unit
+    heads = {dept: len(pairs) for dept, pairs in
+             grouped(salaried, levels, lambda _, dept, __: dept).items()}
+    expected = weighted_mean([(before[dept], heads[dept]) for dept in MERGED_DEPARTMENTS])
+    assert merged[kept] == pytest.approx(expected, rel=REL)

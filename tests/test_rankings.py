@@ -62,15 +62,14 @@ def test_quartile_sizes():
 def test_rank_scores_with_ties():
     rl = rank_scores({"a": 3.0, "b": 5.0, "c": 3.0, "d": 1.0})
     assert [e.unit_id for e in rl.entries] == ["b", "a", "c", "d"]
-    assert rl.rank_of() == {"b": 1, "a": 2, "c": 2, "d": 4}
+    assert {e.unit_id: e.rank for e in rl.entries} == {"b": 1, "a": 2, "c": 2, "d": 4}
     by_id = {e.unit_id: e.percentile for e in rl.entries}
     assert by_id == {"b": 75.0, "a": 25.0, "c": 25.0, "d": 0.0}
 
 
 def test_rank_scores_excludes_units():
     rl = rank_scores({"a": 3.0, "b": 5.0, "c": 1.0}, exclude={"b"})
-    assert rl.rank_of() == {"a": 1, "c": 2}
-    assert rl.unit_ids() == {"a", "c"}
+    assert [(e.unit_id, e.rank) for e in rl.entries] == [("a", 1), ("c", 2)]
 
 
 def test_rank_scores_group_from_uda():
@@ -79,8 +78,11 @@ def test_rank_scores_group_from_uda():
 
 
 def test_top_quartile_is_positional():
-    rl = ranked([(f"u{i}", 10.0 - i) for i in range(8)])
-    assert rl.top_quartile() == {"u0", "u1"}
+    # b ties u1 and u2 at rank 2. Its top quartile is its first two entries,
+    # u0 and u1, so a's u2 exits although b ranks it 2nd too.
+    a = ranked([("u0", 8.0), ("u2", 7.0), ("u1", 6.0), *((f"u{i}", 8.0 - i) for i in range(3, 8))])
+    b = rank_scores({"u0": 9.0, "u1": 8.0, "u2": 8.0, **{f"u{i}": 8.0 - i for i in range(3, 8)}})
+    assert compare_rankings(a, b).top_quartile_exit_pct == 50.0
 
 
 # ---------------------------------------------------------------------------

@@ -48,11 +48,6 @@ def test_publications_well_formed(synth_corpus):
             assert rid in synth_corpus.researchers
 
 
-def test_single_category_mode():
-    corpus = generate_synthetic_corpus(5, SynthParams(single_category=True))
-    assert all(len(p.subject_categories) == 1 for p in corpus.publications.values())
-
-
 def test_both_conventions_present(synth_corpus):
     kinds = set(synth_corpus.taxonomy.convention_of_sds.values())
     assert kinds == {"alphabetical", "position_weighted"}
@@ -69,7 +64,7 @@ def test_paper_counts_follow_power_law(monkeypatch):
     # exactly their own draw from the truncated power law.
     monkeypatch.setattr(synth, "COAUTHOR_CENSUS_PROB", 0.0)
     monkeypatch.setattr(synth, "FRACTION_INACTIVE", 0.0)
-    params = SynthParams(n_researchers=2000, lotka_alpha=2.0, max_papers=30)
+    params = SynthParams(n_researchers=2000, max_papers=30)
     corpus = generate_synthetic_corpus(314, params)
     counts = Counter()
     for pub in corpus.publications.values():
@@ -79,7 +74,7 @@ def test_paper_counts_follow_power_law(monkeypatch):
     observed_by_k = Counter(counts[rid] for rid in corpus.researchers)
     assert observed_by_k[0] == 0
 
-    pmf = lotka_pmf(params.lotka_alpha, params.max_papers)
+    pmf = lotka_pmf(synth.LOTKA_ALPHA, params.max_papers)
     n = len(corpus.researchers)
     observed = [observed_by_k.get(k, 0) for k in range(1, params.max_papers + 1)]
     expected = [n * p for p in pmf]
@@ -100,15 +95,6 @@ def test_degenerate_params_rejected():
         generate_synthetic_corpus(0, SynthParams(max_papers=0))
 
 
-@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "-1", "0"])
-def test_alpha_must_be_finite_and_positive(tmp_path, capsys, alpha):
-    with pytest.raises(InputError, match="lotka_alpha"):
-        generate_synthetic_corpus(0, SynthParams(lotka_alpha=float(alpha)))
-    assert main(["synth", f"--alpha={alpha}", "--out", str(tmp_path / "census")]) == 2
-    assert "lotka_alpha must be a finite positive number" in capsys.readouterr().err
-    assert not (tmp_path / "census").exists()
-
-
 def test_synth_flags_set_every_param():
     # SynthParams holds exactly the settings `fsskit synth` takes, each with
     # the flag's default; everything else in the generator is a constant.
@@ -116,6 +102,16 @@ def test_synth_flags_set_every_param():
     flags = {dest: value for dest, value in args.items()
              if dest not in ("command", "func", "seed", "out")}
     assert flags == SynthParams()._asdict()
+    assert SynthParams._fields == ("n_researchers", "n_institutions", "n_sds", "max_papers")
+
+
+@pytest.mark.parametrize("flag", ["--alpha=2", "--single-category"])
+def test_fixed_settings_have_no_flag(tmp_path, capsys, flag):
+    # The power law's exponent and the second-category draw are constants.
+    with pytest.raises(SystemExit) as exit_:
+        main(["synth", flag, "--out", str(tmp_path / "census")])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", [1, 2])
