@@ -5,8 +5,6 @@ so importing one submodule (``fsskit.rankings``, say) loads only what that
 submodule imports.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
 
 # Library name -> the submodule that defines it.
@@ -29,5 +27,6 @@ def __getattr__(name):
         module = _LIBRARY[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    # __import__ shows the module in ``python -X importtime``, as cli._need does.
+    value = globals()[name] = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
     return value

@@ -40,11 +40,10 @@ import io
 import os
 import sys
 from contextlib import redirect_stdout
-from importlib import import_module
 from pathlib import Path
 
 from . import __version__
-from .config import OVERRIDE_KEYS, SCOPES, RunConfig, SynthParams, load_config
+from .config import OVERRIDE_KEYS, SCOPES, RunConfig, SynthParams, load_config, path_fault
 from .corpus import export_corpus, load_corpus, write_json, write_table
 from .errors import ComputationError, InputError, LoadError
 
@@ -66,9 +65,11 @@ _LATE = {
 
 def _need(*modules: str):
     """Import ``modules`` and bind on cli the names it takes from them. A name
-    already bound stays: a caller that replaced it on cli keeps its own."""
+    already bound stays: a caller that replaced it on cli keeps its own. The
+    builtin __import__, unlike importlib.import_module, shows each module in
+    ``python -X importtime``; a non-empty fromlist makes it return the module."""
     for module in modules:
-        loaded = import_module(f".{module}", __package__)
+        loaded = __import__(f"{__package__}.{module}", fromlist=_LATE[module])
         for name in _LATE[module]:
             globals().setdefault(name, getattr(loaded, name))
 
@@ -89,9 +90,10 @@ UNIVERSITY_INDICATORS = ("fss_u", "p_u", "fp_u")
 
 
 def _path(text: str) -> str:
-    """The type of every path flag: ``Path("")`` would be the working directory."""
-    if not text:
-        raise argparse.ArgumentTypeError("an empty path names no file or directory")
+    """The type of every path flag: a text that config.path_fault accepts."""
+    fault = path_fault(text)
+    if fault:
+        raise argparse.ArgumentTypeError(fault)
     return text
 
 

@@ -13,6 +13,7 @@ without loading the generator, which fixes every other setting.
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -88,6 +89,21 @@ def _is_path(value) -> bool:
     return isinstance(value, str) and value != ""  # Path("") is the working directory
 
 
+def path_fault(text: str) -> str | None:
+    """Why ``text`` names no file, or None when it may: ``Path("")`` is the
+    working directory, and no file name holds a NUL or a character that
+    os.fsencode cannot encode. Path flags and path keys both obey it."""
+    if not text:
+        return "an empty path names no file or directory"
+    if "\0" in text:
+        return "a path may not hold a NUL"
+    try:
+        os.fsencode(text)
+    except UnicodeEncodeError:
+        return "a path may not hold a character the file system cannot encode"
+    return None
+
+
 # Each setting's one rule: what its JSON value must be, the test of its type
 # and range, and the form it is kept in, so that 3 and 3.0 hash alike. An
 # integer too large for a float is not finite as a float.
@@ -105,6 +121,7 @@ _RULES = {
     "baseline_file": ("a non-empty string or null", lambda v: v is None or _is_path(v),
                       lambda v: v),
 }
+_PATH_KEYS = ("output_dir", "baseline_file")  # each also obeys path_fault
 
 
 def check_settings(settings: dict) -> dict:
@@ -115,6 +132,9 @@ def check_settings(settings: dict) -> dict:
         what, accepts, keep = _RULES[key]
         if not accepts(value):
             raise InputError(f"config key {key!r} must be {what}")
+        fault = path_fault(value) if key in _PATH_KEYS and value is not None else None
+        if fault:
+            raise InputError(f"config key {key!r}: {fault}")
         kept[key] = keep(value)
     return kept
 
@@ -139,7 +159,7 @@ def load_config(path=None, overrides: dict | None = None) -> tuple[RunConfig, li
             raise InputError(f"config file {path} cannot be read: {exc.strerror}") from None
         except UnicodeDecodeError:
             raise InputError(f"config file {path} is not UTF-8 text") from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # too deep, or too many digits
             raise InputError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise InputError(f"config file {path} must contain a JSON object")

@@ -35,14 +35,14 @@ credited output, fractional and whole counts and labor cost. The caller
 builds the ledger once, with credit_ledger, and passes it to every
 indicator. Each score-set function groups the rows into its level's units
 and reduces each group; a single unit's value is its entry in that set.
-RATES is the one place a researcher rate (fss_r, q, fq) is written, keyed
-by the FieldMeans table of its means: compute_field_means, the researcher
-and department scores, p_u and fp_u each read their rate there.
+RATES is the one place a researcher rate (fss_r, q, fq) is written:
+compute_field_means, the researcher and department scores, p_u and fp_u
+each read their rate there, and the means table keys each rate's means by
+its RATES key, the staff means by fss_s.
 staff_table is the one function that reduces staff groups: every
 staff-based value reads its table, and compute_field_means and
 staff_scores, at institution or national scope, each call it.
-FieldMeans.standardize is the one place a value is divided by its field's
-mean.
+standardize is the one place a value is divided by its field's mean.
 
 The ledger is the one place a researcher's discipline is resolved. Every
 unit rule reduces it: apply_exclusions drops the rows under the tenure
@@ -78,32 +78,22 @@ class ScoreSet(NamedTuple):
     entries: dict[str, float]
 
 
-class FieldMeans(NamedTuple):
-    """National means per field over productive units, for standardization.
+# Each key of RATES, and "fss_s", to its national mean per field code, taken
+# over productive units: compute_field_means' result.
+FieldMeans = dict[str, dict[str, float]]
 
-    score_R, whole and fractional output rates are plain means over
-    productive researchers; the staff mean is weighted by each university's
-    labor cost in the field.
-    """
 
-    fss_r: dict[str, float]
-    fss_s: dict[str, float]
-    q: dict[str, float]
-    fq: dict[str, float]
-
-    def standardize(self, table_name: str, sds_code: str, value: float) -> float:
-        """``value`` over field ``sds_code``'s national mean in ``table_name``.
-        A value of 0 stays 0 and needs no mean, so a field without a
-        productive unit standardizes its members to 0."""
-        if value == 0.0:
-            return 0.0
-        table = getattr(self, table_name)
-        if sds_code not in table:
-            raise ComputationError(
-                f"no national {table_name} mean for field {sds_code!r} "
-                "(no productive unit in that field)"
-            )
-        return value / table[sds_code]
+def standardize(means: FieldMeans, rate: str, sds_code: str, value: float) -> float:
+    """``value`` over field ``sds_code``'s national ``rate`` mean. A value of 0
+    stays 0 and needs no mean, so a field without a productive unit
+    standardizes its members to 0."""
+    if value == 0.0:
+        return 0.0
+    mean = means[rate].get(sds_code)
+    if mean is None:
+        raise ComputationError(f"no national {rate} mean for field {sds_code!r} "
+                               "(no productive unit in that field)")
+    return value / mean
 
 
 # The levels whose units each lie in one field, and the indicator each scores.
@@ -117,10 +107,10 @@ def standardized_scores(ledger: list[CreditRow], means: FieldMeans, level: str) 
     indicator = STANDARDIZABLE.get(level)
     if level == "researcher":
         fss_r = RATES["fss_r"]
-        entries = {row.id: means.standardize(indicator, row.sds_code, fss_r(row))
+        entries = {row.id: standardize(means, indicator, row.sds_code, fss_r(row))
                    for row in ledger}
     elif level == "staff":
-        entries = {staff_unit_id(inst, sds): means.standardize(indicator, sds, value)
+        entries = {staff_unit_id(inst, sds): standardize(means, indicator, sds, value)
                    for (inst, sds), (value, _) in staff_table(ledger).items()}
     else:
         raise InputError(f"no field standardization defined for level {level!r}")
@@ -249,8 +239,8 @@ def small_units(ledger: list[CreditRow],
 # Reductions over ledger rows
 # ---------------------------------------------------------------------------
 
-# Each researcher rate that has a national field mean, by the name of the
-# FieldMeans table that holds those means: the one place each is written.
+# Each researcher rate that has a national field mean, by the key of those
+# means in compute_field_means' result: the one place each is written.
 RATES = {
     "fss_r": lambda row: row.output / row.cost,
     "q": lambda row: row.papers / row.years,
@@ -275,7 +265,7 @@ def _rollups(rows: list[CreditRow], unit: str, rate: str, means: FieldMeans) -> 
     """Each unit's head-count average of its members' field-standardized
     ``rate``; a member whose rate is 0 counts in the head count only."""
     rate_of = RATES[rate]
-    return {uid: math.fsum(means.standardize(rate, row.sds_code, rate_of(row))
+    return {uid: math.fsum(standardize(means, rate, row.sds_code, rate_of(row))
                            for row in members) / len(members)
             for uid, members in group_rows(rows, attrgetter(unit)).items()}
 
@@ -284,7 +274,7 @@ def _fss_u(rows: list[CreditRow], means: FieldMeans) -> dict[str, float]:
     """fss_u of each institution: its standardized field staff scores, cost-weighted."""
     fields: dict[str, list[tuple[float, float]]] = {}
     for (inst, sds), (value, cost) in staff_table(rows).items():
-        fields.setdefault(inst, []).append((means.standardize("fss_s", sds, value), cost))
+        fields.setdefault(inst, []).append((standardize(means, "fss_s", sds, value), cost))
     entries = {}
     for inst, terms in fields.items():
         total_cost = math.fsum(cost for _, cost in terms)
@@ -304,7 +294,9 @@ UNIVERSITY_INDICATORS = {
 # ---------------------------------------------------------------------------
 
 def compute_field_means(ledger: list[CreditRow]) -> FieldMeans:
-    """National standardization means per field."""
+    """National standardization means per field: each rate's plain mean over
+    productive researchers, and the staff mean weighted by each institution's
+    labor cost in the field."""
 
     def productive_mean(value_of) -> dict[str, float]:
         by_sds: dict[str, list[float]] = {}
@@ -319,13 +311,12 @@ def compute_field_means(ledger: list[CreditRow]) -> FieldMeans:
         if value > 0:
             staff_values.setdefault(sds, []).append((value, cost))
 
-    return FieldMeans(
-        fss_s={
-            sds: math.fsum(v * cost for v, cost in pairs) / math.fsum(cost for _, cost in pairs)
-            for sds, pairs in sorted(staff_values.items())
-        },
-        **{rate: productive_mean(rate_of) for rate, rate_of in RATES.items()},
-    )
+    means = {rate: productive_mean(rate_of) for rate, rate_of in RATES.items()}
+    means["fss_s"] = {
+        sds: math.fsum(v * cost for v, cost in pairs) / math.fsum(cost for _, cost in pairs)
+        for sds, pairs in sorted(staff_values.items())
+    }
+    return means
 
 
 # ---------------------------------------------------------------------------

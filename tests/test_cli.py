@@ -841,6 +841,30 @@ def test_each_command_loads_only_the_modules_it_runs(tiny_dir, tmp_path, command
     assert proc.stdout.splitlines()[-1].split() == LOADS[command]
 
 
+# `python -X importtime` gives no line to a module loaded through
+# importlib.import_module, so the lazy loads, cli._need and the package's
+# Library names, go through __import__. Each case -> (the interpreter's
+# arguments after -X importtime, the modules whose lines it must print).
+IMPORTTIME = {
+    "rank": (["-m", "fsskit.cli", "rank", "--level", "staff", *NO_EXCLUSIONS],
+             {"fsskit.indicators", "fsskit.normalize", "fsskit.rankings"}),
+    "library": (["-c", "import fsskit; fsskit.compute_field_means"], {"fsskit.indicators"}),
+}
+
+
+@pytest.mark.parametrize("case", IMPORTTIME)
+def test_importtime_lists_every_module_loaded(tiny_dir, tmp_path, case):
+    args, expected = IMPORTTIME[case]
+    if case == "rank":
+        args = [*args, *data_args(tiny_dir), "--output-dir", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    listed = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert expected <= listed, sorted(expected - listed)
+
+
 def test_parser_offers_every_university_indicator():
     from fsskit.indicators import UNIVERSITY_INDICATORS
 

@@ -113,6 +113,17 @@ REFUSED_FILES = {
     # An integer too large for a float: float() of it would raise OverflowError.
     "min_years-401-digits": ('{"exclusions": {"min_years": 1%s}}' % ("0" * 400),
                              "config key 'min_years' must be a finite number >= 0"),
+    # JSON that Python's decoder cannot hold: too deep, or an integer of more
+    # digits than int() converts.
+    "nested-200000-deep": ("[" * 200_000, "config file {path} is not valid JSON"),
+    "integer-5000-digits": ('{"min_staff_uda": %s}' % ("9" * 5000),
+                            "config file {path} is not valid JSON"),
+    # A path no file system call takes; each is refused before the census is read.
+    "output_dir-unencodable": ('{"output_dir": "\\ud800x"}',
+                               "config key 'output_dir': a path may not hold a character "
+                               "the file system cannot encode"),
+    "baseline_file-nul": ('{"baseline_file": "\\u0000"}',
+                          "config key 'baseline_file': a path may not hold a NUL"),
 }
 
 

@@ -29,7 +29,6 @@ ALLOWED = {
 # Classes ("Class") and fields ("Class.field") whose fields are read other
 # than by attribute, each with its reason.
 FIELDS_ALLOWED = {
-    "FieldMeans": "FieldMeans.standardize reads its tables through getattr",
     "ComparisonStats": "write_comparison serializes it whole through _asdict",
     "LPSolution.iterations": "perfbench/tracing.py sums it into simplex.pivots",
 }

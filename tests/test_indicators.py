@@ -25,9 +25,9 @@ import pytest
 
 from fsskit.corpus import Corpus
 from fsskit.errors import ComputationError, InputError
-from fsskit.indicators import (FieldMeans, compute_field_means, credit_ledger,
-                               department_scores, researcher_scores, staff_scores,
-                               staff_unit_id, standardized_scores, university_scores)
+from fsskit.indicators import (RATES, compute_field_means, credit_ledger, department_scores,
+                               researcher_scores, staff_scores, staff_unit_id, standardize,
+                               standardized_scores, university_scores)
 from fsskit.normalize import compute_baselines
 
 # fss_r = output / (salary * years)
@@ -94,14 +94,15 @@ def test_country_staff_score_is_cost_weighted_mean(ledger):
 
 def test_field_means(ledger):
     means = compute_field_means(ledger)
-    assert means.fss_r["MAT01"] == pytest.approx(float(MEAN_R_MAT), rel=1e-12)
-    assert means.fss_r["BIO01"] == pytest.approx(float(MEAN_R_BIO), rel=1e-12)
-    assert means.fss_s["MAT01"] == pytest.approx(float(MEAN_S_MAT), rel=1e-12)
-    assert means.fss_s["BIO01"] == pytest.approx(float(MEAN_S_BIO), rel=1e-12)
-    assert means.q["MAT01"] == pytest.approx(13 / 30, rel=1e-12)
-    assert means.q["BIO01"] == pytest.approx(9 / 20, rel=1e-12)
-    assert means.fq["MAT01"] == pytest.approx(4 / 15, rel=1e-12)
-    assert means.fq["BIO01"] == pytest.approx(13 / 75, rel=1e-12)
+    assert set(means) == {*RATES, "fss_s"}
+    assert means["fss_r"]["MAT01"] == pytest.approx(float(MEAN_R_MAT), rel=1e-12)
+    assert means["fss_r"]["BIO01"] == pytest.approx(float(MEAN_R_BIO), rel=1e-12)
+    assert means["fss_s"]["MAT01"] == pytest.approx(float(MEAN_S_MAT), rel=1e-12)
+    assert means["fss_s"]["BIO01"] == pytest.approx(float(MEAN_S_BIO), rel=1e-12)
+    assert means["q"]["MAT01"] == pytest.approx(13 / 30, rel=1e-12)
+    assert means["q"]["BIO01"] == pytest.approx(9 / 20, rel=1e-12)
+    assert means["fq"]["MAT01"] == pytest.approx(4 / 15, rel=1e-12)
+    assert means["fq"]["BIO01"] == pytest.approx(13 / 75, rel=1e-12)
 
 
 def test_fss_d_matches_hand_derivation(ledger):
@@ -156,7 +157,7 @@ def test_batch_sets_cover_all_units(ledger):
 
 
 def test_missing_field_mean_is_named(ledger):
-    empty = FieldMeans(fss_r={}, fss_s={}, q={}, fq={})
+    empty = {rate: {} for rate in ("fss_r", "fss_s", "q", "fq")}
     with pytest.raises(ComputationError, match="no national fss_r mean for field 'MAT01'") as err:
         department_scores(ledger, empty)
     assert "MAT01" in str(err.value)
@@ -178,7 +179,7 @@ def idle_field(tiny):
 
 def test_unproductive_field_has_no_mean(ledger, idle_field):
     means = compute_field_means(idle_field)
-    assert "IDL01" not in means.fss_r and "IDL01" not in means.fss_s
+    assert "IDL01" not in means["fss_r"] and "IDL01" not in means["fss_s"]
     assert means == compute_field_means(ledger)
 
 
@@ -213,9 +214,9 @@ def test_unproductive_field_standardizes_to_zero(idle_field):
 
 def test_nonzero_value_without_field_mean_is_named(idle_field):
     means = compute_field_means(idle_field)
-    assert means.standardize("fss_r", "IDL01", 0.0) == 0.0
+    assert standardize(means, "fss_r", "IDL01", 0.0) == 0.0
     with pytest.raises(ComputationError, match="no national fss_r mean for field 'IDL01'") as err:
-        means.standardize("fss_r", "IDL01", 1e-6)
+        standardize(means, "fss_r", "IDL01", 1e-6)
     assert "IDL01" in str(err.value)
     ledger = [row._replace(output=1e-6 * row.cost) if row.id == "z1" else row
               for row in idle_field]

@@ -33,9 +33,17 @@ within the acceptance tolerance, because the sums run in another order:
   department's scores, bit for bit where they were; the merged fss_u is the
   cost-weighted mean of the two, and its p_u and fp_u the head-count-weighted
   means;
-- merging two departments the same way leaves every other department's
-  fss_d bit for bit, and the merged fss_d is the head-count-weighted mean of
-  the two.
+- merging two departments of one institution the same way leaves every
+  other department's fss_d, and every score that reads a field mean or is
+  one, bit for bit; the merged fss_d is the head-count-weighted mean of the
+  two;
+- merging an institution whose staff unit in a field scores 0 into one
+  whose unit there is productive pools the two units into a productive one
+  (their cost-weighted mean), so the zero unit's labour cost joins that
+  field's mean over productive staff units: the new mean is the field's old
+  output over the larger cost, and every fss_u follows from it, while the
+  researcher rates, their means and the national staff scores stay bit for
+  bit.
 """
 
 import csv
@@ -242,6 +250,8 @@ def test_doubling_the_census_keeps_every_dea_result(tmp_path):
 
 MERGED = ("U09", "U10")  # the institutions merged, U10's researchers relabelled U09
 MERGED_DEPARTMENTS = ("U10-D1", "U10-D8")  # U10-D8 has an unproductive member
+# U01's researchers relabelled U06: the unproductive U01:SDS06 joins U06:SDS06.
+UNPRODUCTIVE = ("U06", "U01", "SDS06")
 
 
 @pytest.fixture(scope="module")
@@ -392,9 +402,13 @@ def test_merging_two_institutions_reduces_their_scores(salaried, levels, tmp_pat
 
 def test_merging_two_departments_reduces_their_scores(salaried, levels, tmp_path):
     kept, gone = MERGED_DEPARTMENTS
-    merged = of(level_scores(relabelled(salaried, tmp_path / "census", "department", gone,
-                                        kept), tmp_path / "out"), "fss_d")
-    before = of(levels, "fss_d")
+    found = level_scores(relabelled(salaried, tmp_path / "census", "department", gone, kept),
+                         tmp_path / "out")
+    # No field mean moves: every score but fss_d, each of which reads a
+    # field's mean or is one, stays bitwise where it was.
+    assert {key: value for key, value in found.items() if key[0] != "fss_d"} == {
+        key: value for key, value in levels.items() if key[0] != "fss_d"}
+    merged, before = of(found, "fss_d"), of(levels, "fss_d")
     assert sorted(merged) == sorted(set(before) - {gone})
     for unit, value in before.items():
         if unit not in MERGED_DEPARTMENTS:
@@ -403,3 +417,52 @@ def test_merging_two_departments_reduces_their_scores(salaried, levels, tmp_path
              grouped(salaried, levels, lambda _, dept, __: dept).items()}
     expected = weighted_mean([(before[dept], heads[dept]) for dept in MERGED_DEPARTMENTS])
     assert merged[kept] == pytest.approx(expected, rel=REL)
+
+
+def test_merging_an_unproductive_staff_unit_moves_its_field_mean(salaried, levels, tmp_path):
+    kept, gone, field = UNPRODUCTIVE
+    staff = of(levels, "fss_s")
+    assert staff[f"{gone}:{field}"] == 0.0 and staff[f"{kept}:{field}"] > 0
+    found = level_scores(relabelled(salaried, tmp_path / "census", "institution", gone, kept),
+                         tmp_path / "out")
+    # The researcher rates and their means, and the national staff scores,
+    # pool the same rows as before: they stay bitwise where they were.
+    for indicator in ("fss_r", "fss_d"):
+        assert of(found, indicator) == of(levels, indicator), indicator
+    national = {unit: value for unit, value in staff.items() if "@" in unit}
+    assert {unit: value for unit, value in of(found, "fss_s").items() if "@" in unit} == national
+    for indicator in ("p_u", "fp_u"):
+        before, after = of(levels, indicator), of(found, indicator)
+        assert sorted(after) == sorted(set(before) - {gone}), indicator
+        for inst in set(after) - {kept}:
+            assert after[inst] == before[inst], (indicator, inst)
+    # Each pooled staff unit is the cost-weighted mean of the two it pools.
+    costs = costs_of(grouped(salaried, levels, staff_unit))
+    pooled = {}
+    for unit, value in staff.items():
+        inst, _, sds = unit.partition(":")
+        if not inst.startswith("@"):
+            pooled.setdefault(f"{kept if inst == gone else inst}:{sds}", []).append(
+                (value, costs[unit]))
+    after = {unit: value for unit, value in of(found, "fss_s").items() if "@" not in unit}
+    assert sorted(after) == sorted(pooled)
+    for unit, pairs in pooled.items():
+        assert after[unit] == pytest.approx(weighted_mean(pairs), rel=REL), unit
+    # Pooled, the unproductive unit's cost joins the field's productive
+    # staff, with no output: the field's mean over productive staff units is
+    # its old output over that larger cost. Every other field's is the same.
+    fields = field_staff(levels, costs)
+    means = {sds: weighted_mean([(v, c) for v, c in pairs if v > 0])
+             for sds, pairs in fields.items()}
+    productive = [(v, c) for v, c in fields[field] if v > 0]
+    means[field] = math.fsum(v * c for v, c in productive) / math.fsum(
+        [*(c for _, c in productive), costs[f"{gone}:{field}"]])
+    terms = {}
+    for unit, pairs in pooled.items():
+        inst, _, sds = unit.partition(":")
+        terms.setdefault(inst, []).append(
+            (weighted_mean(pairs) / means[sds], math.fsum(c for _, c in pairs)))
+    fss_u = of(found, "fss_u")
+    assert sorted(fss_u) == sorted(terms)
+    for inst, pairs in terms.items():
+        assert fss_u[inst] == pytest.approx(weighted_mean(pairs), rel=REL), inst

@@ -83,10 +83,10 @@ def test_university_batch_matches_oracle(synth, oracle, uda):
 
 def test_field_means_match_oracle(synth, oracle):
     means = synth.means
-    for ours, theirs in ((means.fss_r, oracle.fss_r_means()),
-                         (means.fss_s, oracle.fss_s_means()),
-                         (means.q, oracle.mean_over_productive(oracle.q)),
-                         (means.fq, oracle.mean_over_productive(oracle.fq))):
+    for ours, theirs in ((means["fss_r"], oracle.fss_r_means()),
+                         (means["fss_s"], oracle.fss_s_means()),
+                         (means["q"], oracle.mean_over_productive(oracle.q)),
+                         (means["fq"], oracle.mean_over_productive(oracle.fq))):
         assert set(ours) == set(theirs)
         for sds, value in ours.items():
             assert value == pytest.approx(theirs[sds], rel=REL), sds

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from fsskit.errors import ComputationError, InputError, LoadError
-from fsskit.indicators import CreditRow, FieldMeans, standardized_scores
+from fsskit.indicators import CreditRow, standardized_scores
 from fsskit.rankings import (RankedEntry, RankedList, average_ranks, compare_rankings,
                              quartile_size, rank_scores, read_rankings,
                              spearman_rho, write_comparison, write_rankings)
@@ -99,7 +99,7 @@ STD_LEDGER = [ledger_row("a", "S1", 1.0, 1.0), ledger_row("b", "S2", 1.0, 1.0),
 
 
 def test_standardized_scores_divide_by_field_mean():
-    means = FieldMeans(fss_r={"S1": 2.0, "S2": 4.0}, fss_s={"S1": 0.25, "S2": 4.0}, q={}, fq={})
+    means = {"fss_r": {"S1": 2.0, "S2": 4.0}, "fss_s": {"S1": 0.25, "S2": 4.0}, "q": {}, "fq": {}}
     std = standardized_scores(STD_LEDGER, means, "researcher")
     assert std.level == "researcher" and std.indicator == "fss_r_std"
     assert std.entries == {"a": 0.5, "b": 0.25, "z": 0.0}
@@ -111,7 +111,7 @@ def test_standardized_scores_divide_by_field_mean():
 
 @pytest.mark.parametrize("level", ["department", "university", "country"])
 def test_standardized_scores_refuse_other_levels(level):
-    means = FieldMeans(fss_r={"S1": 2.0}, fss_s={"S1": 2.0}, q={}, fq={})
+    means = {"fss_r": {"S1": 2.0}, "fss_s": {"S1": 2.0}, "q": {}, "fq": {}}
     with pytest.raises(InputError, match=f"no field standardization defined for level '{level}'"):
         standardized_scores(STD_LEDGER, means, level)
 
